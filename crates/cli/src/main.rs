@@ -208,9 +208,20 @@ fn load_model(opts: &HashMap<String, String>) -> GAugur {
     })
 }
 
+/// `gaugur inspect`'s line for one model's compiled ensemble.
+fn compiled_line(stats: Option<gaugur_ml::CompiledStats>) -> String {
+    match stats {
+        Some(s) => format!(
+            "{} trees, {} nodes, {} bytes, max depth {}",
+            s.trees, s.nodes, s.bytes, s.max_depth
+        ),
+        None => "none (not a tree ensemble)".to_string(),
+    }
+}
+
 /// Print the provenance of a `gaugur build` artifact without serving it:
 /// schema version, catalog coverage, feature dimensionality, and the
-/// hyperparameters of both trained models.
+/// hyperparameters and compiled-ensemble size of both trained models.
 fn inspect(opts: &HashMap<String, String>) {
     let path: String = get(opts, "model", None::<String>);
     let gaugur = GAugur::load_json(&path).unwrap_or_else(|e| {
@@ -228,9 +239,17 @@ fn inspect(opts: &HashMap<String, String>) {
         gaugur.rm.hyperparameters()
     );
     println!(
+        "RM compiled:       {}",
+        compiled_line(gaugur.rm.compiled_stats())
+    );
+    println!(
         "CM ({}):  {}",
         gaugur.config.cm_algorithm,
         gaugur.cm.hyperparameters()
+    );
+    println!(
+        "CM compiled:       {}",
+        compiled_line(gaugur.cm.compiled_stats())
     );
     println!("CM QoS floors:     {:?}", gaugur.config.qos_values);
     println!(

@@ -434,6 +434,26 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The compiled ensembles are derived state: they must leave no trace
+    /// in the artifact, so a loaded model re-saves to the very same bytes
+    /// under the same schema version.
+    #[test]
+    fn loaded_artifact_resaves_to_identical_bytes() {
+        let (_, _, gaugur) = quick_build();
+        let dir = std::env::temp_dir().join("gaugur-test-resave");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (first, second) = (dir.join("first.json"), dir.join("second.json"));
+        gaugur.save_json(&first).unwrap();
+        GAugur::load_json(&first)
+            .unwrap()
+            .save_json(&second)
+            .unwrap();
+        let bytes = std::fs::read(&first).unwrap();
+        assert!(bytes.starts_with(b"{\"schema\":1,\"model\":{"));
+        assert!(bytes == std::fs::read(&second).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn load_missing_file_errors() {
         assert!(GAugur::load_json("/nonexistent/gaugur.json").is_err());

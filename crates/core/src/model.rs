@@ -10,9 +10,9 @@ use gaugur_ml::forest::ForestParams;
 use gaugur_ml::gbdt::GbdtParams;
 use gaugur_ml::svm::SvmParams;
 use gaugur_ml::{
-    Classifier, Dataset, DecisionTreeClassifier, DecisionTreeRegressor, GbdtClassifier,
-    GbrtRegressor, RandomForestClassifier, RandomForestRegressor, Regressor, Rows, StandardScaler,
-    SvmClassifier, SvmRegressor, TreeParams,
+    Classifier, CompiledStats, Dataset, DecisionTreeClassifier, DecisionTreeRegressor,
+    GbdtClassifier, GbrtRegressor, RandomForestClassifier, RandomForestRegressor, Regressor, Rows,
+    StandardScaler, SvmClassifier, SvmRegressor, TreeParams,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -242,7 +242,7 @@ impl RegressionModel {
     }
 
     /// Batched prediction of a flat row-major batch into `out`. The tree
-    /// ensembles evaluate tree-major over the whole batch; every row's
+    /// ensembles evaluate their compiled form in row blocks; every row's
     /// result is bit-identical to [`RegressionModel::predict`] on that row.
     pub fn predict_rows(&self, rows: Rows<'_>, scaled: &mut Vec<f64>, out: &mut Vec<f64>) {
         match &self.scaler {
@@ -275,6 +275,16 @@ impl RegressionModel {
             RegInner::Gbrt(m) => m.predict_batch(rows, out),
             RegInner::Rf(m) => m.predict_batch(rows, out),
             RegInner::Svr(m) => Regressor::predict_rows(m, rows, out),
+        }
+    }
+
+    /// Size of the compiled ensemble predictions run through (for `gaugur
+    /// inspect`); `None` for the families that are not tree ensembles.
+    pub fn compiled_stats(&self) -> Option<CompiledStats> {
+        match &self.inner {
+            RegInner::Gbrt(m) => Some(m.compiled_stats()),
+            RegInner::Rf(m) => Some(m.compiled_stats()),
+            RegInner::Dtr(_) | RegInner::Svr(_) => None,
         }
     }
 
@@ -403,6 +413,16 @@ impl ClassificationModel {
     /// Hard decision: does the game satisfy the QoS requirement?
     pub fn classify(&self, x: &[f64]) -> bool {
         self.score(x) >= 0.5
+    }
+
+    /// Size of the compiled ensemble scores run through (for `gaugur
+    /// inspect`); `None` for the families that are not tree ensembles.
+    pub fn compiled_stats(&self) -> Option<CompiledStats> {
+        match &self.inner {
+            ClsInner::Gbdt(m) => Some(m.compiled_stats()),
+            ClsInner::Rf(m) => Some(m.compiled_stats()),
+            ClsInner::Dtc(_) | ClsInner::Svc(_) => None,
+        }
     }
 
     /// Human-readable hyperparameter summary (for `gaugur inspect`).

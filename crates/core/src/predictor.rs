@@ -180,8 +180,8 @@ impl InterferencePredictor for GAugur {
     }
 
     /// Fused batch path: one intensity gather per distinct colocation span,
-    /// all RM feature rows packed into one flat matrix, one tree-major
-    /// ensemble evaluation. Bit-identical to the scalar path because rows
+    /// all RM feature rows packed into one flat matrix, one pass over the
+    /// compiled ensemble. Bit-identical to the scalar path because rows
     /// are assembled by the same (`*_into`) feature code and the ensemble
     /// batch evaluators preserve the scalar summation order.
     fn predict_degradation_batch(

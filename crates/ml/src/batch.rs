@@ -1,26 +1,17 @@
-//! Batched, allocation-free evaluation of the tree ensembles.
+//! Batched, allocation-free evaluation of the tree models: the row-matrix
+//! view the batch entry points take, and the tests that pin every batched
+//! evaluator to its scalar counterpart.
 //!
 //! The serving hot path scores many feature rows per placement decision
-//! (one per candidate server per colocation member). Walking an ensemble
-//! one sample at a time re-reads every tree's node array per row AND stalls
-//! on each row's dependent root-to-leaf load chain. The batched evaluators
-//! here walk **tree-major** over a whole row batch (each tree's nodes stay
-//! hot in cache across rows) with **interleaved lane traversal** (several
-//! independent rows descend a tree in lockstep, keeping multiple node loads
-//! in flight). Past [`PAR_ROW_THRESHOLD`] rows the batch is split into
-//! tiles processed rayon-parallel, each tile still tree-major.
+//! (one per candidate server per colocation member). Callers pack those rows
+//! into one reusable flat buffer and pass a [`Rows`] view of it; the
+//! ensembles answer it through their compiled form ([`crate::compiled`]),
+//! single trees through an interleaved lane walk ([`crate::tree`]). All of
+//! it runs on the calling thread.
 //!
 //! Bit-identity contract: for every evaluator, the batched result of row
-//! `i` is exactly `predict(rows.row(i))` bit for bit. Both the tree-major
-//! loop and the row-parallel loop accumulate tree contributions in tree
-//! order starting from `0.0`, which is the same float summation order as
-//! the scalar `iter().map(|t| t.predict(x)).sum::<f64>()`.
-
-use crate::tree::Tree;
-use rayon::prelude::*;
-
-/// Row count at and above which ensemble evaluation goes row-parallel.
-pub const PAR_ROW_THRESHOLD: usize = 64;
+//! `i` is exactly `predict(rows.row(i))` bit for bit, because tree
+//! contributions are accumulated per row in tree order starting from `0.0`.
 
 /// A borrowed, row-major matrix of feature rows: `len × width` values in
 /// one flat slice. This is the zero-copy batch input type — callers pack
@@ -59,6 +50,11 @@ impl<'a> Rows<'a> {
         self.width
     }
 
+    /// All rows back to back.
+    pub(crate) fn flat(&self) -> &'a [f64] {
+        self.data
+    }
+
     /// The `i`-th row.
     pub fn row(&self, i: usize) -> &'a [f64] {
         &self.data[i * self.width..(i + 1) * self.width]
@@ -74,67 +70,6 @@ impl<'a> Rows<'a> {
 pub(crate) fn reset_out(out: &mut Vec<f64>, n: usize) {
     out.clear();
     out.resize(n, 0.0);
-}
-
-/// Tree-major over one tile of rows: each tree's nodes stay hot in cache
-/// while its interleaved lane traversal walks every row of the tile.
-/// Accumulation is in tree order starting from `0.0` — the scalar
-/// `iter().map(|t| t.predict(x)).sum::<f64>()` order, bit for bit.
-///
-/// Below one traversal block ([`crate::tree::LANES`] rows) the interleaving
-/// cannot engage and per-tree stores into `out` would round-trip memory per
-/// tree, so tiny batches accumulate row-major in a register instead — the
-/// same additions in the same order.
-fn tree_major_sum(trees: &[Tree], rows: Rows<'_>, out: &mut [f64]) {
-    if rows.len() < crate::tree::LANES {
-        for (acc, x) in out.iter_mut().zip(rows.iter()) {
-            let mut sum = 0.0;
-            for tree in trees {
-                sum += tree.predict(x);
-            }
-            *acc = sum;
-        }
-        return;
-    }
-    out.fill(0.0);
-    for tree in trees {
-        tree.accumulate_rows(rows, out);
-    }
-}
-
-/// Sum of every tree's prediction per row, written into `out`
-/// (`out[i] = Σ_t trees[t].predict(rows.row(i))`, accumulated in tree
-/// order). One tree-major pass below the parallel threshold; above it the
-/// batch is cut into tiles of [`PAR_ROW_THRESHOLD`] rows processed in
-/// parallel, each tile still tree-major — locality inside a tile,
-/// parallelism across tiles.
-pub(crate) fn sum_trees_into(trees: &[Tree], rows: Rows<'_>, out: &mut [f64]) {
-    debug_assert_eq!(rows.len(), out.len());
-    if rows.len() >= PAR_ROW_THRESHOLD {
-        let width = rows.width;
-        out.par_chunks_mut(PAR_ROW_THRESHOLD)
-            .zip(rows.data.chunks(PAR_ROW_THRESHOLD * width))
-            .for_each(|(out_tile, data_tile)| {
-                tree_major_sum(trees, Rows::new(data_tile, width), out_tile)
-            });
-    } else {
-        tree_major_sum(trees, rows, out);
-    }
-}
-
-/// Per-row prediction of a single tree, written into `out`.
-pub(crate) fn single_tree_into(tree: &Tree, rows: Rows<'_>, out: &mut [f64]) {
-    debug_assert_eq!(rows.len(), out.len());
-    if rows.len() >= PAR_ROW_THRESHOLD {
-        let width = rows.width;
-        out.par_chunks_mut(PAR_ROW_THRESHOLD)
-            .zip(rows.data.chunks(PAR_ROW_THRESHOLD * width))
-            .for_each(|(out_tile, data_tile)| {
-                tree.assign_rows(Rows::new(data_tile, width), out_tile)
-            });
-    } else {
-        tree.assign_rows(rows, out);
-    }
 }
 
 #[cfg(test)]
@@ -276,12 +211,11 @@ mod bit_identity_tests {
     }
 
     #[test]
-    fn row_parallel_path_matches_scalar_bit_for_bit() {
-        // Enough probes to cross PAR_ROW_THRESHOLD and exercise the
-        // parallel branch of both ensemble evaluators.
+    fn many_row_batches_match_scalar_bit_for_bit() {
+        // Several full row blocks plus a remainder.
         let ys: Vec<f64> = (0..40).map(|i| ((i * 29) % 17) as f64 - 8.0).collect();
         let (regression, _) = training_sets(&ys);
-        let probes: Vec<(f64, f64)> = (0..(2 * super::PAR_ROW_THRESHOLD))
+        let probes: Vec<(f64, f64)> = (0..131)
             .map(|i| (i as f64 / 50.0 - 0.5, ((i * 5) % 13) as f64))
             .collect();
         let flat = flat_probes(&probes);

@@ -1,6 +1,7 @@
 //! Random forests: bagged CART trees with per-split feature subsampling,
 //! trained in parallel (Rayon).
 
+use crate::compiled::{CompiledEnsemble, CompiledStats};
 use crate::data::Dataset;
 use crate::tree::{Tree, TreeParams};
 use crate::{Classifier, Regressor};
@@ -41,12 +42,44 @@ impl Default for ForestParams {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The bagged trees in compiled form, the only form kept once fitting is
+/// done. The serialized shape is the fitted one, `{"trees"}`: the trees are
+/// decompiled to be written and compiled when read.
+#[derive(Debug, Clone)]
 struct Forest {
-    trees: Vec<Tree>,
+    compiled: CompiledEnsemble,
+}
+
+impl Serialize for Forest {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Map(vec![(
+            "trees".to_string(),
+            self.compiled.to_trees().serialize(),
+        )])
+    }
+}
+
+impl Deserialize for Forest {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        if v.as_map().is_none() {
+            return Err(serde::Error::expected("map", v, "Forest"));
+        }
+        let trees: Vec<Tree> = serde::field(v, "trees", "Forest")?;
+        Ok(Forest::new(&trees))
+    }
 }
 
 impl Forest {
+    fn new(trees: &[Tree]) -> Forest {
+        Forest {
+            compiled: CompiledEnsemble::compile(trees),
+        }
+    }
+
+    fn n_trees(&self) -> usize {
+        self.compiled.n_trees()
+    }
+
     fn fit(data: &Dataset, params: &ForestParams, default_features: usize) -> Forest {
         assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
         assert!(params.n_trees > 0, "forest needs at least one tree");
@@ -55,7 +88,7 @@ impl Forest {
             .unwrap_or(default_features)
             .clamp(1, data.width().max(1));
         let n = data.len();
-        let trees = (0..params.n_trees)
+        let trees: Vec<Tree> = (0..params.n_trees)
             .into_par_iter()
             .map(|t| {
                 let mut rng = ChaCha8Rng::seed_from_u64(
@@ -71,19 +104,26 @@ impl Forest {
                 Tree::fit(&sample, &tree_params)
             })
             .collect();
-        Forest { trees }
+        Forest::new(&trees)
     }
 
     fn mean_prediction(&self, x: &[f64]) -> f64 {
-        self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
+        self.compiled.sum_one(x) / self.n_trees() as f64
+    }
+
+    /// [`Forest::mean_prediction`] by node walk (test reference).
+    #[cfg(test)]
+    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
+        let trees = self.compiled.to_trees();
+        trees.iter().map(|t| t.predict(x)).sum::<f64>() / trees.len() as f64
     }
 
     /// Batched tree-mean: sum per row in tree order, then one division —
     /// the same float operation order as [`Forest::mean_prediction`].
     fn mean_prediction_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
         crate::batch::reset_out(out, rows.len());
-        crate::batch::sum_trees_into(&self.trees, rows, out);
-        let n = self.trees.len() as f64;
+        self.compiled.sum_rows(rows, out);
+        let n = self.n_trees() as f64;
         for v in out.iter_mut() {
             *v /= n;
         }
@@ -110,7 +150,23 @@ impl RandomForestRegressor {
 
     /// Number of trees (diagnostics).
     pub fn n_trees(&self) -> usize {
-        self.forest.trees.len()
+        self.forest.n_trees()
+    }
+
+    /// Size of the compiled ensemble predictions run through.
+    pub fn compiled_stats(&self) -> CompiledStats {
+        self.forest.compiled.stats()
+    }
+
+    /// [`Regressor::predict`] by node walk (test reference).
+    #[cfg(test)]
+    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
+        self.forest.node_walk(x)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn trees(&self) -> Vec<Tree> {
+        self.forest.compiled.to_trees()
     }
 
     /// Batched prediction into a reusable output buffer; bit-identical to
@@ -152,6 +208,17 @@ impl RandomForestClassifier {
             forest: Forest::fit(data, &params, default_features.max(1)),
             params,
         }
+    }
+
+    /// Size of the compiled ensemble scores run through.
+    pub fn compiled_stats(&self) -> CompiledStats {
+        self.forest.compiled.stats()
+    }
+
+    /// [`Classifier::score`] by node walk (test reference).
+    #[cfg(test)]
+    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
+        self.forest.node_walk(x)
     }
 
     /// Batched scoring into a reusable output buffer; bit-identical to

@@ -6,6 +6,7 @@
 //! produces an error of 7.9%" (Section 4.2) and "GBDT achieves as high as 95%
 //! accuracy" (classification).
 
+use crate::compiled::{CompiledEnsemble, CompiledStats};
 use crate::data::Dataset;
 use crate::tree::{Tree, TreeParams};
 use crate::{Classifier, Regressor};
@@ -71,13 +72,83 @@ fn round_indices(n: usize, params: &GbdtParams, round: usize) -> Vec<usize> {
     idx
 }
 
-/// Gradient-boosted regression trees (the paper's GBRT).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GbrtRegressor {
+/// A boosted ensemble: initial value plus the trees in compiled form, the
+/// only form kept once fitting is done. The serialized shape is the fitted
+/// one, exactly `{"init", "trees", "params"}`: the trees are decompiled to
+/// be written and compiled when read.
+#[derive(Debug, Clone)]
+struct Boosted {
     init: f64,
-    trees: Vec<Tree>,
+    compiled: CompiledEnsemble,
+}
+
+impl Boosted {
+    fn new(init: f64, trees: &[Tree]) -> Boosted {
+        Boosted {
+            init,
+            compiled: CompiledEnsemble::compile(trees),
+        }
+    }
+
+    /// `init + learning_rate * Σ_t tree_t(x)`, summed in tree order.
+    fn raw(&self, learning_rate: f64, x: &[f64]) -> f64 {
+        self.init + learning_rate * self.compiled.sum_one(x)
+    }
+
+    /// [`Boosted::raw`] for every row, into a reusable output buffer.
+    fn raw_rows(&self, learning_rate: f64, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
+        crate::batch::reset_out(out, rows.len());
+        self.compiled.sum_rows(rows, out);
+        for v in out.iter_mut() {
+            *v = self.init + learning_rate * *v;
+        }
+    }
+
+    /// The pre-compilation evaluation, kept as the tests' reference: walk
+    /// each fitted tree's nodes and sum in tree order.
+    #[cfg(test)]
+    fn node_walk(&self, learning_rate: f64, x: &[f64]) -> f64 {
+        let trees = self.compiled.to_trees();
+        self.init + learning_rate * trees.iter().map(|t| t.predict(x)).sum::<f64>()
+    }
+
+    fn serialize(&self, params: &GbdtParams) -> serde::Value {
+        serde::Value::Map(vec![
+            ("init".to_string(), self.init.serialize()),
+            ("trees".to_string(), self.compiled.to_trees().serialize()),
+            ("params".to_string(), params.serialize()),
+        ])
+    }
+
+    fn deserialize(v: &serde::Value, ty: &str) -> Result<(Boosted, GbdtParams), serde::Error> {
+        if v.as_map().is_none() {
+            return Err(serde::Error::expected("map", v, ty));
+        }
+        let trees: Vec<Tree> = serde::field(v, "trees", ty)?;
+        let model = Boosted::new(serde::field(v, "init", ty)?, &trees);
+        Ok((model, serde::field(v, "params", ty)?))
+    }
+}
+
+/// Gradient-boosted regression trees (the paper's GBRT).
+#[derive(Debug, Clone)]
+pub struct GbrtRegressor {
+    model: Boosted,
     /// The hyperparameters used for training.
     pub params: GbdtParams,
+}
+
+impl Serialize for GbrtRegressor {
+    fn serialize(&self) -> serde::Value {
+        self.model.serialize(&self.params)
+    }
+}
+
+impl Deserialize for GbrtRegressor {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let (model, params) = Boosted::deserialize(v, "GbrtRegressor")?;
+        Ok(GbrtRegressor { model, params })
+    }
 }
 
 impl GbrtRegressor {
@@ -107,8 +178,7 @@ impl GbrtRegressor {
         }
 
         GbrtRegressor {
-            init,
-            trees,
+            model: Boosted::new(init, &trees),
             params,
         }
     }
@@ -132,7 +202,7 @@ impl GbrtRegressor {
         let n = data.len();
         let params = self.params;
         let mut current: Vec<f64> = data.features.iter().map(|x| self.predict(x)).collect();
-        let mut trees = self.trees.clone();
+        let mut trees = self.model.compiled.to_trees();
         let start = trees.len();
 
         for round in start..start + extra_rounds {
@@ -152,32 +222,43 @@ impl GbrtRegressor {
         }
 
         GbrtRegressor {
-            init: self.init,
-            trees,
+            model: Boosted::new(self.model.init, &trees),
             params,
         }
     }
 
     /// Number of boosting rounds (diagnostics).
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.model.compiled.n_trees()
+    }
+
+    /// Size of the compiled ensemble predictions run through.
+    pub fn compiled_stats(&self) -> CompiledStats {
+        self.model.compiled.stats()
+    }
+
+    /// [`Regressor::predict`] by node walk (test reference).
+    #[cfg(test)]
+    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
+        self.model.node_walk(self.params.learning_rate, x)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn trees(&self) -> Vec<Tree> {
+        self.model.compiled.to_trees()
     }
 
     /// Batched prediction into a reusable output buffer; bit-identical to
     /// calling [`Regressor::predict`] per row (per row:
     /// `init + learning_rate * Σ_t tree_t(x)`, summed in tree order).
     pub fn predict_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        crate::batch::reset_out(out, rows.len());
-        crate::batch::sum_trees_into(&self.trees, rows, out);
-        for v in out.iter_mut() {
-            *v = self.init + self.params.learning_rate * *v;
-        }
+        self.model.raw_rows(self.params.learning_rate, rows, out);
     }
 }
 
 impl Regressor for GbrtRegressor {
     fn predict(&self, x: &[f64]) -> f64 {
-        self.init + self.params.learning_rate * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
+        self.model.raw(self.params.learning_rate, x)
     }
 
     fn predict_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
@@ -188,12 +269,25 @@ impl Regressor for GbrtRegressor {
 /// Gradient-boosted classification trees with logistic loss (the paper's
 /// GBDT). Targets must be `0.0` / `1.0`; [`Classifier::score`] returns the
 /// predicted positive-class probability.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GbdtClassifier {
-    init: f64, // initial log-odds
-    trees: Vec<Tree>,
+    /// `init` is the initial log-odds.
+    model: Boosted,
     /// The hyperparameters used for training.
     pub params: GbdtParams,
+}
+
+impl Serialize for GbdtClassifier {
+    fn serialize(&self) -> serde::Value {
+        self.model.serialize(&self.params)
+    }
+}
+
+impl Deserialize for GbdtClassifier {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        let (model, params) = Boosted::deserialize(v, "GbdtClassifier")?;
+        Ok(GbdtClassifier { model, params })
+    }
 }
 
 fn sigmoid(z: f64) -> f64 {
@@ -249,33 +343,45 @@ impl GbdtClassifier {
         }
 
         GbdtClassifier {
-            init,
-            trees,
+            model: Boosted::new(init, &trees),
             params,
         }
     }
 
     /// Number of boosting rounds (diagnostics).
     pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        self.model.compiled.n_trees()
+    }
+
+    /// Size of the compiled ensemble scores run through.
+    pub fn compiled_stats(&self) -> CompiledStats {
+        self.model.compiled.stats()
+    }
+
+    /// [`Classifier::score`] by node walk (test reference).
+    #[cfg(test)]
+    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
+        sigmoid(self.model.node_walk(self.params.learning_rate, x))
+    }
+
+    #[cfg(test)]
+    pub(crate) fn trees(&self) -> Vec<Tree> {
+        self.model.compiled.to_trees()
     }
 
     /// Batched scoring into a reusable output buffer; bit-identical to
     /// calling [`Classifier::score`] per row.
     pub fn score_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        crate::batch::reset_out(out, rows.len());
-        crate::batch::sum_trees_into(&self.trees, rows, out);
+        self.model.raw_rows(self.params.learning_rate, rows, out);
         for v in out.iter_mut() {
-            *v = sigmoid(self.init + self.params.learning_rate * *v);
+            *v = sigmoid(*v);
         }
     }
 }
 
 impl Classifier for GbdtClassifier {
     fn score(&self, x: &[f64]) -> f64 {
-        let raw = self.init
-            + self.params.learning_rate * self.trees.iter().map(|t| t.predict(x)).sum::<f64>();
-        sigmoid(raw)
+        sigmoid(self.model.raw(self.params.learning_rate, x))
     }
 
     fn score_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {

@@ -30,6 +30,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod batch;
+mod compiled;
 pub mod curvefit;
 pub mod data;
 pub mod forest;
@@ -42,7 +43,8 @@ pub mod scale;
 pub mod svm;
 pub mod tree;
 
-pub use batch::{Rows, PAR_ROW_THRESHOLD};
+pub use batch::Rows;
+pub use compiled::CompiledStats;
 pub use data::Dataset;
 pub use forest::{RandomForestClassifier, RandomForestRegressor};
 pub use gbdt::{GbdtClassifier, GbrtRegressor};
@@ -64,8 +66,8 @@ pub trait Regressor: Send + Sync {
     }
 
     /// Predict a flat row-major batch into a reusable output buffer. The
-    /// default is a per-row loop; the tree ensembles override it with
-    /// tree-major batched evaluation. Always bit-identical to calling
+    /// default is a per-row loop; the tree models override it with their
+    /// batched evaluators. Always bit-identical to calling
     /// [`Regressor::predict`] per row.
     fn predict_rows(&self, rows: Rows<'_>, out: &mut Vec<f64>) {
         out.clear();
@@ -91,8 +93,8 @@ pub trait Classifier: Send + Sync {
     }
 
     /// Score a flat row-major batch into a reusable output buffer. The
-    /// default is a per-row loop; the tree ensembles override it with
-    /// tree-major batched evaluation. Always bit-identical to calling
+    /// default is a per-row loop; the tree models override it with their
+    /// batched evaluators. Always bit-identical to calling
     /// [`Classifier::score`] per row.
     fn score_rows(&self, rows: Rows<'_>, out: &mut Vec<f64>) {
         out.clear();

@@ -44,7 +44,7 @@ impl Default for TreeParams {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
+pub(crate) enum Node {
     Leaf {
         value: f64,
     },
@@ -62,10 +62,11 @@ pub(crate) struct Tree {
     nodes: Vec<Node>,
 }
 
-/// Rows walked through a tree simultaneously by the batched evaluators:
-/// enough independent root-to-leaf chains to keep several node loads in
-/// flight per core, small enough that the lane state lives in registers.
-pub(crate) const LANES: usize = 8;
+/// Rows walked through a single tree simultaneously by the batched
+/// evaluator: enough independent root-to-leaf chains to keep several node
+/// loads in flight per core, small enough that the lane state lives in
+/// registers. (Ensembles are evaluated through [`crate::compiled`] instead.)
+const LANES: usize = 8;
 
 impl Tree {
     /// Fit a tree by recursive variance-reduction splitting.
@@ -181,8 +182,8 @@ impl Tree {
     /// Walk a block of [`LANES`] rows through the tree in lockstep, level
     /// by level. The lanes are independent root-to-leaf chains, so the CPU
     /// keeps several node loads in flight instead of stalling on one
-    /// dependent chain per row — the main single-thread win of the batched
-    /// evaluators. A lane that reaches its leaf early just stays there.
+    /// dependent chain per row. A lane that reaches its leaf early just
+    /// stays there.
     #[inline]
     fn leaf_block(&self, rows: Rows<'_>, base: usize) -> [usize; LANES] {
         let mut idx = [0usize; LANES];
@@ -201,30 +202,12 @@ impl Tree {
         }
     }
 
-    /// `out[i] += self.predict(rows.row(i))` for every row, with the bulk
-    /// of the rows going through the interleaved [`leaf_block`] traversal.
+    /// `out[i] = self.predict(rows.row(i))` for every row, with the bulk of
+    /// the rows going through the interleaved [`leaf_block`] traversal.
     /// Bit-identical to the scalar loop: the leaf reached and the value
-    /// added are exactly the scalar ones.
+    /// written are exactly the scalar ones.
     ///
     /// [`leaf_block`]: Tree::leaf_block
-    pub(crate) fn accumulate_rows(&self, rows: Rows<'_>, out: &mut [f64]) {
-        debug_assert_eq!(rows.len(), out.len());
-        let n = rows.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let leaves = self.leaf_block(rows, i);
-            for (l, &leaf) in leaves.iter().enumerate() {
-                out[i + l] += self.leaf_value(leaf);
-            }
-            i += LANES;
-        }
-        for (j, acc) in out.iter_mut().enumerate().skip(i) {
-            *acc += self.predict(rows.row(j));
-        }
-    }
-
-    /// `out[i] = self.predict(rows.row(i))` for every row (assignment, not
-    /// accumulation — single-tree models write their answer directly).
     pub(crate) fn assign_rows(&self, rows: Rows<'_>, out: &mut [f64]) {
         debug_assert_eq!(rows.len(), out.len());
         let n = rows.len();
@@ -249,10 +232,19 @@ impl Tree {
         }
     }
 
-    /// Number of nodes (for size assertions in tests).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// A tree over already-built nodes (root first, children by index).
+    pub(crate) fn from_nodes(nodes: Vec<Node>) -> Tree {
+        Tree { nodes }
+    }
+
+    /// Number of nodes.
     pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The nodes, root first, children referenced by index.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
     }
 
     /// Maximum depth actually reached.
@@ -363,7 +355,7 @@ impl DecisionTreeRegressor {
     /// calling [`Regressor::predict`] per row.
     pub fn predict_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
         crate::batch::reset_out(out, rows.len());
-        crate::batch::single_tree_into(&self.tree, rows, out);
+        self.tree.assign_rows(rows, out);
     }
 }
 
@@ -403,7 +395,7 @@ impl DecisionTreeClassifier {
     /// calling [`Classifier::score`] per row.
     pub fn score_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
         crate::batch::reset_out(out, rows.len());
-        crate::batch::single_tree_into(&self.tree, rows, out);
+        self.tree.assign_rows(rows, out);
     }
 }
 

@@ -30,8 +30,8 @@
 //! [`FpsModel::predict_colocation_sums`]: one call scores a whole
 //! [`ColocationBatch`] of candidate colocations, and predictors with a
 //! fused batch evaluator (GAugur) answer it with a single feature-matrix
-//! assembly and one tree-major ensemble pass — bit-identical to the scalar
-//! per-member loop by contract.
+//! assembly and one pass over the compiled ensemble — bit-identical to the
+//! scalar per-member loop by contract.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -52,8 +52,8 @@ pub use eval::{evaluate_cluster, ClusterEvaluation};
 pub use maxfps::{assign_max_fps, MaxFpsResult};
 pub use placement::{
     eligible_servers, placement_delta, rank_shard_selections, select_server, select_server_cached,
-    select_server_incremental, select_server_incremental_with, OccupancyView, PlacementScratch,
-    ScoreCache, Selection,
+    select_server_if_resident, select_server_incremental, select_server_incremental_with,
+    NotResident, OccupancyView, PlacementScratch, ScoreCache, Selection,
 };
 pub use requests::{random_requests, RequestCounts};
 pub use vbp_fit::assign_worst_fit;
@@ -186,6 +186,23 @@ pub trait FpsModel: Sync {
                 out.push(self.predict_colocation_sum(batch.members(i)));
             }
         }
+    }
+
+    /// [`predict_colocation_sums`](FpsModel::predict_colocation_sums) only
+    /// if it takes no model evaluation: a model that caches sums answers
+    /// the whole batch from its cache and returns `true`, or returns
+    /// `false` (with `out` unspecified) as soon as one sum is not resident,
+    /// so a caller holding a lock can release it before paying for the
+    /// evaluation. A model without a cache has nothing to wait for: the
+    /// default evaluates and returns `true`.
+    fn resident_colocation_sums(
+        &self,
+        batch: &ColocationBatch,
+        scratch: &mut PredictScratch,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        self.predict_colocation_sums(batch, scratch, out);
+        true
     }
 
     /// Display name for result tables.

@@ -23,6 +23,11 @@
 //!   caller-owned [`PlacementScratch`], one per worker: the hot path
 //!   allocates nothing once the buffers have grown.
 //!
+//! [`select_server_if_resident`] is the second one for a caller that scores
+//! under a lock: it completes only if the model answers every candidate
+//! from its cache, and otherwise hands the candidates back so the caller
+//! can evaluate them with the lock released and then select for real.
+//!
 //! Both paths compute the identical delta-greedy objective (Section 5.2):
 //! the cached `before` sum is the same member-wise sum the baseline
 //! recomputes, and the batched sums are bit-identical to the scalar ones by
@@ -232,6 +237,88 @@ impl PlacementScratch {
     }
 }
 
+impl PlacementScratch {
+    /// Fill `eligible` for `request`; `false` when no server is.
+    fn gather_eligible<V: OccupancyView + ?Sized>(
+        &mut self,
+        occupancy: &V,
+        request: Placement,
+    ) -> bool {
+        self.eligible.clear();
+        self.eligible.extend(
+            (0..occupancy.n_servers())
+                .filter(|&s| server_eligible(occupancy.members(s), request.0)),
+        );
+        !self.eligible.is_empty()
+    }
+
+    /// Fill `coloc` with every eligible server's colocation extended by
+    /// `request`: the batch the `after` sums are asked for.
+    fn queue_extended<V: OccupancyView + ?Sized>(&mut self, occupancy: &V, request: Placement) {
+        self.coloc.clear();
+        for &s in &self.eligible {
+            self.coloc.push_extended(occupancy.members(s), request);
+        }
+    }
+
+    /// Fill `befores`: in steady state these are cache reads; the misses
+    /// are gathered into one batch call.
+    fn fill_befores<V: OccupancyView + ?Sized>(
+        &mut self,
+        occupancy: &V,
+        model: &dyn FpsModel,
+        model_version: u64,
+        cache: &mut ScoreCache,
+    ) {
+        self.befores.clear();
+        self.befores.resize(self.eligible.len(), 0.0);
+        self.miss_at.clear();
+        self.coloc.clear();
+        for (i, &s) in self.eligible.iter().enumerate() {
+            match cache.probe(s, model_version) {
+                Some(sum) => self.befores[i] = sum,
+                None => {
+                    self.miss_at.push(i);
+                    self.coloc.push(occupancy.members(s));
+                }
+            }
+        }
+        if !self.miss_at.is_empty() {
+            model.predict_colocation_sums(&self.coloc, &mut self.predict, &mut self.sums);
+            for (k, &i) in self.miss_at.iter().enumerate() {
+                self.befores[i] = self.sums[k];
+                cache.store(self.eligible[i], model_version, self.sums[k]);
+            }
+        }
+    }
+
+    /// The delta-greedy argmax over filled `befores` and `afters`, stored
+    /// into `cache` under the admit contract.
+    fn pick(&self, model_version: u64, cache: &mut ScoreCache) -> Selection {
+        let (befores, afters) = (&self.befores, &self.afters);
+        let best = (0..self.eligible.len())
+            .max_by(|&a, &b| (afters[a] - befores[a]).total_cmp(&(afters[b] - befores[b])))
+            .expect("non-empty eligible set");
+        let selection = Selection {
+            server: self.eligible[best],
+            delta: afters[best] - befores[best],
+            server_sum: afters[best],
+            before_sum: befores[best],
+        };
+        cache.store(selection.server, model_version, selection.server_sum);
+        selection
+    }
+
+    /// Evaluate what the [`select_server_if_resident`] call that just
+    /// returned [`NotResident`] found missing — every candidate's extended
+    /// colocation, through `model`, which caches what it computes. Meant to
+    /// run with no lock held: the sums are discarded here and read back from
+    /// the model's cache by the selection that follows.
+    pub fn evaluate_candidates(&mut self, model: &dyn FpsModel) {
+        model.predict_colocation_sums(&self.coloc, &mut self.predict, &mut self.afters);
+    }
+}
+
 /// Choose a server for one arriving session by maximum predicted FPS delta,
 /// reading `before` sums from (and maintaining) `cache`, with all buffers
 /// supplied by the caller.
@@ -253,64 +340,47 @@ pub fn select_server_incremental_with<V: OccupancyView + ?Sized>(
     cache: &mut ScoreCache,
     scratch: &mut PlacementScratch,
 ) -> Option<Selection> {
-    let PlacementScratch {
-        eligible,
-        befores,
-        afters,
-        miss_at,
-        coloc,
-        sums,
-        predict,
-    } = scratch;
-    eligible.clear();
-    eligible.extend(
-        (0..occupancy.n_servers()).filter(|&s| server_eligible(occupancy.members(s), request.0)),
-    );
-    if eligible.is_empty() {
+    if !scratch.gather_eligible(occupancy, request) {
         return None;
     }
+    scratch.fill_befores(occupancy, model, model_version, cache);
+    scratch.queue_extended(occupancy, request);
+    model.predict_colocation_sums(&scratch.coloc, &mut scratch.predict, &mut scratch.afters);
+    Some(scratch.pick(model_version, cache))
+}
 
-    // `before` sums: in steady state these are cache reads; the misses are
-    // gathered into one batch call.
-    befores.clear();
-    befores.resize(eligible.len(), 0.0);
-    miss_at.clear();
-    coloc.clear();
-    for (i, &s) in eligible.iter().enumerate() {
-        match cache.probe(s, model_version) {
-            Some(sum) => befores[i] = sum,
-            None => {
-                miss_at.push(i);
-                coloc.push(occupancy.members(s));
-            }
-        }
-    }
-    if !miss_at.is_empty() {
-        model.predict_colocation_sums(coloc, predict, sums);
-        for (k, &i) in miss_at.iter().enumerate() {
-            befores[i] = sums[k];
-            cache.store(eligible[i], model_version, sums[k]);
-        }
-    }
+/// [`select_server_if_resident`] stopped before touching the
+/// [`ScoreCache`]: some candidate's `after` sum needs a model evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NotResident;
 
-    // `after` sums: every candidate's extended colocation, one batch call.
-    coloc.clear();
-    for &s in eligible.iter() {
-        coloc.push_extended(occupancy.members(s), request);
+/// [`select_server_incremental_with`] for a caller that holds a lock it
+/// does not want to evaluate a model under. The candidates' `after` sums
+/// are asked for first, through [`FpsModel::resident_colocation_sums`]:
+/// if the model can answer them all from its cache, selection completes
+/// exactly as the ordinary call would (same result, same cache updates,
+/// same contract). Otherwise it returns [`NotResident`] with `cache`
+/// untouched and the candidates left in `scratch`; the caller releases its
+/// lock, calls [`PlacementScratch::evaluate_candidates`], re-locks and runs
+/// the ordinary selection, which finds the sums cached and evaluates inline
+/// whatever the occupancy changed meanwhile.
+pub fn select_server_if_resident<V: OccupancyView + ?Sized>(
+    occupancy: &V,
+    request: Placement,
+    model: &dyn FpsModel,
+    model_version: u64,
+    cache: &mut ScoreCache,
+    scratch: &mut PlacementScratch,
+) -> Result<Option<Selection>, NotResident> {
+    if !scratch.gather_eligible(occupancy, request) {
+        return Ok(None);
     }
-    model.predict_colocation_sums(coloc, predict, afters);
-
-    let best = (0..eligible.len())
-        .max_by(|&a, &b| (afters[a] - befores[a]).total_cmp(&(afters[b] - befores[b])))
-        .expect("non-empty eligible set");
-    let selection = Selection {
-        server: eligible[best],
-        delta: afters[best] - befores[best],
-        server_sum: afters[best],
-        before_sum: befores[best],
-    };
-    cache.store(selection.server, model_version, selection.server_sum);
-    Some(selection)
+    scratch.queue_extended(occupancy, request);
+    if !model.resident_colocation_sums(&scratch.coloc, &mut scratch.predict, &mut scratch.afters) {
+        return Err(NotResident);
+    }
+    scratch.fill_befores(occupancy, model, model_version, cache);
+    Ok(Some(scratch.pick(model_version, cache)))
 }
 
 /// Cross-shard argmax for sharded placement: rank per-shard candidate
@@ -547,6 +617,171 @@ mod tests {
                 &mut scratch,
             );
             assert_eq!(wrapped, explicit, "game {g}");
+            assert_eq!(c1.counts(), c2.counts(), "game {g}");
+        }
+    }
+
+    /// [`FakeFps`] behind a sum cache, the shape of the daemon's memoized
+    /// model: resident-only lookups never evaluate, evaluations fill the
+    /// cache.
+    #[derive(Default)]
+    struct CachedFake {
+        sums: std::sync::Mutex<std::collections::HashMap<Vec<Placement>, f64>>,
+        evaluations: std::sync::atomic::AtomicUsize,
+    }
+
+    impl FpsModel for CachedFake {
+        fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
+            FakeFps.predict_member_fps(members, idx)
+        }
+
+        fn predict_colocation_sum(&self, members: &[Placement]) -> f64 {
+            *self
+                .sums
+                .lock()
+                .unwrap()
+                .entry(members.to_vec())
+                .or_insert_with(|| {
+                    self.evaluations
+                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    FakeFps.predict_colocation_sum(members)
+                })
+        }
+
+        fn resident_colocation_sums(
+            &self,
+            batch: &ColocationBatch,
+            _scratch: &mut PredictScratch,
+            out: &mut Vec<f64>,
+        ) -> bool {
+            out.clear();
+            let sums = self.sums.lock().unwrap();
+            (0..batch.len()).all(|i| match sums.get(batch.members(i)) {
+                Some(&sum) => {
+                    out.push(sum);
+                    true
+                }
+                None => false,
+            })
+        }
+
+        fn model_name(&self) -> &'static str {
+            "cached fake"
+        }
+    }
+
+    #[test]
+    fn resident_selection_bails_out_before_the_score_cache_and_then_agrees() {
+        let occupancy = vec![
+            vec![],
+            vec![(GameId(3), R), (GameId(8), Resolution::Hd720)],
+            vec![(GameId(1), R)],
+            vec![(GameId(2), R), (GameId(5), R), (GameId(9), R)],
+        ];
+        let request = (GameId(7), R);
+        let model = CachedFake::default();
+        let mut scratch = PlacementScratch::new();
+        let mut cache = ScoreCache::new(occupancy.len());
+
+        // Nothing cached: the pass stops without a probe or a store, and
+        // without evaluating anything.
+        let first =
+            select_server_if_resident(&occupancy, request, &model, 1, &mut cache, &mut scratch);
+        assert_eq!(first, Err(NotResident));
+        assert_eq!(cache.counts(), (0, 0));
+        assert_eq!(
+            model.evaluations.load(std::sync::atomic::Ordering::Relaxed),
+            0
+        );
+
+        // The candidates it left behind are the four extended colocations.
+        scratch.evaluate_candidates(&model);
+        assert_eq!(
+            model.evaluations.load(std::sync::atomic::Ordering::Relaxed),
+            4
+        );
+
+        // The ordinary pass now equals a selection that never bailed out.
+        let second = select_server_incremental_with(
+            &occupancy,
+            request,
+            &model,
+            1,
+            &mut cache,
+            &mut scratch,
+        );
+        let mut reference_cache = ScoreCache::new(occupancy.len());
+        let reference = select_server_incremental_with(
+            &occupancy,
+            request,
+            &FakeFps,
+            1,
+            &mut reference_cache,
+            &mut PlacementScratch::new(),
+        );
+        assert_eq!(second, reference);
+        assert_eq!(cache.counts(), reference_cache.counts());
+
+        // Everything resident (the unchanged fleet, rolled back): one pass,
+        // same answer, same hit/miss stream as the ordinary call.
+        let sel = second.unwrap();
+        cache.rollback(sel.server, 1, sel.server_sum, sel.before_sum);
+        reference_cache.rollback(sel.server, 1, sel.server_sum, sel.before_sum);
+        let evaluated = model.evaluations.load(std::sync::atomic::Ordering::Relaxed);
+        let third =
+            select_server_if_resident(&occupancy, request, &model, 1, &mut cache, &mut scratch);
+        let reference = select_server_incremental_with(
+            &occupancy,
+            request,
+            &FakeFps,
+            1,
+            &mut reference_cache,
+            &mut PlacementScratch::new(),
+        );
+        assert_eq!(third, Ok(reference));
+        assert_eq!(cache.counts(), reference_cache.counts());
+        assert_eq!(
+            model.evaluations.load(std::sync::atomic::Ordering::Relaxed),
+            evaluated
+        );
+
+        // A saturated fleet is an answer, not a bail-out.
+        let full = vec![vec![
+            (GameId(1), R),
+            (GameId(2), R),
+            (GameId(3), R),
+            (GameId(4), R),
+        ]];
+        let mut cache = ScoreCache::new(1);
+        assert_eq!(
+            select_server_if_resident(&full, request, &model, 1, &mut cache, &mut scratch),
+            Ok(None)
+        );
+    }
+
+    #[test]
+    fn resident_selection_with_an_uncached_model_is_the_ordinary_selection() {
+        let occupancy = vec![
+            vec![],
+            vec![(GameId(3), R), (GameId(8), Resolution::Hd720)],
+            vec![(GameId(2), R), (GameId(5), R), (GameId(9), R)],
+        ];
+        let mut scratch = PlacementScratch::new();
+        for g in [0u32, 6, 7, 11] {
+            let request = (GameId(g), R);
+            let mut c1 = ScoreCache::new(occupancy.len());
+            let mut c2 = ScoreCache::new(occupancy.len());
+            let ordinary = select_server_incremental_with(
+                &occupancy,
+                request,
+                &FakeFps,
+                1,
+                &mut c1,
+                &mut scratch,
+            );
+            let resident =
+                select_server_if_resident(&occupancy, request, &FakeFps, 1, &mut c2, &mut scratch);
+            assert_eq!(resident, Ok(ordinary), "game {g}");
             assert_eq!(c1.counts(), c2.counts(), "game {g}");
         }
     }

@@ -20,8 +20,10 @@
 //! mutex (occupancy + score cache + epoch counter). `Place` scores every
 //! shard under that shard's lock only and admits under the winning shard's
 //! lock with epoch re-validation — no global fleet lock exists anywhere on
-//! the `Place`/`Depart` hot path. With `shards = 1` the daemon runs the
-//! classic single-lock path bit-identically.
+//! the `Place`/`Depart` hot path. With `shards = 1` the daemon makes the
+//! classic single-lock decisions bit-identically. On every path a shard
+//! lock covers the *decision* only: model evaluation a placement needs is
+//! done with the lock released (`score_shard`).
 
 use crate::cluster::ClusterState;
 use crate::fault::{FaultAction, FaultInjector, InjectionPoint};
@@ -40,9 +42,10 @@ use crate::wire::{
 };
 use gaugur_core::Placement;
 use gaugur_sched::{
-    rank_shard_selections, select_server_incremental_with, PlacementScratch, ScoreCache, Selection,
+    rank_shard_selections, select_server_if_resident, select_server_incremental_with, NotResident,
+    PlacementScratch, ScoreCache, Selection,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -659,6 +662,8 @@ struct Admitted {
     version: u64,
     /// Admitted game id, carried into the flight-recorder `admit` event.
     game: u64,
+    /// Flight-recorder position, stamped under the shard lock.
+    seq: u64,
     before_sum: f64,
     after_sum: f64,
 }
@@ -857,8 +862,9 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
             // sessions do — the flight recorder's event stream mirrors the
             // conservation oracle (admitted = confirmed + rolled back).
             for a in admitted.iter() {
-                shared.recorder.record(
+                shared.recorder.record_at(
                     worker,
+                    a.seq,
                     Event::Admit {
                         session: a.session,
                         server: a.server as u64,
@@ -884,8 +890,8 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
         }
         // Non-placement side effects (departs, reloads) happened whether or
         // not the reply made it out, so they are recorded unconditionally.
-        for ev in effects.events.drain(..) {
-            shared.recorder.record(worker, ev);
+        for (seq, ev) in effects.events.drain(..) {
+            shared.recorder.record_at(worker, seq, ev);
         }
         // At most one worker a second pays for a full SLO evaluation, so
         // alerts fire during steady traffic without any dedicated thread.
@@ -909,8 +915,9 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
 struct RequestSideEffects {
     /// Identity attached to the slow-request ring entry.
     meta: SlowMeta,
-    /// Flight-recorder events to emit post-write (departs, reloads).
-    events: Vec<Event>,
+    /// Flight-recorder events to emit post-write (departs, reloads), each
+    /// with the recorder position it was stamped with when it happened.
+    events: Vec<(u64, Event)>,
 }
 
 /// Per-worker buffers for the multi-shard two-phase admit: one candidate
@@ -946,11 +953,127 @@ thread_local! {
 /// before settling for the best shard that still admits.
 const MAX_ADMIT_RETRIES: u32 = 3;
 
-/// Choose a server incrementally, predict the new session's FPS against the
-/// pre-admit co-runners, and admit it — the shared core of `Place` and
-/// `PlaceBatch`. The caller holds this shard's lock and has validated the
-/// game; the returned server index is global (`shard_base` + local). All
-/// model queries route through the batch API via the worker's `scratch`.
+/// Lock shard `s`, charging the wait to the `place_admit_wait` stage.
+fn lock_shard<'a>(shared: &'a Shared, s: usize, trace: &mut RequestTrace) -> MutexGuard<'a, Shard> {
+    let wait_started = Instant::now();
+    let shard = shared.shards[s].lock();
+    trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
+    shard
+}
+
+/// Choose a server on shard `s` with the *decision* under the shard lock
+/// and the model *evaluation* outside it. The pass under the lock completes
+/// only if every candidate's extended-colocation sum is memo-resident —
+/// then this is one lock acquisition and one scoring pass. Otherwise it
+/// stops before touching the score cache, the lock is released, the missing
+/// sums are evaluated into the shared memo (so workers evaluate side by
+/// side), and the ordinary pass runs under the re-taken lock: it hits the
+/// memo and evaluates inline only what an admit or depart in between made
+/// stale. At most two passes, never a retry.
+///
+/// The memo is a pure cache, so the selection is exactly the one a single
+/// pass under the final lock acquisition would make; the first pass leaves
+/// no trace but memo entries. Returns that final guard, still held, with
+/// the score cache updated under the admit contract. A caller that already
+/// holds the shard's lock (a batch between two of its items) passes it in
+/// as `held` and gets it, or its successor, back.
+fn score_shard<'a>(
+    shared: &'a Shared,
+    model: &LoadedModel,
+    s: usize,
+    held: Option<MutexGuard<'a, Shard>>,
+    scratch: &mut PlacementScratch,
+    placement: Placement,
+    trace: &mut RequestTrace,
+) -> (MutexGuard<'a, Shard>, Option<Selection>) {
+    let fps_model = MemoizedFps {
+        model,
+        memo: &shared.memo,
+        qos: shared.config.qos,
+    };
+    let mut shard = held.unwrap_or_else(|| lock_shard(shared, s, trace));
+    let mut place_started = Instant::now();
+    let Shard {
+        cluster, scores, ..
+    } = &mut *shard;
+    let resident = select_server_if_resident(
+        &*cluster,
+        placement,
+        &fps_model,
+        model.version,
+        scores,
+        scratch,
+    );
+    let sel = match resident {
+        Ok(sel) => sel,
+        Err(NotResident) => {
+            drop(shard);
+            scratch.evaluate_candidates(&fps_model);
+            trace.add(Stage::Place, elapsed_us(place_started));
+            shard = lock_shard(shared, s, trace);
+            place_started = Instant::now();
+            let Shard {
+                cluster, scores, ..
+            } = &mut *shard;
+            select_server_incremental_with(
+                &*cluster,
+                placement,
+                &fps_model,
+                model.version,
+                scores,
+                scratch,
+            )
+        }
+    };
+    trace.add(Stage::Place, elapsed_us(place_started));
+    (shard, sel)
+}
+
+/// Admit `placement` on the server `sel` chose, predicting the new
+/// session's FPS against the pre-admit co-runners first. The caller holds
+/// this shard's lock and made `sel` under it; the returned server index is
+/// global (`shard_base` + local).
+#[allow(clippy::too_many_arguments)]
+fn admit_selected(
+    shared: &Shared,
+    model: &LoadedModel,
+    shard: &mut Shard,
+    shard_base: usize,
+    scratch: &mut PlacementScratch,
+    placement: Placement,
+    sel: Selection,
+    admitted: &mut Vec<Admitted>,
+    trace: &mut RequestTrace,
+) -> (u64, usize, f64) {
+    // Co-runners of the new session = the server's pre-admit occupancy, so
+    // predict before admitting (borrowed — no fleet clone on the hot path).
+    let predict_started = Instant::now();
+    let (prediction, _) = shared.memo.predict_with(
+        model,
+        shared.config.qos,
+        placement,
+        shard.cluster.members(sel.server),
+        &mut scratch.predict,
+    );
+    trace.add(Stage::Predict, elapsed_us(predict_started));
+    let session = shard.cluster.admit(sel.server, placement);
+    shard.epoch += 1;
+    shared.stats.note_admitted();
+    admitted.push(Admitted {
+        session,
+        server: shard_base + sel.server,
+        version: model.version,
+        game: placement.0 .0 as u64,
+        seq: shared.recorder.stamp(),
+        before_sum: sel.before_sum,
+        after_sum: sel.server_sum,
+    });
+    (session, shard_base + sel.server, prediction.fps)
+}
+
+/// Choose a server in one pass under the lock the caller already holds and
+/// admit there — the second phase of the multi-shard admit, whose candidate
+/// sums the first phase just made resident.
 #[allow(clippy::too_many_arguments)]
 fn admit_one_in_shard(
     shared: &Shared,
@@ -967,54 +1090,29 @@ fn admit_one_in_shard(
         memo: &shared.memo,
         qos: shared.config.qos,
     };
-    let Shard {
-        cluster,
-        scores,
-        epoch,
-    } = shard;
     let place_started = Instant::now();
     let sel = select_server_incremental_with(
-        &*cluster,
+        &shard.cluster,
         placement,
         &fps_model,
         model.version,
-        scores,
+        &mut shard.scores,
         scratch,
     );
     trace.add(Stage::Place, elapsed_us(place_started));
-    let sel = sel?;
-    // Co-runners of the new session = the server's pre-admit occupancy, so
-    // predict before admitting (borrowed — no fleet clone on the hot path).
-    let predict_started = Instant::now();
-    let (prediction, _) = shared.memo.predict_with(
-        model,
-        shared.config.qos,
-        placement,
-        cluster.members(sel.server),
-        &mut scratch.predict,
-    );
-    trace.add(Stage::Predict, elapsed_us(predict_started));
-    let session = cluster.admit(sel.server, placement);
-    *epoch += 1;
-    shared.stats.note_admitted();
-    admitted.push(Admitted {
-        session,
-        server: shard_base + sel.server,
-        version: model.version,
-        game: placement.0 .0 as u64,
-        before_sum: sel.before_sum,
-        after_sum: sel.server_sum,
-    });
-    Some((session, shard_base + sel.server, prediction.fps))
+    Some(admit_selected(
+        shared, model, shard, shard_base, scratch, placement, sel?, admitted, trace,
+    ))
 }
 
-/// Two-phase admit across >1 shards. Phase 1 scores every shard under that
-/// shard's own (briefly held) lock, invalidating the speculative winner
-/// entry before unlocking — the score cache's admit-or-invalidate contract
-/// does not survive a lock release. Phase 2 ranks the candidates and admits
-/// under only the winning shard's lock, re-validating via the shard epoch
-/// that the occupancy the ranking was computed from is still in force; a
-/// lost race re-scores (bounded by [`MAX_ADMIT_RETRIES`]), after which the
+/// Two-phase admit across >1 shards. Phase 1 scores every shard through
+/// [`score_shard`] (decision under that shard's briefly held lock, model
+/// evaluation outside it), invalidating the speculative winner entry before
+/// unlocking — the score cache's admit-or-invalidate contract does not
+/// survive a lock release. Phase 2 ranks the candidates and admits under
+/// only the winning shard's lock, re-validating via the shard epoch that
+/// the occupancy the ranking was computed from is still in force; a lost
+/// race re-scores (bounded by [`MAX_ADMIT_RETRIES`]), after which the
 /// request settles for the best-ranked shard that still admits.
 #[allow(clippy::too_many_arguments)]
 fn place_multi(
@@ -1027,48 +1125,24 @@ fn place_multi(
     admitted: &mut Vec<Admitted>,
     trace: &mut RequestTrace,
 ) -> Option<(u64, usize, f64)> {
-    let fps_model = MemoizedFps {
-        model,
-        memo: &shared.memo,
-        qos: shared.config.qos,
-    };
     for attempt in 0..=MAX_ADMIT_RETRIES {
         ss.candidates.clear();
         ss.epochs.clear();
         for s in 0..shared.shards.len() {
-            let wait_started = Instant::now();
-            let mut shard = shared.shards[s].lock();
-            trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
-            let place_started = Instant::now();
-            let Shard {
-                cluster,
-                scores,
-                epoch,
-            } = &mut *shard;
-            let sel = select_server_incremental_with(
-                &*cluster,
-                placement,
-                &fps_model,
-                model.version,
-                scores,
-                scratch,
-            );
+            let (mut shard, sel) = score_shard(shared, model, s, None, scratch, placement, trace);
             if let Some(sel) = &sel {
                 // We may never come back to this shard: drop the
                 // speculatively stored post-admit sum now, under the lock.
-                scores.invalidate(sel.server);
+                shard.scores.invalidate(sel.server);
             }
-            trace.add(Stage::Place, elapsed_us(place_started));
-            ss.epochs.push(*epoch);
+            ss.epochs.push(shard.epoch);
             ss.candidates.push(sel);
         }
         rank_shard_selections(&ss.candidates, &mut ss.order);
         let Some(&winner) = ss.order.first() else {
             return None; // every shard is saturated for this game
         };
-        let wait_started = Instant::now();
-        let mut shard = shared.shards[winner].lock();
-        trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
+        let mut shard = lock_shard(shared, winner, trace);
         if shard.epoch == ss.epochs[winner] {
             // Occupancy unchanged since scoring, so the under-lock re-score
             // deterministically reproduces the phase-1 selection (and
@@ -1094,9 +1168,7 @@ fn place_multi(
     shared.stats.note_admit_fallback();
     for i in 0..ss.order.len() {
         let s = ss.order[i];
-        let wait_started = Instant::now();
-        let mut shard = shared.shards[s].lock();
-        trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
+        let mut shard = lock_shard(shared, s, trace);
         if let Some(placed) = admit_one_in_shard(
             shared,
             model,
@@ -1114,27 +1186,36 @@ fn place_multi(
     None
 }
 
-/// Place one session: the single-shard fast path is exactly the classic
-/// single-lock daemon — one lock held across choose + admit, no speculative
-/// invalidation — so its decisions, predictions and score-cache hit/miss
-/// streams are bit-identical to the unsharded implementation. Multi-shard
-/// fleets go through the two-phase [`place_multi`].
-fn place_one(
-    shared: &Shared,
+/// Place one session. On a single shard the server is chosen and the
+/// session admitted under one hold of the shard lock — the decision is
+/// serial, exactly the classic single-lock daemon's, so server choices,
+/// predictions and the score-cache hit/miss stream are bit-identical to it
+/// — but candidate sums the memo does not hold are evaluated *before* that
+/// hold, with the lock released ([`score_shard`]). The lock comes back in
+/// `held` rather than being dropped, so a batch takes it once for the whole
+/// burst and gives it up only where an item has to evaluate. Multi-shard
+/// fleets go through the two-phase [`place_multi`] and leave `held` alone.
+#[allow(clippy::too_many_arguments)]
+fn place_one<'a>(
+    shared: &'a Shared,
     worker: usize,
     model: &LoadedModel,
     scratch: &mut PlacementScratch,
+    held: &mut Option<MutexGuard<'a, Shard>>,
     placement: Placement,
     admitted: &mut Vec<Admitted>,
     trace: &mut RequestTrace,
 ) -> Option<(u64, usize, f64)> {
     if shared.shards.len() == 1 {
-        let wait_started = Instant::now();
-        let mut shard = shared.shards[0].lock();
-        trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
-        return admit_one_in_shard(
-            shared, model, &mut shard, 0, scratch, placement, admitted, trace,
-        );
+        let (mut shard, sel) =
+            score_shard(shared, model, 0, held.take(), scratch, placement, trace);
+        let placed = sel.map(|sel| {
+            admit_selected(
+                shared, model, &mut shard, 0, scratch, placement, sel, admitted, trace,
+            )
+        });
+        *held = Some(shard);
+        return placed;
     }
     SHARD_SCRATCH.with(|ss| {
         place_multi(
@@ -1261,6 +1342,7 @@ fn handle_request(
                     worker,
                     &model,
                     &mut s.borrow_mut(),
+                    &mut None,
                     (*game, *resolution),
                     admitted,
                     trace,
@@ -1302,18 +1384,13 @@ fn handle_request(
             let model = shared.model.get();
             effects.meta.model_version = Some(model.version);
             // Items place in order and fail independently (unknown game or
-            // saturation). Single-shard fleets take one lock acquisition
-            // (and one scratch borrow) for the whole burst — the classic
-            // batch path; sharded fleets run each item's two-phase admit so
-            // a long burst never pins any one shard.
+            // saturation). Single-shard fleets keep the shard lock across
+            // the burst (`held`), releasing it only where an item has to
+            // evaluate the model; sharded fleets run each item's two-phase
+            // admit so a long burst never pins any one shard.
             let results: Vec<BatchPlaceResult> = SCRATCH.with(|s| {
                 let scratch = &mut *s.borrow_mut();
-                let mut single = (shared.shards.len() == 1).then(|| {
-                    let wait_started = Instant::now();
-                    let shard = shared.shards[0].lock();
-                    trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
-                    shard
-                });
+                let mut held = None;
                 requests
                     .iter()
                     .map(|&(game, resolution)| {
@@ -1322,30 +1399,16 @@ fn handle_request(
                                 reason: format!("unknown game {}", game.0),
                             };
                         }
-                        let placed = match &mut single {
-                            Some(shard) => admit_one_in_shard(
-                                shared,
-                                &model,
-                                shard,
-                                0,
-                                scratch,
-                                (game, resolution),
-                                admitted,
-                                trace,
-                            ),
-                            None => SHARD_SCRATCH.with(|ss| {
-                                place_multi(
-                                    shared,
-                                    worker,
-                                    &model,
-                                    scratch,
-                                    &mut ss.borrow_mut(),
-                                    (game, resolution),
-                                    admitted,
-                                    trace,
-                                )
-                            }),
-                        };
+                        let placed = place_one(
+                            shared,
+                            worker,
+                            &model,
+                            scratch,
+                            &mut held,
+                            (game, resolution),
+                            admitted,
+                            trace,
+                        );
                         match placed {
                             Some((session, server, predicted_fps)) => {
                                 let shard = shared.shard_of_session(session);
@@ -1391,9 +1454,7 @@ fn handle_request(
             // The id scheme routes every session to exactly one shard, so a
             // depart touches one lock — never the whole fleet.
             let owner = shared.shard_of_session(*session);
-            let wait_started = Instant::now();
-            let mut shard = shared.shards[owner].lock();
-            trace.add(Stage::PlaceAdmitWait, elapsed_us(wait_started));
+            let mut shard = lock_shard(shared, owner, trace);
             let Shard {
                 cluster,
                 scores,
@@ -1406,11 +1467,14 @@ fn handle_request(
                     let server = shared.shard_base[owner] + placed.server;
                     effects.meta.session = Some(*session);
                     effects.meta.shard = Some(owner as u64);
-                    effects.events.push(Event::Depart {
-                        session: *session,
-                        server: server as u64,
-                        shard: owner as u64,
-                    });
+                    effects.events.push((
+                        shared.recorder.stamp(),
+                        Event::Depart {
+                            session: *session,
+                            server: server as u64,
+                            shard: owner as u64,
+                        },
+                    ));
                     (
                         Response::Departed {
                             session: *session,
@@ -1520,7 +1584,9 @@ fn handle_request(
             match shared.model.reload(path.as_deref().map(Path::new)) {
                 Ok(version) => {
                     effects.meta.model_version = Some(version);
-                    effects.events.push(Event::Reload { version });
+                    effects
+                        .events
+                        .push((shared.recorder.stamp(), Event::Reload { version }));
                     (Response::Reloaded { version }, true)
                 }
                 Err(e) => (

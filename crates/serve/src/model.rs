@@ -7,6 +7,7 @@
 //! simply lives until its last request drops the Arc.
 
 use gaugur_core::{GAugur, InterferencePredictor, Placement};
+use gaugur_sched::maxfps::MAX_PER_SERVER;
 use gaugur_sched::{ColocationBatch, PredictScratch};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -109,32 +110,71 @@ impl ModelHandle {
     }
 }
 
-/// Memo key: the full semantic input of a prediction. The colocation is
-/// keyed as a sorted multiset — co-runner order is irrelevant to the model
-/// (features are symmetric sums), so permutations share an entry. The model
-/// version is part of the key, which makes hot reloads invalidate the memo
-/// for free (stale entries age out via the size bound).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct MemoKey {
-    version: u64,
-    game: u32,
-    resolution: u8,
-    others: Vec<(u32, u8)>,
-    qos_millis: u64,
+/// The members of a colocation as a fixed-size inline value: at most
+/// [`MAX_PER_SERVER`] `(game, resolution)` pairs in sorted order — member
+/// order is irrelevant to the model (features are symmetric sums), so
+/// permutations share an entry — with the unused slots holding a filler no
+/// real member can equal. Building one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Members {
+    games: [u32; MAX_PER_SERVER],
+    resolutions: [u8; MAX_PER_SERVER],
 }
 
-fn memo_key(version: u64, qos: f64, target: Placement, others: &[Placement]) -> MemoKey {
-    let mut o: Vec<(u32, u8)> = others.iter().map(|&(g, r)| (g.0, r as u8)).collect();
-    o.sort_unstable();
-    MemoKey {
+impl Members {
+    /// `None` when `members` holds more than fit — such a set is never
+    /// memoized (the fleet cannot produce one; a wire `Predict` can).
+    fn canonical(members: &[Placement]) -> Option<Members> {
+        if members.len() > MAX_PER_SERVER {
+            return None;
+        }
+        // Sorted as one integer per member, game above resolution.
+        let mut packed = [u64::MAX; MAX_PER_SERVER];
+        for (slot, &(game, resolution)) in packed.iter_mut().zip(members) {
+            *slot = u64::from(game.0) << 8 | resolution as u64;
+        }
+        packed.sort_unstable();
+        Some(Members {
+            games: packed.map(|p| (p >> 8) as u32),
+            resolutions: packed.map(|p| p as u8),
+        })
+    }
+}
+
+/// Three fixed-width writes. The derive would hash two length-prefixed
+/// slices; on a memo hit, where the hash is most of the work, that and
+/// sorting pairs instead of integers measured 57 ns against 45 ns a lookup.
+impl std::hash::Hash for Members {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let [a, b, c, d] = self.games;
+        state.write_u64(u64::from(a) << 32 | u64::from(b));
+        state.write_u64(u64::from(c) << 32 | u64::from(d));
+        state.write_u32(u32::from_le_bytes(self.resolutions));
+    }
+}
+
+/// Memo key of one prediction: the full semantic input. The model version
+/// is part of the key, which makes hot reloads invalidate the memo for free
+/// (stale entries age out through the generations).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct MemoKey {
+    version: u64,
+    qos_millis: u64,
+    game: u32,
+    resolution: u8,
+    others: Members,
+}
+
+fn memo_key(version: u64, qos: f64, target: Placement, others: &[Placement]) -> Option<MemoKey> {
+    Some(MemoKey {
         version,
-        game: target.0 .0,
-        resolution: target.1 as u8,
-        others: o,
         // QoS floors are human-chosen values like 30/60 FPS; milli-FPS
         // granularity keys them exactly without hashing raw f64 bits.
         qos_millis: (qos.max(0.0) * 1000.0).round() as u64,
-    }
+        game: target.0 .0,
+        resolution: target.1 as u8,
+        others: Members::canonical(others)?,
+    })
 }
 
 /// A memoized prediction: QoS class plus degradation ratio.
@@ -148,46 +188,100 @@ pub struct Prediction {
     pub fps: f64,
 }
 
-/// Memo key for a whole colocation's summed FPS: the multiset of members
-/// (sorted, so permutations share an entry) plus the model version.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Memo key for a whole colocation's summed FPS: its members plus the model
+/// version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct SumKey {
     version: u64,
-    members: Vec<(u32, u8)>,
+    members: Members,
 }
 
-fn sum_key(version: u64, members: &[Placement]) -> SumKey {
-    let mut m: Vec<(u32, u8)> = members.iter().map(|&(g, r)| (g.0, r as u8)).collect();
-    m.sort_unstable();
-    SumKey {
+fn sum_key(version: u64, members: &[Placement]) -> Option<SumKey> {
+    Some(SumKey {
         version,
-        members: m,
+        members: Members::canonical(members)?,
+    })
+}
+
+/// A bounded map that forgets by generation instead of all at once.
+///
+/// Inserts go to the young generation; once it holds half the capacity the
+/// generations rotate — the old one is dropped, the young one becomes old —
+/// so at most `capacity` entries exist. A hit in the old generation moves
+/// the entry back to the young one: whatever was used since the last
+/// rotation survives the next. Both tables grow on demand and keep their
+/// allocation across rotations, so a working set far below the capacity
+/// costs what it holds and a lookup that hits allocates nothing.
+///
+/// A generation also ends early when its table is full and would have to
+/// grow for less than it already holds: a table doubles when it grows, so
+/// that last doubling would sit mostly empty until the rotation.
+struct Generations<K, V> {
+    young: HashMap<K, V>,
+    old: HashMap<K, V>,
+    /// Entries per generation.
+    half: usize,
+}
+
+impl<K: std::hash::Hash + Eq + Copy, V: Copy> Generations<K, V> {
+    fn new(capacity: usize) -> Generations<K, V> {
+        Generations {
+            young: HashMap::new(),
+            old: HashMap::new(),
+            half: capacity / 2,
+        }
+    }
+
+    fn get(&mut self, key: &K) -> Option<V> {
+        if let Some(&hit) = self.young.get(key) {
+            return Some(hit);
+        }
+        let hit = self.old.remove(key)?;
+        self.insert(*key, hit);
+        Some(hit)
+    }
+
+    fn insert(&mut self, key: K, value: V) {
+        let len = self.young.len();
+        if len >= self.half || (len == self.young.capacity() && 2 * len > self.half) {
+            std::mem::swap(&mut self.young, &mut self.old);
+            self.young.clear();
+        }
+        self.young.insert(key, value);
+    }
+
+    fn len(&self) -> usize {
+        self.young.len() + self.old.len()
     }
 }
 
 /// Bounded memo of `(model, target, colocation, qos) → prediction`, plus a
 /// second map memoizing whole-colocation summed FPS — the quantity the
-/// placement greedy compares per candidate server — so a steady-state
-/// placement costs one lookup per candidate instead of one per member.
+/// placement greedy compares per candidate server — so a placement whose
+/// candidates were seen recently costs one lookup per candidate instead of
+/// one model evaluation per member.
+///
+/// At the paper's scale (100 games × 2 resolutions) the colocations a fleet
+/// runs through far outnumber any sensible capacity, so the bound is in
+/// force continuously: both maps keep two [`Generations`] and never drop
+/// recently hit entries. The memo is a pure cache — every value is a
+/// function of its key — so what is resident changes cost, never an answer.
 pub struct PredictionMemo {
-    map: Mutex<HashMap<MemoKey, Prediction>>,
-    sums: Mutex<HashMap<SumKey, f64>>,
+    map: Mutex<Generations<MemoKey, Prediction>>,
+    sums: Mutex<Generations<SumKey, f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    capacity: usize,
 }
 
 impl PredictionMemo {
-    /// Memo bounded to `capacity` entries (cleared wholesale when full —
-    /// entries are cheap to recompute and the working set of a live fleet
-    /// is far below any sensible capacity).
+    /// Memo bounded to `capacity` entries per map (at least 16).
     pub fn new(capacity: usize) -> PredictionMemo {
+        let capacity = capacity.max(16);
         PredictionMemo {
-            map: Mutex::new(HashMap::new()),
-            sums: Mutex::new(HashMap::new()),
+            map: Mutex::new(Generations::new(capacity)),
+            sums: Mutex::new(Generations::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            capacity: capacity.max(16),
         }
     }
 
@@ -199,7 +293,7 @@ impl PredictionMemo {
             return 0.0;
         }
         let key = sum_key(model.version, members);
-        if let Some(&hit) = self.sums.lock().get(&key) {
+        if let Some(hit) = key.and_then(|key| self.sums.lock().get(&key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
@@ -215,20 +309,53 @@ impl PredictionMemo {
                 self.predict(model, qos, members[i], &others).0.fps
             })
             .sum();
-        let mut sums = self.sums.lock();
-        if sums.len() >= self.capacity {
-            sums.clear();
+        if let Some(key) = key {
+            self.sums.lock().insert(key, sum);
         }
-        sums.insert(key, sum);
         sum
+    }
+
+    /// [`colocation_sums`](PredictionMemo::colocation_sums) only if it takes
+    /// no model evaluation: with every non-empty colocation of `batch`
+    /// resident, write the sums into `out` and return `true`; at the first
+    /// one that is not, return `false` with `out` unspecified. Counts the
+    /// hits of a complete answer only — an abandoned pass is not a lookup
+    /// the caller gets to use.
+    pub fn resident_colocation_sums(
+        &self,
+        model: &LoadedModel,
+        batch: &ColocationBatch,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        out.clear();
+        let mut hits = 0;
+        let mut sums = self.sums.lock();
+        for i in 0..batch.len() {
+            let members = batch.members(i);
+            if members.is_empty() {
+                out.push(0.0);
+                continue;
+            }
+            match sum_key(model.version, members).and_then(|key| sums.get(&key)) {
+                Some(hit) => {
+                    hits += 1;
+                    out.push(hit);
+                }
+                None => return false,
+            }
+        }
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        true
     }
 
     /// Batched counterpart of [`colocation_sum`]: answer every colocation in
     /// `batch` at once, writing `batch.len()` summed-FPS values into `out`
     /// (cleared first) in batch order. Hits are served from the sum memo;
     /// all misses are assembled into one [`DegradationBatch`] query plan and
-    /// answered by a single fused model call through `scratch`. Bit-identical
-    /// to the scalar path, including the `-0.0` empty-set sum identity.
+    /// answered by a single fused model call through `scratch` — with no
+    /// memo lock held, so workers evaluate side by side and meet again only
+    /// to insert. Bit-identical to the scalar path, including the `-0.0`
+    /// empty-set sum identity.
     ///
     /// [`colocation_sum`]: PredictionMemo::colocation_sum
     /// [`DegradationBatch`]: gaugur_core::DegradationBatch
@@ -245,7 +372,7 @@ impl PredictionMemo {
         miss_at.clear();
         scratch.queries.clear();
         {
-            let sums = self.sums.lock();
+            let mut sums = self.sums.lock();
             for (i, slot) in out.iter_mut().enumerate() {
                 let members = batch.members(i);
                 if members.is_empty() {
@@ -253,8 +380,8 @@ impl PredictionMemo {
                     // (which touches neither the memo nor the counters).
                     continue;
                 }
-                match sums.get(&sum_key(model.version, members)) {
-                    Some(&hit) => {
+                match sum_key(model.version, members).and_then(|key| sums.get(&key)) {
+                    Some(hit) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         *slot = hit;
                     }
@@ -291,10 +418,9 @@ impl PredictionMemo {
                     sum += fps;
                     q += 1;
                 }
-                if sums.len() >= self.capacity {
-                    sums.clear();
+                if let Some(key) = sum_key(model.version, members) {
+                    sums.insert(key, sum);
                 }
-                sums.insert(sum_key(model.version, members), sum);
                 out[i] = sum;
             }
         }
@@ -318,9 +444,8 @@ impl PredictionMemo {
     /// [`predict`](PredictionMemo::predict) routed through the batch API: on
     /// a miss, the degradation is computed as a one-query
     /// [`DegradationBatch`](gaugur_core::DegradationBatch) through the
-    /// caller's scratch buffers, so a daemon worker allocates nothing on the
-    /// steady-state path. Memo entries are shared with the scalar entry
-    /// point (the batch evaluator is bit-identical).
+    /// caller's scratch buffers. Memo entries are shared with the scalar
+    /// entry point (the batch evaluator is bit-identical).
     pub fn predict_with(
         &self,
         model: &LoadedModel,
@@ -341,6 +466,8 @@ impl PredictionMemo {
         })
     }
 
+    /// A co-runner set too large for a key (only a wire `Predict` can name
+    /// one) is answered straight from the model: no entry, no counters.
     fn predict_inner(
         &self,
         model: &LoadedModel,
@@ -350,7 +477,7 @@ impl PredictionMemo {
         degradation: impl FnOnce(&GAugur) -> f64,
     ) -> (Prediction, bool) {
         let key = memo_key(model.version, qos, target, others);
-        if let Some(hit) = self.map.lock().get(&key).copied() {
+        if let Some(hit) = key.and_then(|key| self.map.lock().get(&key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (hit, true);
         }
@@ -370,12 +497,10 @@ impl PredictionMemo {
                 fps: degradation * solo,
             }
         };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.map.lock();
-        if map.len() >= self.capacity {
-            map.clear();
+        if let Some(key) = key {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.map.lock().insert(key, prediction);
         }
-        map.insert(key, prediction);
         (prediction, false)
     }
 
@@ -387,12 +512,12 @@ impl PredictionMemo {
         )
     }
 
-    /// Entries currently held.
+    /// Prediction entries currently held.
     pub fn len(&self) -> usize {
         self.map.lock().len()
     }
 
-    /// Whether the memo holds no entries.
+    /// Whether the memo holds no prediction entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -434,6 +559,15 @@ impl gaugur_sched::FpsModel for MemoizedFps<'_> {
         out: &mut Vec<f64>,
     ) {
         self.memo.colocation_sums(self.model, batch, scratch, out);
+    }
+
+    fn resident_colocation_sums(
+        &self,
+        batch: &ColocationBatch,
+        _scratch: &mut PredictScratch,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        self.memo.resident_colocation_sums(self.model, batch, out)
     }
 
     fn model_name(&self) -> &'static str {
@@ -515,24 +649,168 @@ mod tests {
         assert_eq!(p.feasible, solo >= 30.0);
     }
 
+    /// Every ordered pair of distinct games, the newcomer first.
+    fn pairs() -> Vec<(Placement, [Placement; 1])> {
+        let res = Resolution::Fhd1080;
+        (0..8u32)
+            .flat_map(|g| (0..8u32).map(move |o| (g, o)))
+            .filter(|(g, o)| g != o)
+            .map(|(g, o)| ((GameId(g), res), [(GameId(o), res)]))
+            .collect()
+    }
+
     #[test]
-    fn capacity_bound_clears_instead_of_growing() {
+    fn the_capacity_bound_holds_at_every_step() {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
         let memo = PredictionMemo::new(16);
-        for g in 0..8u32 {
-            for o in 0..8u32 {
-                if g != o {
-                    let _ = memo.predict(
-                        &model,
-                        60.0,
-                        (GameId(g), Resolution::Fhd1080),
-                        &[(GameId(o), Resolution::Fhd1080)],
-                    );
+        let mut scratch = PredictScratch::new();
+        let mut batch = ColocationBatch::new();
+        let mut out = Vec::new();
+        for (target, others) in pairs() {
+            let _ = memo.predict(&model, 60.0, target, &others);
+            batch.clear();
+            batch.push_extended(&others, target);
+            memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
+            assert!(memo.len() <= 16, "{} prediction entries", memo.len());
+            assert!(memo.sums.lock().len() <= 16);
+        }
+        // The bound bit: 56 distinct keys went through a 16-entry memo.
+        assert!(memo.len() >= 7);
+    }
+
+    /// The regression test for clear-all eviction: a hot set that keeps
+    /// being hit stays resident while cold keys stream through a memo many
+    /// times its capacity. (Cleared wholesale at the bound, the hot set
+    /// was recomputed after every clear.)
+    #[test]
+    fn a_hot_set_survives_cold_traffic_past_the_capacity() {
+        let handle = ModelHandle::from_model(tiny_model());
+        let model = handle.get();
+        let memo = PredictionMemo::new(32);
+        let all = pairs();
+        let (hot, cold) = all.split_at(4);
+        for (target, others) in hot {
+            assert!(!memo.predict(&model, 60.0, *target, others).1);
+        }
+        // 52 cold keys, three floors each, through 32 entries: 156 inserts.
+        for qos in [30.0, 45.0, 60.0] {
+            for (i, (target, others)) in cold.iter().enumerate() {
+                let _ = memo.predict(&model, qos, *target, others);
+                if i % 4 == 3 {
+                    for (target, others) in hot {
+                        let (_, cached) = memo.predict(&model, 60.0, *target, others);
+                        assert!(cached, "hot entry evicted under cold traffic");
+                    }
                 }
+                assert!(memo.len() <= 32);
             }
         }
-        assert!(memo.len() <= 16);
+    }
+
+    #[test]
+    fn a_version_bump_misses() {
+        let handle = ModelHandle::from_model(tiny_model());
+        let v1 = handle.get();
+        let v2 = LoadedModel {
+            gaugur: v1.gaugur.clone(),
+            version: 2,
+            source: PathBuf::from("<bumped>"),
+        };
+        let memo = PredictionMemo::new(64);
+        let t = (GameId(0), Resolution::Fhd1080);
+        let others = [(GameId(1), Resolution::Hd720)];
+        assert!(!memo.predict(&v1, 60.0, t, &others).1);
+        assert!(memo.predict(&v1, 60.0, t, &others).1);
+        assert!(!memo.predict(&v2, 60.0, t, &others).1);
+
+        let members = [t, others[0]];
+        let (_, m0) = memo.counts();
+        let s1 = memo.colocation_sum(&v1, 60.0, &members);
+        let s2 = memo.colocation_sum(&v2, 60.0, &members);
+        assert_eq!(s1.to_bits(), s2.to_bits());
+        // Both sums missed (their member predictions are memo traffic too).
+        let (_, m1) = memo.counts();
+        assert!(m1 - m0 >= 2);
+        let (h0, _) = memo.counts();
+        let _ = memo.colocation_sum(&v2, 60.0, &members);
+        assert_eq!(memo.counts().0, h0 + 1);
+    }
+
+    /// A wire `Predict` may name more co-runners than a server can hold;
+    /// that set has no key, so it is answered from the model every time and
+    /// leaves the memo and its counters alone.
+    #[test]
+    fn an_oversize_corunner_set_bypasses_the_memo() {
+        let handle = ModelHandle::from_model(tiny_model());
+        let model = handle.get();
+        let memo = PredictionMemo::new(64);
+        let mut scratch = PredictScratch::new();
+        let res = Resolution::Fhd1080;
+        let t = (GameId(0), res);
+        let others: Vec<Placement> = (1..=MAX_PER_SERVER as u32 + 1)
+            .map(|g| (GameId(g), res))
+            .collect();
+        for _ in 0..2 {
+            let (p, cached) = memo.predict_with(&model, 60.0, t, &others, &mut scratch);
+            assert!(!cached);
+            assert_eq!(
+                p.degradation.to_bits(),
+                model.gaugur.predict_degradation(t, &others).to_bits()
+            );
+            assert_eq!(p.feasible, model.gaugur.predict_qos(60.0, t, &others));
+        }
+        assert_eq!(memo.predict(&model, 60.0, t, &others).0.fps, {
+            model.gaugur.predict_fps(t, &others)
+        });
+        assert_eq!(memo.counts(), (0, 0));
+        assert!(memo.is_empty());
+
+        // The largest set that does fit is memoized as usual.
+        let (_, cached) = memo.predict(&model, 60.0, t, &others[..MAX_PER_SERVER]);
+        assert!(!cached);
+        let (_, cached) = memo.predict(&model, 60.0, t, &others[..MAX_PER_SERVER]);
+        assert!(cached);
+
+        // Likewise for sums: an oversize colocation is computed, not kept.
+        let mut members = others.clone();
+        members.push(t);
+        let mut batch = ColocationBatch::new();
+        batch.push(&members);
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            let (_, m0) = memo.counts();
+            memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
+            assert_eq!(memo.counts().1, m0 + 1);
+            assert!(!memo.resident_colocation_sums(&model, &batch, &mut out));
+        }
+    }
+
+    #[test]
+    fn resident_sums_answer_only_without_evaluating() {
+        let handle = ModelHandle::from_model(tiny_model());
+        let model = handle.get();
+        let memo = PredictionMemo::new(1024);
+        let mut scratch = PredictScratch::new();
+        let res = Resolution::Fhd1080;
+        let mut batch = ColocationBatch::new();
+        batch.push(&[]);
+        batch.push(&[(GameId(1), res), (GameId(2), res)]);
+        batch.push(&[(GameId(3), res), (GameId(4), res), (GameId(5), res)]);
+
+        let mut out = Vec::new();
+        assert!(!memo.resident_colocation_sums(&model, &batch, &mut out));
+        assert_eq!(memo.counts(), (0, 0), "an abandoned pass counts nothing");
+
+        let mut evaluated = Vec::new();
+        memo.colocation_sums(&model, &batch, &mut scratch, &mut evaluated);
+        assert_eq!(memo.counts(), (0, 2));
+        assert!(memo.resident_colocation_sums(&model, &batch, &mut out));
+        assert_eq!(memo.counts(), (2, 2));
+        assert_eq!(out.len(), 3);
+        for (a, b) in out.iter().zip(&evaluated) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

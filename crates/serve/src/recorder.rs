@@ -287,10 +287,24 @@ impl Recorder {
         }
     }
 
+    /// Take the next position in the global event order without recording
+    /// anything yet. An admit or depart is stamped under its shard's lock
+    /// and recorded ([`record_at`](Recorder::record_at)) once its reply is
+    /// out, so a dump lists each shard's events in the order the decisions
+    /// were made, not the order the replies happened to be written in.
+    pub fn stamp(&self) -> u64 {
+        self.seq.fetch_add(1, Ordering::Relaxed)
+    }
+
     /// Record `event` into `worker`'s ring. Lock-free; only the owning
     /// worker thread may record for its index.
     pub fn record(&self, worker: usize, event: Event) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        self.record_at(worker, self.stamp(), event);
+    }
+
+    /// [`record`](Recorder::record) at a position taken earlier with
+    /// [`stamp`](Recorder::stamp).
+    pub fn record_at(&self, worker: usize, seq: u64, event: Event) {
         let ring = &self.workers[worker % self.workers.len()];
         let idx = (ring.head.fetch_add(1, Ordering::Relaxed) % ring.slots.len() as u64) as usize;
         let slot = &ring.slots[idx];

@@ -118,6 +118,53 @@ fn two_hundred_requests_respect_fleet_invariants_and_stats_reconcile() {
     assert_eq!(final_stats.per_request["place"].ok, placed_n + rejected_n);
 }
 
+/// The shard lock covers the decision, not the model: a `Place` whose
+/// candidate sums the memo does not hold scores twice (a pass that stops at
+/// the first missing sum, an evaluation with the lock released, the real
+/// pass), but one whose sums are all resident is exactly one scoring pass
+/// under one lock acquisition — one memo lookup per candidate, one for the
+/// rebuilt `before` sum, one for the newcomer's own prediction, no miss.
+#[test]
+fn a_place_with_resident_sums_is_one_scoring_pass() {
+    let handle = daemon::start(
+        DaemonConfig {
+            n_servers: 4,
+            workers: 1,
+            shards: 1,
+            ..quiet_config()
+        },
+        ModelHandle::from_model(model()),
+    )
+    .unwrap();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let res = Resolution::Fhd1080;
+
+    let mut servers = Vec::new();
+    for g in 0..3 {
+        servers.push(client.place(GameId(g), res).unwrap().server);
+    }
+    let cold = client.stats().unwrap();
+    let first = client.place(GameId(3), res).unwrap();
+    let warm = client.stats().unwrap();
+    // Four candidates, none seen with game 3 before: every sum missed once,
+    // and both passes looked all four up.
+    assert_eq!(warm.cache_misses - cold.cache_misses, 4 + 1);
+    assert!(warm.cache_hits - cold.cache_hits >= 4);
+
+    // Same fleet, same request: everything it needs is resident now.
+    client.depart(first.session).unwrap();
+    let again = client.place(GameId(3), res).unwrap();
+    let after = client.stats().unwrap();
+    assert_eq!(again.server, first.server);
+    assert_eq!(again.predicted_fps.to_bits(), first.predicted_fps.to_bits());
+    // The departed server's `before` sum is rebuilt from the memo unless
+    // the server is empty again (an empty colocation is not memo traffic).
+    let rebuilt = u64::from(servers.contains(&first.server));
+    assert_eq!(after.cache_hits - warm.cache_hits, 4 + rebuilt + 1);
+    assert_eq!(after.cache_misses, warm.cache_misses);
+    handle.shutdown();
+}
+
 #[test]
 fn departures_free_capacity() {
     let handle = daemon::start(

@@ -1,0 +1,97 @@
+//! A memo lookup that hits performs no heap allocation: keys are fixed-size
+//! inline values, and a hit neither grows a table nor builds a query plan.
+//!
+//! The allocation count comes from a counting `#[global_allocator]`, which
+//! is why this is a test binary of its own (one allocator per binary, one
+//! test per binary so nothing else allocates while it counts).
+
+use gaugur_core::{GAugur, Placement};
+use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server};
+use gaugur_sched::{ColocationBatch, PredictScratch};
+use gaugur_serve::{ModelHandle, PredictionMemo};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed statistic.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are exactly `System::alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn memo_hits_allocate_nothing() {
+    let catalog = GameCatalog::generate(42, 8);
+    let config = gaugur_core::GAugurConfig {
+        plan: gaugur_core::ColocationPlan {
+            pairs: 40,
+            triples: 10,
+            quads: 5,
+            seed: 3,
+        },
+        ..Default::default()
+    };
+    let handle = ModelHandle::from_model(GAugur::build(&Server::reference(7), &catalog, config));
+    let model = handle.get();
+    let memo = PredictionMemo::new(1 << 16);
+    let mut scratch = PredictScratch::new();
+    let res = Resolution::Fhd1080;
+
+    let target: Placement = (GameId(0), res);
+    let others = [
+        (GameId(3), res),
+        (GameId(1), Resolution::Hd720),
+        (GameId(2), res),
+    ];
+    let mut batch = ColocationBatch::new();
+    for g in 1..8u32 {
+        batch.push_extended(&[(GameId(g), res), (GameId((g + 3) % 8), res)], target);
+    }
+    let mut sums = Vec::new();
+
+    // Warm: entries resident, scratch and output buffers grown.
+    let (first, cached) = memo.predict_with(&model, 60.0, target, &others, &mut scratch);
+    assert!(!cached);
+    memo.colocation_sums(&model, &batch, &mut scratch, &mut sums);
+    let warm = sums.clone();
+    assert!(memo.resident_colocation_sums(&model, &batch, &mut sums));
+
+    let (hits_before, misses_before) = memo.counts();
+    let n = allocations_during(|| {
+        let (again, cached) = memo.predict_with(&model, 60.0, target, &others, &mut scratch);
+        assert!(cached && again == first);
+        memo.colocation_sums(&model, &batch, &mut scratch, &mut sums);
+        assert!(memo.resident_colocation_sums(&model, &batch, &mut sums));
+    });
+    assert_eq!(n, 0, "memo hits allocated {n} times");
+    assert_eq!(sums, warm);
+    let (hits, misses) = memo.counts();
+    assert_eq!((hits - hits_before, misses), (1 + 7 + 7, misses_before));
+}
