@@ -88,18 +88,10 @@ fn emit_report(results: &[(usize, f64, f64)]) {
             scalar_ns / batch_ns.max(1e-9)
         ));
     }
-    // The numbers mean nothing without the host and the build they came
-    // from: core count, and whether assertions and overflow checks were in.
-    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let profile = if cfg!(debug_assertions) {
-        "debug assertions on"
-    } else {
-        "bench (optimized, debug assertions off)"
-    };
     let json = format!(
         "{{\n  \"benchmark\": \"prediction\",\n  \"unit\": \"ns/query\",\n  \
-         \"nproc\": {nproc},\n  \"profile\": \"{profile}\",\n  \
-         \"results\": [{rows}\n  ]\n}}\n"
+         {},\n  \"results\": [{rows}\n  ]\n}}\n",
+        gaugur_bench::host_fields()
     );
     std::fs::write(path, json).expect("write BENCH_prediction.json");
     eprintln!("wrote {path}");

@@ -24,3 +24,16 @@ pub mod figures;
 pub mod table;
 
 pub use context::ExperimentContext;
+
+/// The `"nproc"` and `"profile"` fields of a `BENCH_*.json` report. The
+/// numbers mean nothing without the host and the build they came from: core
+/// count, and whether assertions and overflow checks were in.
+pub fn host_fields() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug assertions on"
+    } else {
+        "bench (optimized, debug assertions off)"
+    };
+    format!("\"nproc\": {nproc},\n  \"profile\": \"{profile}\"")
+}

@@ -12,8 +12,10 @@
 //!   in-flight work.
 //! * **Shutdown** — `DaemonHandle::shutdown()` stops the acceptor, closes
 //!   the queue (which *drains*: queued connections are still served, in
-//!   drain mode answering exactly the frames already in flight), joins all
-//!   threads and returns the final stats snapshot.
+//!   drain mode answering exactly the frames already received), ends the
+//!   read side of every connection being served so a worker parked between
+//!   frames wakes at once, joins all threads and returns the final stats
+//!   snapshot.
 //!
 //! Fleet state is partitioned into [`DaemonConfig::shards`] placement
 //! domains, each owning a contiguous disjoint server range behind its own
@@ -31,13 +33,11 @@ use crate::feedback::{Feedback, FeedbackConfig, OutcomeRecord};
 use crate::model::{LoadedModel, MemoizedFps, ModelHandle, PredictionMemo};
 use crate::queue::{PushError, WorkQueue};
 use crate::recorder::{Event, Recorder};
-use crate::slo::{
-    AlertState, Clock, MonotonicClock, SloConfig, SloEngine, SloReport, WindowedCollector,
-};
-use crate::stats::{AtomicStats, StatsSnapshot};
-use crate::trace::{elapsed_us, RequestTrace, SlowMeta, Stage, TraceCollector};
+use crate::slo::{AlertState, Clock, MonotonicClock, SloConfig, SloEngine, SloReport};
+use crate::stats::{Counter, StatsSnapshot, Telemetry, Writer};
+use crate::trace::{elapsed_us, RequestTrace, SlowMeta, Stage};
 use crate::wire::{
-    self, read_frame_bytes_capped, request_kind, write_frame, BatchPlaceResult, FrameError,
+    self, read_frame_bytes_capped, request_kind_index, write_frame, BatchPlaceResult, FrameError,
     OutcomeReport, Request, Response,
 };
 use gaugur_core::Placement;
@@ -48,7 +48,7 @@ use gaugur_sched::{
 use parking_lot::{Mutex, MutexGuard};
 use std::cell::RefCell;
 use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -176,21 +176,23 @@ struct Shared {
     /// Global index of each shard's first server; global server =
     /// `shard_base[s] + local`.
     shard_base: Vec<usize>,
-    stats: AtomicStats,
-    trace: TraceCollector,
+    /// The one telemetry collector: a single-writer block per worker and one
+    /// for the acceptor, behind `Stats`, `Metrics` and `SloStatus`.
+    telemetry: Telemetry,
     /// Each queued connection carries its enqueue instant so the dequeuing
     /// worker can attribute the wait to the `queue_wait` stage.
     queue: WorkQueue<(TcpStream, Instant)>,
     shutdown: AtomicBool,
+    /// Per worker, a handle on the connection it is serving, so a shutdown
+    /// can wake a worker parked in a read between frames.
+    serving: Vec<Mutex<Option<TcpStream>>>,
     feedback: Feedback,
     /// Sender side of the retrainer's job queue; `None` once shutdown has
     /// begun (taking it is what lets the retrainer thread exit).
     retrain_tx: Mutex<Option<mpsc::Sender<RetrainJob>>>,
-    /// Clock behind uptime, windowed slots and recorder timestamps (shared
-    /// with `stats`, `windowed` and `recorder`).
+    /// Clock behind uptime, windowed slots and recorder timestamps; a
+    /// worker reads it once per frame.
     clock: Arc<dyn Clock>,
-    /// Per-worker per-second telemetry rings merged into rolling views.
-    windowed: WindowedCollector,
     /// Burn-rate evaluation + alert state machine over the rolling views.
     slo_engine: SloEngine,
     /// Always-on flight recorder (per-worker event rings + control buffer).
@@ -206,7 +208,24 @@ impl Shared {
         (id.wrapping_sub(1) % self.shards.len() as u64) as usize
     }
 
-    fn snapshot(&self) -> StatsSnapshot {
+    /// Request shutdown: stop the acceptor, close the queue (queued
+    /// connections are still served), and end the read side of every
+    /// connection a worker is serving. Frames already received stay
+    /// readable, so they are still answered; a worker parked between frames
+    /// sees EOF at once instead of sitting out its read timeout. A worker
+    /// that picks a connection up after this sweep finds the flag set and
+    /// reads with the short drain timeout. Idempotent.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue.close();
+        for serving in &self.serving {
+            if let Some(stream) = serving.lock().as_ref() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+    }
+
+    fn snapshot(&self, now_us: u64) -> StatsSnapshot {
         let (hits, misses) = self.memo.counts();
         // Sequential per-shard reads, each internally consistent under its
         // own lock. There is deliberately no stop-the-world global lock:
@@ -228,9 +247,10 @@ impl Shared {
             active += a;
             shard_active.push(a);
         }
-        let mut snap = self
-            .stats
-            .snapshot(self.model.version(), active, self.config.n_servers);
+        let mut snap = self.telemetry.snapshot(now_us);
+        snap.model_version = self.model.version();
+        snap.active_sessions = active;
+        snap.servers = self.config.n_servers;
         snap.shards = self.shards.len();
         snap.shard_active_sessions = shard_active;
         snap.shard_misrouted_sessions = misrouted;
@@ -253,26 +273,24 @@ impl Shared {
         snap.retrains_failed = fc.retrains_failed;
         snap.last_retrain_ms = fc.last_retrain_ms;
         snap.last_retrain_samples = fc.last_retrain_samples;
-        snap.per_stage = self.trace.stage_snapshot();
-        snap.slow_requests = self.trace.slow_snapshot();
-        snap.slo = Some(self.evaluate_slo());
+        snap.slo = Some(self.evaluate_slo(now_us));
         snap
     }
 
-    /// Evaluate every SLO objective against the rolling windows right now,
+    /// Evaluate every SLO objective against the rolling windows at `now_us`,
     /// advance the alert state machine, and feed the side effects through:
     /// transitions land in the flight recorder, and a transition *into*
     /// `Critical` snapshots the recorder to
     /// [`DaemonConfig::recorder_dump_path`] so the incident's event history
     /// is captured at the moment it fired, not when an operator gets around
     /// to asking.
-    fn evaluate_slo(&self) -> SloReport {
+    fn evaluate_slo(&self, now_us: u64) -> SloReport {
         let (report, transitions) = self
             .slo_engine
-            .evaluate(&self.windowed.views(), self.windowed.per_game());
+            .evaluate(&self.telemetry.views(now_us), self.telemetry.per_game());
         for t in &transitions {
-            self.recorder
-                .record_control(crate::recorder::alert_event(t.objective, t.from, t.to));
+            let alert = crate::recorder::alert_event(t.objective, t.from, t.to);
+            self.recorder.record_control(now_us, alert);
         }
         if transitions.iter().any(|t| t.to == AlertState::Critical) {
             if let Some(path) = &self.config.recorder_dump_path {
@@ -325,12 +343,21 @@ impl DaemonHandle {
 
     /// Stop accepting, drain queued and in-flight work, join every thread,
     /// and return the final statistics.
-    pub fn shutdown(mut self) -> StatsSnapshot {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
+    pub fn shutdown(self) -> StatsSnapshot {
+        self.shared.begin_shutdown();
+        self.wait()
+    }
+
+    /// Block until a shutdown is requested — by [`shutdown`](Self::shutdown)
+    /// or by a `Shutdown` request over the wire (how `gaugur serve` stops) —
+    /// then drain and return the final statistics.
+    pub fn wait(mut self) -> StatsSnapshot {
+        // The acceptor runs until a shutdown is requested (or its listener
+        // fails, which the repeated request below turns into a drain).
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
+        self.shared.begin_shutdown();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -339,28 +366,7 @@ impl DaemonHandle {
         if let Some(r) = self.retrainer.take() {
             let _ = r.join();
         }
-        let snap = self.shared.snapshot();
-        if self.shared.config.print_stats_on_shutdown {
-            println!("{snap}");
-        }
-        snap
-    }
-
-    /// Block until a `Shutdown` request arrives over the wire, then drain
-    /// and return the final statistics (used by `gaugur serve`).
-    pub fn wait(mut self) -> StatsSnapshot {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        self.shared.queue.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        self.shared.retrain_tx.lock().take();
-        if let Some(r) = self.retrainer.take() {
-            let _ = r.join();
-        }
-        let snap = self.shared.snapshot();
+        let snap = self.shared.snapshot(self.shared.clock.now_us());
         if self.shared.config.print_stats_on_shutdown {
             println!("{snap}");
         }
@@ -398,8 +404,7 @@ fn teardown_after_spawn_failure(
     workers: Vec<JoinHandle<()>>,
     retrainer: Option<JoinHandle<()>>,
 ) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    shared.queue.close();
+    shared.begin_shutdown();
     for w in workers {
         let _ = w.join();
     }
@@ -447,15 +452,14 @@ fn start_with(
         memo: PredictionMemo::new(config.memo_capacity),
         shards,
         shard_base,
-        stats: AtomicStats::new_with_clock(clock.clone()),
-        trace: TraceCollector::new(workers_n, SLOW_LOG_CAPACITY),
+        telemetry: Telemetry::new(workers_n, n_shards, SLOW_LOG_CAPACITY, clock.now_us()),
         queue: WorkQueue::new(config.queue_capacity),
         shutdown: AtomicBool::new(false),
+        serving: (0..workers_n).map(|_| Mutex::new(None)).collect(),
         feedback: Feedback::new(config.feedback),
         retrain_tx: Mutex::new(Some(retrain_tx)),
-        windowed: WindowedCollector::new(workers_n, n_shards, clock.clone()),
         slo_engine: SloEngine::new(config.slo),
-        recorder: Recorder::new(workers_n, config.recorder_capacity, clock.clone()),
+        recorder: Recorder::new(workers_n, config.recorder_capacity),
         clock,
         model,
         config: config.clone(),
@@ -549,18 +553,20 @@ fn run_retrain(shared: &Shared, job: RetrainJob) {
         .map(|r| r as usize)
         .unwrap_or(cfg.extra_rounds);
 
+    let failed = || {
+        fb.note_retrain_failed();
+        shared
+            .recorder
+            .record_control(shared.clock.now_us(), Event::RetrainFailed);
+    };
     let outcomes = fb.snapshot_outcomes();
     if (outcomes.len() as u64) < min_samples {
-        fb.note_retrain_failed();
-        shared.recorder.record_control(Event::RetrainFailed);
-        return;
+        return failed();
     }
     let model = shared.model.get();
     let Some((retrained, report)) = model.gaugur.retrain_from_outcomes(&outcomes, extra_rounds)
     else {
-        fb.note_retrain_failed();
-        shared.recorder.record_control(Event::RetrainFailed);
-        return;
+        return failed();
     };
     // Publish through the artifact + reload path rather than swapping
     // in-memory: the on-disk artifact stays the source of truth (a daemon
@@ -582,27 +588,23 @@ fn run_retrain(shared: &Shared, job: RetrainJob) {
             // `retrains_ok` — anyone polling for retrain completion must
             // never observe the success with stale drift statistics.
             fb.reset_drift();
-            fb.note_retrain_ok(
-                shared.clock.now_us().saturating_sub(started_us) / 1_000,
-                report.samples_used as u64,
-            );
-            shared.recorder.record_control(Event::RetrainOk {
-                version,
-                samples: report.samples_used as u64,
-            });
+            let finished_us = shared.clock.now_us();
+            let samples = report.samples_used as u64;
+            fb.note_retrain_ok(finished_us.saturating_sub(started_us) / 1_000, samples);
+            let published = Event::RetrainOk { version, samples };
+            shared.recorder.record_control(finished_us, published);
         }
-        Err(_) => {
-            fb.note_retrain_failed();
-            shared.recorder.record_control(Event::RetrainFailed);
-        }
+        Err(_) => failed(),
     }
 }
 
 fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
+    let telemetry = &shared.telemetry;
+    let me = telemetry.acceptor();
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                shared.stats.note_connection();
+                telemetry.note(me, Counter::Connections, 1);
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
                 let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
@@ -610,7 +612,7 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
                     Ok(()) => {}
                     Err(PushError::Full((mut rejected, _))) => {
                         // Transient: shed with a retry hint.
-                        shared.stats.note_overloaded();
+                        telemetry.note(me, Counter::Overloaded, 1);
                         let retry = shared.config.retry_after.as_millis() as u64;
                         let _ = write_frame(
                             &mut rejected,
@@ -618,15 +620,15 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
                                 retry_after_ms: retry,
                             },
                         );
-                        shared.stats.note_connection_closed();
+                        telemetry.note(me, Counter::ConnectionsClosed, 1);
                         // Dropped: the client was told when to come back.
                     }
                     Err(PushError::Closed((mut rejected, _))) => {
                         // Terminal: the daemon is draining; a retry can
                         // never succeed, so say so instead of `Overloaded`.
-                        shared.stats.note_shutdown_rejected();
+                        telemetry.note(me, Counter::ShutdownRejected, 1);
                         let _ = write_frame(&mut rejected, &Response::ShuttingDown);
-                        shared.stats.note_connection_closed();
+                        telemetry.note(me, Counter::ConnectionsClosed, 1);
                     }
                 }
             }
@@ -643,10 +645,16 @@ fn worker_loop(shared: &Shared, worker: usize) {
     // before shutdown still get served.
     while let Some((stream, enqueued)) = shared.queue.pop() {
         let wait_us = elapsed_us(enqueued);
-        shared.trace.record_stage(worker, Stage::QueueWait, wait_us);
-        shared.windowed.record_queue_wait(worker, wait_us);
+        shared
+            .telemetry
+            .writer(worker, shared.clock.now_us())
+            .queue_wait(wait_us);
+        // Registered before the first shutdown check in `serve_connection`,
+        // so `begin_shutdown` either finds the handle or is seen by it.
+        *shared.serving[worker].lock() = stream.try_clone().ok();
         serve_connection(shared, worker, stream);
-        shared.stats.note_connection_closed();
+        *shared.serving[worker].lock() = None;
+        shared.telemetry.note(worker, Counter::ConnectionsClosed, 1);
     }
 }
 
@@ -677,11 +685,10 @@ struct Admitted {
 ///
 /// Admissions are grouped by owning shard — one lock acquisition per shard
 /// that has anything to undo. Shards hold disjoint sessions, so only the
-/// within-shard unwind order (newest first) matters.
-fn rollback_admissions(shared: &Shared, admitted: &[Admitted]) {
-    if admitted.is_empty() {
-        return;
-    }
+/// within-shard unwind order (newest first) matters. Returns how many
+/// admissions were undone.
+fn rollback_admissions(shared: &Shared, admitted: &[Admitted]) -> u64 {
+    let mut rolled_back = 0;
     for s in 0..shared.shards.len() {
         if !admitted
             .iter()
@@ -704,10 +711,11 @@ fn rollback_admissions(shared: &Shared, admitted: &[Admitted]) {
             if cluster.depart(a.session).is_some() {
                 scores.rollback(a.server - base, a.version, a.after_sum, a.before_sum);
                 *epoch += 1;
-                shared.stats.note_rolled_back();
+                rolled_back += 1;
             }
         }
     }
+    rolled_back
 }
 
 /// Write one reply frame, applying reply-side fault injection when the
@@ -720,15 +728,20 @@ fn write_reply(
     stream: &mut TcpStream,
     response: &Response,
     faultable: bool,
+    now_us: u64,
     trace: &mut RequestTrace,
 ) -> io::Result<()> {
     if faultable {
         if let Some(injector) = &shared.config.fault {
+            let fired = |point| {
+                let fault = Event::Fault { point };
+                shared.recorder.record_control(now_us, fault)
+            };
             match injector.decide(InjectionPoint::Reply) {
                 FaultAction::DropConnection => {
                     // Nothing was encoded or written: the request's encode
                     // and write-reply stages keep zero-duration samples.
-                    shared.recorder.record_control(Event::Fault { point: 0 });
+                    fired(0);
                     let _ = stream.shutdown(std::net::Shutdown::Both);
                     return Err(io::Error::new(
                         io::ErrorKind::ConnectionAborted,
@@ -736,7 +749,7 @@ fn write_reply(
                     ));
                 }
                 FaultAction::TornFrame => {
-                    shared.recorder.record_control(Event::Fault { point: 1 });
+                    fired(1);
                     let encode_started = Instant::now();
                     let payload = serde_json::to_string(response)
                         .map_err(io::Error::other)?
@@ -758,7 +771,7 @@ fn write_reply(
                 FaultAction::Stall(ms) => {
                     // The stall models a stalled reply write, so its wait is
                     // honest reply-delivery time.
-                    shared.recorder.record_control(Event::Fault { point: 2 });
+                    fired(2);
                     let stall_started = Instant::now();
                     std::thread::sleep(Duration::from_millis(ms));
                     trace.add(Stage::WriteReply, elapsed_us(stall_started));
@@ -797,7 +810,7 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
             Err(FrameError::Eof) | Err(FrameError::Io(_)) => return,
             Err(e @ FrameError::TooLarge { .. }) => {
                 // Cannot resync after a length violation: error then close.
-                shared.stats.note_malformed();
+                shared.telemetry.note(worker, Counter::Malformed, 1);
                 let _ = write_frame(
                     &mut stream,
                     &Response::Error {
@@ -808,6 +821,9 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
             }
             Err(FrameError::Malformed(_)) => unreachable!("raw read does not parse"),
         };
+        // The frame's one clock read: its window second, its recorder
+        // timestamps, the SLO tick and anything it reports as "now".
+        let tel = shared.telemetry.writer(worker, shared.clock.now_us());
         let decode_started = Instant::now();
         let decoded: Result<Request, FrameError> = wire::decode_payload(&payload);
         let decode_us = elapsed_us(decode_started);
@@ -817,7 +833,7 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
                 // The frame was length-delimited, so the stream is intact:
                 // reply with an error and keep the connection. Undecodable
                 // frames have no request kind and are not traced.
-                shared.stats.note_malformed();
+                tel.note(Counter::Malformed, 1);
                 let _ = write_frame(
                     &mut stream,
                     &Response::Error {
@@ -828,7 +844,7 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
             }
         };
 
-        let kind = request_kind(&request);
+        let kind = request_kind_index(&request);
         let mut trace = RequestTrace::new();
         trace.add(Stage::Decode, decode_us);
         let started = Instant::now();
@@ -836,27 +852,29 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
         let mut effects = RequestSideEffects::default();
         let (response, ok) = handle_request(
             shared,
-            worker,
+            &tel,
             &request,
             &mut admitted,
             &mut trace,
             &mut effects,
         );
-        let latency_us = started.elapsed().as_micros() as u64;
-        shared.stats.record(kind, ok, latency_us);
+        tel.note(Counter::Admitted, admitted.len() as u64);
+        tel.record(kind, ok, elapsed_us(started));
 
         let faultable = matches!(request, Request::Place { .. } | Request::PlaceBatch { .. });
-        let delivered = write_reply(shared, &mut stream, &response, faultable, &mut trace);
+        let delivered = write_reply(
+            shared,
+            &mut stream,
+            &response,
+            faultable,
+            tel.now_us,
+            &mut trace,
+        );
         // Stage samples flush after the write attempt so a `Stats` or
         // `Metrics` request's own snapshot excludes itself on both the
         // per-op and the per-stage side — the accounting stays reconciled
         // at every sequential observation point.
-        shared
-            .trace
-            .record_request(worker, kind, &trace, effects.meta);
-        shared
-            .windowed
-            .record_request(worker, ok, faultable, &trace);
+        tel.flush(kind, ok, faultable, &trace, effects.meta);
         if delivered.is_ok() {
             // Admit events exist exactly when the client learned its
             // sessions do — the flight recorder's event stream mirrors the
@@ -865,6 +883,7 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
                 shared.recorder.record_at(
                     worker,
                     a.seq,
+                    tel.now_us,
                     Event::Admit {
                         session: a.session,
                         server: a.server as u64,
@@ -876,10 +895,11 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
             }
         } else {
             // The client never learned its sessions exist; un-admit them.
-            rollback_admissions(shared, &admitted);
+            tel.note(Counter::RolledBack, rollback_admissions(shared, &admitted));
             for a in admitted.iter() {
                 shared.recorder.record(
                     worker,
+                    tel.now_us,
                     Event::Rollback {
                         session: a.session,
                         server: a.server as u64,
@@ -891,12 +911,12 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
         // Non-placement side effects (departs, reloads) happened whether or
         // not the reply made it out, so they are recorded unconditionally.
         for (seq, ev) in effects.events.drain(..) {
-            shared.recorder.record_at(worker, seq, ev);
+            shared.recorder.record_at(worker, seq, tel.now_us, ev);
         }
         // At most one worker a second pays for a full SLO evaluation, so
         // alerts fire during steady traffic without any dedicated thread.
-        if shared.slo_engine.tick_due(shared.windowed.now_sec()) {
-            let _ = shared.evaluate_slo();
+        if shared.slo_engine.tick_due(tel.now_us / 1_000_000) {
+            let _ = shared.evaluate_slo(tel.now_us);
         }
         if delivered.is_err() {
             return;
@@ -1058,7 +1078,6 @@ fn admit_selected(
     trace.add(Stage::Predict, elapsed_us(predict_started));
     let session = shard.cluster.admit(sel.server, placement);
     shard.epoch += 1;
-    shared.stats.note_admitted();
     admitted.push(Admitted {
         session,
         server: shard_base + sel.server,
@@ -1117,7 +1136,7 @@ fn admit_one_in_shard(
 #[allow(clippy::too_many_arguments)]
 fn place_multi(
     shared: &Shared,
-    worker: usize,
+    tel: &Writer<'_>,
     model: &LoadedModel,
     scratch: &mut PlacementScratch,
     ss: &mut ShardScratch,
@@ -1160,12 +1179,12 @@ fn place_multi(
         }
         drop(shard);
         if attempt < MAX_ADMIT_RETRIES {
-            shared.stats.note_admit_retry();
+            tel.note(Counter::AdmitRetries, 1);
         }
     }
     // Out of retries under sustained contention: give up on cross-shard
     // optimality and take the best-ranked shard that still admits.
-    shared.stats.note_admit_fallback();
+    tel.note(Counter::AdmitFallbacks, 1);
     for i in 0..ss.order.len() {
         let s = ss.order[i];
         let mut shard = lock_shard(shared, s, trace);
@@ -1179,7 +1198,7 @@ fn place_multi(
             admitted,
             trace,
         ) {
-            shared.windowed.record_fallback(worker, s);
+            tel.fallback(s);
             return Some(placed);
         }
     }
@@ -1198,7 +1217,7 @@ fn place_multi(
 #[allow(clippy::too_many_arguments)]
 fn place_one<'a>(
     shared: &'a Shared,
-    worker: usize,
+    tel: &Writer<'_>,
     model: &LoadedModel,
     scratch: &mut PlacementScratch,
     held: &mut Option<MutexGuard<'a, Shard>>,
@@ -1220,7 +1239,7 @@ fn place_one<'a>(
     SHARD_SCRATCH.with(|ss| {
         place_multi(
             shared,
-            worker,
+            tel,
             model,
             scratch,
             &mut ss.borrow_mut(),
@@ -1238,7 +1257,11 @@ fn place_one<'a>(
 /// are dropped. Reports tagged with an older model version are buffered as
 /// training data but kept out of the drift statistics — their prediction
 /// error describes a model that is no longer serving.
-fn ingest_reports(shared: &Shared, worker: usize, reports: &[OutcomeReport]) -> (Response, bool) {
+fn ingest_reports(
+    shared: &Shared,
+    tel: &Writer<'_>,
+    reports: &[OutcomeReport],
+) -> (Response, bool) {
     let current_version = shared.model.version();
     let mut accepted = 0u64;
     let mut stale_count = 0u64;
@@ -1283,9 +1306,8 @@ fn ingest_reports(shared: &Shared, worker: usize, reports: &[OutcomeReport]) -> 
                 // The observed-FPS SLO objective and the windowed MAE both
                 // feed off every accepted report (observed_fps > 0 was
                 // checked above, so the relative error is well-defined).
-                shared.windowed.record_outcome(
-                    worker,
-                    target.0 .0 as u64,
+                tel.outcome(
+                    target.0 .0,
                     report.observed_fps < shared.config.qos,
                     (report.predicted_fps - report.observed_fps).abs() / report.observed_fps,
                 );
@@ -1318,7 +1340,7 @@ fn ingest_reports(shared: &Shared, worker: usize, reports: &[OutcomeReport]) -> 
 
 fn handle_request(
     shared: &Shared,
-    worker: usize,
+    tel: &Writer<'_>,
     request: &Request,
     admitted: &mut Vec<Admitted>,
     trace: &mut RequestTrace,
@@ -1339,7 +1361,7 @@ fn handle_request(
             match SCRATCH.with(|s| {
                 place_one(
                     shared,
-                    worker,
+                    tel,
                     &model,
                     &mut s.borrow_mut(),
                     &mut None,
@@ -1350,9 +1372,7 @@ fn handle_request(
             }) {
                 Some((session, server, predicted_fps)) => {
                     let shard = shared.shard_of_session(session);
-                    shared
-                        .windowed
-                        .record_place_attempt(worker, game.0 as u64, Some(shard));
+                    tel.place_attempt(game.0, Some(shard));
                     effects.meta.session = Some(session);
                     effects.meta.shard = Some(shard as u64);
                     (
@@ -1366,11 +1386,11 @@ fn handle_request(
                     )
                 }
                 None => {
-                    // Saturation *is* the QoS floor biting: no server keeps
-                    // this game above its floor — the admit-time SLO signal.
-                    shared
-                        .windowed
-                        .record_place_attempt(worker, game.0 as u64, None);
+                    // Saturation: every server is at its session cap or
+                    // already runs this game. No QoS floor is consulted on
+                    // this path; the `admit_qos` objective burns on these
+                    // rejections all the same.
+                    tel.place_attempt(game.0, None);
                     (
                         Response::Rejected {
                             reason: "no eligible server (fleet saturated)".into(),
@@ -1401,7 +1421,7 @@ fn handle_request(
                         }
                         let placed = place_one(
                             shared,
-                            worker,
+                            tel,
                             &model,
                             scratch,
                             &mut held,
@@ -1412,11 +1432,7 @@ fn handle_request(
                         match placed {
                             Some((session, server, predicted_fps)) => {
                                 let shard = shared.shard_of_session(session);
-                                shared.windowed.record_place_attempt(
-                                    worker,
-                                    game.0 as u64,
-                                    Some(shard),
-                                );
+                                tel.place_attempt(game.0, Some(shard));
                                 // The ring entry points at the batch's first
                                 // admitted session — one concrete session to
                                 // start debugging a slow burst from.
@@ -1431,9 +1447,7 @@ fn handle_request(
                                 }
                             }
                             None => {
-                                shared
-                                    .windowed
-                                    .record_place_attempt(worker, game.0 as u64, None);
+                                tel.place_attempt(game.0, None);
                                 BatchPlaceResult::Rejected {
                                     reason: "no eligible server (fleet saturated)".into(),
                                 }
@@ -1487,7 +1501,7 @@ fn handle_request(
                     // Typed, counted, and not a protocol error: departing an
                     // id that is already gone (double-depart, rolled back,
                     // or never issued) is a client-visible state, not noise.
-                    shared.stats.note_depart_unknown();
+                    tel.note(Counter::DepartUnknown, 1);
                     (Response::UnknownSession { session: *session }, false)
                 }
             }
@@ -1546,9 +1560,9 @@ fn handle_request(
             )
         }
         Request::ReportOutcome { report } => {
-            ingest_reports(shared, worker, std::slice::from_ref(report))
+            ingest_reports(shared, tel, std::slice::from_ref(report))
         }
-        Request::ReportOutcomeBatch { reports } => ingest_reports(shared, worker, reports),
+        Request::ReportOutcomeBatch { reports } => ingest_reports(shared, tel, reports),
         Request::TriggerRetrain {
             min_samples,
             extra_rounds,
@@ -1559,16 +1573,19 @@ fn handle_request(
             });
             (Response::RetrainQueued { queued }, queued)
         }
-        Request::Stats => (Response::Stats(Box::new(shared.snapshot())), true),
+        Request::Stats => (Response::Stats(Box::new(shared.snapshot(tel.now_us))), true),
         Request::Metrics => (
             // Control-plane like `Stats`: rendered from the same snapshot,
             // never fault-injected, so scrapes cannot perturb chaos replay.
             Response::Metrics {
-                text: crate::trace::render_prometheus(&shared.snapshot()),
+                text: crate::trace::render_prometheus(&shared.snapshot(tel.now_us)),
             },
             true,
         ),
-        Request::SloStatus => (Response::Slo(Box::new(shared.evaluate_slo())), true),
+        Request::SloStatus => (
+            Response::Slo(Box::new(shared.evaluate_slo(tel.now_us))),
+            true,
+        ),
         Request::DumpRecorder { deterministic } => {
             let dump = shared.recorder.dump(*deterministic);
             (
@@ -1598,8 +1615,7 @@ fn handle_request(
             }
         }
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.queue.close();
+            shared.begin_shutdown();
             (Response::ShuttingDown, true)
         }
     }

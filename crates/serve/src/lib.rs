@@ -22,11 +22,12 @@
 //! * [`model`] — artifact loading, hot reload, prediction memoization.
 //! * [`cluster`] — live fleet occupancy and session bookkeeping.
 //! * [`queue`] — the bounded work queue between acceptor and workers.
-//! * [`stats`] — atomic counters and latency histograms.
-//! * [`trace`] — per-request stage timings, slow-request ring, Prometheus
-//!   exposition.
-//! * [`slo`] — windowed telemetry rings, rolling views, burn-rate SLO
-//!   engine and alert state machine.
+//! * [`stats`] — the telemetry collector: one single-writer counter block
+//!   per thread, one histogram type, the `Stats` snapshot.
+//! * [`trace`] — per-request stage model, slow-request ring, accounting
+//!   oracle, Prometheus exposition.
+//! * [`slo`] — clocks, rolling window views, burn-rate SLO engine and alert
+//!   state machine.
 //! * [`recorder`] — always-on flight recorder with deterministic JSONL
 //!   dumps.
 //! * [`feedback`] — outcome ingestion, drift detection, retrain dataset.
@@ -92,11 +93,10 @@ pub use model::{LoadedModel, MemoizedFps, ModelHandle, PredictionMemo};
 pub use recorder::{Event, Recorder, RecorderDump};
 pub use slo::{
     AlertState, Clock, ManualClock, MonotonicClock, SloConfig, SloEngine, SloReport, WindowView,
-    WindowedCollector,
 };
-pub use stats::{RequestStats, StatsSnapshot};
+pub use stats::{Counter, RequestStats, StatsSnapshot, Telemetry};
 pub use trace::{
     render_prometheus, verify_stage_accounting, RequestTrace, SlowMeta, SlowRequest, Stage,
-    StageStats, TraceCollector,
+    StageStats,
 };
 pub use wire::{BatchPlaceResult, OutcomeReport, Request, Response, WirePlacement};

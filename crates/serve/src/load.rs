@@ -38,7 +38,9 @@ pub struct LoadConfig {
     /// Total `Place` attempts across all connections.
     pub requests: u64,
     /// Target aggregate arrival rate (requests/s). `f64::INFINITY` runs
-    /// closed-loop: each thread issues its next arrival immediately.
+    /// closed-loop: each thread issues its next arrival immediately and
+    /// times it from the send. At a finite rate an arrival is timed from the
+    /// instant it was due, so time the driver spends behind schedule counts.
     pub rate: f64,
     /// Mean session lifetime, in subsequent arrivals on the same thread
     /// (exponentially distributed, minimum 1).
@@ -353,6 +355,7 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
     let mut retry_rng = rng_for(config.seed, &[LOAD_CTX, thread as u64, RETRY_CTX]);
     let mut noise_rng = rng_for(config.seed, &[LOAD_CTX, thread as u64, NOISE_CTX]);
     let per_thread_rate = config.rate / config.connections.max(1) as f64;
+    let paced = per_thread_rate.is_finite() && per_thread_rate > 0.0;
     let batch = config.batch.max(1) as u64;
     // Min-heap of (departure arrival-index, session id).
     let mut departures: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
@@ -379,17 +382,21 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
             let lifetime = exponential(&mut rng, config.mean_session_arrivals)
                 .ceil()
                 .max(1.0) as u64;
-            if per_thread_rate.is_finite() && per_thread_rate > 0.0 {
+            if paced {
                 next_at += Duration::from_secs_f64(exponential(&mut rng, 1.0 / per_thread_rate));
             }
             arrivals.push((game, resolution, lifetime));
         }
-        // A batch frame fires when its *last* arrival is due.
-        if per_thread_rate.is_finite() && per_thread_rate > 0.0 {
+        // A batch frame fires when its *last* arrival is due, and a paced
+        // arrival is timed from that instant: when the driver runs behind
+        // (a slow reply, its own departs) the backlog is charged to the
+        // arrivals that waited in it, not dropped from the record.
+        let due = paced.then(|| {
             if let Some(wait) = next_at.checked_sub(started.elapsed()) {
                 std::thread::sleep(wait);
             }
-        }
+            started + next_at
+        });
 
         // Sessions whose lifetime elapsed depart before the new arrivals.
         while let Some(&Reverse((due, session))) = departures.peek() {
@@ -408,7 +415,7 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
 
         if batch == 1 {
             let (game, resolution, lifetime) = arrivals[0];
-            let t0 = Instant::now();
+            let t0 = due.unwrap_or_else(Instant::now);
             match call_with_retry(
                 &mut client,
                 &config.addr,
@@ -446,7 +453,7 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
             }
         } else {
             let wire: Vec<WirePlacement> = arrivals.iter().map(|&(g, r, _)| (g, r)).collect();
-            let t0 = Instant::now();
+            let t0 = due.unwrap_or_else(Instant::now);
             match call_with_retry(
                 &mut client,
                 &config.addr,

@@ -30,12 +30,11 @@
 //! Torn reads are possible only for events overwritten mid-dump (the writer
 //! re-stamps before reuse); dumps taken at quiesce points are exact.
 
-use crate::slo::{AlertState, Clock};
+use crate::slo::AlertState;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Payload words carried by every event.
 pub const EVENT_WORDS: usize = 5;
@@ -259,19 +258,20 @@ pub struct RecorderDump {
 }
 
 /// The flight recorder: per-worker lock-free event rings plus a mutexed
-/// control ring for off-worker threads, sharing one global sequence.
+/// control ring for off-worker threads, sharing one global sequence. It
+/// reads no clock: callers pass the timestamp (`t_us`) they already hold —
+/// on a worker, the frame's one clock read.
 pub struct Recorder {
     workers: Vec<WorkerRing>,
     control: Mutex<VecDeque<(u64, u64, Event)>>,
     control_capacity: usize,
     seq: AtomicU64,
-    clock: Arc<dyn Clock>,
 }
 
 impl Recorder {
     /// Recorder with `workers` rings of `capacity` events each (the control
     /// ring gets the same capacity).
-    pub fn new(workers: usize, capacity: usize, clock: Arc<dyn Clock>) -> Recorder {
+    pub fn new(workers: usize, capacity: usize) -> Recorder {
         let capacity = capacity.max(1);
         Recorder {
             workers: (0..workers.max(1))
@@ -283,7 +283,6 @@ impl Recorder {
             control: Mutex::new(VecDeque::with_capacity(capacity)),
             control_capacity: capacity,
             seq: AtomicU64::new(0),
-            clock,
         }
     }
 
@@ -298,13 +297,13 @@ impl Recorder {
 
     /// Record `event` into `worker`'s ring. Lock-free; only the owning
     /// worker thread may record for its index.
-    pub fn record(&self, worker: usize, event: Event) {
-        self.record_at(worker, self.stamp(), event);
+    pub fn record(&self, worker: usize, t_us: u64, event: Event) {
+        self.record_at(worker, self.stamp(), t_us, event);
     }
 
     /// [`record`](Recorder::record) at a position taken earlier with
     /// [`stamp`](Recorder::stamp).
-    pub fn record_at(&self, worker: usize, seq: u64, event: Event) {
+    pub fn record_at(&self, worker: usize, seq: u64, t_us: u64, event: Event) {
         let ring = &self.workers[worker % self.workers.len()];
         let idx = (ring.head.fetch_add(1, Ordering::Relaxed) % ring.slots.len() as u64) as usize;
         let slot = &ring.slots[idx];
@@ -312,7 +311,7 @@ impl Recorder {
         // Invalidate, write payload, then seal with the release-stored seq:
         // a dump reading a stable non-zero seq saw the whole event.
         slot.seq.store(0, Ordering::Release);
-        slot.t_us.store(self.clock.now_us(), Ordering::Relaxed);
+        slot.t_us.store(t_us, Ordering::Relaxed);
         slot.kind.store(kind, Ordering::Relaxed);
         for (d, v) in slot.data.iter().zip(data) {
             d.store(v, Ordering::Relaxed);
@@ -321,9 +320,8 @@ impl Recorder {
     }
 
     /// Record `event` from a non-worker thread (retrainer, SLO evaluation).
-    pub fn record_control(&self, event: Event) {
+    pub fn record_control(&self, t_us: u64, event: Event) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let t_us = self.clock.now_us();
         let mut control = self.control.lock();
         if control.len() == self.control_capacity {
             control.pop_front();
@@ -524,13 +522,6 @@ pub fn alert_event(objective: usize, from: AlertState, to: AlertState) -> Event 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::ManualClock;
-
-    fn recorder(workers: usize, capacity: usize) -> (Arc<ManualClock>, Recorder) {
-        let clock = Arc::new(ManualClock::new(0));
-        let r = Recorder::new(workers, capacity, clock.clone() as Arc<dyn Clock>);
-        (clock, r)
-    }
 
     fn admit(session: u64) -> Event {
         Event::Admit {
@@ -544,7 +535,7 @@ mod tests {
 
     #[test]
     fn every_event_kind_roundtrips_through_the_ring() {
-        let (_clock, r) = recorder(1, 32);
+        let r = Recorder::new(1, 32);
         let all = [
             admit(9),
             Event::Depart {
@@ -567,7 +558,7 @@ mod tests {
             alert_event(1, AlertState::Ok, AlertState::Critical),
         ];
         for &e in &all {
-            r.record(0, e);
+            r.record(0, 0, e);
         }
         let got = r.events();
         assert_eq!(got.len(), all.len());
@@ -580,13 +571,10 @@ mod tests {
 
     #[test]
     fn worker_and_control_events_interleave_by_global_seq() {
-        let (clock, r) = recorder(2, 8);
-        clock.set_us(10);
-        r.record(0, admit(1));
-        clock.set_us(20);
-        r.record_control(Event::RetrainFailed);
-        clock.set_us(30);
-        r.record(1, admit(2));
+        let r = Recorder::new(2, 8);
+        r.record(0, 10, admit(1));
+        r.record_control(20, Event::RetrainFailed);
+        r.record(1, 30, admit(2));
         let got = r.events();
         assert_eq!(got.len(), 3);
         assert_eq!(got[0].worker, Some(0));
@@ -598,9 +586,9 @@ mod tests {
 
     #[test]
     fn rings_overwrite_oldest_when_full() {
-        let (_clock, r) = recorder(1, 4);
+        let r = Recorder::new(1, 4);
         for s in 0..10 {
-            r.record(0, admit(s));
+            r.record(0, 0, admit(s));
         }
         let got = r.events();
         assert_eq!(got.len(), 4);
@@ -611,17 +599,16 @@ mod tests {
         );
         // Control ring bounds the same way.
         for _ in 0..10 {
-            r.record_control(Event::RetrainFailed);
+            r.record_control(0, Event::RetrainFailed);
         }
         assert_eq!(r.events().len(), 4 + 4);
     }
 
     #[test]
     fn operator_dump_lists_everything_with_provenance() {
-        let (clock, r) = recorder(1, 16);
-        clock.set_us(1234);
-        r.record(0, admit(7));
-        r.record_control(alert_event(0, AlertState::Ok, AlertState::Warn));
+        let r = Recorder::new(1, 16);
+        r.record(0, 1234, admit(7));
+        r.record_control(1234, alert_event(0, AlertState::Ok, AlertState::Warn));
         let dump = r.dump(false);
         assert!(!dump.truncated);
         assert_eq!(dump.events, 2);
@@ -646,24 +633,26 @@ mod tests {
 
     #[test]
     fn deterministic_dump_strikes_run_varying_fields_and_renumbers() {
-        let (clock_a, a) = recorder(1, 16);
-        let (_clock_b, b) = recorder(1, 16);
-        clock_a.set_us(999_999); // timestamps must not leak into the dump
+        let a = Recorder::new(1, 16);
+        let b = Recorder::new(1, 16);
+        let t_a = 999_999; // timestamps must not leak into the dump
 
         // Run A: a rollback and a fault interleave the confirmed stream.
-        a.record(0, admit(4));
+        a.record(0, t_a, admit(4));
         a.record(
             0,
+            t_a,
             Event::Rollback {
                 session: 5,
                 server: 1,
                 shard: 0,
             },
         );
-        a.record(0, Event::Fault { point: 2 });
+        a.record(0, t_a, Event::Fault { point: 2 });
         // The session surviving after the rollback gets a later id in run A…
         a.record(
             0,
+            t_a,
             Event::Admit {
                 session: 6,
                 server: 2,
@@ -674,6 +663,7 @@ mod tests {
         );
         a.record(
             0,
+            t_a,
             Event::Depart {
                 session: 4,
                 server: 0,
@@ -682,8 +672,9 @@ mod tests {
         );
 
         // …and an earlier id (and version) in fault-free run B.
-        b.record(0, admit(4));
+        b.record(0, 0, admit(4));
         b.record(
+            0,
             0,
             Event::Admit {
                 session: 5,
@@ -694,6 +685,7 @@ mod tests {
             },
         );
         b.record(
+            0,
             0,
             Event::Depart {
                 session: 4,
@@ -726,9 +718,9 @@ mod tests {
 
     #[test]
     fn dumps_cap_their_payload_by_dropping_oldest() {
-        let (_clock, r) = recorder(1, 4096);
+        let r = Recorder::new(1, 4096);
         for s in 0..4096 {
-            r.record(0, admit(s));
+            r.record(0, 0, admit(s));
         }
         let dump = r.dump(false);
         assert!(dump.truncated);
@@ -740,7 +732,7 @@ mod tests {
 
     #[test]
     fn empty_recorder_dumps_empty() {
-        let (_clock, r) = recorder(2, 8);
+        let r = Recorder::new(2, 8);
         let dump = r.dump(true);
         assert_eq!(dump.jsonl, "");
         assert_eq!(dump.events, 0);

@@ -1,16 +1,16 @@
-//! Windowed service-level telemetry and SLO burn-rate alerting.
+//! Rolling service-level windows and SLO burn-rate alerting.
 //!
-//! The cumulative counters in [`crate::stats`] answer "what happened since
-//! boot"; this module answers "what is happening *right now*". Every worker
-//! owns a ring of per-second buckets (request counts, per-[`Stage`] latency
-//! histograms, per-shard admits/fallbacks, QoS rejections, outcome-feedback
-//! error sums) written with relaxed atomics on the request hot path — no
-//! locks, no allocation, single writer per ring — and merged on demand into
-//! 10 s / 1 m / 5 m rolling [`WindowView`]s. Time comes from an injectable
-//! [`Clock`], so every window boundary is testable with a [`ManualClock`].
+//! The since-boot counters answer "what happened since boot"; the windows
+//! answer "what is happening *right now*". Every worker's block of
+//! [`crate::stats::Telemetry`] ends in a ring of per-second slots (request
+//! counts, per-stage latency histograms, per-shard admits/fallbacks,
+//! saturation rejections, outcome-feedback error sums), merged on demand
+//! into 10 s / 1 m / 5 m rolling [`WindowView`]s. Time comes from an
+//! injectable [`Clock`], so every window boundary is testable with a
+//! [`ManualClock`].
 //!
 //! On top of the windows sits the [`SloEngine`]: three fleet-wide QoS
-//! objectives (QoS-floor rejections at admit, observed-FPS violations from
+//! objectives (rejections at admit, observed-FPS violations from
 //! `ReportOutcome`, and p99 place latency) evaluated as SRE-style
 //! multi-window burn rates — a severity fires only when **both** the fast
 //! (10 s) and slow (5 m) windows burn past its threshold, so a one-second
@@ -21,18 +21,16 @@
 //! Read consistency: readers merge concurrently with writers using relaxed
 //! loads, so a view taken mid-second may miss a handful of in-flight
 //! increments; views are exact at quiesce points (after a drain), which is
-//! when tests and oracles read them. Merged per-stage `max_us` is
-//! bucket-bounded (the upper bound of the highest non-empty bucket, with the
-//! overflow bucket reported as the largest finite bound, Prometheus-style):
-//! the per-second slots deliberately keep no max field on the hot path.
+//! when tests and oracles read them. A view's `max_us` is bucket-bounded
+//! (the upper bound of the highest non-empty bucket, with the overflow
+//! bucket reported as the largest finite bound, Prometheus-style).
 
-use crate::stats::{bucket_index, LATENCY_BUCKETS_US, N_BUCKETS};
-use crate::trace::{RequestTrace, Stage, StageStats, N_STAGES, REQUEST_STAGES};
+use crate::stats::LATENCY_BUCKETS_US;
+use crate::trace::StageStats;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A monotone microsecond clock, injectable so windowed telemetry is
@@ -109,105 +107,14 @@ impl Clock for ManualClock {
     }
 }
 
-/// The rolling windows (seconds) merged by [`WindowedCollector::views`]:
-/// fast, medium, slow. The SLO engine burns on the first and last.
+/// The rolling windows (seconds) merged by
+/// [`crate::stats::Telemetry::views`]: fast, medium, slow. The SLO engine burns on the first and last.
 pub const WINDOWS_SECS: [u64; 3] = [10, 60, 300];
-
-/// Ring length in seconds; must exceed the longest window so writing the
-/// current second never clobbers a second still inside any window.
-const RING_SLOTS: usize = 308;
-
-/// One second of one worker's telemetry. All fields relaxed atomics; the
-/// owning worker is the only writer, readers merge approximately.
-struct Slot {
-    /// `second + 1` this slot currently holds (0 = never written). The
-    /// writer zeroes and restamps on rollover; readers ignore slots whose
-    /// stamp falls outside the window being merged.
-    stamp: AtomicU64,
-    requests_ok: AtomicU64,
-    requests_err: AtomicU64,
-    stage_sums: [AtomicU64; N_STAGES],
-    stage_buckets: [[AtomicU64; N_BUCKETS]; N_STAGES],
-    place_sum: AtomicU64,
-    place_buckets: [AtomicU64; N_BUCKETS],
-    place_attempts: AtomicU64,
-    place_qos_rejected: AtomicU64,
-    shard_admits: Vec<AtomicU64>,
-    shard_fallbacks: Vec<AtomicU64>,
-    outcomes_total: AtomicU64,
-    outcomes_below_floor: AtomicU64,
-    err_sum_micros: AtomicU64,
-    err_count: AtomicU64,
-}
-
-/// Single-writer increment: the owning worker is the only thread that ever
-/// writes a slot, so a plain load+store (one unlocked add) replaces a locked
-/// RMW on the request hot path. Readers merge with relaxed loads either way
-/// and were never promised a consistent cross-counter snapshot.
-#[inline]
-fn bump(counter: &AtomicU64, delta: u64) {
-    counter.store(
-        counter.load(Ordering::Relaxed).wrapping_add(delta),
-        Ordering::Relaxed,
-    );
-}
-
-impl Slot {
-    fn new(shards: usize) -> Slot {
-        Slot {
-            stamp: AtomicU64::new(0),
-            requests_ok: AtomicU64::new(0),
-            requests_err: AtomicU64::new(0),
-            stage_sums: std::array::from_fn(|_| AtomicU64::new(0)),
-            stage_buckets: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-            place_sum: AtomicU64::new(0),
-            place_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            place_attempts: AtomicU64::new(0),
-            place_qos_rejected: AtomicU64::new(0),
-            shard_admits: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            shard_fallbacks: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            outcomes_total: AtomicU64::new(0),
-            outcomes_below_floor: AtomicU64::new(0),
-            err_sum_micros: AtomicU64::new(0),
-            err_count: AtomicU64::new(0),
-        }
-    }
-
-    /// Zero every counter (rollover; only the owning worker calls this).
-    fn clear(&self) {
-        self.requests_ok.store(0, Ordering::Relaxed);
-        self.requests_err.store(0, Ordering::Relaxed);
-        for s in &self.stage_sums {
-            s.store(0, Ordering::Relaxed);
-        }
-        for row in &self.stage_buckets {
-            for b in row {
-                b.store(0, Ordering::Relaxed);
-            }
-        }
-        self.place_sum.store(0, Ordering::Relaxed);
-        for b in &self.place_buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.place_attempts.store(0, Ordering::Relaxed);
-        self.place_qos_rejected.store(0, Ordering::Relaxed);
-        for a in &self.shard_admits {
-            a.store(0, Ordering::Relaxed);
-        }
-        for f in &self.shard_fallbacks {
-            f.store(0, Ordering::Relaxed);
-        }
-        self.outcomes_total.store(0, Ordering::Relaxed);
-        self.outcomes_below_floor.store(0, Ordering::Relaxed);
-        self.err_sum_micros.store(0, Ordering::Relaxed);
-        self.err_count.store(0, Ordering::Relaxed);
-    }
-}
 
 /// Upper bound of the highest non-empty bucket; the open-ended overflow
 /// bucket reports the largest finite bound (Prometheus `histogram_quantile`
 /// semantics). 0 with no samples.
-fn bucket_bounded_max(buckets: &[u64]) -> u64 {
+pub(crate) fn bucket_bounded_max(buckets: &[u64]) -> u64 {
     buckets
         .iter()
         .rposition(|&c| c > 0)
@@ -226,33 +133,13 @@ fn bucket_bounded_max(buckets: &[u64]) -> u64 {
 pub struct GameSlo {
     /// Placement attempts naming this game.
     pub place_attempts: u64,
-    /// Attempts the policy rejected because no server could hold the game
-    /// at or above its QoS floor.
+    /// Attempts rejected on saturation: every server was at its session cap
+    /// or already ran this game. The placement policy consults no QoS floor.
     pub qos_rejected: u64,
     /// Outcome reports received for sessions of this game.
     pub outcomes: u64,
     /// Outcome reports whose observed FPS fell below the QoS floor.
     pub outcomes_below_floor: u64,
-}
-
-impl GameSlo {
-    /// Fraction of placement attempts rejected at the QoS floor.
-    pub fn reject_ratio(&self) -> f64 {
-        if self.place_attempts == 0 {
-            0.0
-        } else {
-            self.qos_rejected as f64 / self.place_attempts as f64
-        }
-    }
-
-    /// Fraction of outcome reports below the QoS floor.
-    pub fn below_floor_ratio(&self) -> f64 {
-        if self.outcomes == 0 {
-            0.0
-        } else {
-            self.outcomes_below_floor as f64 / self.outcomes as f64
-        }
-    }
 }
 
 /// One rolling window merged across all workers, in snapshot (wire) form.
@@ -276,7 +163,8 @@ pub struct WindowView {
     pub place_latency: StageStats,
     /// Placement attempts (batch items count individually).
     pub place_attempts: u64,
-    /// Attempts rejected because no server met the QoS floor.
+    /// Attempts rejected on saturation (every server at its session cap or
+    /// already running the game; no QoS floor is consulted).
     pub place_qos_rejected: u64,
     /// Admitted placements per shard.
     pub shard_admits: Vec<u64>,
@@ -295,15 +183,6 @@ pub struct WindowView {
 }
 
 impl WindowView {
-    fn empty(window_secs: u64, shards: usize) -> WindowView {
-        WindowView {
-            window_secs,
-            shard_admits: vec![0; shards],
-            shard_fallbacks: vec![0; shards],
-            ..WindowView::default()
-        }
-    }
-
     /// Handled requests per second over the full window length.
     pub fn request_rate(&self) -> f64 {
         (self.requests_ok + self.requests_err) as f64 / self.window_secs.max(1) as f64
@@ -324,7 +203,7 @@ impl WindowView {
         }
     }
 
-    /// Fraction of placement attempts rejected at the QoS floor; 0 with no
+    /// Fraction of placement attempts rejected on saturation; 0 with no
     /// attempts.
     pub fn qos_reject_ratio(&self) -> f64 {
         if self.place_attempts == 0 {
@@ -346,272 +225,6 @@ impl WindowView {
     /// p99 whole-request place latency over the window (µs, bucket-bounded).
     pub fn place_p99_us(&self) -> u64 {
         self.place_latency.percentile_us(99.0)
-    }
-}
-
-/// Scratch accumulator for one window while merging slots (plain integers;
-/// converted to [`WindowView`] maps once at the end).
-struct WindowAcc {
-    view: WindowView,
-    stage_sums: [u64; N_STAGES],
-    stage_buckets: [[u64; N_BUCKETS]; N_STAGES],
-    place_sum: u64,
-    place_buckets: [u64; N_BUCKETS],
-    active: Vec<bool>,
-}
-
-impl WindowAcc {
-    fn new(window_secs: u64, shards: usize) -> WindowAcc {
-        WindowAcc {
-            view: WindowView::empty(window_secs, shards),
-            stage_sums: [0; N_STAGES],
-            stage_buckets: [[0; N_BUCKETS]; N_STAGES],
-            place_sum: 0,
-            place_buckets: [0; N_BUCKETS],
-            active: vec![false; window_secs as usize],
-        }
-    }
-
-    fn merge_slot(&mut self, slot: &Slot, age: u64) {
-        self.active[age as usize] = true;
-        let v = &mut self.view;
-        v.requests_ok += slot.requests_ok.load(Ordering::Relaxed);
-        v.requests_err += slot.requests_err.load(Ordering::Relaxed);
-        for i in 0..N_STAGES {
-            self.stage_sums[i] += slot.stage_sums[i].load(Ordering::Relaxed);
-            for (b, bucket) in slot.stage_buckets[i].iter().enumerate() {
-                self.stage_buckets[i][b] += bucket.load(Ordering::Relaxed);
-            }
-        }
-        self.place_sum += slot.place_sum.load(Ordering::Relaxed);
-        for (b, bucket) in slot.place_buckets.iter().enumerate() {
-            self.place_buckets[b] += bucket.load(Ordering::Relaxed);
-        }
-        v.place_attempts += slot.place_attempts.load(Ordering::Relaxed);
-        v.place_qos_rejected += slot.place_qos_rejected.load(Ordering::Relaxed);
-        for (s, a) in slot.shard_admits.iter().enumerate() {
-            v.shard_admits[s] += a.load(Ordering::Relaxed);
-        }
-        for (s, f) in slot.shard_fallbacks.iter().enumerate() {
-            v.shard_fallbacks[s] += f.load(Ordering::Relaxed);
-        }
-        v.outcomes_total += slot.outcomes_total.load(Ordering::Relaxed);
-        v.outcomes_below_floor += slot.outcomes_below_floor.load(Ordering::Relaxed);
-        v.err_sum_micros += slot.err_sum_micros.load(Ordering::Relaxed);
-        v.err_count += slot.err_count.load(Ordering::Relaxed);
-    }
-
-    fn finish(mut self) -> WindowView {
-        self.view.active_secs = self.active.iter().filter(|&&a| a).count() as u64;
-        let stats_of = |buckets: &[u64; N_BUCKETS], total_us: u64| StageStats {
-            count: buckets.iter().sum(),
-            total_us,
-            max_us: bucket_bounded_max(buckets),
-            buckets: buckets.to_vec(),
-        };
-        self.view.per_stage = Stage::ALL
-            .iter()
-            .map(|&stage| {
-                let i = stage as usize;
-                (
-                    stage.name().to_string(),
-                    stats_of(&self.stage_buckets[i], self.stage_sums[i]),
-                )
-            })
-            .collect();
-        self.view.place_latency = stats_of(&self.place_buckets, self.place_sum);
-        self.view
-    }
-}
-
-/// Per-worker rings of per-second telemetry slots, merged on demand into
-/// rolling [`WindowView`]s. One instance lives in the daemon's shared state;
-/// workers record into their own ring by index.
-pub struct WindowedCollector {
-    rings: Vec<Vec<Slot>>,
-    per_game: Vec<Mutex<HashMap<u64, GameSlo>>>,
-    clock: Arc<dyn Clock>,
-}
-
-impl WindowedCollector {
-    /// Collector with one ring per worker, `shards` per-shard counters per
-    /// slot, and the given time source.
-    pub fn new(workers: usize, shards: usize, clock: Arc<dyn Clock>) -> WindowedCollector {
-        let workers = workers.max(1);
-        WindowedCollector {
-            rings: (0..workers)
-                .map(|_| (0..RING_SLOTS).map(|_| Slot::new(shards)).collect())
-                .collect(),
-            per_game: (0..workers).map(|_| Mutex::new(HashMap::new())).collect(),
-            clock,
-        }
-    }
-
-    /// The collector's time source (shared with the daemon).
-    pub fn clock(&self) -> &Arc<dyn Clock> {
-        &self.clock
-    }
-
-    /// Current whole second on the collector's clock.
-    pub fn now_sec(&self) -> u64 {
-        self.clock.now_us() / 1_000_000
-    }
-
-    /// The current-second slot of `worker`'s ring, zeroed and restamped if
-    /// it still holds an older second. Only the owning worker thread may
-    /// call the `record_*` methods for its index.
-    fn slot(&self, worker: usize) -> &Slot {
-        let sec = self.now_sec();
-        let ring = &self.rings[worker % self.rings.len()];
-        let slot = &ring[(sec % RING_SLOTS as u64) as usize];
-        let stamp = sec + 1;
-        if slot.stamp.load(Ordering::Relaxed) != stamp {
-            slot.clear();
-            slot.stamp.store(stamp, Ordering::Relaxed);
-        }
-        slot
-    }
-
-    /// Record one handled request into the current second: outcome count,
-    /// one histogram sample per request stage, and — for placements — a
-    /// whole-request place-latency sample.
-    pub fn record_request(&self, worker: usize, ok: bool, is_place: bool, trace: &RequestTrace) {
-        let slot = self.slot(worker);
-        if ok {
-            bump(&slot.requests_ok, 1);
-        } else {
-            bump(&slot.requests_err, 1);
-        }
-        for &stage in REQUEST_STAGES.iter() {
-            let i = stage as usize;
-            let us = trace.get(stage);
-            bump(&slot.stage_buckets[i][bucket_index(us)], 1);
-            bump(&slot.stage_sums[i], us);
-        }
-        if is_place {
-            let total = trace.total_us();
-            bump(&slot.place_buckets[bucket_index(total)], 1);
-            bump(&slot.place_sum, total);
-        }
-    }
-
-    /// Record a queue-wait sample (per connection, like
-    /// [`crate::trace::TraceCollector::record_stage`]).
-    pub fn record_queue_wait(&self, worker: usize, us: u64) {
-        let slot = self.slot(worker);
-        let i = Stage::QueueWait as usize;
-        bump(&slot.stage_buckets[i][bucket_index(us)], 1);
-        bump(&slot.stage_sums[i], us);
-    }
-
-    /// Record one placement attempt for `game_key`: admitted into `shard`,
-    /// or rejected at the QoS floor (`admitted_shard == None`).
-    pub fn record_place_attempt(
-        &self,
-        worker: usize,
-        game_key: u64,
-        admitted_shard: Option<usize>,
-    ) {
-        let slot = self.slot(worker);
-        bump(&slot.place_attempts, 1);
-        match admitted_shard {
-            Some(shard) => {
-                if let Some(a) = slot.shard_admits.get(shard) {
-                    bump(a, 1);
-                }
-            }
-            None => {
-                bump(&slot.place_qos_rejected, 1);
-            }
-        }
-        let mut games = self.per_game[worker % self.per_game.len()].lock();
-        let g = games.entry(game_key).or_default();
-        g.place_attempts += 1;
-        if admitted_shard.is_none() {
-            g.qos_rejected += 1;
-        }
-    }
-
-    /// Record a two-phase admit that fell back to next-best `shard`.
-    pub fn record_fallback(&self, worker: usize, shard: usize) {
-        let slot = self.slot(worker);
-        if let Some(f) = slot.shard_fallbacks.get(shard) {
-            bump(f, 1);
-        }
-    }
-
-    /// Record one ingested outcome report for `game_key`: whether observed
-    /// FPS fell below the QoS floor, and its absolute relative FPS error.
-    pub fn record_outcome(
-        &self,
-        worker: usize,
-        game_key: u64,
-        below_floor: bool,
-        abs_rel_err: f64,
-    ) {
-        let slot = self.slot(worker);
-        bump(&slot.outcomes_total, 1);
-        if below_floor {
-            bump(&slot.outcomes_below_floor, 1);
-        }
-        if abs_rel_err.is_finite() && abs_rel_err >= 0.0 {
-            bump(&slot.err_sum_micros, (abs_rel_err * 1e6) as u64);
-            bump(&slot.err_count, 1);
-        }
-        let mut games = self.per_game[worker % self.per_game.len()].lock();
-        let g = games.entry(game_key).or_default();
-        g.outcomes += 1;
-        if below_floor {
-            g.outcomes_below_floor += 1;
-        }
-    }
-
-    /// Merge every worker's ring into one [`WindowView`] per entry of
-    /// [`WINDOWS_SECS`]. Each window covers the `window_secs` seconds ending
-    /// at (and including) the current partial second; slots stamped in the
-    /// future (the clock moved backwards) or past the longest window are
-    /// ignored, so clock skips simply empty the windows.
-    pub fn views(&self) -> Vec<WindowView> {
-        let now_sec = self.now_sec();
-        let shards = self.rings[0][0].shard_admits.len();
-        let mut accs: Vec<WindowAcc> = WINDOWS_SECS
-            .iter()
-            .map(|&w| WindowAcc::new(w, shards))
-            .collect();
-        for ring in &self.rings {
-            for slot in ring {
-                let stamp = slot.stamp.load(Ordering::Relaxed);
-                if stamp == 0 {
-                    continue;
-                }
-                let sec = stamp - 1;
-                if sec > now_sec {
-                    continue;
-                }
-                let age = now_sec - sec;
-                for (wi, &w) in WINDOWS_SECS.iter().enumerate() {
-                    if age < w {
-                        accs[wi].merge_slot(slot, age);
-                    }
-                }
-            }
-        }
-        accs.into_iter().map(WindowAcc::finish).collect()
-    }
-
-    /// Merge the per-worker cumulative per-game QoS counters.
-    pub fn per_game(&self) -> BTreeMap<u64, GameSlo> {
-        let mut merged: BTreeMap<u64, GameSlo> = BTreeMap::new();
-        for shard in &self.per_game {
-            for (&game, g) in shard.lock().iter() {
-                let m = merged.entry(game).or_default();
-                m.place_attempts += g.place_attempts;
-                m.qos_rejected += g.qos_rejected;
-                m.outcomes += g.outcomes;
-                m.outcomes_below_floor += g.outcomes_below_floor;
-            }
-        }
-        merged
     }
 }
 
@@ -659,7 +272,7 @@ pub const OBJECTIVES: [&str; 3] = ["admit_qos", "observed_fps", "place_latency"]
 #[derive(Debug, Clone, Copy)]
 pub struct SloConfig {
     /// Error budget for the ratio objectives: the tolerated fraction of
-    /// QoS-floor rejections at admit, and of below-floor outcome reports.
+    /// saturation rejections at admit, and of below-floor outcome reports.
     /// Burn rate = observed ratio / budget.
     pub fps_error_budget: f64,
     /// Target p99 whole-request place latency (µs). Burn rate = observed
@@ -810,11 +423,6 @@ impl SloEngine {
         }
     }
 
-    /// The configured targets.
-    pub fn config(&self) -> &SloConfig {
-        &self.config
-    }
-
     /// Claim the once-per-second evaluation slot for `now_sec`; returns
     /// true for exactly one caller per second (lossy under no traffic:
     /// evaluation simply waits for the next request or snapshot).
@@ -913,181 +521,32 @@ impl SloEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::stats::{Telemetry, N_BUCKETS};
+    use crate::trace::{RequestTrace, SlowMeta, Stage};
 
-    fn manual() -> (Arc<ManualClock>, Arc<dyn Clock>) {
-        let clock = Arc::new(ManualClock::new(0));
-        let as_dyn: Arc<dyn Clock> = clock.clone();
-        (clock, as_dyn)
-    }
+    const SEC: u64 = 1_000_000;
 
-    fn place_trace(total_us: u64) -> RequestTrace {
-        let mut t = RequestTrace::new();
-        t.add(Stage::Place, total_us);
-        t
-    }
-
-    #[test]
-    fn windows_fill_and_expire_at_exact_boundaries() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(1, 1, dynclock);
-        clock.set_us(5_000_000); // sec 5
-        c.record_request(0, true, true, &place_trace(100));
-
-        // Same second: present in every window.
-        let v = c.views();
-        assert_eq!(v[0].requests_ok, 1);
-        assert_eq!(v[1].requests_ok, 1);
-        assert_eq!(v[2].requests_ok, 1);
-        assert_eq!(v[0].active_secs, 1);
-
-        // 9 seconds later (age 9 < 10): still inside the 10 s window.
-        clock.set_us((5 + 9) * 1_000_000);
-        assert_eq!(c.views()[0].requests_ok, 1);
-
-        // Age 10: just expired from 10 s, still in 1 m and 5 m.
-        clock.set_us((5 + 10) * 1_000_000);
-        let v = c.views();
-        assert_eq!(v[0].requests_ok, 0);
-        assert_eq!(v[0].active_secs, 0);
-        assert_eq!(v[1].requests_ok, 1);
-        assert_eq!(v[2].requests_ok, 1);
-
-        // Age 59 vs 60 for the 1 m window.
-        clock.set_us((5 + 59) * 1_000_000);
-        assert_eq!(c.views()[1].requests_ok, 1);
-        clock.set_us((5 + 60) * 1_000_000);
-        let v = c.views();
-        assert_eq!(v[1].requests_ok, 0);
-        assert_eq!(v[2].requests_ok, 1);
-
-        // Age 299 vs 300 for the 5 m window.
-        clock.set_us((5 + 299) * 1_000_000);
-        assert_eq!(c.views()[2].requests_ok, 1);
-        clock.set_us((5 + 300) * 1_000_000);
-        assert_eq!(c.views()[2].requests_ok, 0);
+    fn evaluate(
+        engine: &SloEngine,
+        t: &Telemetry,
+        now_us: u64,
+    ) -> (SloReport, Vec<AlertTransition>) {
+        engine.evaluate(&t.views(now_us), t.per_game())
     }
 
     #[test]
-    fn empty_windows_read_as_zero_everywhere() {
-        let (_clock, dynclock) = manual();
-        let c = WindowedCollector::new(4, 2, dynclock);
-        for v in c.views() {
-            assert_eq!(v.active_secs, 0);
-            assert_eq!(v.request_rate(), 0.0);
-            assert_eq!(v.qos_reject_ratio(), 0.0);
-            assert_eq!(v.outcome_below_floor_ratio(), 0.0);
-            assert_eq!(v.windowed_mae(), 0.0);
-            assert_eq!(v.place_p99_us(), 0);
-            assert_eq!(v.shard_admits, vec![0, 0]);
-            assert_eq!(v.per_stage["place"].count, 0);
-        }
-        // And an empty fleet evaluates to Ok with zero burn.
+    fn an_empty_fleet_evaluates_to_ok_with_zero_burn() {
+        let t = Telemetry::new(4, 2, 0, 0);
         let engine = SloEngine::new(SloConfig::default());
-        let (report, transitions) = engine.evaluate(&c.views(), c.per_game());
+        let (report, transitions) = evaluate(&engine, &t, 0);
         assert_eq!(report.state, AlertState::Ok);
         assert!(transitions.is_empty());
         assert!(report.objectives.iter().all(|o| o.fast_burn == 0.0));
     }
 
     #[test]
-    fn a_clock_skip_empties_every_window() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(1, 1, dynclock);
-        c.record_request(0, true, false, &RequestTrace::new());
-        assert_eq!(c.views()[2].requests_ok, 1);
-        // The clock leaps far past every window (e.g. a suspended VM).
-        clock.advance_secs(10_000);
-        for v in c.views() {
-            assert_eq!(v.requests_ok, 0);
-            assert_eq!(v.active_secs, 0);
-        }
-        // Recording after the skip starts a fresh window.
-        c.record_request(0, true, false, &RequestTrace::new());
-        assert_eq!(c.views()[0].requests_ok, 1);
-    }
-
-    #[test]
-    fn a_stalled_clock_accumulates_into_one_second() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(1, 1, dynclock);
-        clock.set_us(7_500_000);
-        for _ in 0..50 {
-            c.record_request(0, true, true, &place_trace(30));
-        }
-        let v = c.views();
-        assert_eq!(v[0].requests_ok, 50);
-        assert_eq!(v[0].active_secs, 1, "a frozen clock is one active second");
-        assert_eq!(v[0].request_rate(), 5.0, "rate spreads over the window");
-        assert_eq!(v[0].place_latency.count, 50);
-    }
-
-    #[test]
-    fn a_backwards_clock_hides_future_slots_until_overwritten() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(1, 1, dynclock);
-        clock.set_us(100 * 1_000_000);
-        c.record_request(0, true, false, &RequestTrace::new());
-        clock.set_us(50 * 1_000_000); // backwards: slot at sec 100 is "future"
-        for v in c.views() {
-            assert_eq!(v.requests_ok, 0, "future-stamped slots are ignored");
-        }
-        c.record_request(0, true, false, &RequestTrace::new());
-        assert_eq!(c.views()[0].requests_ok, 1);
-    }
-
-    #[test]
-    fn ring_wraparound_zeroes_stale_slots() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(1, 1, dynclock);
-        clock.set_us(3_000_000);
-        for _ in 0..9 {
-            c.record_request(0, true, false, &RequestTrace::new());
-        }
-        // One full ring later the same slot index holds a different second;
-        // the writer must zero it before reusing it.
-        clock.advance_secs(RING_SLOTS as u64);
-        c.record_request(0, true, false, &RequestTrace::new());
-        let v = c.views();
-        assert_eq!(v[0].requests_ok, 1, "stale counts were cleared");
-        assert_eq!(v[2].requests_ok, 1);
-    }
-
-    #[test]
-    fn qos_and_outcome_ratios_come_from_the_window() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(2, 2, dynclock);
-        clock.set_us(1_000_000);
-        c.record_place_attempt(0, 3, Some(1));
-        c.record_place_attempt(1, 3, None);
-        c.record_place_attempt(0, 4, None);
-        c.record_fallback(1, 0);
-        c.record_outcome(0, 3, false, 0.25);
-        c.record_outcome(1, 3, true, 0.75);
-        let v = &c.views()[0];
-        assert_eq!(v.place_attempts, 3);
-        assert_eq!(v.place_qos_rejected, 2);
-        assert_eq!(v.shard_admits, vec![0, 1]);
-        assert_eq!(v.shard_fallbacks, vec![1, 0]);
-        assert!((v.qos_reject_ratio() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(v.outcomes_total, 2);
-        assert_eq!(v.outcomes_below_floor, 1);
-        assert!((v.windowed_mae() - 0.5).abs() < 1e-6);
-
-        let games = c.per_game();
-        assert_eq!(games[&3].place_attempts, 2);
-        assert_eq!(games[&3].qos_rejected, 1);
-        assert_eq!(games[&3].outcomes, 2);
-        assert_eq!(games[&3].outcomes_below_floor, 1);
-        assert_eq!(games[&4].qos_rejected, 1);
-        assert!((games[&3].below_floor_ratio() - 0.5).abs() < 1e-9);
-        assert_eq!(games[&4].reject_ratio(), 1.0);
-    }
-
-    #[test]
     fn burn_rates_drive_the_alert_state_machine_both_windows_required() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(1, 1, dynclock);
+        let t = Telemetry::new(1, 1, 0, 0);
         let engine = SloEngine::new(SloConfig {
             fps_error_budget: 0.05,
             ..SloConfig::default()
@@ -1095,11 +554,10 @@ mod tests {
 
         // 10 rejected of 10 attempts: ratio 1.0, burn 20 in *both* windows
         // (the slow window holds the same seconds early in the run).
-        clock.set_us(1_000_000);
         for _ in 0..10 {
-            c.record_place_attempt(0, 1, None);
+            t.writer(0, SEC).place_attempt(1, None);
         }
-        let (report, transitions) = engine.evaluate(&c.views(), c.per_game());
+        let (report, transitions) = evaluate(&engine, &t, SEC);
         assert_eq!(report.state, AlertState::Critical);
         assert_eq!(report.objectives[0].state, AlertState::Critical);
         assert_eq!(
@@ -1114,49 +572,48 @@ mod tests {
 
         // 11 seconds later the fast window is clean but the slow window
         // still burns: multi-window gating de-escalates to Ok (min rules).
-        clock.advance_secs(11);
-        let (report, transitions) = engine.evaluate(&c.views(), c.per_game());
+        let (report, transitions) = evaluate(&engine, &t, 12 * SEC);
         assert_eq!(report.state, AlertState::Ok);
         assert_eq!(transitions.len(), 1);
         assert_eq!(transitions[0].to, AlertState::Ok);
         assert_eq!(report.transitions, 2);
 
         // Re-evaluating without movement stays put: no new transitions.
-        let (report, transitions) = engine.evaluate(&c.views(), c.per_game());
+        let (report, transitions) = evaluate(&engine, &t, 12 * SEC);
         assert!(transitions.is_empty());
         assert_eq!(report.transitions, 2);
     }
 
     #[test]
     fn warn_fires_between_the_thresholds() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(1, 1, dynclock);
+        let t = Telemetry::new(1, 1, 0, 0);
         // Budget 0.05: 1 rejection in 10 attempts is ratio 0.1, burn 2.0 —
         // past warn (1.0), short of critical (10.0).
         let engine = SloEngine::new(SloConfig::default());
-        clock.set_us(1_000_000);
         for i in 0..10 {
-            c.record_place_attempt(0, 1, if i == 0 { None } else { Some(0) });
+            t.writer(0, SEC)
+                .place_attempt(1, if i == 0 { None } else { Some(0) });
         }
-        let (report, _) = engine.evaluate(&c.views(), c.per_game());
+        let (report, _) = evaluate(&engine, &t, SEC);
         assert_eq!(report.objectives[0].state, AlertState::Warn);
         assert_eq!(report.state, AlertState::Warn);
     }
 
     #[test]
     fn place_latency_objective_burns_on_p99() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(1, 1, dynclock);
+        let t = Telemetry::new(1, 1, 0, 0);
         let engine = SloEngine::new(SloConfig {
             place_p99_target_us: 100,
             ..SloConfig::default()
         });
-        clock.set_us(1_000_000);
         // p99 lands in the ≤5000µs bucket: burn 5000/100 = 50 ≥ critical.
+        let mut trace = RequestTrace::new();
+        trace.add(Stage::Place, 3_000);
         for _ in 0..10 {
-            c.record_request(0, true, true, &place_trace(3_000));
+            t.writer(0, SEC)
+                .flush(0, true, true, &trace, SlowMeta::default());
         }
-        let (report, _) = engine.evaluate(&c.views(), c.per_game());
+        let (report, _) = evaluate(&engine, &t, SEC);
         let latency = &report.objectives[2];
         assert_eq!(latency.name, "place_latency");
         assert_eq!(latency.fast_value, 5_000.0);
@@ -1175,13 +632,11 @@ mod tests {
 
     #[test]
     fn report_display_renders_every_section() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(1, 1, dynclock);
-        clock.set_us(1_000_000);
-        c.record_place_attempt(0, 2, None);
-        c.record_outcome(0, 2, true, 0.5);
+        let t = Telemetry::new(1, 1, 0, 0);
+        t.writer(0, SEC).place_attempt(2, None);
+        t.writer(0, SEC).outcome(2, true, 0.5);
         let engine = SloEngine::new(SloConfig::default());
-        let (report, _) = engine.evaluate(&c.views(), c.per_game());
+        let (report, _) = evaluate(&engine, &t, SEC);
         let text = report.to_string();
         assert!(text.contains("slo: CRITICAL"), "{text}");
         assert!(text.contains("admit_qos"), "{text}");
@@ -1192,14 +647,15 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_json() {
-        let (clock, dynclock) = manual();
-        let c = WindowedCollector::new(2, 2, dynclock);
-        clock.set_us(1_000_000);
-        c.record_request(0, true, true, &place_trace(42));
-        c.record_place_attempt(1, 7, Some(1));
-        c.record_outcome(0, 7, false, 0.1);
+        let t = Telemetry::new(2, 2, 0, 0);
+        let mut trace = RequestTrace::new();
+        trace.add(Stage::Place, 42);
+        t.writer(0, SEC)
+            .flush(0, true, true, &trace, SlowMeta::default());
+        t.writer(1, SEC).place_attempt(7, Some(1));
+        t.writer(0, SEC).outcome(7, false, 0.1);
         let engine = SloEngine::new(SloConfig::default());
-        let (report, _) = engine.evaluate(&c.views(), c.per_game());
+        let (report, _) = evaluate(&engine, &t, SEC);
         let json = serde_json::to_string(&report).unwrap();
         let back: SloReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -1215,73 +671,5 @@ mod tests {
         assert_eq!(bucket_bounded_max(&buckets), 100);
         buckets[N_BUCKETS - 1] = 1; // overflow reports the largest finite bound
         assert_eq!(bucket_bounded_max(&buckets), 1_000_000);
-    }
-
-    proptest! {
-        // Satellite: merged windowed histograms equal the field-wise sum of
-        // the same samples recorded into per-worker (single-ring)
-        // collectors on the same clock.
-        #[test]
-        fn merged_windows_equal_per_worker_sums(
-            samples in proptest::collection::vec(
-                (0usize..4, 0u64..2_000_000, any::<bool>(), any::<bool>()),
-                1..60,
-            ),
-            start_sec in 0u64..400,
-            spread_secs in 0u64..8,
-        ) {
-            let clock = Arc::new(ManualClock::new(0));
-            let merged = WindowedCollector::new(4, 1, clock.clone() as Arc<dyn Clock>);
-            let singles: Vec<WindowedCollector> = (0..4)
-                .map(|_| WindowedCollector::new(1, 1, clock.clone() as Arc<dyn Clock>))
-                .collect();
-            for (i, &(worker, us, ok, is_place)) in samples.iter().enumerate() {
-                let sec = start_sec + if spread_secs == 0 { 0 } else { (i as u64) % (spread_secs + 1) };
-                clock.set_us(sec * 1_000_000);
-                let t = place_trace(us);
-                merged.record_request(worker, ok, is_place, &t);
-                singles[worker].record_request(0, ok, is_place, &t);
-            }
-            clock.set_us((start_sec + spread_secs) * 1_000_000);
-            let got = merged.views();
-            let parts: Vec<Vec<WindowView>> = singles.iter().map(|c| c.views()).collect();
-            for (wi, view) in got.iter().enumerate() {
-                let mut ok_sum = 0u64;
-                let mut err_sum = 0u64;
-                for p in &parts {
-                    ok_sum += p[wi].requests_ok;
-                    err_sum += p[wi].requests_err;
-                }
-                prop_assert_eq!(view.requests_ok, ok_sum);
-                prop_assert_eq!(view.requests_err, err_sum);
-                for stage in crate::trace::Stage::ALL {
-                    let name = stage.name();
-                    let mut buckets = vec![0u64; N_BUCKETS];
-                    let mut total = 0u64;
-                    for p in &parts {
-                        let st = &p[wi].per_stage[name];
-                        total += st.total_us;
-                        for (b, &v) in st.buckets.iter().enumerate() {
-                            buckets[b] += v;
-                        }
-                    }
-                    let got_st = &view.per_stage[name];
-                    prop_assert_eq!(&got_st.buckets, &buckets, "stage {} window {}", name, wi);
-                    prop_assert_eq!(got_st.total_us, total);
-                    prop_assert_eq!(got_st.count, buckets.iter().sum::<u64>());
-                    prop_assert_eq!(got_st.max_us, bucket_bounded_max(&buckets));
-                }
-                let mut place_buckets = vec![0u64; N_BUCKETS];
-                let mut place_total = 0u64;
-                for p in &parts {
-                    place_total += p[wi].place_latency.total_us;
-                    for (b, &v) in p[wi].place_latency.buckets.iter().enumerate() {
-                        place_buckets[b] += v;
-                    }
-                }
-                prop_assert_eq!(&view.place_latency.buckets, &place_buckets);
-                prop_assert_eq!(view.place_latency.total_us, place_total);
-            }
-        }
     }
 }

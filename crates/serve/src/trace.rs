@@ -1,34 +1,33 @@
 //! Per-request stage tracing: where does a request's time go?
 //!
-//! The whole-request latency histograms in [`crate::stats`] say *how slow* a
-//! request was; this module says *why*. Every handled request is split into
-//! pipeline stages — queue wait, decode, predict, place, admit-lock wait,
-//! encode, write-reply — and each stage's duration lands in a fixed-bucket
-//! histogram sharded per worker thread, so the hot path touches only its own
-//! cache lines with relaxed atomics. Shards merge on demand into
-//! [`crate::StatsSnapshot`].
+//! The whole-request latency histograms say *how slow* a request was; the
+//! stages say *why*. Every handled request is split into pipeline stages —
+//! queue wait, decode, predict, place, admit-lock wait, encode, write-reply —
+//! timed into a [`RequestTrace`] on the worker's stack and flushed once into
+//! the worker's block of [`crate::stats::Telemetry`]. This module holds the
+//! stage model, the slow-request ring, the accounting oracle and the
+//! Prometheus exposition.
 //!
 //! Accounting contract (the "stage-sum invariant", oracle-checked by the
-//! chaos suite): [`TraceCollector::record_request`] records exactly one
-//! sample for *each* of the six request stages per handled request — a
-//! stage that did not run (e.g. `predict` on a `Depart`) contributes a
-//! zero-duration sample. Therefore every request stage's `count` equals the
-//! total of `per_request` ok + errors at any quiesced snapshot. `queue_wait`
-//! is sampled once per *connection* when a worker dequeues it, so its count
+//! chaos suite): [`crate::stats::Writer::flush`] records exactly one sample
+//! for *each* of the six request stages per handled request — a stage that
+//! did not run (e.g. `predict` on a `Depart`) contributes a zero-duration
+//! sample. Therefore every request stage's `count` equals the total of
+//! `per_request` ok + errors at any quiesced snapshot. `queue_wait` is
+//! sampled once per *connection* when a worker dequeues it, so its count
 //! equals accepted connections minus those shed at the acceptor.
 //!
 //! Determinism: tracing draws no randomness, takes no fault-injection
 //! decisions, and influences no placement — it only reads the clock and
-//! bumps atomics — so fault-free chaos replay stays byte-identical with
+//! bumps counters — so fault-free chaos replay stays byte-identical with
 //! tracing enabled. The slow-request ring keeps the worst-N requests by
 //! total service time under a mutex that is only taken when a request beats
 //! the current floor; entries are ordered by a monotone admission sequence,
 //! never wall-clock identity.
 
-use crate::stats::{bucket_index, histogram_percentile_us, StatsSnapshot, N_BUCKETS};
+use crate::stats::{histogram_percentile_us, StatsSnapshot};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -168,8 +167,7 @@ pub struct SlowMeta {
 }
 
 /// Per-request stage accumulator, filled on a worker's stack while the
-/// request is handled and flushed once via
-/// [`TraceCollector::record_request`].
+/// request is handled and flushed once via [`crate::stats::Writer::flush`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RequestTrace {
     us: [u64; N_STAGES],
@@ -199,32 +197,6 @@ impl RequestTrace {
     }
 }
 
-struct StageShard {
-    counts: [AtomicU64; N_STAGES],
-    totals: [AtomicU64; N_STAGES],
-    maxes: [AtomicU64; N_STAGES],
-    buckets: [[AtomicU64; N_BUCKETS]; N_STAGES],
-}
-
-impl StageShard {
-    fn new() -> StageShard {
-        StageShard {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            totals: std::array::from_fn(|_| AtomicU64::new(0)),
-            maxes: std::array::from_fn(|_| AtomicU64::new(0)),
-            buckets: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
-        }
-    }
-
-    fn record(&self, stage: Stage, us: u64) {
-        let i = stage as usize;
-        self.counts[i].fetch_add(1, Ordering::Relaxed);
-        self.totals[i].fetch_add(us, Ordering::Relaxed);
-        self.maxes[i].fetch_max(us, Ordering::Relaxed);
-        self.buckets[i][bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 struct SlowEntry {
     seq: u64,
     kind: &'static str,
@@ -237,7 +209,7 @@ struct SlowEntry {
 /// the lock for requests that cannot displace anything once the ring is
 /// full; ties keep the incumbent, so admission is deterministic given the
 /// offered sequence.
-struct SlowLog {
+pub(crate) struct SlowLog {
     capacity: usize,
     seq: AtomicU64,
     floor_us: AtomicU64,
@@ -245,7 +217,7 @@ struct SlowLog {
 }
 
 impl SlowLog {
-    fn new(capacity: usize) -> SlowLog {
+    pub(crate) fn new(capacity: usize) -> SlowLog {
         SlowLog {
             capacity,
             seq: AtomicU64::new(0),
@@ -254,7 +226,7 @@ impl SlowLog {
         }
     }
 
-    fn offer(&self, kind: &'static str, trace: &RequestTrace, meta: SlowMeta) {
+    pub(crate) fn offer(&self, kind: &'static str, trace: &RequestTrace, meta: SlowMeta) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         if self.capacity == 0 {
             return;
@@ -293,7 +265,7 @@ impl SlowLog {
         }
     }
 
-    fn snapshot(&self) -> Vec<SlowRequest> {
+    pub(crate) fn snapshot(&self) -> Vec<SlowRequest> {
         let ring = self.ring.lock();
         let mut entries: Vec<SlowRequest> = ring
             .iter()
@@ -310,80 +282,6 @@ impl SlowLog {
         drop(ring);
         entries.sort_by_key(|e| (std::cmp::Reverse(e.total_us), e.seq));
         entries
-    }
-}
-
-/// Per-worker sharded stage histograms plus the slow-request ring. One
-/// instance lives in the daemon's shared state; workers record into their
-/// own shard by index.
-pub struct TraceCollector {
-    shards: Vec<StageShard>,
-    slow: SlowLog,
-}
-
-impl TraceCollector {
-    /// Collector with one shard per worker and a worst-`slow_capacity`
-    /// slow-request ring.
-    pub fn new(workers: usize, slow_capacity: usize) -> TraceCollector {
-        TraceCollector {
-            shards: (0..workers.max(1)).map(|_| StageShard::new()).collect(),
-            slow: SlowLog::new(slow_capacity),
-        }
-    }
-
-    /// Record a single stage sample into `worker`'s shard (used for
-    /// `queue_wait`, which has no surrounding request).
-    pub fn record_stage(&self, worker: usize, stage: Stage, us: u64) {
-        self.shards[worker % self.shards.len()].record(stage, us);
-    }
-
-    /// Record a fully handled request: one sample per request stage (stages
-    /// that did not run contribute zero-duration samples, keeping all six
-    /// request-stage counts equal to the number of handled requests), and an
-    /// offer to the slow-request ring carrying the request's identity
-    /// (`meta`: session, shard, model version).
-    pub fn record_request(
-        &self,
-        worker: usize,
-        kind: &'static str,
-        trace: &RequestTrace,
-        meta: SlowMeta,
-    ) {
-        let shard = &self.shards[worker % self.shards.len()];
-        for &stage in REQUEST_STAGES.iter() {
-            shard.record(stage, trace.get(stage));
-        }
-        self.slow.offer(kind, trace, meta);
-    }
-
-    /// Merge every shard into per-stage snapshot statistics. All stages are
-    /// always present (zeroed when unobserved) so consumers see a stable key
-    /// set.
-    pub fn stage_snapshot(&self) -> BTreeMap<String, StageStats> {
-        Stage::ALL
-            .iter()
-            .map(|&stage| {
-                let i = stage as usize;
-                let mut st = StageStats {
-                    buckets: vec![0; N_BUCKETS],
-                    ..StageStats::default()
-                };
-                for shard in &self.shards {
-                    st.count += shard.counts[i].load(Ordering::Relaxed);
-                    st.total_us += shard.totals[i].load(Ordering::Relaxed);
-                    st.max_us = st.max_us.max(shard.maxes[i].load(Ordering::Relaxed));
-                    for (b, bucket) in shard.buckets[i].iter().enumerate() {
-                        st.buckets[b] += bucket.load(Ordering::Relaxed);
-                    }
-                }
-                (stage.name().to_string(), st)
-            })
-            .collect()
-    }
-
-    /// The current worst-N slow requests, slowest first (ties by arrival).
-    pub fn slow_snapshot(&self) -> Vec<SlowRequest> {
-        self.slow.snapshot()
     }
 }
 
@@ -601,84 +499,42 @@ pub fn render_prometheus(s: &StatsSnapshot) -> String {
         write_metric(&mut out, name, "", v);
     }
 
-    write_header(
-        &mut out,
-        "gaugur_prediction_memo_total",
-        "counter",
-        "Prediction-memo lookups by result.",
-    );
-    write_metric(
-        &mut out,
-        "gaugur_prediction_memo_total",
-        "result=\"hit\"",
-        s.cache_hits,
-    );
-    write_metric(
-        &mut out,
-        "gaugur_prediction_memo_total",
-        "result=\"miss\"",
-        s.cache_misses,
-    );
-    write_header(
-        &mut out,
-        "gaugur_score_cache_total",
-        "counter",
-        "Per-server score-cache lookups by result.",
-    );
-    write_metric(
-        &mut out,
-        "gaugur_score_cache_total",
-        "result=\"hit\"",
-        s.score_hits,
-    );
-    write_metric(
-        &mut out,
-        "gaugur_score_cache_total",
-        "result=\"miss\"",
-        s.score_misses,
-    );
-    write_header(
-        &mut out,
-        "gaugur_feedback_reports_total",
-        "counter",
-        "Outcome reports by disposition (fresh+stale are buffered).",
-    );
-    write_metric(
-        &mut out,
-        "gaugur_feedback_reports_total",
-        "result=\"fresh\"",
-        s.feedback_accepted.saturating_sub(s.feedback_stale),
-    );
-    write_metric(
-        &mut out,
-        "gaugur_feedback_reports_total",
-        "result=\"stale\"",
-        s.feedback_stale,
-    );
-    write_metric(
-        &mut out,
-        "gaugur_feedback_reports_total",
-        "result=\"dropped\"",
-        s.feedback_dropped,
-    );
-    write_header(
-        &mut out,
-        "gaugur_retrains_total",
-        "counter",
-        "Background retrains by outcome.",
-    );
-    write_metric(
-        &mut out,
-        "gaugur_retrains_total",
-        "result=\"ok\"",
-        s.retrains_ok,
-    );
-    write_metric(
-        &mut out,
-        "gaugur_retrains_total",
-        "result=\"failed\"",
-        s.retrains_failed,
-    );
+    type ByResult<'a> = (&'a str, &'a str, &'a [(&'a str, u64)]);
+    let by_result: [ByResult<'_>; 4] = [
+        (
+            "gaugur_prediction_memo_total",
+            "Prediction-memo lookups by result.",
+            &[("hit", s.cache_hits), ("miss", s.cache_misses)],
+        ),
+        (
+            "gaugur_score_cache_total",
+            "Per-server score-cache lookups by result.",
+            &[("hit", s.score_hits), ("miss", s.score_misses)],
+        ),
+        (
+            "gaugur_feedback_reports_total",
+            "Outcome reports by disposition (fresh+stale are buffered).",
+            &[
+                (
+                    "fresh",
+                    s.feedback_accepted.saturating_sub(s.feedback_stale),
+                ),
+                ("stale", s.feedback_stale),
+                ("dropped", s.feedback_dropped),
+            ],
+        ),
+        (
+            "gaugur_retrains_total",
+            "Background retrains by outcome.",
+            &[("ok", s.retrains_ok), ("failed", s.retrains_failed)],
+        ),
+    ];
+    for (name, help, results) in by_result {
+        write_header(&mut out, name, "counter", help);
+        for (result, v) in results {
+            write_metric(&mut out, name, &format!("result=\"{result}\""), v);
+        }
+    }
 
     let gauges: [(&str, &str, f64); 5] = [
         (
@@ -933,7 +789,7 @@ fn render_slo(out: &mut String, slo: &crate::slo::SloReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{RequestStats, LATENCY_BUCKETS_US};
+    use crate::stats::{Counter, RequestStats, Telemetry, LATENCY_BUCKETS_US, N_BUCKETS};
 
     fn trace_with(decode: u64, predict: u64, place: u64, encode: u64, write: u64) -> RequestTrace {
         let mut t = RequestTrace::new();
@@ -957,70 +813,13 @@ mod tests {
     }
 
     #[test]
-    fn admit_wait_is_a_first_class_request_stage() {
-        let c = TraceCollector::new(1, 4);
-        let mut t = trace_with(1, 2, 3, 0, 0);
-        t.add(Stage::PlaceAdmitWait, 9);
-        c.record_request(0, "place", &t, SlowMeta::default());
-        // A request that never touched a shard lock still contributes a
-        // zero-duration sample, so the stage-sum invariant holds.
-        c.record_request(0, "stats", &trace_with(1, 0, 0, 1, 1), SlowMeta::default());
-        let snap = c.stage_snapshot();
-        assert_eq!(snap["place_admit_wait"].count, 2);
-        assert_eq!(snap["place_admit_wait"].total_us, 9);
-        assert_eq!(snap["place_admit_wait"].max_us, 9);
-    }
-
-    #[test]
-    fn every_request_stage_gets_one_sample_per_request() {
-        let c = TraceCollector::new(3, 4);
-        // A request that never predicts or places still contributes
-        // zero-duration samples to those stages.
-        c.record_request(0, "depart", &trace_with(7, 0, 0, 2, 3), SlowMeta::default());
-        c.record_request(
-            1,
-            "place",
-            &trace_with(5, 40, 60, 3, 4),
-            SlowMeta::default(),
-        );
-        c.record_request(
-            2,
-            "place",
-            &trace_with(6, 30, 50, 2, 9),
-            SlowMeta::default(),
-        );
-        let snap = c.stage_snapshot();
-        for stage in REQUEST_STAGES {
-            assert_eq!(snap[stage.name()].count, 3, "{}", stage.name());
-            let bucket_sum: u64 = snap[stage.name()].buckets.iter().sum();
-            assert_eq!(bucket_sum, 3);
-        }
-        assert_eq!(snap["predict"].total_us, 70);
-        assert_eq!(snap["place"].max_us, 60);
-        assert_eq!(snap["queue_wait"].count, 0);
-        // Shards merge: workers 0..3 each recorded one request.
-        assert_eq!(snap["decode"].total_us, 18);
-    }
-
-    #[test]
-    fn queue_wait_is_per_connection() {
-        let c = TraceCollector::new(2, 4);
-        c.record_stage(0, Stage::QueueWait, 11);
-        c.record_stage(1, Stage::QueueWait, 3);
-        let snap = c.stage_snapshot();
-        assert_eq!(snap["queue_wait"].count, 2);
-        assert_eq!(snap["queue_wait"].total_us, 14);
-        assert_eq!(snap["queue_wait"].max_us, 11);
-    }
-
-    #[test]
     fn slow_ring_keeps_the_worst_n_in_order() {
-        let c = TraceCollector::new(1, 3);
+        let log = SlowLog::new(3);
         for (i, total) in [10u64, 50, 20, 90, 5, 50].into_iter().enumerate() {
             let kind = if i % 2 == 0 { "place" } else { "predict" };
-            c.record_request(0, kind, &trace_with(total, 0, 0, 0, 0), SlowMeta::default());
+            log.offer(kind, &trace_with(total, 0, 0, 0, 0), SlowMeta::default());
         }
-        let slow = c.slow_snapshot();
+        let slow = log.snapshot();
         assert_eq!(slow.len(), 3);
         // Worst three of [10, 50, 20, 90, 5, 50] are 90, 50, 50; the seq-1
         // entry was admitted first and keeps its slot on the tie.
@@ -1036,56 +835,18 @@ mod tests {
 
     #[test]
     fn zero_capacity_slow_ring_records_nothing() {
-        let c = TraceCollector::new(1, 0);
-        c.record_request(0, "place", &trace_with(99, 0, 0, 0, 0), SlowMeta::default());
-        assert!(c.slow_snapshot().is_empty());
-        // Stage histograms still work.
-        assert_eq!(c.stage_snapshot()["decode"].count, 1);
-    }
-
-    // Satellite: percentile bucket-boundary behavior for stage histograms,
-    // mirroring the per-op cases in `stats::tests`.
-    #[test]
-    fn stage_percentile_bucket_boundaries() {
-        let c = TraceCollector::new(1, 0);
-        // 10 samples at 5µs (exactly on bucket 0's upper bound) and 10 at
-        // 6µs (bucket 1).
-        for _ in 0..10 {
-            c.record_request(0, "place", &trace_with(5, 0, 0, 0, 0), SlowMeta::default());
-        }
-        for _ in 0..10 {
-            c.record_request(0, "place", &trace_with(6, 0, 0, 0, 0), SlowMeta::default());
-        }
-        let st = c.stage_snapshot()["decode"].clone();
-        // p=50 → rank 10, the last sample of bucket 0: boundary stays in the
-        // lower bucket.
-        assert_eq!(st.percentile_us(50.0), 5);
-        // One sample past the edge crosses into bucket 1's bound.
-        assert_eq!(st.percentile_us(50.1), 10);
-        // p=0 clamps to rank 1 (the fastest bucket with samples).
-        assert_eq!(st.percentile_us(0.0), 5);
-        // p=100 is the last bucket with samples.
-        assert_eq!(st.percentile_us(100.0), 10);
-        // Empty stage → 0.
-        assert_eq!(StageStats::default().percentile_us(50.0), 0);
-
-        // Overflow bucket reports the observed max, not a bucket bound.
-        let c = TraceCollector::new(1, 0);
-        c.record_request(
+        let t = Telemetry::new(1, 1, 0, 0);
+        t.writer(0, 0).flush(
             0,
-            "place",
-            &trace_with(2_000_000, 0, 0, 0, 0),
+            true,
+            true,
+            &trace_with(99, 0, 0, 0, 0),
             SlowMeta::default(),
         );
-        let st = c.stage_snapshot()["decode"].clone();
-        assert_eq!(st.max_us, 2_000_000);
-        assert_eq!(st.percentile_us(50.0), 2_000_000);
-        assert_eq!(st.percentile_us(100.0), 2_000_000);
-        assert_eq!(
-            st.buckets[crate::stats::N_BUCKETS - 1],
-            1,
-            "lands in the overflow bucket"
-        );
+        let snap = t.snapshot(0);
+        assert!(snap.slow_requests.is_empty());
+        // Stage histograms still work.
+        assert_eq!(snap.per_stage["decode"].count, 1);
     }
 
     #[test]
@@ -1113,27 +874,26 @@ mod tests {
         }
     }
 
+    /// `place` (40 µs, ok) on worker 0, `depart` (7 µs, ok) on worker 1,
+    /// `stats` (3 µs, error) on worker 0, behind two connections.
     fn populated_snapshot() -> StatsSnapshot {
-        let stats = crate::stats::AtomicStats::new();
-        stats.note_connection();
-        stats.note_connection();
-        stats.record("place", true, 40);
-        stats.record("depart", true, 7);
-        stats.record("stats", false, 3);
-        let c = TraceCollector::new(2, 4);
-        c.record_stage(0, Stage::QueueWait, 2);
-        c.record_stage(1, Stage::QueueWait, 4);
-        c.record_request(
-            0,
-            "place",
-            &trace_with(5, 20, 10, 2, 3),
-            SlowMeta::default(),
-        );
-        c.record_request(1, "depart", &trace_with(4, 0, 0, 1, 2), SlowMeta::default());
-        c.record_request(0, "stats", &trace_with(2, 0, 0, 1, 0), SlowMeta::default());
-        let mut snap = stats.snapshot(3, 1, 8);
-        snap.per_stage = c.stage_snapshot();
-        snap.slow_requests = c.slow_snapshot();
+        let t = Telemetry::new(2, 1, 4, 0);
+        t.note(t.acceptor(), Counter::Connections, 2);
+        t.writer(0, 0).queue_wait(2);
+        t.writer(1, 0).queue_wait(4);
+        for (worker, kind, ok, latency_us, trace) in [
+            (0, 0, true, 40, trace_with(5, 20, 10, 2, 3)),
+            (1, 2, true, 7, trace_with(4, 0, 0, 1, 2)),
+            (0, 7, false, 3, trace_with(2, 0, 0, 1, 0)),
+        ] {
+            let w = t.writer(worker, 0);
+            w.record(kind, ok, latency_us);
+            w.flush(kind, ok, kind == 0, &trace, SlowMeta::default());
+        }
+        let mut snap = t.snapshot(0);
+        snap.model_version = 3;
+        snap.active_sessions = 1;
+        snap.servers = 8;
         snap
     }
 
@@ -1232,15 +992,15 @@ mod tests {
 
     #[test]
     fn slow_meta_propagates_to_the_snapshot() {
-        let c = TraceCollector::new(1, 4);
+        let log = SlowLog::new(4);
         let meta = SlowMeta {
             session: Some(41),
             shard: Some(2),
             model_version: Some(3),
         };
-        c.record_request(0, "place", &trace_with(9, 0, 0, 0, 0), meta);
-        c.record_request(0, "stats", &trace_with(1, 0, 0, 0, 0), SlowMeta::default());
-        let slow = c.slow_snapshot();
+        log.offer("place", &trace_with(9, 0, 0, 0, 0), meta);
+        log.offer("stats", &trace_with(1, 0, 0, 0, 0), SlowMeta::default());
+        let slow = log.snapshot();
         assert_eq!(slow[0].session, Some(41));
         assert_eq!(slow[0].shard, Some(2));
         assert_eq!(slow[0].model_version, Some(3));
@@ -1274,20 +1034,18 @@ mod tests {
 
     #[test]
     fn prometheus_slo_section_renders_when_evaluated() {
-        use crate::slo::{ManualClock, SloConfig, SloEngine, WindowedCollector};
-        use std::sync::Arc;
+        use crate::slo::{SloConfig, SloEngine};
 
         let mut snap = populated_snapshot();
         // Without an SLO report the section is absent entirely.
         assert!(!render_prometheus(&snap).contains("gaugur_slo_state"));
 
-        let clock = Arc::new(ManualClock::new(0));
-        let w = WindowedCollector::new(2, 2, clock.clone());
-        w.record_place_attempt(0, 1, Some(0));
-        w.record_place_attempt(1, 1, None); // QoS-rejected
-        w.record_outcome(0, 1, true, 0.5);
+        let t = Telemetry::new(2, 2, 0, 0);
+        t.writer(0, 0).place_attempt(1, Some(0));
+        t.writer(1, 0).place_attempt(1, None); // rejected on saturation
+        t.writer(0, 0).outcome(1, true, 0.5);
         let engine = SloEngine::new(SloConfig::default());
-        let (report, _) = engine.evaluate(&w.views(), w.per_game());
+        let (report, _) = engine.evaluate(&t.views(0), t.per_game());
         snap.slo = Some(report);
 
         let text = render_prometheus(&snap);

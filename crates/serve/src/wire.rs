@@ -352,20 +352,26 @@ pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, FrameError> {
 
 /// Stable label of a request kind, used as the stats key.
 pub fn request_kind(req: &Request) -> &'static str {
+    REQUEST_KINDS[request_kind_index(req)]
+}
+
+/// Position of a request's kind in [`REQUEST_KINDS`]: how the telemetry
+/// blocks index their per-kind counters.
+pub fn request_kind_index(req: &Request) -> usize {
     match req {
-        Request::Place { .. } => "place",
-        Request::PlaceBatch { .. } => "place_batch",
-        Request::Depart { .. } => "depart",
-        Request::Predict { .. } => "predict",
-        Request::ReportOutcome { .. } => "report_outcome",
-        Request::ReportOutcomeBatch { .. } => "report_outcome_batch",
-        Request::TriggerRetrain { .. } => "trigger_retrain",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-        Request::SloStatus => "slo_status",
-        Request::DumpRecorder { .. } => "dump_recorder",
-        Request::ReloadModel { .. } => "reload_model",
-        Request::Shutdown => "shutdown",
+        Request::Place { .. } => 0,
+        Request::PlaceBatch { .. } => 1,
+        Request::Depart { .. } => 2,
+        Request::Predict { .. } => 3,
+        Request::ReportOutcome { .. } => 4,
+        Request::ReportOutcomeBatch { .. } => 5,
+        Request::TriggerRetrain { .. } => 6,
+        Request::Stats => 7,
+        Request::Metrics => 8,
+        Request::SloStatus => 9,
+        Request::DumpRecorder { .. } => 10,
+        Request::ReloadModel { .. } => 11,
+        Request::Shutdown => 12,
     }
 }
 
@@ -390,7 +396,7 @@ pub const REQUEST_KINDS: [&str; 13] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::AtomicStats;
+    use crate::stats::{Counter, Telemetry};
     use proptest::prelude::*;
     use std::io::Cursor;
 
@@ -399,6 +405,20 @@ mod tests {
         write_frame(&mut buf, req).unwrap();
         let back: Request = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(*req, back);
+        // The stats label, and with it the slot in every telemetry block, is
+        // the variant's wire tag in snake case.
+        let json = std::str::from_utf8(&buf[4..]).unwrap();
+        let mut label = String::new();
+        for c in json.trim_start_matches(['{', '"']).chars() {
+            if !c.is_ascii_alphanumeric() {
+                break;
+            }
+            if c.is_ascii_uppercase() && !label.is_empty() {
+                label.push('_');
+            }
+            label.push(c.to_ascii_lowercase());
+        }
+        assert_eq!(request_kind(req), label);
     }
 
     fn roundtrip_response(resp: &Response) {
@@ -522,20 +542,19 @@ mod tests {
         });
         roundtrip_response(&Response::RetrainQueued { queued: true });
         roundtrip_response(&Response::Stats(Box::new(
-            AtomicStats::new().snapshot(1, 0, 4),
+            Telemetry::new(1, 1, 0, 0).snapshot(0),
         )));
         roundtrip_response(&Response::Metrics {
             text: "# TYPE gaugur_requests_total counter\ngaugur_requests_total 7\n".into(),
         });
         roundtrip_response(&Response::Reloaded { version: 3 });
         {
-            use crate::slo::{ManualClock, SloConfig, SloEngine, WindowedCollector};
-            use std::sync::Arc;
-            let w = WindowedCollector::new(1, 2, Arc::new(ManualClock::new(0)));
-            w.record_place_attempt(0, 3, Some(1));
-            w.record_outcome(0, 3, false, 0.01);
+            use crate::slo::{SloConfig, SloEngine};
+            let t = Telemetry::new(1, 2, 0, 0);
+            t.writer(0, 0).place_attempt(3, Some(1));
+            t.writer(0, 0).outcome(3, false, 0.01);
             let engine = SloEngine::new(SloConfig::default());
-            let (report, _) = engine.evaluate(&w.views(), w.per_game());
+            let (report, _) = engine.evaluate(&t.views(0), t.per_game());
             roundtrip_response(&Response::Slo(Box::new(report)));
         }
         roundtrip_response(&Response::RecorderDump {
@@ -553,14 +572,14 @@ mod tests {
 
     #[test]
     fn stats_snapshot_roundtrips_with_populated_histograms() {
-        let stats = AtomicStats::new();
+        let t = Telemetry::new(1, 1, 4, 0);
         for us in [3, 70, 800, 12_000, 3_000_000] {
-            stats.record("place", true, us);
+            t.writer(0, 0).record(0, true, us);
         }
-        stats.record("predict", false, 55);
-        stats.note_overloaded();
-        stats.note_malformed();
-        let snap = stats.snapshot(9, 17, 8);
+        t.writer(0, 0).record(3, false, 55);
+        t.note(t.acceptor(), Counter::Overloaded, 1);
+        t.note(0, Counter::Malformed, 1);
+        let snap = t.snapshot(9_000);
         let mut buf = Vec::new();
         write_frame(&mut buf, &Response::Stats(Box::new(snap.clone()))).unwrap();
         let back: Response = read_frame(&mut Cursor::new(&buf)).unwrap();

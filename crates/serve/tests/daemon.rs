@@ -1183,3 +1183,161 @@ fn an_injected_manual_clock_drives_uptime_and_the_windowed_views() {
     client.depart(p.session).unwrap();
     handle.shutdown();
 }
+
+/// `serve_connection` only looked at the shutdown flag between frames, so a
+/// worker parked in a read on an idle connection sat out the whole 30 s
+/// `read_timeout` before `shutdown()` could join it. A shutdown must wake
+/// it, and still answer a frame that was already on the wire.
+#[test]
+fn shutdown_wakes_workers_parked_on_idle_connections() {
+    for client_dropped_first in [true, false] {
+        let handle = daemon::start(quiet_config(), ModelHandle::from_model(model())).unwrap();
+        let addr = handle.local_addr();
+        // One round trip each, so a worker owns each connection and is
+        // parked in the read for its next frame.
+        let mut idle = Client::connect(addr).unwrap();
+        idle.place(GameId(0), Resolution::Fhd1080).unwrap();
+        let mut busy = TcpStream::connect(addr).unwrap();
+        // (`write_frame` is two writes; without this the second would wait
+        // in Nagle's buffer for an ACK and the frame be half sent.)
+        busy.set_nodelay(true).unwrap();
+        write_frame(&mut busy, &Request::Stats).unwrap();
+        let _: Response = read_frame(&mut busy).unwrap();
+        // A frame the daemon has received before the shutdown is answered.
+        let depart = Request::Depart { session: 1 };
+        write_frame(&mut busy, &depart).unwrap();
+
+        if client_dropped_first {
+            drop(idle);
+        }
+        let started = std::time::Instant::now();
+        let stats = handle.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "shutdown took {took:?} (client dropped first: {client_dropped_first})"
+        );
+        match read_frame::<_, Response>(&mut busy) {
+            Ok(Response::Departed { session: 1, .. }) => {}
+            other => panic!("the in-flight depart went unanswered: {other:?}"),
+        }
+        assert_eq!(stats.per_request["depart"].ok, 1);
+        assert_eq!(stats.active_sessions, 0);
+        assert_eq!(stats.connections_accepted, stats.connections_closed);
+    }
+}
+
+/// A worker reads the clock once per frame — the reading places the frame's
+/// samples in a window second, stamps its recorder events, drives the SLO
+/// tick and is the "now" of a `Stats` or `SloStatus` reply — and once per
+/// connection, for the queue wait. It used to be four reads per `Place` and
+/// one more per report in a batch.
+#[test]
+fn a_frame_costs_one_clock_read() {
+    use gaugur_serve::slo::{Clock, MonotonicClock};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    #[derive(Debug, Default)]
+    struct CountingClock {
+        inner: MonotonicClock,
+        reads: AtomicU64,
+    }
+    impl Clock for CountingClock {
+        fn now_us(&self) -> u64 {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.now_us()
+        }
+    }
+
+    let clock = std::sync::Arc::new(CountingClock::default());
+    let handle = daemon::start(
+        DaemonConfig {
+            n_servers: 20,
+            clock: Some(clock.clone()),
+            ..quiet_config()
+        },
+        ModelHandle::from_model(model()),
+    )
+    .unwrap();
+    let reads = || clock.reads.load(Ordering::Relaxed);
+
+    let before = reads();
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let mut place = |i| client.place(GameId(i % N_GAMES), Resolution::Fhd1080);
+    let placed: Vec<_> = (0..40).map(|i| place(i).unwrap()).collect();
+    assert_eq!(reads() - before, 40 + 1, "40 frames on 1 connection");
+
+    let reports: Vec<_> = placed
+        .iter()
+        .map(|p| gaugur_serve::OutcomeReport {
+            session: p.session,
+            observed_fps: p.predicted_fps,
+            predicted_fps: p.predicted_fps,
+            model_version: p.model_version,
+        })
+        .collect();
+    let before = reads();
+    assert_eq!(client.report_outcomes(&reports).unwrap(), (40, 0, 0));
+    assert_eq!(reads() - before, 1, "a batch of 40 reports is one frame");
+
+    let before = reads();
+    let stats = client.stats().unwrap();
+    client.slo_status().unwrap();
+    client.metrics().unwrap();
+    assert_eq!(reads() - before, 3, "scrapes report the frame's reading");
+    assert_eq!(stats.per_request["place"].ok, 40);
+    handle.shutdown();
+}
+
+/// At a finite rate the driver used to start an arrival's stopwatch after
+/// its pacing sleep and its departs, so time it spent behind schedule was
+/// charged to nobody. Stall the first reply: every later arrival falls due
+/// during the stall, and its latency must say so.
+#[test]
+fn a_paced_load_run_charges_its_own_lateness_to_the_arrivals() {
+    use gaugur_serve::{FaultAction, FaultInjector, FaultPlan, InjectionPoint};
+    const ARRIVALS: u64 = 8;
+    const STALL_MS: u64 = 300;
+    // A plan whose seeded stream stalls the first placement reply only.
+    let plan = (0..)
+        .map(|seed| FaultPlan {
+            stall_reply: 0.2,
+            stall_ms: STALL_MS,
+            ..FaultPlan::quiet(seed)
+        })
+        .find(|&plan| {
+            let probe = FaultInjector::new(plan);
+            let mut draws = (0..ARRIVALS).map(|_| probe.decide(InjectionPoint::Reply));
+            draws.next() == Some(FaultAction::Stall(STALL_MS))
+                && draws.all(|action| action == FaultAction::None)
+        })
+        .unwrap();
+    let handle = daemon::start(
+        DaemonConfig {
+            n_servers: 8,
+            fault: Some(std::sync::Arc::new(FaultInjector::new(plan))),
+            ..quiet_config()
+        },
+        ModelHandle::from_model(model()),
+    )
+    .unwrap();
+    let report = load::run(&LoadConfig {
+        addr: handle.local_addr().to_string(),
+        seed: 11,
+        connections: 1,
+        requests: ARRIVALS,
+        // Mean gap 1 ms: all eight arrivals are due well inside the stall.
+        rate: 1_000.0,
+        games: (0..N_GAMES).map(GameId).collect(),
+        ..Default::default()
+    });
+    handle.shutdown();
+    assert_eq!(report.errors, 0, "{report}");
+    assert_eq!(report.placed + report.rejected, ARRIVALS);
+    // Timed from the send, only the stalled arrival itself would be slow
+    // and the median a few dozen µs.
+    assert!(
+        report.p50_us >= STALL_MS * 1_000 / 2,
+        "arrivals that were due during the stall report p50 {} µs",
+        report.p50_us
+    );
+}
