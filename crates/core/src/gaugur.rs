@@ -118,8 +118,20 @@ impl GAugur {
     ) -> GAugur {
         let rm_data = to_dataset(&build_rm_samples(&profiles, measured));
         let cm_data = to_dataset(&build_cm_samples(&profiles, measured, &config.qos_values));
-        let rm = RegressionModel::train(&rm_data, config.rm_algorithm, config.seed);
-        let cm = ClassificationModel::train(&cm_data, config.cm_algorithm, config.seed);
+        // Side by side. Each fit draws only from generators it seeds itself,
+        // so neither model depends on how the two threads are scheduled.
+        let (rm, cm) = std::thread::scope(|scope| {
+            let rm =
+                scope.spawn(|| RegressionModel::train(&rm_data, config.rm_algorithm, config.seed));
+            let cm = ClassificationModel::train(&cm_data, config.cm_algorithm, config.seed);
+            let rm = rm.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
+            // Keep a copy made on this thread and drop the original. Under a
+            // per-thread allocator arena (glibc's) everything the spawned
+            // thread allocated is then free and the arena can be given back;
+            // otherwise the one live model pins a megabyte of freed training
+            // scratch in a process that goes on to serve.
+            (rm.clone(), cm)
+        });
         GAugur {
             profiles,
             cm,
@@ -397,6 +409,38 @@ mod tests {
         let actual = out.game_fps(0).unwrap();
         let err = (pred - actual).abs() / actual;
         assert!(err < 0.35, "prediction {pred} vs actual {actual}");
+    }
+
+    /// `from_measurements` trains the RM and the CM on two threads; the
+    /// artifact is the one training them one after the other gives.
+    #[test]
+    fn side_by_side_training_equals_one_after_the_other() {
+        let server = Server::reference(31);
+        let catalog = GameCatalog::generate(42, 10);
+        let config = GAugurConfig::default();
+        let profiles =
+            ProfileStore::new(Profiler::new(config.profiling).profile_catalog(&server, &catalog));
+        let plan = ColocationPlan {
+            pairs: 30,
+            triples: 8,
+            quads: 6,
+            seed: 2,
+        };
+        let measured = measure_colocations(&server, &catalog, &plan_colocations(&catalog, &plan));
+
+        let rm_data = to_dataset(&build_rm_samples(&profiles, &measured));
+        let cm_data = to_dataset(&build_cm_samples(&profiles, &measured, &config.qos_values));
+        let in_turn = GAugur {
+            rm: RegressionModel::train(&rm_data, config.rm_algorithm, config.seed),
+            cm: ClassificationModel::train(&cm_data, config.cm_algorithm, config.seed),
+            profiles: profiles.clone(),
+            config: config.clone(),
+        };
+        let side_by_side = GAugur::from_measurements(profiles, &measured, config);
+        assert!(
+            serde_json::to_string(&side_by_side.serialize()).unwrap()
+                == serde_json::to_string(&in_turn.serialize()).unwrap()
+        );
     }
 
     #[test]

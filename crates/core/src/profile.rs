@@ -200,8 +200,9 @@ impl Profiler {
         }
     }
 
-    /// Profile a whole catalog in parallel. Cost is `O(N)` in the number of
-    /// games — the paper's headline overhead argument.
+    /// Profile a whole catalog, one game after another (`par_iter` is the
+    /// workspace's sequential stand-in for rayon). Cost is `O(N)` in the
+    /// number of games — the paper's headline overhead argument.
     pub fn profile_catalog(&self, server: &Server, catalog: &GameCatalog) -> Vec<GameProfile> {
         catalog
             .games()

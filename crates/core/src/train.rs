@@ -95,9 +95,10 @@ pub fn plan_colocations(catalog: &GameCatalog, plan: &ColocationPlan) -> Vec<Vec
     out
 }
 
-/// Measure a set of colocations on a server (in parallel — the simulator is
-/// the expensive part of this offline step, as the physical testbed is in
-/// the paper).
+/// Measure a set of colocations on a server, one after another (`par_iter`
+/// is the workspace's sequential stand-in for rayon). The simulator is the
+/// expensive part of this offline step, as the physical testbed is in the
+/// paper.
 pub fn measure_colocations(
     server: &Server,
     catalog: &GameCatalog,

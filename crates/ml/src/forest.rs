@@ -1,13 +1,12 @@
 //! Random forests: bagged CART trees with per-split feature subsampling,
-//! trained in parallel (Rayon).
+//! trained one after another over one shared fit context.
 
 use crate::compiled::{CompiledEnsemble, CompiledStats};
 use crate::data::Dataset;
-use crate::tree::{Tree, TreeParams};
+use crate::tree::{FitContext, Tree, TreeFitter, TreeParams};
 use crate::{Classifier, Regressor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Random-forest hyperparameters.
@@ -88,20 +87,20 @@ impl Forest {
             .unwrap_or(default_features)
             .clamp(1, data.width().max(1));
         let n = data.len();
+        let ctx = FitContext::new(data);
+        let mut fitter = TreeFitter::new(&ctx);
         let trees: Vec<Tree> = (0..params.n_trees)
-            .into_par_iter()
             .map(|t| {
                 let mut rng = ChaCha8Rng::seed_from_u64(
                     params.seed ^ (0x466f_7265_7374 /* "Forest" */ + t as u64 * 0x9E37_79B9),
                 );
                 let boot: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-                let sample = data.subset(&boot);
                 let tree_params = TreeParams {
                     max_features: Some(max_features),
                     seed: rng.gen(),
                     ..params.tree
                 };
-                Tree::fit(&sample, &tree_params)
+                fitter.fit(&boot, &data.targets, &tree_params)
             })
             .collect();
         Forest::new(&trees)

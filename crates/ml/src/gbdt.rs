@@ -8,7 +8,7 @@
 
 use crate::compiled::{CompiledEnsemble, CompiledStats};
 use crate::data::Dataset;
-use crate::tree::{Tree, TreeParams};
+use crate::tree::{FitContext, Tree, TreeFitter, TreeParams};
 use crate::{Classifier, Regressor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -130,6 +130,34 @@ impl Boosted {
     }
 }
 
+/// The squared-loss boosting rounds `rounds`: each fits a tree to what
+/// `current` (the running prediction per sample of `data`) still gets wrong
+/// on the round's subsample, then adds the shrunk tree to `current`.
+fn boost_residuals(
+    data: &Dataset,
+    params: &GbdtParams,
+    rounds: std::ops::Range<usize>,
+    current: &mut [f64],
+    trees: &mut Vec<Tree>,
+) {
+    let ctx = FitContext::new(data);
+    let mut fitter = TreeFitter::new(&ctx);
+    let mut residuals = vec![0.0; data.len()];
+    for round in rounds {
+        let idx = round_indices(data.len(), params, round);
+        for &i in &idx {
+            residuals[i] = data.targets[i] - current[i];
+        }
+        let tree = fitter.fit(
+            &idx,
+            &residuals,
+            &params.tree_params(params.seed ^ round as u64),
+        );
+        fitter.add_scaled(&tree, params.learning_rate, current);
+        trees.push(tree);
+    }
+}
+
 /// Gradient-boosted regression trees (the paper's GBRT).
 #[derive(Debug, Clone)]
 pub struct GbrtRegressor {
@@ -160,23 +188,13 @@ impl GbrtRegressor {
         let init = data.targets.iter().sum::<f64>() / n as f64;
         let mut current: Vec<f64> = vec![init; n];
         let mut trees = Vec::with_capacity(params.n_estimators);
-
-        for round in 0..params.n_estimators {
-            let idx = round_indices(n, &params, round);
-            let residual_data = Dataset::from_parts(
-                idx.iter().map(|&i| data.features[i].clone()).collect(),
-                idx.iter().map(|&i| data.targets[i] - current[i]).collect(),
-            );
-            let tree = Tree::fit(
-                &residual_data,
-                &params.tree_params(params.seed ^ round as u64),
-            );
-            for (cur, x) in current.iter_mut().zip(&data.features) {
-                *cur += params.learning_rate * tree.predict(x);
-            }
-            trees.push(tree);
-        }
-
+        boost_residuals(
+            data,
+            &params,
+            0..params.n_estimators,
+            &mut current,
+            &mut trees,
+        );
         GbrtRegressor {
             model: Boosted::new(init, &trees),
             params,
@@ -199,31 +217,19 @@ impl GbrtRegressor {
             !data.is_empty(),
             "cannot warm-start GBRT on an empty dataset"
         );
-        let n = data.len();
-        let params = self.params;
         let mut current: Vec<f64> = data.features.iter().map(|x| self.predict(x)).collect();
         let mut trees = self.model.compiled.to_trees();
         let start = trees.len();
-
-        for round in start..start + extra_rounds {
-            let idx = round_indices(n, &params, round);
-            let residual_data = Dataset::from_parts(
-                idx.iter().map(|&i| data.features[i].clone()).collect(),
-                idx.iter().map(|&i| data.targets[i] - current[i]).collect(),
-            );
-            let tree = Tree::fit(
-                &residual_data,
-                &params.tree_params(params.seed ^ round as u64),
-            );
-            for (cur, x) in current.iter_mut().zip(&data.features) {
-                *cur += params.learning_rate * tree.predict(x);
-            }
-            trees.push(tree);
-        }
-
+        boost_residuals(
+            data,
+            &self.params,
+            start..start + extra_rounds,
+            &mut current,
+            &mut trees,
+        );
         GbrtRegressor {
             model: Boosted::new(self.model.init, &trees),
-            params,
+            params: self.params,
         }
     }
 
@@ -310,35 +316,44 @@ impl GbdtClassifier {
         let mut raw: Vec<f64> = vec![init; n];
         let mut trees = Vec::with_capacity(params.n_estimators);
 
+        let ctx = FitContext::new(data);
+        let mut fitter = TreeFitter::new(&ctx);
+        let mut probs = vec![0.0; n];
+        let mut grads = vec![0.0; n];
+        // Per node id of the round's tree: Σ(y − p) and Σ p(1 − p).
+        let (mut num, mut den) = (Vec::new(), Vec::new());
         for round in 0..params.n_estimators {
             let idx = round_indices(n, &params, round);
             // Negative gradient of the logistic loss: y − p.
-            let grads: Vec<f64> = idx
-                .iter()
-                .map(|&i| data.targets[i] - sigmoid(raw[i]))
-                .collect();
-            let grad_data = Dataset::from_parts(
-                idx.iter().map(|&i| data.features[i].clone()).collect(),
-                grads,
+            for &i in &idx {
+                probs[i] = sigmoid(raw[i]);
+                grads[i] = data.targets[i] - probs[i];
+            }
+            let mut tree = fitter.fit(
+                &idx,
+                &grads,
+                &params.tree_params(params.seed ^ round as u64),
             );
-            let mut tree = Tree::fit(&grad_data, &params.tree_params(params.seed ^ round as u64));
 
             // Newton leaf values: Σ(y − p) / Σ p(1 − p) per leaf.
-            let mut num: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
-            let mut den: std::collections::HashMap<usize, f64> = std::collections::HashMap::new();
+            num.clear();
+            num.resize(tree.node_count(), 0.0);
+            den.clear();
+            den.resize(tree.node_count(), 0.0);
             for &i in &idx {
-                let leaf = tree.leaf_index(&data.features[i]);
-                let p = sigmoid(raw[i]);
-                *num.entry(leaf).or_default() += data.targets[i] - p;
-                *den.entry(leaf).or_default() += (p * (1.0 - p)).max(1e-9);
+                let leaf = fitter.leaf_of(i);
+                num[leaf] += grads[i];
+                den[leaf] += (probs[i] * (1.0 - probs[i])).max(1e-9);
             }
-            for (leaf, s) in num {
-                tree.set_leaf_value(leaf, s / den[&leaf]);
+            // Every leaf holds a sample of the round; only a split node's
+            // `den` is still the 0.0 it started as.
+            for (leaf, (s, d)) in num.iter().zip(&den).enumerate() {
+                if *d != 0.0 {
+                    tree.set_leaf_value(leaf, s / d);
+                }
             }
 
-            for (r, x) in raw.iter_mut().zip(&data.features) {
-                *r += params.learning_rate * tree.predict(x);
-            }
+            fitter.add_scaled(&tree, params.learning_rate, &mut raw);
             trees.push(tree);
         }
 
@@ -527,6 +542,10 @@ mod tests {
         );
         let same = m.continue_fit(&sine_data(60), 0);
         assert_eq!(same.n_trees(), m.n_trees());
+        assert!(
+            serde_json::to_string(&same.serialize()).unwrap()
+                == serde_json::to_string(&m.serialize()).unwrap()
+        );
         for i in 0..50 {
             let x = [i as f64 / 50.0];
             assert_eq!(

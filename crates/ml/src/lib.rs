@@ -11,7 +11,6 @@
 //! * [`tree`] — CART decision trees (Gini classification, variance-reduction
 //!   regression),
 //! * [`forest`] — bagged random forests with per-split feature subsampling,
-//!   trained in parallel with Rayon,
 //! * [`gbdt`] — gradient-boosted trees (squared loss for regression,
 //!   logistic loss for binary classification),
 //! * [`svm`] — kernel SVC (SMO) and ε-SVR (pairwise dual coordinate

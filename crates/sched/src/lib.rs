@@ -61,12 +61,6 @@ pub use vbp_fit::assign_worst_fit;
 use gaugur_core::{
     DegradationBatch, FeatureBuffer, GAugur, InterferencePredictor, Placement, ProfileStore,
 };
-use rayon::prelude::*;
-
-/// Colocation batches at least this wide are scored in parallel by the
-/// default [`FpsModel::predict_colocation_sums`]; below it the per-task
-/// overhead outweighs the parallelism.
-pub const PAR_SCORE_THRESHOLD: usize = 8;
 
 /// A batch of prospective colocations to score together: member lists are
 /// stored back to back in one flat pool, so refilling each decision round
@@ -165,9 +159,9 @@ pub trait FpsModel: Sync {
     /// Predicted summed FPS of every colocation in `batch`, written to
     /// `out` (cleared first) in batch order. Must agree with
     /// [`predict_colocation_sum`](FpsModel::predict_colocation_sum) per
-    /// colocation. The default loops (in parallel past
-    /// [`PAR_SCORE_THRESHOLD`]); batched models override it with one fused
-    /// evaluation through the scratch buffers.
+    /// colocation. The default scores one colocation after another; batched
+    /// models override it with one fused evaluation through the scratch
+    /// buffers.
     fn predict_colocation_sums(
         &self,
         batch: &ColocationBatch,
@@ -175,17 +169,7 @@ pub trait FpsModel: Sync {
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        if batch.len() >= PAR_SCORE_THRESHOLD {
-            out.extend(
-                (0..batch.len())
-                    .into_par_iter()
-                    .map(|i| self.predict_colocation_sum(batch.members(i))),
-            );
-        } else {
-            for i in 0..batch.len() {
-                out.push(self.predict_colocation_sum(batch.members(i)));
-            }
-        }
+        out.extend((0..batch.len()).map(|i| self.predict_colocation_sum(batch.members(i))));
     }
 
     /// [`predict_colocation_sums`](FpsModel::predict_colocation_sums) only

@@ -522,19 +522,20 @@ fn start_with(
 /// writing over each other's artifacts.
 static RETRAIN_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn retrain_artifact_path() -> PathBuf {
+/// A fresh directory name for one retrain's artifact.
+fn retrain_artifact_dir() -> PathBuf {
     let seq = RETRAIN_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "gaugur-retrain-{}-{seq}/model.json",
-        std::process::id()
-    ))
+    std::env::temp_dir().join(format!("gaugur-retrain-{}-{seq}", std::process::id()))
 }
 
 /// The retrainer thread: serve queued jobs until the sender is dropped at
 /// shutdown (queued jobs still run — shutdown drains, it does not abort).
 fn retrainer_loop(shared: &Shared, rx: &mpsc::Receiver<RetrainJob>) {
+    // Directory of the last retrain that published. It outlives the daemon
+    // on purpose: it holds the artifact the serving model was loaded from.
+    let mut published_dir = None;
     while let Ok(job) = rx.recv() {
-        run_retrain(shared, job);
+        run_retrain(shared, job, &mut published_dir);
     }
 }
 
@@ -543,7 +544,9 @@ fn retrainer_loop(shared: &Shared, rx: &mpsc::Receiver<RetrainJob>) {
 /// through the hot-reload path. Every failure mode — too few samples, no
 /// usable outcomes, artifact I/O, reload rejection — leaves the serving
 /// model (and its version) untouched and only bumps `retrains_failed`.
-fn run_retrain(shared: &Shared, job: RetrainJob) {
+/// `published_dir` is the artifact directory of the last retrain that
+/// published: only that one is kept on disk.
+fn run_retrain(shared: &Shared, job: RetrainJob, published_dir: &mut Option<PathBuf>) {
     let started_us = shared.clock.now_us();
     let fb = &shared.feedback;
     let cfg = fb.config();
@@ -572,15 +575,17 @@ fn run_retrain(shared: &Shared, job: RetrainJob) {
     // in-memory: the on-disk artifact stays the source of truth (a daemon
     // restart or an operator `reload` sees the retrained model), and the
     // swap inherits reload's monotone-version guarantee.
-    let path = retrain_artifact_path();
-    let published = path
-        .parent()
-        .map(std::fs::create_dir_all)
-        .transpose()
+    let dir = retrain_artifact_dir();
+    let path = dir.join("model.json");
+    let published = std::fs::create_dir_all(&dir)
         .and_then(|_| retrained.save_json(&path))
         .and_then(|_| shared.model.reload(Some(&path)));
     match published {
         Ok(version) => {
+            // The serving model's artifact stays; the one it superseded goes.
+            if let Some(superseded) = published_dir.replace(dir) {
+                let _ = std::fs::remove_dir_all(superseded);
+            }
             // The new model's accuracy starts from a clean slate: drop the
             // sliding error window along with the Page–Hinkley state, so
             // `windowed_mae` no longer reflects the replaced model's errors
@@ -594,7 +599,10 @@ fn run_retrain(shared: &Shared, job: RetrainJob) {
             let published = Event::RetrainOk { version, samples };
             shared.recorder.record_control(finished_us, published);
         }
-        Err(_) => failed(),
+        Err(_) => {
+            let _ = std::fs::remove_dir_all(&dir);
+            failed()
+        }
     }
 }
 
