@@ -1,94 +1,17 @@
-//! Serving-stack micro-benchmarks: the placement path in process, what one
-//! request's telemetry costs, a `Metrics` render, and Criterion round trips
-//! over a real localhost socket. End-to-end throughput and latency are the
+//! Serving-stack micro-benchmarks: what one request's telemetry costs, a
+//! `Metrics` render, and Criterion round trips over a real localhost socket. End-to-end throughput and latency are the
 //! performance ledger's to report (`crates/bench/examples/ledger`), with
 //! their spread and their host; nothing here duplicates them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gaugur_bench::ExperimentContext;
-use gaugur_core::{GAugur, GAugurConfig, Placement};
+use gaugur_core::{GAugur, GAugurConfig};
 use gaugur_gamesim::{GameId, Resolution};
-use gaugur_sched::{select_server, select_server_incremental, Policy, ScoreCache};
 use gaugur_serve::{
-    daemon, load, Client, Clock, Counter, DaemonConfig, LoadConfig, MemoizedFps, ModelHandle,
-    MonotonicClock, PredictionMemo, RequestTrace, SlowMeta, Stage, Telemetry,
+    daemon, load, Client, Clock, Counter, DaemonConfig, LoadConfig, ModelHandle, MonotonicClock,
+    RequestTrace, SlowMeta, Stage, Telemetry,
 };
 use std::time::Instant;
-
-/// Deep-fleet placement-path comparison, in-process (no wire): the old
-/// per-request full recompute (occupancy clone + stateless scorer) against
-/// the incremental scorer with a persistent per-server score cache. Printed
-/// as µs/request and a speedup ratio; the cache is what buys the win, so the
-/// fleet is pre-loaded near-full where the quadratic cost bites. Returns
-/// `(full-recompute µs/req, incremental µs/req)` for the JSON report.
-fn deep_fleet_comparison(model: &GAugur) -> (f64, f64) {
-    const N_SERVERS: usize = 64;
-    const N_GAMES: u32 = 20;
-    const REPS: u32 = 400;
-    const R: Resolution = Resolution::Fhd1080;
-
-    let handle = ModelHandle::from_model(model.clone());
-    let loaded = handle.get();
-    let memo = PredictionMemo::new(1 << 16);
-    let fps = MemoizedFps {
-        model: &loaded,
-        memo: &memo,
-        qos: 60.0,
-    };
-
-    // Three distinct games per server (7 and 14 are coprime spacings mod 20).
-    let mut occupancy: Vec<Vec<Placement>> = (0..N_SERVERS)
-        .map(|s| {
-            [s, s + 7, s + 14]
-                .iter()
-                .map(|&g| (GameId((g % N_GAMES as usize) as u32), R))
-                .collect()
-        })
-        .collect();
-
-    // One warm-up pass per path so the shared prediction memo is equally hot
-    // before either timer starts.
-    let run_old = |occupancy: &mut Vec<Vec<Placement>>| {
-        for i in 0..REPS {
-            let request = (GameId(i % N_GAMES), R);
-            let snapshot = occupancy.clone(); // what the daemon used to do
-            if let Some(server) = select_server(&snapshot, request, &Policy::MaxPredictedFps(&fps))
-            {
-                occupancy[server].push(request);
-                occupancy[server].pop();
-            }
-        }
-    };
-    run_old(&mut occupancy);
-    let t0 = Instant::now();
-    run_old(&mut occupancy);
-    let old_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(REPS);
-
-    let mut cache = ScoreCache::new(N_SERVERS);
-    let run_new = |occupancy: &mut Vec<Vec<Placement>>, cache: &mut ScoreCache| {
-        for i in 0..REPS {
-            let request = (GameId(i % N_GAMES), R);
-            if let Some(sel) = select_server_incremental(&*occupancy, request, &fps, 1, cache) {
-                occupancy[sel.server].push(request);
-                occupancy[sel.server].pop();
-                cache.invalidate(sel.server); // the immediate depart
-            }
-        }
-    };
-    run_new(&mut occupancy, &mut cache);
-    let t1 = Instant::now();
-    run_new(&mut occupancy, &mut cache);
-    let new_us = t1.elapsed().as_secs_f64() * 1e6 / f64::from(REPS);
-
-    let (hits, misses) = cache.counts();
-    eprintln!(
-        "placement_deep_fleet ({N_SERVERS} servers, 3 games each): \
-         full recompute {old_us:.1} µs/req, incremental {new_us:.1} µs/req \
-         ({:.1}x, score cache {hits} hits / {misses} misses)",
-        old_us / new_us.max(1e-9)
-    );
-    (old_us, new_us)
-}
 
 /// What a worker spends on telemetry for one delivered `Place`, in process:
 /// the frame's clock read, positioning on the current second, the place
@@ -145,18 +68,13 @@ fn metrics_render_us(client: &mut Client) -> f64 {
 }
 
 /// Write the machine-readable report the CI gate checks for.
-fn emit_report(placement_us: (f64, f64), telemetry_ns: f64, render_us: f64) {
+fn emit_report(telemetry_ns: f64, render_us: f64) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serving.json");
-    let (old_us, new_us) = placement_us;
     let json = format!(
         "{{\n  \"benchmark\": \"serving\",\n  {},\n  \
-         \"placement_full_recompute_us_per_req\": {old_us:.1},\n  \
-         \"placement_incremental_us_per_req\": {new_us:.1},\n  \
-         \"placement_speedup\": {:.2},\n  \
          \"telemetry_record_ns_per_request\": {telemetry_ns:.0},\n  \
          \"metrics_render_us\": {render_us:.1}\n}}\n",
         gaugur_bench::host_fields(),
-        old_us / new_us.max(1e-9),
     );
     std::fs::write(path, json).expect("write BENCH_serving.json");
     eprintln!("wrote {path}");
@@ -168,7 +86,6 @@ fn bench(c: &mut Criterion) {
         GAugur::from_measurements(ctx.profiles.clone(), &ctx.train, GAugurConfig::default());
     let games: Vec<GameId> = ctx.catalog.games().iter().map(|g| g.id).collect();
 
-    let placement_us = deep_fleet_comparison(&model);
     let telemetry_ns = telemetry_record_ns();
     let handle = daemon::start(
         DaemonConfig {
@@ -218,7 +135,7 @@ fn bench(c: &mut Criterion) {
     g.finish();
 
     // Rendered last, from a snapshot the runs above have filled in.
-    emit_report(placement_us, telemetry_ns, metrics_render_us(&mut client));
+    emit_report(telemetry_ns, metrics_render_us(&mut client));
     drop(client);
     handle.shutdown();
 }

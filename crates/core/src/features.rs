@@ -179,10 +179,11 @@ pub fn cm_width(granularity: usize) -> usize {
 
 /// Reusable scratch space for the zero-allocation inference path.
 ///
-/// One `FeatureBuffer` is owned exclusively by one worker (thread-local in
-/// the serving daemon, stack-local elsewhere); the predictor borrows it for
-/// the duration of one batch call and leaves its capacity behind for the
-/// next call. Nothing in it is meaningful between calls.
+/// One `FeatureBuffer` is owned exclusively by one worker (in its
+/// `WorkerState` in the serving daemon, stack-local elsewhere); the
+/// predictor borrows it for the duration of one batch call and leaves its
+/// capacity behind for the next call. Nothing in it is meaningful between
+/// calls.
 #[derive(Debug, Default)]
 pub struct FeatureBuffer {
     /// Gathered intensity vectors of one colocation.

@@ -8,7 +8,7 @@
 //! the time-weighted FPS and QoS-violation rate the players actually
 //! experienced — the natural online extension of the paper's evaluation.
 
-use crate::placement::{select_server_cached, ScoreCache};
+use crate::placement::{select_server, ScoreCache};
 use crate::FpsModel;
 use gaugur_baselines::VbpPolicy;
 use gaugur_core::Placement;
@@ -187,8 +187,7 @@ pub fn simulate_dynamic(
             .iter()
             .map(|c| c.iter().map(|s| (s.game, resolution)).collect())
             .collect();
-        let Some(chosen) =
-            select_server_cached(&occupancy, (game, resolution), policy, 1, &mut scores)
+        let Some(chosen) = select_server(&occupancy, (game, resolution), policy, 1, &mut scores)
         else {
             rejected += 1;
             continue;

@@ -51,9 +51,9 @@ pub use dynamic::{simulate_dynamic, DynamicConfig, DynamicResult, Policy};
 pub use eval::{evaluate_cluster, ClusterEvaluation};
 pub use maxfps::{assign_max_fps, MaxFpsResult};
 pub use placement::{
-    eligible_servers, placement_delta, rank_shard_selections, select_server, select_server_cached,
-    select_server_if_resident, select_server_incremental, select_server_incremental_with,
-    NotResident, OccupancyView, PlacementScratch, ScoreCache, Selection,
+    eligible_servers, rank_shard_selections, select_server, select_server_if_resident,
+    select_server_incremental, select_server_incremental_with, NotResident, OccupancyView,
+    PlacementScratch, ScoreCache, Selection,
 };
 pub use requests::{random_requests, RequestCounts};
 pub use vbp_fit::assign_worst_fit;

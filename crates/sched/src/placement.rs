@@ -7,32 +7,27 @@
 //! so the eligibility filter and the per-policy argmax live here and both
 //! callers share them.
 //!
-//! Two scoring paths exist:
+//! The delta-greedy objective (Section 5.2) has one scorer,
+//! [`select_server_incremental_with`]: a [`ScoreCache`] keeps each server's
+//! current predicted summed FPS (keyed by model version), so only the
+//! *extended* colocations are predicted per request — and those are
+//! assembled into **one** [`FpsModel::predict_colocation_sums`] batch call
+//! over all candidates (likewise the cache misses among the `before` sums),
+//! so a batched model pays one feature-matrix assembly and one ensemble pass
+//! per admit instead of a prediction per candidate. All buffers live in a
+//! caller-owned [`PlacementScratch`], one per worker: the hot path allocates
+//! nothing once the buffers have grown. [`select_server`] dispatches every
+//! [`Policy`] and sends `MaxPredictedFps` through it.
 //!
-//! * [`select_server`] — the stateless baseline: every candidate server's
-//!   `before` and `after` sums are predicted from scratch on every request,
-//!   O(servers × members) model predictions per placement.
-//! * [`select_server_incremental_with`] — the online hot path: a
-//!   [`ScoreCache`] keeps each server's current predicted summed FPS (keyed
-//!   by model version), so only the *extended* colocations are predicted
-//!   per request — and those are assembled into **one**
-//!   [`FpsModel::predict_colocation_sums`] batch call over all candidates
-//!   (likewise the cache misses among the `before` sums), so a batched
-//!   model pays one feature-matrix assembly and one ensemble pass per
-//!   admit instead of a prediction per candidate. All buffers live in a
-//!   caller-owned [`PlacementScratch`], one per worker: the hot path
-//!   allocates nothing once the buffers have grown.
-//!
-//! [`select_server_if_resident`] is the second one for a caller that scores
+//! [`select_server_if_resident`] is the same scorer for a caller that scores
 //! under a lock: it completes only if the model answers every candidate
 //! from its cache, and otherwise hands the candidates back so the caller
 //! can evaluate them with the lock released and then select for real.
 //!
-//! Both paths compute the identical delta-greedy objective (Section 5.2):
-//! the cached `before` sum is the same member-wise sum the baseline
-//! recomputes, and the batched sums are bit-identical to the scalar ones by
-//! the [`FpsModel::predict_colocation_sums`] contract, so the selectors
-//! always agree on the chosen server.
+//! The cached `before` sum is the member-wise sum a from-scratch scorer
+//! would recompute, and the batched sums are bit-identical to the scalar
+//! ones by the [`FpsModel::predict_colocation_sums`] contract, so the
+//! choice is the full recompute's (the tests keep one as the reference).
 
 use crate::dynamic::Policy;
 use crate::maxfps::MAX_PER_SERVER;
@@ -87,21 +82,6 @@ pub fn eligible_servers<V: OccupancyView + ?Sized>(occupancy: &V, game: GameId) 
     (0..occupancy.n_servers())
         .filter(|&s| server_eligible(occupancy.members(s), game))
         .collect()
-}
-
-/// Predicted change in a server's summed FPS if `candidate` joins `members`.
-/// The delta-greedy objective of Section 5.2: existing sessions' predicted
-/// losses count against the newcomer's predicted gain.
-pub fn placement_delta(model: &dyn FpsModel, members: &[Placement], candidate: Placement) -> f64 {
-    let before: f64 = (0..members.len())
-        .map(|i| model.predict_member_fps(members, i))
-        .sum();
-    let mut extended = members.to_vec();
-    extended.push(candidate);
-    let after: f64 = (0..extended.len())
-        .map(|i| model.predict_member_fps(&extended, i))
-        .sum();
-    after - before
 }
 
 /// Per-server cached predicted summed FPS, keyed by model version.
@@ -441,58 +421,29 @@ pub fn select_server_incremental<V: OccupancyView + ?Sized>(
     })
 }
 
-/// Policy dispatch over the incremental scorer: `MaxPredictedFps` goes
-/// through [`select_server_incremental`] (same admit contract), the
-/// model-free policies fall back to [`select_server`] and leave the cache
-/// untouched.
-pub fn select_server_cached<V: OccupancyView + ?Sized>(
+/// Choose a server for one arriving session under `policy`, or `None` when
+/// no server is eligible. `MaxPredictedFps` goes through
+/// [`select_server_incremental`] under `model_version` (same admit contract
+/// on `cache`); the model-free policies leave the cache untouched.
+pub fn select_server<V: OccupancyView + ?Sized>(
     occupancy: &V,
     request: Placement,
     policy: &Policy<'_>,
     model_version: u64,
     cache: &mut ScoreCache,
 ) -> Option<usize> {
+    let eligible = || eligible_servers(occupancy, request.0).into_iter();
     match policy {
         Policy::MaxPredictedFps(model) => {
             select_server_incremental(occupancy, request, *model, model_version, cache)
                 .map(|sel| sel.server)
         }
-        _ => select_server(occupancy, request, policy),
+        Policy::FirstFit => eligible().next(),
+        Policy::WorstFitVbp(vbp) => eligible().max_by(|&a, &b| {
+            vbp.remaining_capacity(occupancy.members(a))
+                .total_cmp(&vbp.remaining_capacity(occupancy.members(b)))
+        }),
     }
-}
-
-/// Choose a server for one arriving session under `policy`, or `None` when
-/// no server is eligible. The stateless baseline: `MaxPredictedFps` here
-/// recomputes every candidate's full [`placement_delta`] from scratch
-/// (the online paths use [`select_server_incremental_with`] instead).
-pub fn select_server<V: OccupancyView + ?Sized>(
-    occupancy: &V,
-    request: Placement,
-    policy: &Policy<'_>,
-) -> Option<usize> {
-    let eligible = eligible_servers(occupancy, request.0);
-    if eligible.is_empty() {
-        return None;
-    }
-    let chosen =
-        match policy {
-            Policy::FirstFit => eligible[0],
-            Policy::WorstFitVbp(vbp) => *eligible
-                .iter()
-                .max_by(|&&a, &&b| {
-                    vbp.remaining_capacity(occupancy.members(a))
-                        .total_cmp(&vbp.remaining_capacity(occupancy.members(b)))
-                })
-                .expect("non-empty eligible set"),
-            Policy::MaxPredictedFps(model) => *eligible
-                .iter()
-                .max_by(|&&a, &&b| {
-                    placement_delta(*model, occupancy.members(a), request)
-                        .total_cmp(&placement_delta(*model, occupancy.members(b), request))
-                })
-                .expect("non-empty eligible set"),
-        };
-    Some(chosen)
 }
 
 #[cfg(test)]
@@ -518,6 +469,28 @@ mod tests {
         }
     }
 
+    /// The full-recompute reference the incremental scorer must agree
+    /// with: a candidate's `before` and `after` sums predicted member by
+    /// member from scratch (the delta-greedy of Section 5.2).
+    fn placement_delta(members: &[Placement], candidate: Placement) -> f64 {
+        let sum = |members: &[Placement]| -> f64 {
+            (0..members.len())
+                .map(|i| FakeFps.predict_member_fps(members, i))
+                .sum()
+        };
+        let mut extended = members.to_vec();
+        extended.push(candidate);
+        sum(&extended) - sum(members)
+    }
+
+    /// The full recompute's argmax over the eligible servers.
+    fn full_recompute(occupancy: &[Vec<Placement>], request: Placement) -> Option<usize> {
+        let delta = |s: usize| placement_delta(&occupancy[s], request);
+        eligible_servers(occupancy, request.0)
+            .into_iter()
+            .max_by(|&a, &b| delta(a).total_cmp(&delta(b)))
+    }
+
     #[test]
     fn eligibility_respects_cap_and_duplicates() {
         let occupancy = vec![
@@ -538,12 +511,13 @@ mod tests {
     #[test]
     fn first_fit_picks_lowest_eligible_index() {
         let occupancy = vec![vec![(GameId(7), R)], vec![], vec![]];
+        let mut cache = ScoreCache::new(3);
         assert_eq!(
-            select_server(&occupancy, (GameId(7), R), &Policy::FirstFit),
+            select_server(&occupancy, (GameId(7), R), &Policy::FirstFit, 1, &mut cache),
             Some(1)
         );
         assert_eq!(
-            select_server(&occupancy, (GameId(8), R), &Policy::FirstFit),
+            select_server(&occupancy, (GameId(8), R), &Policy::FirstFit, 1, &mut cache),
             Some(0)
         );
     }
@@ -556,11 +530,11 @@ mod tests {
             (GameId(3), R),
             (GameId(4), R),
         ]];
+        let mut cache = ScoreCache::new(1);
         assert_eq!(
-            select_server(&full, (GameId(9), R), &Policy::FirstFit),
+            select_server(&full, (GameId(9), R), &Policy::FirstFit, 1, &mut cache),
             None
         );
-        let mut cache = ScoreCache::new(1);
         assert_eq!(
             select_server_incremental(&full, (GameId(9), R), &FakeFps, 1, &mut cache),
             None
@@ -580,10 +554,10 @@ mod tests {
         let mut cache = ScoreCache::new(occupancy.len());
         for g in [0u32, 6, 7, 11, 13] {
             let request = (GameId(g), R);
-            let full = select_server(&occupancy, request, &Policy::MaxPredictedFps(&FakeFps));
+            let full = full_recompute(&occupancy, request);
             let mut fresh = ScoreCache::new(occupancy.len());
-            let inc = select_server_incremental(&occupancy, request, &FakeFps, 1, &mut fresh)
-                .map(|s| s.server);
+            let policy = Policy::MaxPredictedFps(&FakeFps);
+            let inc = select_server(&occupancy, request, &policy, 1, &mut fresh);
             assert_eq!(full, inc, "game {g} (cold cache)");
             // A warm cache (possibly stale from hypothetical admits) is
             // reset here so the comparison stays against the same fleet.
@@ -792,7 +766,7 @@ mod tests {
         let request = (GameId(7), R);
         let mut cache = ScoreCache::new(2);
         let sel = select_server_incremental(&occupancy, request, &FakeFps, 1, &mut cache).unwrap();
-        let direct = placement_delta(&FakeFps, &occupancy[sel.server], request);
+        let direct = placement_delta(&occupancy[sel.server], request);
         assert!((sel.delta - direct).abs() < 1e-12);
     }
 
@@ -892,7 +866,7 @@ mod tests {
         ];
         for g in [0u32, 5, 10, 12] {
             let request = (GameId(g), R);
-            let whole = select_server(&occupancy, request, &Policy::MaxPredictedFps(&FakeFps));
+            let whole = full_recompute(&occupancy, request);
 
             let candidates: Vec<Option<Selection>> = occupancy
                 .chunks(2)

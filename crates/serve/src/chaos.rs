@@ -29,8 +29,9 @@
 //! 5. **Per-shard conservation** — the daemon under chaos runs *two*
 //!    placement shards (single worker, so runs stay strictly sequential
 //!    and seed-pure); at both quiesce points (post-drain, post-shutdown)
-//!    the per-shard active counts must sum to the global count and every
-//!    session id must route to exactly the shard that holds it.
+//!    the daemon must report both shards, the per-shard active counts must
+//!    sum to the global count and every session id must route to exactly
+//!    the shard that holds it (the check `gaugur load --shards` runs).
 //!
 //! Reproducing a failure locally: `gaugur chaos --seed <N>` re-runs the
 //! scenario with the identical fault schedule and prints the report.
@@ -38,6 +39,7 @@
 use crate::daemon::{self, DaemonConfig};
 use crate::fault::{FaultAction, FaultEvent, FaultInjector, FaultPlan, InjectionPoint};
 use crate::feedback::FeedbackConfig;
+use crate::load::verify_shard_layout;
 use crate::model::ModelHandle;
 use crate::stats::StatsSnapshot;
 use crate::wire::{
@@ -103,7 +105,7 @@ impl ChaosConfig {
 }
 
 /// What one scenario observed and whether its oracles held.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioReport {
     /// The scenario seed.
     pub seed: u64,
@@ -486,54 +488,8 @@ impl Runner {
     }
 }
 
-/// Everything the faulted run produced, pre-oracle.
-struct FaultedRun {
-    trace: Vec<TraceOp>,
-    confirmed: u64,
-    rejected: u64,
-    lost_requests: u64,
-    lost_replies: u64,
-    reloads_ok: u64,
-    reloads_failed: u64,
-    retrains_ok: u64,
-    retrains_failed: u64,
-    outcomes_accepted: u64,
-    outcomes_dropped: u64,
-    final_stats: StatsSnapshot,
-    recorder_dump: String,
-    violations: Vec<String>,
-}
-
 fn fps_bits(fps: f64) -> u64 {
     fps.to_bits()
-}
-
-/// The per-shard conservation oracle: the per-shard active counts must
-/// cover every shard, sum to the global active count, and no session may
-/// sit in a shard its id does not route to. Only meaningful at quiesce
-/// points — between them a placement may land on one shard after another
-/// was already read into the snapshot.
-fn check_shard_conservation(snapshot: &StatsSnapshot, when: &str, violations: &mut Vec<String>) {
-    if snapshot.shard_active_sessions.len() != snapshot.shards {
-        violations.push(format!(
-            "{when}: {} per-shard counters for {} shards",
-            snapshot.shard_active_sessions.len(),
-            snapshot.shards
-        ));
-    }
-    let sum: u64 = snapshot.shard_active_sessions.iter().sum();
-    if sum != snapshot.active_sessions {
-        violations.push(format!(
-            "{when}: per-shard active sessions sum to {sum}, global count says {}",
-            snapshot.active_sessions
-        ));
-    }
-    if snapshot.shard_misrouted_sessions != 0 {
-        violations.push(format!(
-            "{when}: {} sessions live in a shard their id does not route to",
-            snapshot.shard_misrouted_sessions
-        ));
-    }
 }
 
 /// Record a model version observed on the wire, checking monotonicity.
@@ -546,19 +502,18 @@ fn note_version(versions_seen: &mut Vec<u64>, v: u64, violations: &mut Vec<Strin
     versions_seen.push(v);
 }
 
-/// Drive the op mix against the daemon with fault injection, drain, run
-/// the stats oracles, and shut the daemon down.
-fn faulted_run(config: &ChaosConfig, injector: Arc<FaultInjector>) -> Result<FaultedRun, String> {
-    let model = ModelHandle::load(&config.artifact)
-        .map_err(|e| format!("loading {} failed: {e}", config.artifact.display()))?;
-    let daemon_config = DaemonConfig {
+/// The daemon a scenario runs against, faulted (`fault: Some`) or for the
+/// replay (`None`). Replay demands bit-identical decisions, so both runs
+/// build their daemon here and differ in the injector alone.
+fn daemon_config(config: &ChaosConfig, fault: Option<Arc<FaultInjector>>) -> DaemonConfig {
+    DaemonConfig {
         bind: "127.0.0.1:0".into(),
         n_servers: config.n_servers,
         // One worker and two shards: the sequential runner keeps at most
-        // one request in flight, so the two-phase admit never races (its
-        // epoch checks always pass) and every decision stays seed-pure —
-        // while the shard routing, id interleaving and per-shard rollback
-        // paths are all exercised under fault injection.
+        // one request in flight, so the admit path never races (its epoch
+        // checks always pass) and every decision stays seed-pure — while
+        // the shard routing, id interleaving and per-shard rollback paths
+        // are all exercised under fault injection.
         workers: 1,
         shards: 2,
         queue_capacity: 64,
@@ -566,7 +521,7 @@ fn faulted_run(config: &ChaosConfig, injector: Arc<FaultInjector>) -> Result<Fau
         max_frame_len: 1024,
         qos: config.qos,
         print_stats_on_shutdown: false,
-        fault: Some(injector.clone()),
+        fault,
         // Retrains fire only through explicit TriggerRetrain ops, decided
         // client-side on the fault stream — a drift-tripped auto-retrain
         // would fire at a wall-clock-dependent point and break determinism.
@@ -576,8 +531,22 @@ fn faulted_run(config: &ChaosConfig, injector: Arc<FaultInjector>) -> Result<Fau
             ..FeedbackConfig::default()
         },
         ..Default::default()
-    };
-    let max_frame_len = daemon_config.max_frame_len;
+    }
+}
+
+/// Drive the op mix against the daemon with fault injection, drain, run
+/// the stats oracles, and shut the daemon down. Counts and oracle
+/// violations land in `run`; the delivered operations come back for the
+/// replay.
+fn faulted_run(
+    config: &ChaosConfig,
+    injector: Arc<FaultInjector>,
+    run: &mut ScenarioReport,
+) -> Result<Vec<TraceOp>, String> {
+    let model = ModelHandle::load(&config.artifact)
+        .map_err(|e| format!("loading {} failed: {e}", config.artifact.display()))?;
+    let daemon_config = daemon_config(config, Some(injector.clone()));
+    let (max_frame_len, shards) = (daemon_config.max_frame_len, daemon_config.shards);
     let handle = daemon::start(daemon_config, model).map_err(|e| format!("start failed: {e}"))?;
     let mut runner = Runner::new(handle.local_addr(), injector, max_frame_len)?;
 
@@ -591,23 +560,6 @@ fn faulted_run(config: &ChaosConfig, injector: Arc<FaultInjector>) -> Result<Fau
     let mut live: Vec<(u64, u64, u64)> = Vec::new();
     let mut next_logical = 0u64;
     let mut versions_seen: Vec<u64> = Vec::new();
-
-    let mut run = FaultedRun {
-        trace: Vec::new(),
-        confirmed: 0,
-        rejected: 0,
-        lost_requests: 0,
-        lost_replies: 0,
-        reloads_ok: 0,
-        reloads_failed: 0,
-        retrains_ok: 0,
-        retrains_failed: 0,
-        outcomes_accepted: 0,
-        outcomes_dropped: 0,
-        final_stats: StatsSnapshot::default(),
-        recorder_dump: String::new(),
-        violations: Vec::new(),
-    };
 
     let draw_placement = |rng: &mut rand_chacha::ChaCha8Rng, config: &ChaosConfig| {
         let game = config.games[rng.gen_range(0..config.games.len())];
@@ -977,11 +929,9 @@ fn faulted_run(config: &ChaosConfig, injector: Arc<FaultInjector>) -> Result<Fau
     if let Err(v) = crate::trace::verify_stage_accounting(&snapshot) {
         violations.push(format!("stage accounting (post-drain): {v}"));
     }
-    check_shard_conservation(
-        &snapshot,
-        "shard conservation (post-drain)",
-        &mut violations,
-    );
+    if let Err(v) = verify_shard_layout(&snapshot, shards) {
+        violations.push(format!("shard conservation (post-drain): {v}"));
+    }
 
     // Snapshot the flight recorder's deterministic view before shutdown.
     // `run_scenario` demands these bytes identical to the fault-free
@@ -1020,16 +970,13 @@ fn faulted_run(config: &ChaosConfig, injector: Arc<FaultInjector>) -> Result<Fau
     if let Err(v) = crate::trace::verify_stage_accounting(&final_stats) {
         violations.push(format!("stage accounting (after shutdown): {v}"));
     }
-    check_shard_conservation(
-        &final_stats,
-        "shard conservation (after shutdown)",
-        &mut violations,
-    );
+    if let Err(v) = verify_shard_layout(&final_stats, shards) {
+        violations.push(format!("shard conservation (after shutdown): {v}"));
+    }
 
-    run.trace = trace;
     run.final_stats = final_stats;
     run.violations = violations;
-    Ok(run)
+    Ok(trace)
 }
 
 /// Replay the surviving operations against a fresh fault-free daemon and
@@ -1038,29 +985,8 @@ fn faulted_run(config: &ChaosConfig, injector: Arc<FaultInjector>) -> Result<Fau
 /// Returns `(replayed, violations, deterministic recorder dump)`.
 fn replay(config: &ChaosConfig, trace: &[TraceOp]) -> Result<(u64, Vec<String>, String), String> {
     let model = ModelHandle::load(&config.artifact).map_err(|e| format!("replay load: {e}"))?;
-    let daemon_config = DaemonConfig {
-        bind: "127.0.0.1:0".into(),
-        n_servers: config.n_servers,
-        // Identical threading and shard layout to the faulted run: replay
-        // demands bit-identical decisions, so the fleets must partition
-        // (and mint session ids) exactly the same way.
-        workers: 1,
-        shards: 2,
-        queue_capacity: 64,
-        read_timeout: config.read_timeout,
-        max_frame_len: 1024,
-        qos: config.qos,
-        print_stats_on_shutdown: false,
-        fault: None,
-        feedback: FeedbackConfig {
-            auto_retrain: false,
-            min_retrain_samples: 1,
-            ..FeedbackConfig::default()
-        },
-        ..Default::default()
-    };
-    let handle =
-        daemon::start(daemon_config, model).map_err(|e| format!("replay start failed: {e}"))?;
+    let handle = daemon::start(daemon_config(config, None), model)
+        .map_err(|e| format!("replay start failed: {e}"))?;
     let mut stream = connect(handle.local_addr(), Duration::from_secs(10))?;
     let mut call = |request: &Request| -> Result<Response, String> {
         write_frame(&mut stream, request).map_err(|e| format!("replay write: {e}"))?;
@@ -1254,45 +1180,17 @@ pub fn run_scenario(config: &ChaosConfig) -> ScenarioReport {
 
     let mut report = ScenarioReport {
         seed: config.seed,
-        events: Vec::new(),
-        confirmed: 0,
-        rejected: 0,
-        lost_requests: 0,
-        lost_replies: 0,
-        reloads_ok: 0,
-        reloads_failed: 0,
-        retrains_ok: 0,
-        retrains_failed: 0,
-        outcomes_accepted: 0,
-        outcomes_dropped: 0,
-        replayed: 0,
-        decision_digest: 0,
-        final_stats: StatsSnapshot::default(),
-        recorder_dump: String::new(),
-        violations: Vec::new(),
+        ..ScenarioReport::default()
     };
 
-    match faulted_run(config, injector.clone()) {
-        Ok(run) => {
-            report.confirmed = run.confirmed;
-            report.rejected = run.rejected;
-            report.lost_requests = run.lost_requests;
-            report.lost_replies = run.lost_replies;
-            report.reloads_ok = run.reloads_ok;
-            report.reloads_failed = run.reloads_failed;
-            report.retrains_ok = run.retrains_ok;
-            report.retrains_failed = run.retrains_failed;
-            report.outcomes_accepted = run.outcomes_accepted;
-            report.outcomes_dropped = run.outcomes_dropped;
-            report.final_stats = run.final_stats;
-            report.recorder_dump = run.recorder_dump;
-            report.violations = run.violations;
+    match faulted_run(config, injector.clone(), &mut report) {
+        Ok(trace) => {
             let mut h = DefaultHasher::new();
-            for op in &run.trace {
+            for op in &trace {
                 format!("{op:?}").hash(&mut h);
             }
             report.decision_digest = h.finish();
-            match replay(config, &run.trace) {
+            match replay(config, &trace) {
                 Ok((replayed, mut replay_violations, replay_dump)) => {
                     report.replayed = replayed;
                     report.violations.append(&mut replay_violations);

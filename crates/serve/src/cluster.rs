@@ -81,14 +81,6 @@ impl ClusterState {
         &self.members[server]
     }
 
-    /// Occupancy snapshot in the shape the stateless
-    /// [`gaugur_sched::select_server`] expects: placements per server.
-    /// Allocates the full fleet; the serving hot path uses the borrowed
-    /// [`OccupancyView`] instead.
-    pub fn occupancy(&self) -> Vec<Vec<Placement>> {
-        self.members.clone()
-    }
-
     /// Sessions on one server.
     pub fn server_load(&self, server: usize) -> usize {
         self.members[server].len()
@@ -233,12 +225,9 @@ mod tests {
         let mut c = ClusterState::new(3);
         c.admit(1, (GameId(4), R));
         c.admit(2, (GameId(5), R));
-        let occ = c.occupancy();
-        assert!(occ[0].is_empty());
-        assert_eq!(occ[1], vec![(GameId(4), R)]);
-        assert_eq!(occ[2], vec![(GameId(5), R)]);
-        // Borrowed view agrees with the snapshot.
-        assert_eq!(c.members(1), &occ[1][..]);
+        assert!(c.members(0).is_empty());
+        assert_eq!(c.members(1), &[(GameId(4), R)]);
+        assert_eq!(c.members(2), &[(GameId(5), R)]);
         assert_eq!(OccupancyView::n_servers(&c), 3);
     }
 

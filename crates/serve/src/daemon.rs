@@ -19,13 +19,18 @@
 //!
 //! Fleet state is partitioned into [`DaemonConfig::shards`] placement
 //! domains, each owning a contiguous disjoint server range behind its own
-//! mutex (occupancy + score cache + epoch counter). `Place` scores every
-//! shard under that shard's lock only and admits under the winning shard's
-//! lock with epoch re-validation — no global fleet lock exists anywhere on
-//! the `Place`/`Depart` hot path. With `shards = 1` the daemon makes the
-//! classic single-lock decisions bit-identically. On every path a shard
-//! lock covers the *decision* only: model evaluation a placement needs is
-//! done with the lock released (`score_shard`).
+//! mutex (occupancy + score cache + epoch counter). `Place` takes one path
+//! whatever the shard count (`place`): it scores the shards in order, each
+//! under its own lock only, and admits under the last shard's hold when
+//! that shard wins, otherwise under the winner's lock with epoch
+//! re-validation — no global fleet lock exists anywhere on the
+//! `Place`/`Depart` hot path, and no worker holds two shard locks. With
+//! `shards = 1` the daemon makes the classic single-lock decisions
+//! bit-identically. The candidates' extended-colocation sums are evaluated
+//! with the lock released (`score_shard`); two evaluations can still run
+//! under it: the newcomer's own prediction at admit (`predict_with` — the
+//! RM and the CM, on a memo miss), and a `before` sum the `ScoreCache` does
+//! not hold (`fill_befores` — the RM, on a memo miss).
 
 use crate::cluster::ClusterState;
 use crate::fault::{FaultAction, FaultInjector, InjectionPoint};
@@ -46,7 +51,6 @@ use gaugur_sched::{
     PlacementScratch, ScoreCache, Selection,
 };
 use parking_lot::{Mutex, MutexGuard};
-use std::cell::RefCell;
 use std::io::{self, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -151,7 +155,7 @@ struct RetrainJob {
 /// its score cache, kept under one mutex so every placement decision and
 /// its cache update are atomic *within the shard*. Server indices inside
 /// are shard-local; the daemon translates to global fleet indices (local +
-/// the shard's base offset) before anything reaches the wire or the stats.
+/// `base`) before anything reaches the wire or the stats.
 struct Shard {
     cluster: ClusterState,
     scores: ScoreCache,
@@ -160,6 +164,8 @@ struct Shard {
     /// re-checks it before admitting: an unchanged epoch proves the ranking
     /// was computed from the occupancy still in force.
     epoch: u64,
+    /// Global index of the shard's first server.
+    base: usize,
 }
 
 /// Worst-N capacity of the slow-request ring exposed via `slow_requests`.
@@ -173,9 +179,6 @@ struct Shared {
     /// over disjoint contiguous server ranges. Exactly one entry when
     /// `config.shards` is 1 — the classic single-lock fleet.
     shards: Vec<Mutex<Shard>>,
-    /// Global index of each shard's first server; global server =
-    /// `shard_base[s] + local`.
-    shard_base: Vec<usize>,
     /// The one telemetry collector: a single-writer block per worker and one
     /// for the acceptor, behind `Stats`, `Metrics` and `SloStatus`.
     telemetry: Telemetry,
@@ -341,6 +344,14 @@ impl DaemonHandle {
         }
     }
 
+    /// Each shard's score-cache `(hits, misses)`, in shard order; `Stats`
+    /// reports only their sums. Intended for tests that hold the daemon to
+    /// a serial replay.
+    pub fn shard_score_counts(&self) -> Vec<(u64, u64)> {
+        let counts = |shard: &Mutex<Shard>| shard.lock().scores.counts();
+        self.shared.shards.iter().map(counts).collect()
+    }
+
     /// Stop accepting, drain queued and in-flight work, join every thread,
     /// and return the final statistics.
     pub fn shutdown(self) -> StatsSnapshot {
@@ -432,17 +443,16 @@ fn start_with(
     let base_size = config.n_servers / n_shards;
     let remainder = config.n_servers % n_shards;
     let mut shards = Vec::with_capacity(n_shards);
-    let mut shard_base = Vec::with_capacity(n_shards);
-    let mut next_base = 0usize;
+    let mut base = 0usize;
     for s in 0..n_shards {
         let size = base_size + usize::from(s < remainder);
-        shard_base.push(next_base);
-        next_base += size;
         shards.push(Mutex::new(Shard {
             cluster: ClusterState::new_sharded(size, s as u64, n_shards as u64),
             scores: ScoreCache::new(size),
             epoch: 0,
+            base,
         }));
+        base += size;
     }
     let clock: Arc<dyn Clock> = config
         .clock
@@ -451,7 +461,6 @@ fn start_with(
     let shared = Arc::new(Shared {
         memo: PredictionMemo::new(config.memo_capacity),
         shards,
-        shard_base,
         telemetry: Telemetry::new(workers_n, n_shards, SLOW_LOG_CAPACITY, clock.now_us()),
         queue: WorkQueue::new(config.queue_capacity),
         shutdown: AtomicBool::new(false),
@@ -648,7 +657,28 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
+/// What a worker owns and reuses across every request it serves: the
+/// placement scratch (colocation batches, degradation query plans, feature
+/// buffers), the per-shard buffers of the admit path, and the admissions of
+/// the request in hand. `worker_loop` builds one and lends it down by
+/// `&mut`; the buffers grow on the first requests and are reused for the
+/// worker's lifetime, so the steady-state `Place`/`PlaceBatch`/`Predict`
+/// path allocates nothing.
+#[derive(Default)]
+struct WorkerState {
+    scratch: PlacementScratch,
+    /// Per shard scored so far in this pass: its candidate and the epoch it
+    /// was scored at.
+    candidates: Vec<Option<Selection>>,
+    epochs: Vec<u64>,
+    /// The shards with a candidate, best first.
+    order: Vec<usize>,
+    /// Admissions made while handling the current request.
+    admitted: Vec<Admitted>,
+}
+
 fn worker_loop(shared: &Shared, worker: usize) {
+    let mut state = WorkerState::default();
     // pop() drains the queue even after close, so connections admitted
     // before shutdown still get served.
     while let Some((stream, enqueued)) = shared.queue.pop() {
@@ -660,7 +690,7 @@ fn worker_loop(shared: &Shared, worker: usize) {
         // Registered before the first shutdown check in `serve_connection`,
         // so `begin_shutdown` either finds the handle or is seen by it.
         *shared.serving[worker].lock() = stream.try_clone().ok();
-        serve_connection(shared, worker, stream);
+        serve_connection(shared, worker, &mut state, stream);
         *shared.serving[worker].lock() = None;
         shared.telemetry.note(worker, Counter::ConnectionsClosed, 1);
     }
@@ -704,12 +734,12 @@ fn rollback_admissions(shared: &Shared, admitted: &[Admitted]) -> u64 {
         {
             continue;
         }
-        let base = shared.shard_base[s];
         let mut shard = shared.shards[s].lock();
         let Shard {
             cluster,
             scores,
             epoch,
+            base,
         } = &mut *shard;
         for a in admitted
             .iter()
@@ -717,7 +747,7 @@ fn rollback_admissions(shared: &Shared, admitted: &[Admitted]) -> u64 {
             .filter(|a| shared.shard_of_session(a.session) == s)
         {
             if cluster.depart(a.session).is_some() {
-                scores.rollback(a.server - base, a.version, a.after_sum, a.before_sum);
+                scores.rollback(a.server - *base, a.version, a.after_sum, a.before_sum);
                 *epoch += 1;
                 rolled_back += 1;
             }
@@ -803,9 +833,13 @@ fn write_reply(
     result
 }
 
-fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
+fn serve_connection(
+    shared: &Shared,
+    worker: usize,
+    state: &mut WorkerState,
+    mut stream: TcpStream,
+) {
     let draining_timeout = Duration::from_millis(100);
-    let mut admitted: Vec<Admitted> = Vec::new();
     loop {
         let draining = shared.shutdown.load(Ordering::SeqCst);
         if draining {
@@ -856,16 +890,11 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
         let mut trace = RequestTrace::new();
         trace.add(Stage::Decode, decode_us);
         let started = Instant::now();
-        admitted.clear();
+        state.admitted.clear();
         let mut effects = RequestSideEffects::default();
-        let (response, ok) = handle_request(
-            shared,
-            &tel,
-            &request,
-            &mut admitted,
-            &mut trace,
-            &mut effects,
-        );
+        let (response, ok) =
+            handle_request(shared, &tel, &request, state, &mut trace, &mut effects);
+        let admitted = &state.admitted;
         tel.note(Counter::Admitted, admitted.len() as u64);
         tel.record(kind, ok, elapsed_us(started));
 
@@ -903,7 +932,7 @@ fn serve_connection(shared: &Shared, worker: usize, mut stream: TcpStream) {
             }
         } else {
             // The client never learned its sessions exist; un-admit them.
-            tel.note(Counter::RolledBack, rollback_admissions(shared, &admitted));
+            tel.note(Counter::RolledBack, rollback_admissions(shared, admitted));
             for a in admitted.iter() {
                 shared.recorder.record(
                     worker,
@@ -946,34 +975,6 @@ struct RequestSideEffects {
     /// Flight-recorder events to emit post-write (departs, reloads), each
     /// with the recorder position it was stamped with when it happened.
     events: Vec<(u64, Event)>,
-}
-
-/// Per-worker buffers for the multi-shard two-phase admit: one candidate
-/// slot per shard, the epochs those candidates were scored at, and the
-/// cross-shard ranking. Lives beside [`SCRATCH`] so the multi-shard path
-/// stays allocation-free in steady state too.
-struct ShardScratch {
-    candidates: Vec<Option<Selection>>,
-    epochs: Vec<u64>,
-    order: Vec<usize>,
-}
-
-thread_local! {
-    /// Per-worker placement scratch: colocation batches, degradation query
-    /// plans, feature buffers. Each daemon worker thread owns one, so the
-    /// steady-state `Place`/`PlaceBatch`/`Predict` path allocates nothing —
-    /// buffers grow on the first request and are reused for the thread's
-    /// lifetime.
-    static SCRATCH: RefCell<PlacementScratch> = RefCell::new(PlacementScratch::new());
-
-    /// Per-worker two-phase admit buffers (see [`ShardScratch`]).
-    static SHARD_SCRATCH: RefCell<ShardScratch> = const {
-        RefCell::new(ShardScratch {
-            candidates: Vec::new(),
-            epochs: Vec::new(),
-            order: Vec::new(),
-        })
-    };
 }
 
 /// Lost-race budget for the two-phase admit: how many times a `Place` will
@@ -1060,17 +1061,14 @@ fn score_shard<'a>(
 /// Admit `placement` on the server `sel` chose, predicting the new
 /// session's FPS against the pre-admit co-runners first. The caller holds
 /// this shard's lock and made `sel` under it; the returned server index is
-/// global (`shard_base` + local).
-#[allow(clippy::too_many_arguments)]
+/// global (`base` + local).
 fn admit_selected(
     shared: &Shared,
     model: &LoadedModel,
     shard: &mut Shard,
-    shard_base: usize,
-    scratch: &mut PlacementScratch,
+    state: &mut WorkerState,
     placement: Placement,
     sel: Selection,
-    admitted: &mut Vec<Admitted>,
     trace: &mut RequestTrace,
 ) -> (u64, usize, f64) {
     // Co-runners of the new session = the server's pre-admit occupancy, so
@@ -1081,35 +1079,33 @@ fn admit_selected(
         shared.config.qos,
         placement,
         shard.cluster.members(sel.server),
-        &mut scratch.predict,
+        &mut state.scratch.predict,
     );
     trace.add(Stage::Predict, elapsed_us(predict_started));
     let session = shard.cluster.admit(sel.server, placement);
     shard.epoch += 1;
-    admitted.push(Admitted {
+    let server = shard.base + sel.server;
+    state.admitted.push(Admitted {
         session,
-        server: shard_base + sel.server,
+        server,
         version: model.version,
         game: placement.0 .0 as u64,
         seq: shared.recorder.stamp(),
         before_sum: sel.before_sum,
         after_sum: sel.server_sum,
     });
-    (session, shard_base + sel.server, prediction.fps)
+    (session, server, prediction.fps)
 }
 
 /// Choose a server in one pass under the lock the caller already holds and
-/// admit there — the second phase of the multi-shard admit, whose candidate
-/// sums the first phase just made resident.
-#[allow(clippy::too_many_arguments)]
+/// admit there — the second phase of [`place`], whose candidate sums the
+/// first phase just made resident.
 fn admit_one_in_shard(
     shared: &Shared,
     model: &LoadedModel,
     shard: &mut Shard,
-    shard_base: usize,
-    scratch: &mut PlacementScratch,
+    state: &mut WorkerState,
     placement: Placement,
-    admitted: &mut Vec<Admitted>,
     trace: &mut RequestTrace,
 ) -> Option<(u64, usize, f64)> {
     let fps_model = MemoizedFps {
@@ -1124,66 +1120,98 @@ fn admit_one_in_shard(
         &fps_model,
         model.version,
         &mut shard.scores,
-        scratch,
+        &mut state.scratch,
     );
     trace.add(Stage::Place, elapsed_us(place_started));
-    Some(admit_selected(
-        shared, model, shard, shard_base, scratch, placement, sel?, admitted, trace,
-    ))
+    sel.map(|sel| admit_selected(shared, model, shard, state, placement, sel, trace))
 }
 
-/// Two-phase admit across >1 shards. Phase 1 scores every shard through
-/// [`score_shard`] (decision under that shard's briefly held lock, model
-/// evaluation outside it), invalidating the speculative winner entry before
+/// Whether the last shard's candidate `sel` settles the request under the
+/// hold it was scored in: it ranks first among the `earlier` shards'
+/// candidates in [`rank_shard_selections`]' order — a delta strictly
+/// greater under `total_cmp`, since ties go to the lower shard — or no
+/// shard has an eligible server at all.
+fn last_shard_decides(sel: Option<&Selection>, earlier: &[Option<Selection>]) -> bool {
+    match sel {
+        Some(sel) => earlier
+            .iter()
+            .flatten()
+            .all(|c| sel.delta.total_cmp(&c.delta).is_gt()),
+        None => earlier.iter().all(Option::is_none),
+    }
+}
+
+/// Place one session, whatever the shard count. Phase 1 scores shards
+/// `0..N` in order through [`score_shard`] (the decision under that shard's
+/// lock, model evaluation outside it). When the last shard scored ranks
+/// first ([`last_shard_decides`]), the session is admitted under the hold
+/// that shard is already in and the guard comes back in `held`. On one
+/// shard that is the whole path — one hold, no invalidation, the classic
+/// single-lock decision and score-cache hit/miss stream — and a batch
+/// passes `held` back in, so it takes the lock once for the burst and gives
+/// it up only where an item has to evaluate.
+///
+/// Every other shard invalidates its speculative winner entry before
 /// unlocking — the score cache's admit-or-invalidate contract does not
-/// survive a lock release. Phase 2 ranks the candidates and admits under
-/// only the winning shard's lock, re-validating via the shard epoch that
-/// the occupancy the ranking was computed from is still in force; a lost
-/// race re-scores (bounded by [`MAX_ADMIT_RETRIES`]), after which the
-/// request settles for the best-ranked shard that still admits.
-#[allow(clippy::too_many_arguments)]
-fn place_multi(
-    shared: &Shared,
+/// survive a lock release. If the last shard does not decide, phase 2 locks
+/// only the ranked winner and re-validates via the shard epoch that the
+/// occupancy the ranking was computed from is still in force; a lost race
+/// re-scores (bounded by [`MAX_ADMIT_RETRIES`]), after which the request
+/// settles for the best-ranked shard that still admits. A guard in `held`
+/// is reused only by the shard it locks and dropped before any other lock
+/// is taken, so no worker ever holds two shard locks.
+fn place<'a>(
+    shared: &'a Shared,
     tel: &Writer<'_>,
     model: &LoadedModel,
-    scratch: &mut PlacementScratch,
-    ss: &mut ShardScratch,
+    state: &mut WorkerState,
+    held: &mut Option<(usize, MutexGuard<'a, Shard>)>,
     placement: Placement,
-    admitted: &mut Vec<Admitted>,
     trace: &mut RequestTrace,
 ) -> Option<(u64, usize, f64)> {
+    let last = shared.shards.len() - 1;
     for attempt in 0..=MAX_ADMIT_RETRIES {
-        ss.candidates.clear();
-        ss.epochs.clear();
-        for s in 0..shared.shards.len() {
-            let (mut shard, sel) = score_shard(shared, model, s, None, scratch, placement, trace);
+        state.candidates.clear();
+        state.epochs.clear();
+        for s in 0..=last {
+            let reuse = match held.take() {
+                Some((h, guard)) if h == s => Some(guard),
+                _ => None,
+            };
+            let (mut shard, sel) = score_shard(
+                shared,
+                model,
+                s,
+                reuse,
+                &mut state.scratch,
+                placement,
+                trace,
+            );
+            if s == last && last_shard_decides(sel.as_ref(), &state.candidates) {
+                let placed = sel.map(|sel| {
+                    admit_selected(shared, model, &mut shard, state, placement, sel, trace)
+                });
+                *held = Some((s, shard));
+                return placed;
+            }
             if let Some(sel) = &sel {
                 // We may never come back to this shard: drop the
                 // speculatively stored post-admit sum now, under the lock.
                 shard.scores.invalidate(sel.server);
             }
-            ss.epochs.push(shard.epoch);
-            ss.candidates.push(sel);
+            state.epochs.push(shard.epoch);
+            state.candidates.push(sel);
         }
-        rank_shard_selections(&ss.candidates, &mut ss.order);
-        let Some(&winner) = ss.order.first() else {
-            return None; // every shard is saturated for this game
-        };
+        rank_shard_selections(&state.candidates, &mut state.order);
+        // Non-empty: the last shard did not decide, so some shard has a
+        // candidate.
+        let winner = state.order[0];
         let mut shard = lock_shard(shared, winner, trace);
-        if shard.epoch == ss.epochs[winner] {
+        if shard.epoch == state.epochs[winner] {
             // Occupancy unchanged since scoring, so the under-lock re-score
             // deterministically reproduces the phase-1 selection (and
             // restores the cache entry invalidated above) before admitting.
-            return admit_one_in_shard(
-                shared,
-                model,
-                &mut shard,
-                shared.shard_base[winner],
-                scratch,
-                placement,
-                admitted,
-                trace,
-            );
+            return admit_one_in_shard(shared, model, &mut shard, state, placement, trace);
         }
         drop(shard);
         if attempt < MAX_ADMIT_RETRIES {
@@ -1193,69 +1221,16 @@ fn place_multi(
     // Out of retries under sustained contention: give up on cross-shard
     // optimality and take the best-ranked shard that still admits.
     tel.note(Counter::AdmitFallbacks, 1);
-    for i in 0..ss.order.len() {
-        let s = ss.order[i];
+    for i in 0..state.order.len() {
+        let s = state.order[i];
         let mut shard = lock_shard(shared, s, trace);
-        if let Some(placed) = admit_one_in_shard(
-            shared,
-            model,
-            &mut shard,
-            shared.shard_base[s],
-            scratch,
-            placement,
-            admitted,
-            trace,
-        ) {
+        if let Some(placed) = admit_one_in_shard(shared, model, &mut shard, state, placement, trace)
+        {
             tel.fallback(s);
             return Some(placed);
         }
     }
     None
-}
-
-/// Place one session. On a single shard the server is chosen and the
-/// session admitted under one hold of the shard lock — the decision is
-/// serial, exactly the classic single-lock daemon's, so server choices,
-/// predictions and the score-cache hit/miss stream are bit-identical to it
-/// — but candidate sums the memo does not hold are evaluated *before* that
-/// hold, with the lock released ([`score_shard`]). The lock comes back in
-/// `held` rather than being dropped, so a batch takes it once for the whole
-/// burst and gives it up only where an item has to evaluate. Multi-shard
-/// fleets go through the two-phase [`place_multi`] and leave `held` alone.
-#[allow(clippy::too_many_arguments)]
-fn place_one<'a>(
-    shared: &'a Shared,
-    tel: &Writer<'_>,
-    model: &LoadedModel,
-    scratch: &mut PlacementScratch,
-    held: &mut Option<MutexGuard<'a, Shard>>,
-    placement: Placement,
-    admitted: &mut Vec<Admitted>,
-    trace: &mut RequestTrace,
-) -> Option<(u64, usize, f64)> {
-    if shared.shards.len() == 1 {
-        let (mut shard, sel) =
-            score_shard(shared, model, 0, held.take(), scratch, placement, trace);
-        let placed = sel.map(|sel| {
-            admit_selected(
-                shared, model, &mut shard, 0, scratch, placement, sel, admitted, trace,
-            )
-        });
-        *held = Some(shard);
-        return placed;
-    }
-    SHARD_SCRATCH.with(|ss| {
-        place_multi(
-            shared,
-            tel,
-            model,
-            scratch,
-            &mut ss.borrow_mut(),
-            placement,
-            admitted,
-            trace,
-        )
-    })
 }
 
 /// Ingest a batch of outcome reports (the shared body of `ReportOutcome`
@@ -1350,7 +1325,7 @@ fn handle_request(
     shared: &Shared,
     tel: &Writer<'_>,
     request: &Request,
-    admitted: &mut Vec<Admitted>,
+    state: &mut WorkerState,
     trace: &mut RequestTrace,
     effects: &mut RequestSideEffects,
 ) -> (Response, bool) {
@@ -1366,18 +1341,18 @@ fn handle_request(
                     false,
                 );
             }
-            match SCRATCH.with(|s| {
-                place_one(
-                    shared,
-                    tel,
-                    &model,
-                    &mut s.borrow_mut(),
-                    &mut None,
-                    (*game, *resolution),
-                    admitted,
-                    trace,
-                )
-            }) {
+            // Bound first, so a guard `place` hands back goes with the
+            // temporary here, before the reply is built.
+            let placed = place(
+                shared,
+                tel,
+                &model,
+                state,
+                &mut None,
+                (*game, *resolution),
+                trace,
+            );
+            match placed {
                 Some((session, server, predicted_fps)) => {
                     let shard = shared.shard_of_session(session);
                     tel.place_attempt(game.0, Some(shard));
@@ -1412,58 +1387,56 @@ fn handle_request(
             let model = shared.model.get();
             effects.meta.model_version = Some(model.version);
             // Items place in order and fail independently (unknown game or
-            // saturation). Single-shard fleets keep the shard lock across
-            // the burst (`held`), releasing it only where an item has to
-            // evaluate the model; sharded fleets run each item's two-phase
-            // admit so a long burst never pins any one shard.
-            let results: Vec<BatchPlaceResult> = SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                let mut held = None;
-                requests
-                    .iter()
-                    .map(|&(game, resolution)| {
-                        if !model.knows_game(game) {
-                            return BatchPlaceResult::Rejected {
-                                reason: format!("unknown game {}", game.0),
-                            };
-                        }
-                        let placed = place_one(
-                            shared,
-                            tel,
-                            &model,
-                            scratch,
-                            &mut held,
-                            (game, resolution),
-                            admitted,
-                            trace,
-                        );
-                        match placed {
-                            Some((session, server, predicted_fps)) => {
-                                let shard = shared.shard_of_session(session);
-                                tel.place_attempt(game.0, Some(shard));
-                                // The ring entry points at the batch's first
-                                // admitted session — one concrete session to
-                                // start debugging a slow burst from.
-                                if effects.meta.session.is_none() {
-                                    effects.meta.session = Some(session);
-                                    effects.meta.shard = Some(shard as u64);
-                                }
-                                BatchPlaceResult::Placed {
-                                    session,
-                                    server,
-                                    predicted_fps,
-                                }
+            // saturation). The guard the last shard scored in comes back
+            // (`held`), so a single-shard fleet keeps its lock across the
+            // burst, releasing it only where an item has to evaluate the
+            // model; on more shards the next item's scoring starts at
+            // shard 0 and drops it first, so a long burst never pins any
+            // one shard.
+            let mut held = None;
+            let results: Vec<BatchPlaceResult> = requests
+                .iter()
+                .map(|&(game, resolution)| {
+                    if !model.knows_game(game) {
+                        return BatchPlaceResult::Rejected {
+                            reason: format!("unknown game {}", game.0),
+                        };
+                    }
+                    let placed = place(
+                        shared,
+                        tel,
+                        &model,
+                        state,
+                        &mut held,
+                        (game, resolution),
+                        trace,
+                    );
+                    match placed {
+                        Some((session, server, predicted_fps)) => {
+                            let shard = shared.shard_of_session(session);
+                            tel.place_attempt(game.0, Some(shard));
+                            // The ring entry points at the batch's first
+                            // admitted session — one concrete session to
+                            // start debugging a slow burst from.
+                            if effects.meta.session.is_none() {
+                                effects.meta.session = Some(session);
+                                effects.meta.shard = Some(shard as u64);
                             }
-                            None => {
-                                tel.place_attempt(game.0, None);
-                                BatchPlaceResult::Rejected {
-                                    reason: "no eligible server (fleet saturated)".into(),
-                                }
+                            BatchPlaceResult::Placed {
+                                session,
+                                server,
+                                predicted_fps,
                             }
                         }
-                    })
-                    .collect()
-            });
+                        None => {
+                            tel.place_attempt(game.0, None);
+                            BatchPlaceResult::Rejected {
+                                reason: "no eligible server (fleet saturated)".into(),
+                            }
+                        }
+                    }
+                })
+                .collect();
             (
                 Response::PlacedBatch {
                     model_version: model.version,
@@ -1481,12 +1454,13 @@ fn handle_request(
                 cluster,
                 scores,
                 epoch,
+                base,
             } = &mut *shard;
             match cluster.depart(*session) {
                 Some(placed) => {
                     scores.invalidate(placed.server);
                     *epoch += 1;
-                    let server = shared.shard_base[owner] + placed.server;
+                    let server = *base + placed.server;
                     effects.meta.session = Some(*session);
                     effects.meta.shard = Some(owner as u64);
                     effects.events.push((
@@ -1546,15 +1520,13 @@ fn handle_request(
                 );
             }
             let predict_started = Instant::now();
-            let (prediction, cached) = SCRATCH.with(|s| {
-                shared.memo.predict_with(
-                    &model,
-                    *qos,
-                    (*game, *resolution),
-                    others,
-                    &mut s.borrow_mut().predict,
-                )
-            });
+            let (prediction, cached) = shared.memo.predict_with(
+                &model,
+                *qos,
+                (*game, *resolution),
+                others,
+                &mut state.scratch.predict,
+            );
             trace.add(Stage::Predict, elapsed_us(predict_started));
             (
                 Response::Prediction {

@@ -23,9 +23,6 @@ const LOAD_CTX: u64 = 0x4C4F_4144; // "LOAD"
 const RETRY_CTX: u64 = 0x5254_5259; // "RTRY"
 const NOISE_CTX: u64 = 0x4E4F_4953; // "NOIS"
 
-/// Bounded retries on `Overloaded` pushback before giving up on an arrival.
-const MAX_OVERLOAD_RETRIES: u32 = 4;
-
 /// Load-driver configuration.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
@@ -298,42 +295,21 @@ fn note_error(client: &mut Client, addr: &str, error: &ClientError) {
     }
 }
 
-/// Issue `op`, retrying (bounded) on `Overloaded` pushback. The daemon
-/// answers `Overloaded` at accept time, so the connection was never admitted
-/// and each retry reconnects. Sleeps honor the daemon's hint plus jitter
-/// drawn from `retry_rng` — a *separate* stream from the arrival RNG, so the
-/// request sequence stays a pure function of the seed regardless of how many
-/// pushbacks wire timing produces.
-fn call_with_retry<T>(
-    client: &mut Client,
-    addr: &str,
-    retry_rng: &mut ChaCha8Rng,
+/// Pass an op's `result` through, counting it if it is an `Overloaded`
+/// pushback. Arrivals go through [`Client::call_with_retry`], which answers
+/// a pushback by reconnecting after the daemon's hint plus jitter drawn
+/// from `retry_rng` — a *separate* stream from the arrival RNG, so the
+/// request sequence stays a pure function of the seed regardless of how
+/// many pushbacks wire timing produces. The jitter closure runs once per
+/// retry, which is where retries are counted.
+fn count_pushback<T>(
     overloaded: &mut u64,
-    retries: &mut u64,
-    mut op: impl FnMut(&mut Client) -> Result<T, ClientError>,
+    result: Result<T, ClientError>,
 ) -> Result<T, ClientError> {
-    let mut attempts = 0u32;
-    loop {
-        match op(client) {
-            Err(ClientError::Overloaded { retry_after_ms }) => {
-                *overloaded += 1;
-                if attempts >= MAX_OVERLOAD_RETRIES {
-                    return Err(ClientError::Overloaded { retry_after_ms });
-                }
-                attempts += 1;
-                *retries += 1;
-                // Jitter de-synchronizes pushed-back threads; the policy
-                // caps a hostile hint so it cannot stall the run. One
-                // backoff policy for the typed client and the driver keeps
-                // their pushback behavior from drifting apart.
-                let sleep_ms =
-                    RetryPolicy::default().backoff_ms(retry_after_ms, retry_rng.gen::<f64>());
-                std::thread::sleep(Duration::from_millis(sleep_ms));
-                *client = Client::connect(addr)?;
-            }
-            other => return other,
-        }
+    if matches!(result, Err(ClientError::Overloaded { .. })) {
+        *overloaded += 1;
     }
+    result
 }
 
 fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutcome {
@@ -416,14 +392,15 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
         if batch == 1 {
             let (game, resolution, lifetime) = arrivals[0];
             let t0 = due.unwrap_or_else(Instant::now);
-            match call_with_retry(
-                &mut client,
-                &config.addr,
-                &mut retry_rng,
-                &mut out.overloaded,
-                &mut out.retries,
-                |c| c.place(game, resolution),
-            ) {
+            let placed = client.call_with_retry(
+                RetryPolicy::default(),
+                &mut || {
+                    out.retries += 1;
+                    retry_rng.gen()
+                },
+                |c| count_pushback(&mut out.overloaded, c.place(game, resolution)),
+            );
+            match placed {
                 Ok(placed) => {
                     out.latencies_us.push(t0.elapsed().as_micros() as u64);
                     out.placed += 1;
@@ -454,14 +431,15 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
         } else {
             let wire: Vec<WirePlacement> = arrivals.iter().map(|&(g, r, _)| (g, r)).collect();
             let t0 = due.unwrap_or_else(Instant::now);
-            match call_with_retry(
-                &mut client,
-                &config.addr,
-                &mut retry_rng,
-                &mut out.overloaded,
-                &mut out.retries,
-                |c| c.place_batch(&wire),
-            ) {
+            let placed = client.call_with_retry(
+                RetryPolicy::default(),
+                &mut || {
+                    out.retries += 1;
+                    retry_rng.gen()
+                },
+                |c| count_pushback(&mut out.overloaded, c.place_batch(&wire)),
+            );
+            match placed {
                 Ok((version, results)) => {
                     // One latency sample per frame, not per arrival.
                     out.latencies_us.push(t0.elapsed().as_micros() as u64);
@@ -632,11 +610,17 @@ pub fn run(config: &LoadConfig) -> LoadReport {
     report
 }
 
-/// The post-run shard check behind [`LoadConfig::expect_shards`]: the
-/// daemon must report exactly the expected number of placement shards, one
-/// per-shard counter per shard, per-shard active counts summing to the
-/// global count, and zero misrouted sessions.
-fn verify_shard_layout(snap: &crate::stats::StatsSnapshot, want: usize) -> Result<(), String> {
+/// The shard check behind [`LoadConfig::expect_shards`] and the chaos
+/// suite's per-shard conservation oracle: the daemon must report exactly
+/// the expected number of placement shards, one per-shard counter per
+/// shard, per-shard active counts summing to the global count, and zero
+/// misrouted sessions. Only meaningful at quiesce points — between them a
+/// placement may land on one shard after another was already read into
+/// the snapshot.
+pub(crate) fn verify_shard_layout(
+    snap: &crate::stats::StatsSnapshot,
+    want: usize,
+) -> Result<(), String> {
     if snap.shards != want {
         return Err(format!(
             "daemon reports {} placement shards, expected {want}",
@@ -724,6 +708,67 @@ mod tests {
         // Zero noise is exact.
         config.observe_noise = 0.0;
         assert_eq!(observe_fps(&mut rng, &config, 50.0), 40.0);
+    }
+
+    /// A fake daemon that accepts `connections` connections, sheds the
+    /// first `shed` with `Overloaded` as the real acceptor does, and serves
+    /// the rest until they close: each `Place` gets a fresh session, each
+    /// `Depart` its server.
+    fn shedding_daemon(shed: usize, connections: usize) -> (String, std::thread::JoinHandle<()>) {
+        use crate::wire::{read_frame, write_frame, Request, Response};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let mut sessions = 0;
+            for (i, stream) in listener.incoming().take(connections).enumerate() {
+                let mut stream = stream.unwrap();
+                while let Ok(request) = read_frame::<_, Request>(&mut stream) {
+                    let reply = match request {
+                        _ if i < shed => Response::Overloaded { retry_after_ms: 1 },
+                        Request::Place { .. } => {
+                            sessions += 1;
+                            Response::Placed {
+                                session: sessions,
+                                server: 0,
+                                predicted_fps: 60.0,
+                                model_version: 1,
+                            }
+                        }
+                        Request::Depart { session } => Response::Departed { session, server: 0 },
+                        other => panic!("the fake daemon does not serve {other:?}"),
+                    };
+                    write_frame(&mut stream, &reply).unwrap();
+                    if i < shed {
+                        break;
+                    }
+                }
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn pushbacks_and_retries_are_counted_per_arrival() {
+        let drive = |shed, connections, requests| {
+            let (addr, server) = shedding_daemon(shed, connections);
+            let report = run(&LoadConfig {
+                addr,
+                connections: 1,
+                requests,
+                ..LoadConfig::default()
+            });
+            server.join().unwrap();
+            report
+        };
+        // Two pushbacks, two retries, then the third connection places
+        // both arrivals and departs them.
+        let r = drive(2, 3, 2);
+        assert_eq!((r.overloaded, r.retries, r.errors, r.placed), (2, 2, 0, 2));
+        assert_eq!(r.departed, 2);
+        // Five pushbacks exhaust the default policy's four retries: the
+        // last pushback is an error, not a retry.
+        let r = drive(5, 5, 1);
+        assert_eq!((r.overloaded, r.retries, r.errors, r.placed), (5, 4, 1, 0));
     }
 
     #[test]

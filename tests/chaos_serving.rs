@@ -4,7 +4,11 @@
 //! reloads — then the invariant oracles (stats conservation, no leaked
 //! placements, monotone model version, byte-identical fault-free replay)
 //! must all hold, and re-running a seed must reproduce the identical event
-//! sequence and verdict.
+//! sequence and verdict. Each seed's report digest is pinned in
+//! `tests/fixtures/chaos_digests.txt`, generated at PR 20's parent: a change
+//! that moves a fault schedule, a decision bit or a counted outcome on
+//! purpose regenerates the file — the failure message prints the
+//! replacement — and says so out loud.
 
 mod common;
 
@@ -14,6 +18,7 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 const SCENARIOS: u64 = 24;
+const GOLDEN_DIGESTS: &str = include_str!("fixtures/chaos_digests.txt");
 
 /// The shared model artifact, persisted once per test binary.
 fn artifact() -> PathBuf {
@@ -70,6 +75,15 @@ fn every_seeded_scenario_passes_all_oracles() {
         "{} of {SCENARIOS} scenarios failed:\n{}",
         failures.len(),
         failures.join("\n")
+    );
+    let digests: String = reports
+        .iter()
+        .map(|r| format!("seed {}: {:016x}\n", r.seed, r.digest()))
+        .collect();
+    assert_eq!(
+        digests, GOLDEN_DIGESTS,
+        "a scenario digest moved; if that is intended, replace \
+         tests/fixtures/chaos_digests.txt with:\n{digests}"
     );
 
     // The suite exercised recovery, not just the happy path: work got done

@@ -11,7 +11,11 @@
 //! * with one worker the lock order is the request order, so every reply
 //!   frame must equal the oracle's byte for byte — over cold traffic (the
 //!   whole catalog at two resolutions) and a 64-entry memo that evicts all
-//!   the way through;
+//!   the way through — and so must each shard's `ScoreCache` hit/miss
+//!   counts, on one shard and on two, where the oracle also does what the
+//!   daemon's one admit path does across shards: score them all in order,
+//!   admit from the last shard's own selection when it ranks first, and
+//!   otherwise drop every speculative entry and re-score the winner;
 //! * with four racing workers, on one shard and on two, the order is
 //!   whatever the race made it — the flight recorder stamps each admit and
 //!   depart under its shard's lock, and replaying the recorded order through
@@ -24,7 +28,9 @@ use common::{fixture, gaugur};
 use gaugur::core::Placement;
 use gaugur::gamesim::rng::rng_for;
 use gaugur::prelude::*;
-use gaugur::sched::{select_server_incremental_with, PlacementScratch, ScoreCache};
+use gaugur::sched::{
+    rank_shard_selections, select_server_incremental_with, PlacementScratch, ScoreCache, Selection,
+};
 use gaugur::serve::wire::{self, Request, Response};
 use gaugur::serve::{
     daemon, verify_stage_accounting, BatchPlaceResult, ClusterState, LoadedModel, MemoizedFps,
@@ -45,6 +51,10 @@ struct Oracle {
     /// Per shard: first global server index, occupancy, score cache.
     shards: Vec<(usize, ClusterState, ScoreCache)>,
     scratch: PlacementScratch,
+    /// Requests [`Oracle::place_anywhere`] admitted from the last shard's
+    /// own selection, and those it re-scored on an earlier winner.
+    last_decided: u64,
+    rescored: u64,
 }
 
 impl Oracle {
@@ -66,26 +76,33 @@ impl Oracle {
             memo: PredictionMemo::new(memo_capacity),
             shards,
             scratch: PlacementScratch::new(),
+            last_decided: 0,
+            rescored: 0,
         }
     }
 
-    /// Choose within `shard`, predict against the pre-admit co-runners,
-    /// admit: `(session, global server, predicted fps)`.
-    fn place(&mut self, shard: usize, placement: Placement) -> Option<(u64, usize, f64)> {
-        let (base, cluster, scores) = &mut self.shards[shard];
+    /// Choose within `shard`, under the admit contract.
+    fn select(&mut self, shard: usize, placement: Placement) -> Option<Selection> {
+        let (_, cluster, scores) = &mut self.shards[shard];
         let fps_model = MemoizedFps {
             model: &self.model,
             memo: &self.memo,
             qos: QOS,
         };
-        let sel = select_server_incremental_with(
+        select_server_incremental_with(
             &*cluster,
             placement,
             &fps_model,
             self.model.version,
             scores,
             &mut self.scratch,
-        )?;
+        )
+    }
+
+    /// Predict against the pre-admit co-runners, admit: `(session, global
+    /// server, predicted fps)`.
+    fn admit(&mut self, shard: usize, placement: Placement, sel: Selection) -> (u64, usize, f64) {
+        let (base, cluster, _) = &mut self.shards[shard];
         let (prediction, _) = self.memo.predict_with(
             &self.model,
             QOS,
@@ -94,7 +111,42 @@ impl Oracle {
             &mut self.scratch.predict,
         );
         let session = cluster.admit(sel.server, placement);
-        Some((session, *base + sel.server, prediction.fps))
+        (session, *base + sel.server, prediction.fps)
+    }
+
+    /// Choose within `shard` and admit there.
+    fn place(&mut self, shard: usize, placement: Placement) -> Option<(u64, usize, f64)> {
+        let sel = self.select(shard, placement)?;
+        Some(self.admit(shard, placement, sel))
+    }
+
+    /// One request through the daemon's admit path, uncontended: every
+    /// shard chooses in order; the cross-shard winner is the largest delta,
+    /// ties to the lower shard. Only the last shard's lock outlives its
+    /// choice, so a winning last shard admits its own selection, and every
+    /// other speculative entry is dropped — the winner then chooses again.
+    fn place_anywhere(&mut self, placement: Placement) -> Option<(u64, usize, f64)> {
+        let last = self.shards.len() - 1;
+        let candidates: Vec<Option<Selection>> =
+            (0..=last).map(|s| self.select(s, placement)).collect();
+        let mut ranked = Vec::new();
+        rank_shard_selections(&candidates, &mut ranked);
+        let &winner = ranked.first()?;
+        for (s, sel) in candidates.iter().enumerate() {
+            if let Some(sel) = sel {
+                if (s, winner) != (last, last) {
+                    self.shards[s].2.invalidate(sel.server);
+                }
+            }
+        }
+        if winner == last {
+            self.last_decided += 1;
+            let sel = candidates[last].expect("the winner has a candidate");
+            Some(self.admit(last, placement, sel))
+        } else {
+            self.rescored += 1;
+            self.place(winner, placement)
+        }
     }
 
     /// Depart `session` from the shard its id routes to: the global server.
@@ -113,25 +165,27 @@ impl Oracle {
             .sum()
     }
 
-    /// One-shard wire semantics of the requests the traffic below sends.
+    /// Wire semantics of the requests the traffic below sends.
     fn handle(&mut self, request: &Request) -> Response {
         match request {
-            Request::Place { game, resolution } => match self.place(0, (*game, *resolution)) {
-                Some((session, server, predicted_fps)) => Response::Placed {
-                    session,
-                    server,
-                    predicted_fps,
-                    model_version: 1,
-                },
-                None => Response::Rejected {
-                    reason: SATURATED.into(),
-                },
-            },
+            Request::Place { game, resolution } => {
+                match self.place_anywhere((*game, *resolution)) {
+                    Some((session, server, predicted_fps)) => Response::Placed {
+                        session,
+                        server,
+                        predicted_fps,
+                        model_version: 1,
+                    },
+                    None => Response::Rejected {
+                        reason: SATURATED.into(),
+                    },
+                }
+            }
             Request::PlaceBatch { requests } => Response::PlacedBatch {
                 model_version: 1,
                 results: requests
                     .iter()
-                    .map(|&p| match self.place(0, p) {
+                    .map(|&p| match self.place_anywhere(p) {
                         Some((session, server, predicted_fps)) => BatchPlaceResult::Placed {
                             session,
                             server,
@@ -192,15 +246,14 @@ fn assert_drained(stats: &StatsSnapshot, shards: usize) {
     assert_eq!(stats.shard_misrouted_sessions, 0);
 }
 
-#[test]
-fn one_worker_replies_are_byte_identical_to_the_serial_replay() {
+fn one_worker_replies_match_the_serial_replay(shards: usize, seed: u64) {
     const N_SERVERS: usize = 5;
     const MEMO: usize = 64;
-    let handle = start(N_SERVERS, 1, 1, MEMO);
+    let handle = start(N_SERVERS, shards, 1, MEMO);
     let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    let mut oracle = Oracle::new(N_SERVERS, 1, MEMO);
+    let mut oracle = Oracle::new(N_SERVERS, shards, MEMO);
 
-    let mut rng = rng_for(0x0D1F_F0A1, &[1]);
+    let mut rng = rng_for(seed, &[1]);
     let mut live: Vec<u64> = Vec::new();
     let mut rejected = 0;
     for step in 0..500 {
@@ -249,21 +302,40 @@ fn one_worker_replies_are_byte_identical_to_the_serial_replay() {
     assert!(live.is_empty(), "the script drains what it placed");
     assert!(rejected > 0, "the fleet should saturate at least once");
     assert_eq!(oracle.active_sessions(), 0);
+    assert!(oracle.last_decided > 0);
+    if shards > 1 {
+        assert!(oracle.rescored > 0, "no earlier shard ever won");
+    }
 
-    // The memo really was under eviction pressure the whole way, and the
-    // daemon's score cache saw exactly the serial hit/miss stream: its
-    // abandoned first passes never touch it.
+    // The memo really was under eviction pressure the whole way, and each
+    // of the daemon's score caches saw exactly the serial hit/miss stream:
+    // its abandoned first passes never touch them.
     let (_, misses) = oracle.memo.counts();
     assert!(misses > 10 * MEMO as u64, "only {misses} memo misses");
+    let per_shard: Vec<(u64, u64)> = oracle.shards.iter().map(|(_, _, c)| c.counts()).collect();
+    assert_eq!(handle.shard_score_counts(), per_shard);
     wire::write_frame(&mut stream, &Request::Stats).unwrap();
     let Response::Stats(stats) = wire::read_frame(&mut stream).unwrap() else {
         panic!("stats reply expected");
     };
-    let (hits, misses) = oracle.shards[0].2.counts();
+    let (hits, misses) = per_shard
+        .iter()
+        .fold((0, 0), |(h, m), &(sh, sm)| (h + sh, m + sm));
     assert_eq!((stats.score_hits, stats.score_misses), (hits, misses));
-    assert_drained(&stats, 1);
+    assert_eq!(stats.place_admit_retries + stats.place_admit_fallbacks, 0);
+    assert_drained(&stats, shards);
     drop(stream);
     handle.shutdown();
+}
+
+#[test]
+fn one_worker_replies_are_byte_identical_to_the_serial_replay() {
+    one_worker_replies_match_the_serial_replay(1, 0x0D1F_F0A1);
+}
+
+#[test]
+fn one_worker_on_two_shards_replies_are_byte_identical_to_the_serial_replay() {
+    one_worker_replies_match_the_serial_replay(2, 0x0D1F_F0A4);
 }
 
 /// What one client was told about a session it placed.

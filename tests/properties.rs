@@ -82,8 +82,8 @@ proptest! {
     /// single-lock placement loop bit for bit: same accept/reject stream,
     /// same server choices, same predicted-FPS bits, same departed-server
     /// replies and same score-cache hit/miss counts, for any interleaving
-    /// of places and departs. This pins the `shards = 1` fast path to the
-    /// pre-sharding semantics.
+    /// of places and departs. This pins the one admit path at `shards = 1`
+    /// to the pre-sharding semantics.
     #[test]
     fn single_shard_daemon_is_bit_identical_to_single_lock_reference(
         ops in proptest::collection::vec((any::<bool>(), 0usize..16, 0u8..4, 0usize..64), 1..40),
