@@ -18,7 +18,6 @@ use gaugur_baselines::InterferencePredictor;
 use gaugur_core::features::rm_features;
 use gaugur_core::{Algorithm, RegressionModel, ALL_ALGORITHMS};
 use gaugur_ml::metrics::Cdf;
-use rayon::prelude::*;
 
 /// Training-set sizes swept in Figure 7a.
 pub const SAMPLE_SWEEP: [usize; 4] = [400, 600, 800, 1000];
@@ -78,7 +77,7 @@ impl Fig7 {
             .map(|&n| {
                 let data = take_dataset(&pool, n);
                 let errors: Vec<(Algorithm, f64)> = ALL_ALGORITHMS
-                    .par_iter()
+                    .iter()
                     .map(|&algo| {
                         let model = RegressionModel::train(&data, algo, 7);
                         let rm = RmPredictor { ctx, model: &model };

@@ -20,7 +20,6 @@ use gaugur_core::{
 };
 use gaugur_gamesim::rng::rng_for;
 use rand::seq::SliceRandom;
-use rayon::prelude::*;
 
 /// Training-set sizes swept in Figures 8a/8b.
 pub const SAMPLE_SWEEP: [usize; 4] = [400, 600, 800, 1000];
@@ -72,7 +71,7 @@ impl Fig8 {
             for &n in &SAMPLE_SWEEP {
                 let data = to_dataset(&pool[..n.min(pool.len())]);
                 let accs: Vec<(Algorithm, f64)> = ALL_ALGORITHMS
-                    .par_iter()
+                    .iter()
                     .map(|&algo| {
                         let model = ClassificationModel::train(&data, algo, 8);
                         let correct = records

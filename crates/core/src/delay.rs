@@ -14,7 +14,6 @@ use crate::model::{Algorithm, RegressionModel};
 use crate::train::{MeasuredColocation, Placement, ProfileStore};
 use gaugur_gamesim::{GameCatalog, Server, Workload};
 use gaugur_ml::Dataset;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A measured colocation annotated with per-member processing delays.
@@ -33,7 +32,7 @@ pub fn measure_delays(
     colocations: &[Vec<Placement>],
 ) -> Vec<MeasuredDelays> {
     colocations
-        .par_iter()
+        .iter()
         .map(|members| {
             let workloads: Vec<Workload<'_>> = members
                 .iter()

@@ -18,7 +18,6 @@ use gaugur_gamesim::{
     Game, GameCatalog, GameId, Microbenchmark, Resolution, Resource, ResourceVec, Server, Workload,
     ALL_RESOURCES,
 };
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// How the per-window frame rate is summarized during profiling.
@@ -200,13 +199,12 @@ impl Profiler {
         }
     }
 
-    /// Profile a whole catalog, one game after another (`par_iter` is the
-    /// workspace's sequential stand-in for rayon). Cost is `O(N)` in the
-    /// number of games — the paper's headline overhead argument.
+    /// Profile a whole catalog, one game after another. Cost is `O(N)` in
+    /// the number of games — the paper's headline overhead argument.
     pub fn profile_catalog(&self, server: &Server, catalog: &GameCatalog) -> Vec<GameProfile> {
         catalog
             .games()
-            .par_iter()
+            .iter()
             .map(|g| self.profile_game(server, g))
             .collect()
     }

@@ -12,7 +12,6 @@ use gaugur_gamesim::{GameCatalog, GameId, Resolution, ResourceVec, Server, Workl
 use gaugur_ml::Dataset;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
@@ -95,17 +94,16 @@ pub fn plan_colocations(catalog: &GameCatalog, plan: &ColocationPlan) -> Vec<Vec
     out
 }
 
-/// Measure a set of colocations on a server, one after another (`par_iter`
-/// is the workspace's sequential stand-in for rayon). The simulator is the
-/// expensive part of this offline step, as the physical testbed is in the
-/// paper.
+/// Measure a set of colocations on a server, one after another. The
+/// simulator is the expensive part of this offline step, as the physical
+/// testbed is in the paper.
 pub fn measure_colocations(
     server: &Server,
     catalog: &GameCatalog,
     colocations: &[Vec<Placement>],
 ) -> Vec<MeasuredColocation> {
     colocations
-        .par_iter()
+        .iter()
         .map(|members| {
             let workloads: Vec<Workload<'_>> = members
                 .iter()

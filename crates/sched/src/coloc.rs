@@ -9,7 +9,6 @@ use crate::FeasibilityModel;
 use gaugur_core::Placement;
 use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server, Workload};
 use gaugur_ml::metrics::Confusion;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// All subsets of `ids` with between 1 and `max_size` members, in
@@ -63,7 +62,7 @@ impl ColocationTable {
     ) -> ColocationTable {
         let sets = enumerate_subsets(ids, max_size);
         let actual_fps: Vec<Vec<f64>> = sets
-            .par_iter()
+            .iter()
             .map(|set| {
                 let ws: Vec<Workload<'_>> = set
                     .iter()

@@ -7,7 +7,6 @@
 
 use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server, Workload};
 use gaugur_ml::metrics::Cdf;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -75,7 +74,7 @@ pub fn evaluate_cluster(
     }
 
     let measured: Vec<Vec<f64>> = unique
-        .par_iter()
+        .iter()
         .map(|contents| {
             let ws: Vec<Workload<'_>> = contents
                 .iter()

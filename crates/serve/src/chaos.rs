@@ -19,13 +19,16 @@
 //!    a client that died mid-request must not leave sessions in the fleet.
 //! 3. **Monotone model version** — the version observed across replies
 //!    never decreases, and the final version is exactly
-//!    `1 + successful reloads`.
+//!    `1 + successful reloads + successful retrains`.
 //! 4. **Byte-identical replay** — the surviving operations, replayed
 //!    against a fresh fault-free daemon, make bit-for-bit the same
-//!    decisions (server choice, predicted-FPS bits, degradation bits).
-//!    This is the strongest oracle: it holds only because lost placements
-//!    are rolled back to a *bit-exact* pre-admit state (occupancy and
-//!    score-cache sums), making every fault a net no-op.
+//!    decisions (server choice, predicted-FPS bits, degradation bits), and
+//!    the flight recorder's deterministic dumps of the two runs are
+//!    byte-identical. Both runs read every decision reply through one
+//!    decoder (`Sessions::decode`), so the comparison is `==` on the
+//!    recorded ops. This is the strongest oracle: it holds only because
+//!    lost placements are rolled back to a *bit-exact* pre-admit state
+//!    (occupancy and score-cache sums), making every fault a net no-op.
 //! 5. **Per-shard conservation** — the daemon under chaos runs *two*
 //!    placement shards (single worker, so runs stay strictly sequential
 //!    and seed-pure); at both quiesce points (post-drain, post-shutdown)
@@ -36,6 +39,7 @@
 //! Reproducing a failure locally: `gaugur chaos --seed <N>` re-runs the
 //! scenario with the identical fault schedule and prints the report.
 
+use crate::client::{Client, ClientError};
 use crate::daemon::{self, DaemonConfig};
 use crate::fault::{FaultAction, FaultEvent, FaultInjector, FaultPlan, InjectionPoint};
 use crate::feedback::FeedbackConfig;
@@ -43,16 +47,16 @@ use crate::load::verify_shard_layout;
 use crate::model::ModelHandle;
 use crate::stats::StatsSnapshot;
 use crate::wire::{
-    read_frame, write_frame, BatchPlaceResult, OutcomeReport, Request, Response, WirePlacement,
+    encode_frame, read_frame, request_kind, BatchPlaceResult, OutcomeReport, Request, Response,
+    WirePlacement,
 };
 use gaugur_gamesim::rng::rng_for;
 use gaugur_gamesim::{GameId, Resolution};
 use rand::Rng;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{ErrorKind, Read as _, Write as _};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -256,8 +260,9 @@ enum PlaceOutcome {
     Rejected,
 }
 
-/// One delivered operation, recorded for the fault-free replay.
-#[derive(Debug, Clone)]
+/// One delivered operation, recorded for the fault-free replay. Its `Debug`
+/// form is what `decision_digest` hashes.
+#[derive(Debug, Clone, PartialEq)]
 enum TraceOp {
     Place {
         game: GameId,
@@ -282,15 +287,139 @@ enum TraceOp {
     },
 }
 
-/// How an injected (or clean) send ended.
-enum Delivery {
-    /// The daemon handled the request and the reply arrived.
-    Reply(Response),
-    /// The daemon never parsed the request — a guaranteed net no-op.
-    RequestLost,
-    /// The daemon handled a placement but the reply died; the daemon must
-    /// have rolled the placement back.
-    ReplyLost,
+/// The sessions a run has confirmed, numbered by logical id in the order
+/// their confirmations arrive. Wire session ids are not comparable across
+/// runs (rolled-back admissions consume them); logical ids are.
+#[derive(Default)]
+struct Sessions {
+    /// Live sessions as (logical id, wire session id, predicted-fps bits);
+    /// the fps bits seed deterministic outcome reports.
+    live: Vec<(u64, u64, u64)>,
+    next_logical: u64,
+}
+
+impl Sessions {
+    /// The one reply decoder: turn a delivered `(request, reply)` pair into
+    /// the op the trace records, plus the model version the reply carries.
+    /// The faulted run, its drain and the replay all read replies through
+    /// here, so the replay oracle is `==` on recorded ops. A confirmed
+    /// placement joins `live` under the next logical id; a departed session
+    /// leaves it.
+    fn decode(
+        &mut self,
+        request: &Request,
+        response: Response,
+    ) -> Result<(TraceOp, Option<u64>), String> {
+        let mut confirm = |session: u64, server: usize, fps: f64| {
+            let (logical, fps) = (self.next_logical, fps.to_bits());
+            self.next_logical += 1;
+            self.live.push((logical, session, fps));
+            PlaceOutcome::Placed {
+                logical,
+                server,
+                fps,
+            }
+        };
+        match (request, response) {
+            (
+                &Request::Place { game, resolution },
+                Response::Placed {
+                    session,
+                    server,
+                    predicted_fps,
+                    model_version,
+                },
+            ) => {
+                let outcome = confirm(session, server, predicted_fps);
+                let op = TraceOp::Place {
+                    game,
+                    resolution,
+                    outcome,
+                };
+                Ok((op, Some(model_version)))
+            }
+            (&Request::Place { game, resolution }, Response::Rejected { .. }) => {
+                let outcome = PlaceOutcome::Rejected;
+                let op = TraceOp::Place {
+                    game,
+                    resolution,
+                    outcome,
+                };
+                Ok((op, None))
+            }
+            (
+                Request::PlaceBatch { requests },
+                Response::PlacedBatch {
+                    model_version,
+                    results,
+                },
+            ) => {
+                let outcomes = results
+                    .into_iter()
+                    .map(|result| match result {
+                        BatchPlaceResult::Placed {
+                            session,
+                            server,
+                            predicted_fps,
+                        } => confirm(session, server, predicted_fps),
+                        BatchPlaceResult::Rejected { .. } => PlaceOutcome::Rejected,
+                    })
+                    .collect();
+                let reqs = requests.clone();
+                Ok((TraceOp::Batch { reqs, outcomes }, Some(model_version)))
+            }
+            (&Request::Depart { session }, Response::Departed { server, .. }) => {
+                let idx = self
+                    .live
+                    .iter()
+                    .position(|&(_, wire, _)| wire == session)
+                    .ok_or_else(|| format!("departed session {session} was never confirmed"))?;
+                let (logical, ..) = self.live.swap_remove(idx);
+                Ok((TraceOp::Depart { logical, server }, None))
+            }
+            (
+                Request::Predict {
+                    game,
+                    resolution,
+                    others,
+                    ..
+                },
+                Response::Prediction {
+                    feasible,
+                    degradation,
+                    fps,
+                    model_version,
+                    ..
+                },
+            ) => {
+                let op = TraceOp::Predict {
+                    game: *game,
+                    resolution: *resolution,
+                    others: others.clone(),
+                    feasible,
+                    degradation: degradation.to_bits(),
+                    fps: fps.to_bits(),
+                };
+                Ok((op, Some(model_version)))
+            }
+            (request, other) => Err(format!("{} answered {other:?}", request_kind(request))),
+        }
+    }
+}
+
+/// A failed clean round trip: the harness, not the scenario, broke.
+fn call_failed(e: ClientError) -> String {
+    format!("harness call failed: {e}")
+}
+
+/// A client with the harness's 10 s read timeout, so a daemon that stops
+/// answering fails the scenario instead of hanging it.
+fn connect(addr: SocketAddr) -> Result<Client, String> {
+    let client = Client::connect(addr).map_err(|e| format!("connect failed: {e}"))?;
+    client
+        .set_timeout(Some(Duration::from_secs(10)))
+        .map_err(call_failed)?;
+    Ok(client)
 }
 
 /// The sequential chaos client: one data connection at a time, request-side
@@ -298,78 +427,26 @@ enum Delivery {
 /// every reconnect so a dead connection's rollback lands before the next
 /// operation reads fleet state.
 struct Runner {
-    addr: SocketAddr,
-    stream: TcpStream,
+    client: Client,
     injector: Arc<FaultInjector>,
     max_frame_len: usize,
-    client_timeout: Duration,
     connects: u64,
     corrupt_sent: u64,
     oversized_sent: u64,
 }
 
-fn connect(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect failed: {e}"))?;
-    stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    Ok(stream)
-}
-
-fn encode(request: &Request) -> Vec<u8> {
-    let payload = serde_json::to_string(request)
-        .expect("request serializes")
-        .into_bytes();
-    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
-    frame.extend_from_slice(&payload);
-    frame
-}
-
 impl Runner {
-    fn new(
-        addr: SocketAddr,
-        injector: Arc<FaultInjector>,
-        max_frame_len: usize,
-    ) -> Result<Runner, String> {
-        let client_timeout = Duration::from_secs(10);
-        Ok(Runner {
-            addr,
-            stream: connect(addr, client_timeout)?,
-            injector,
-            max_frame_len,
-            client_timeout,
-            connects: 1,
-            corrupt_sent: 0,
-            oversized_sent: 0,
-        })
-    }
-
-    /// One clean request/response round-trip, no injection. Used for stats
-    /// polling and the drain, which must never draw on the fault stream.
-    fn raw_call(&mut self, request: &Request) -> Result<Response, String> {
-        write_frame(&mut self.stream, request).map_err(|e| format!("raw write failed: {e}"))?;
-        read_frame(&mut self.stream).map_err(|e| format!("raw read failed: {e}"))
-    }
-
-    fn raw_stats(&mut self) -> Result<StatsSnapshot, String> {
-        match self.raw_call(&Request::Stats)? {
-            Response::Stats(snapshot) => Ok(*snapshot),
-            other => Err(format!("stats answered {other:?}")),
-        }
-    }
-
     /// Open a fresh data connection and wait until the daemon has finished
     /// with every previous one. The wait is what makes reply-loss rollbacks
     /// *happen-before* the next operation — without it, a racing worker
     /// could still hold a doomed session while the next placement decides,
     /// and determinism (and the replay oracle) would be lost.
     fn reconnect(&mut self) -> Result<(), String> {
-        self.stream = connect(self.addr, self.client_timeout)?;
+        self.client = connect(self.client.peer_addr())?;
         self.connects += 1;
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            let snapshot = self.raw_stats()?;
+            let snapshot = self.client.stats().map_err(call_failed)?;
             if snapshot.connections_closed + 1 >= self.connects {
                 return Ok(());
             }
@@ -384,20 +461,22 @@ impl Runner {
         }
     }
 
+    /// Write part of a frame and flush; the daemon sees whatever arrives.
+    fn write_part(&mut self, bytes: &[u8]) {
+        let stream = self.client.stream();
+        let _ = stream.write_all(bytes);
+        let _ = stream.flush();
+    }
+
     /// Read until the daemon closes the connection (used after stalled and
     /// oversized frames, where the daemon must cut the link).
     fn wait_for_close(&mut self) -> Result<(), String> {
         let mut buf = [0u8; 256];
         loop {
-            match self.stream.read(&mut buf) {
+            match self.client.stream().read(&mut buf) {
                 Ok(0) => return Ok(()),
                 Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                     return Err("daemon did not close a dead connection in time".into());
                 }
                 Err(_) => return Ok(()),
@@ -405,101 +484,85 @@ impl Runner {
         }
     }
 
-    /// Issue one operation with request-side fault injection.
-    /// `reply_faultable` marks operations whose replies the daemon may
-    /// fault (placements); reply loss on any other operation is an oracle
-    /// violation, not a tolerated fault.
-    fn send_op(&mut self, request: &Request, reply_faultable: bool) -> Result<Delivery, String> {
-        match self.injector.decide(InjectionPoint::Request) {
-            FaultAction::DropConnection => {
-                let _ = self.stream.shutdown(std::net::Shutdown::Both);
-                self.reconnect()?;
-                Ok(Delivery::RequestLost)
-            }
-            FaultAction::TornFrame => {
-                let frame = encode(request);
-                let cut = frame.len() / 2;
-                let _ = self.stream.write_all(&frame[..cut]);
-                let _ = self.stream.flush();
-                let _ = self.stream.shutdown(std::net::Shutdown::Both);
-                self.reconnect()?;
-                Ok(Delivery::RequestLost)
+    /// Issue one operation with request-side fault injection. Returns the
+    /// reply, or `None` for a lost operation, counted in `run`: either the
+    /// daemon never parsed the request (a guaranteed net no-op), or it
+    /// handled a placement whose reply died (and must have rolled it back).
+    /// The daemon faults only placement replies; reply loss on any other
+    /// operation is an oracle violation, not a tolerated fault.
+    fn send_op(
+        &mut self,
+        request: &Request,
+        run: &mut ScenarioReport,
+    ) -> Result<Option<Response>, String> {
+        let frame = || encode_frame(request).expect("requests serialize");
+        let action = self.injector.decide(InjectionPoint::Request);
+        match action {
+            FaultAction::DropConnection | FaultAction::TornFrame => {
+                if action == FaultAction::TornFrame {
+                    let frame = frame();
+                    self.write_part(&frame[..frame.len() / 2]);
+                }
+                let _ = self.client.stream().shutdown(std::net::Shutdown::Both);
             }
             FaultAction::StalledFrame => {
                 // Header plus half the payload, then silence: only the
                 // daemon's read deadline can end this connection.
-                let frame = encode(request);
-                let cut = 4 + (frame.len() - 4) / 2;
-                let _ = self.stream.write_all(&frame[..cut]);
-                let _ = self.stream.flush();
+                let frame = frame();
+                self.write_part(&frame[..4 + (frame.len() - 4) / 2]);
                 self.wait_for_close()?;
-                self.reconnect()?;
-                Ok(Delivery::RequestLost)
             }
             FaultAction::OversizedFrame => {
                 // A header declaring one byte more than the daemon's cap;
                 // it must answer a typed error *without allocating* and
                 // close, because resync after a length violation is
                 // impossible.
-                let bogus = ((self.max_frame_len + 1) as u32).to_be_bytes();
-                let _ = self.stream.write_all(&bogus);
-                let _ = self.stream.flush();
+                self.write_part(&((self.max_frame_len + 1) as u32).to_be_bytes());
                 self.oversized_sent += 1;
-                match read_frame(&mut self.stream) {
-                    Ok(Response::Error { .. }) => {}
+                match read_frame(self.client.stream()) {
+                    Ok(Response::Error { .. }) => self.wait_for_close()?,
                     other => return Err(format!("oversized frame answered {other:?}, want Error")),
                 }
-                self.wait_for_close()?;
-                self.reconnect()?;
-                Ok(Delivery::RequestLost)
             }
             FaultAction::CorruptFrame => {
                 // Correct length, poisoned payload: the stream stays
                 // framed, so the daemon must answer an error and *keep*
                 // the connection.
-                let mut frame = encode(request);
+                let mut frame = frame();
                 frame[4] = 0xFF;
-                self.stream
-                    .write_all(&frame)
-                    .map_err(|e| format!("corrupt-frame write failed: {e}"))?;
-                self.stream.flush().map_err(|e| e.to_string())?;
+                self.write_part(&frame);
                 self.corrupt_sent += 1;
-                match read_frame(&mut self.stream) {
-                    Ok(Response::Error { .. }) => Ok(Delivery::RequestLost),
-                    other => Err(format!("corrupt frame answered {other:?}, want Error")),
+                match read_frame(self.client.stream()) {
+                    Ok(Response::Error { .. }) => run.lost_requests += 1,
+                    other => return Err(format!("corrupt frame answered {other:?}, want Error")),
                 }
+                return Ok(None);
             }
-            _ => {
-                write_frame(&mut self.stream, request)
-                    .map_err(|e| format!("request write failed: {e}"))?;
-                match read_frame(&mut self.stream) {
-                    Ok(response) => Ok(Delivery::Reply(response)),
-                    Err(crate::wire::FrameError::Eof) | Err(crate::wire::FrameError::Io(_)) => {
-                        if !reply_faultable {
-                            return Err(format!("reply lost on a non-placement op ({request:?})"));
-                        }
-                        self.reconnect()?;
-                        Ok(Delivery::ReplyLost)
+            _ => match self.client.call(request) {
+                Ok(response) => return Ok(Some(response)),
+                Err(e) if e.is_ambiguous() => {
+                    if !matches!(request, Request::Place { .. } | Request::PlaceBatch { .. }) {
+                        return Err(format!("reply lost on a non-placement op ({request:?})"));
                     }
-                    Err(e) => Err(format!("reply decode failed: {e}")),
+                    self.reconnect()?;
+                    run.lost_replies += 1;
+                    return Ok(None);
                 }
-            }
+                Err(e) => return Err(format!("reply decode failed: {e}")),
+            },
         }
+        self.reconnect()?;
+        run.lost_requests += 1;
+        Ok(None)
     }
-}
-
-fn fps_bits(fps: f64) -> u64 {
-    fps.to_bits()
 }
 
 /// Record a model version observed on the wire, checking monotonicity.
-fn note_version(versions_seen: &mut Vec<u64>, v: u64, violations: &mut Vec<String>) {
-    if let Some(&last) = versions_seen.last() {
-        if v < last {
-            violations.push(format!("model version rolled back: {last} -> {v}"));
-        }
+fn note_version(latest: &mut u64, v: u64, violations: &mut Vec<String>) {
+    if v < *latest {
+        violations.push(format!("model version rolled back: {latest} -> {v}"));
     }
-    versions_seen.push(v);
+    *latest = v;
 }
 
 /// The daemon a scenario runs against, faulted (`fault: Some`) or for the
@@ -534,6 +597,24 @@ fn daemon_config(config: &ChaosConfig, fault: Option<Arc<FaultInjector>>) -> Dae
     }
 }
 
+/// The oracles both quiesce points (post-drain, post-shutdown) share: no
+/// session left, every request stage reconciled, the shard layout intact.
+fn check_quiesced(snap: &StatsSnapshot, shards: usize, when: &str, violations: &mut Vec<String>) {
+    let active = snap.active_sessions;
+    if active != 0 {
+        violations.push(format!("leaked placements ({when}): {active} active"));
+    }
+    // Per-stage tracing must reconcile exactly even under injected faults:
+    // every handled request — including those whose replies were dropped,
+    // torn, or stalled — holds exactly one sample in each request stage.
+    if let Err(v) = crate::trace::verify_stage_accounting(snap) {
+        violations.push(format!("stage accounting ({when}): {v}"));
+    }
+    if let Err(v) = verify_shard_layout(snap, shards) {
+        violations.push(format!("shard conservation ({when}): {v}"));
+    }
+}
+
 /// Drive the op mix against the daemon with fault injection, drain, run
 /// the stats oracles, and shut the daemon down. Counts and oracle
 /// violations land in `run`; the delivered operations come back for the
@@ -548,20 +629,23 @@ fn faulted_run(
     let daemon_config = daemon_config(config, Some(injector.clone()));
     let (max_frame_len, shards) = (daemon_config.max_frame_len, daemon_config.shards);
     let handle = daemon::start(daemon_config, model).map_err(|e| format!("start failed: {e}"))?;
-    let mut runner = Runner::new(handle.local_addr(), injector, max_frame_len)?;
+    let mut runner = Runner {
+        client: connect(handle.local_addr())?,
+        injector,
+        max_frame_len,
+        connects: 1,
+        corrupt_sent: 0,
+        oversized_sent: 0,
+    };
 
     let mut op_rng = rng_for(config.seed, &[CHAOS_CTX]);
     let mut violations: Vec<String> = Vec::new();
     let mut trace: Vec<TraceOp> = Vec::new();
-    // Confirmed sessions as (runner-assigned logical id, wire session id,
-    // predicted-fps bits); wire ids are not comparable across runs
-    // (rolled-back admissions consume them), logical ids are. The fps bits
-    // seed deterministic outcome reports.
-    let mut live: Vec<(u64, u64, u64)> = Vec::new();
-    let mut next_logical = 0u64;
-    let mut versions_seen: Vec<u64> = Vec::new();
+    let mut sessions = Sessions::default();
+    // The latest model version a reply carried (the daemon starts at 1).
+    let mut latest = 1u64;
 
-    let draw_placement = |rng: &mut rand_chacha::ChaCha8Rng, config: &ChaosConfig| {
+    let draw_placement = |rng: &mut rand_chacha::ChaCha8Rng| {
         let game = config.games[rng.gen_range(0..config.games.len())];
         let resolution = config.resolutions[rng.gen_range(0..config.resolutions.len())];
         (game, resolution)
@@ -569,158 +653,45 @@ fn faulted_run(
 
     for _ in 0..config.ops {
         let roll: f64 = op_rng.gen();
-        if roll < 0.34 {
-            // Place one session.
-            let (game, resolution) = draw_placement(&mut op_rng, config);
-            match runner.send_op(&Request::Place { game, resolution }, true)? {
-                Delivery::Reply(Response::Placed {
-                    session,
-                    server,
-                    predicted_fps,
-                    model_version,
-                }) => {
-                    note_version(&mut versions_seen, model_version, &mut violations);
-                    let logical = next_logical;
-                    next_logical += 1;
-                    live.push((logical, session, fps_bits(predicted_fps)));
-                    run.confirmed += 1;
-                    trace.push(TraceOp::Place {
-                        game,
-                        resolution,
-                        outcome: PlaceOutcome::Placed {
-                            logical,
-                            server,
-                            fps: fps_bits(predicted_fps),
-                        },
-                    });
-                }
-                Delivery::Reply(Response::Rejected { .. }) => {
-                    run.rejected += 1;
-                    trace.push(TraceOp::Place {
-                        game,
-                        resolution,
-                        outcome: PlaceOutcome::Rejected,
-                    });
-                }
-                Delivery::Reply(other) => {
-                    violations.push(format!("place answered {other:?}"));
-                }
-                Delivery::RequestLost => run.lost_requests += 1,
-                Delivery::ReplyLost => run.lost_replies += 1,
-            }
+        // Places, batches, departs and predicts are decisions: each arm
+        // builds its request, and the reply goes through the decoder below.
+        // Reports, retrains and reloads are settled in their own arms.
+        let (request, depart_idx) = if roll < 0.34 {
+            let (game, resolution) = draw_placement(&mut op_rng);
+            (Request::Place { game, resolution }, None)
         } else if roll < 0.48 {
-            // Place a small batch.
             let n = op_rng.gen_range(2..=3usize);
-            let reqs: Vec<WirePlacement> = (0..n)
-                .map(|_| draw_placement(&mut op_rng, config))
-                .collect();
-            let request = Request::PlaceBatch {
-                requests: reqs.clone(),
-            };
-            match runner.send_op(&request, true)? {
-                Delivery::Reply(Response::PlacedBatch {
-                    model_version,
-                    results,
-                }) => {
-                    note_version(&mut versions_seen, model_version, &mut violations);
-                    let mut outcomes = Vec::with_capacity(results.len());
-                    for result in &results {
-                        match result {
-                            BatchPlaceResult::Placed {
-                                session,
-                                server,
-                                predicted_fps,
-                            } => {
-                                let logical = next_logical;
-                                next_logical += 1;
-                                live.push((logical, *session, fps_bits(*predicted_fps)));
-                                run.confirmed += 1;
-                                outcomes.push(PlaceOutcome::Placed {
-                                    logical,
-                                    server: *server,
-                                    fps: fps_bits(*predicted_fps),
-                                });
-                            }
-                            BatchPlaceResult::Rejected { .. } => {
-                                run.rejected += 1;
-                                outcomes.push(PlaceOutcome::Rejected);
-                            }
-                        }
-                    }
-                    trace.push(TraceOp::Batch { reqs, outcomes });
-                }
-                Delivery::Reply(other) => {
-                    violations.push(format!("place_batch answered {other:?}"));
-                }
-                Delivery::RequestLost => run.lost_requests += 1,
-                Delivery::ReplyLost => run.lost_replies += 1,
-            }
-        } else if roll < 0.62 && !live.is_empty() {
+            let requests = (0..n).map(|_| draw_placement(&mut op_rng)).collect();
+            (Request::PlaceBatch { requests }, None)
+        } else if roll < 0.62 && !sessions.live.is_empty() {
             // Depart a random live session. The emptiness check is
             // seed-deterministic (live contents are a function of the fault
             // schedule), so the draw sequence stays reproducible.
-            let idx = op_rng.gen_range(0..live.len());
-            let (logical, session, fps) = live.swap_remove(idx);
-            match runner.send_op(&Request::Depart { session }, false)? {
-                Delivery::Reply(Response::Departed { server, .. }) => {
-                    trace.push(TraceOp::Depart { logical, server });
-                }
-                Delivery::Reply(other) => {
-                    violations.push(format!("depart of live session answered {other:?}"));
-                }
-                Delivery::RequestLost => {
-                    // Never reached the daemon: the session is still live.
-                    live.push((logical, session, fps));
-                    run.lost_requests += 1;
-                }
-                Delivery::ReplyLost => unreachable!("send_op rejects reply loss on departs"),
-            }
+            let idx = op_rng.gen_range(0..sessions.live.len());
+            let session = sessions.live[idx].1;
+            (Request::Depart { session }, Some(idx))
         } else if roll < 0.74 {
             // Predict against 0–2 co-runners.
-            let (game, resolution) = draw_placement(&mut op_rng, config);
+            let (game, resolution) = draw_placement(&mut op_rng);
             let n_others = op_rng.gen_range(0..=2usize);
-            let others: Vec<WirePlacement> = (0..n_others)
-                .map(|_| draw_placement(&mut op_rng, config))
-                .collect();
+            let others = (0..n_others).map(|_| draw_placement(&mut op_rng)).collect();
+            let qos = config.qos;
             let request = Request::Predict {
                 game,
                 resolution,
-                others: others.clone(),
-                qos: config.qos,
+                others,
+                qos,
             };
-            match runner.send_op(&request, false)? {
-                Delivery::Reply(Response::Prediction {
-                    feasible,
-                    degradation,
-                    fps,
-                    model_version,
-                    ..
-                }) => {
-                    note_version(&mut versions_seen, model_version, &mut violations);
-                    trace.push(TraceOp::Predict {
-                        game,
-                        resolution,
-                        others,
-                        feasible,
-                        degradation: fps_bits(degradation),
-                        fps: fps_bits(fps),
-                    });
-                }
-                Delivery::Reply(other) => {
-                    violations.push(format!("predict answered {other:?}"));
-                }
-                Delivery::RequestLost => run.lost_requests += 1,
-                Delivery::ReplyLost => unreachable!("send_op rejects reply loss on predicts"),
-            }
-        } else if roll < 0.86 && !live.is_empty() {
+            (request, None)
+        } else if roll < 0.86 && !sessions.live.is_empty() {
             // Report observed FPS for 1–2 live sessions. Reports are pure
             // bookkeeping for the feedback buffer (chaos retrains append
             // zero trees, so the published model never changes), which is
             // why they stay out of the replay trace. A slice of reports
             // targets a bogus session id on purpose to exercise the
             // dropped path.
+            let live = &sessions.live;
             let n = op_rng.gen_range(1..=2usize).min(live.len());
-            let latest = versions_seen.last().copied().unwrap_or(1);
             let mut reports = Vec::with_capacity(n);
             for _ in 0..n {
                 let (_, session, fps) = live[op_rng.gen_range(0..live.len())];
@@ -740,19 +711,17 @@ fn faulted_run(
             } else {
                 Request::ReportOutcomeBatch { reports }
             };
-            match runner.send_op(&request, false)? {
-                Delivery::Reply(Response::OutcomeRecorded {
+            match runner.send_op(&request, run)? {
+                Some(Response::OutcomeRecorded {
                     accepted, dropped, ..
                 }) => {
                     run.outcomes_accepted += accepted;
                     run.outcomes_dropped += dropped;
                 }
-                Delivery::Reply(other) => {
-                    violations.push(format!("report_outcome answered {other:?}"));
-                }
-                Delivery::RequestLost => run.lost_requests += 1,
-                Delivery::ReplyLost => unreachable!("send_op rejects reply loss on reports"),
+                Some(other) => violations.push(format!("report_outcome answered {other:?}")),
+                None => {}
             }
+            continue;
         } else if roll < 0.93 {
             // Trigger a background retrain. The Retrain injection point
             // decides up front (client-side, so the daemon never draws on
@@ -762,15 +731,15 @@ fn faulted_run(
             // model is bit-identical, so swap timing cannot perturb any
             // placement decision the replay will check.
             let fail = runner.injector.decide(InjectionPoint::Retrain) == FaultAction::FailRetrain;
-            let before = runner.raw_stats()?;
+            let before = runner.client.stats().map_err(call_failed)?;
             let expect_ok = !fail && before.feedback_buffered > 0;
             let min_samples = if fail { Some(u64::MAX) } else { None };
             let request = Request::TriggerRetrain {
                 min_samples,
                 extra_rounds: Some(0),
             };
-            match runner.send_op(&request, false)? {
-                Delivery::Reply(Response::RetrainQueued { queued: true }) => {
+            match runner.send_op(&request, run)? {
+                Some(Response::RetrainQueued { queued: true }) => {
                     // The retrainer runs asynchronously; wait for this job
                     // to settle so the model version is deterministic
                     // before the next op. Stats polling is control-plane
@@ -778,7 +747,7 @@ fn faulted_run(
                     let target = before.retrains_ok + before.retrains_failed + 1;
                     let deadline = Instant::now() + Duration::from_secs(30);
                     let snap = loop {
-                        let snap = runner.raw_stats()?;
+                        let snap = runner.client.stats().map_err(call_failed)?;
                         if snap.retrains_ok + snap.retrains_failed >= target {
                             break snap;
                         }
@@ -790,7 +759,7 @@ fn faulted_run(
                     if expect_ok {
                         if snap.retrains_ok == before.retrains_ok + 1 {
                             run.retrains_ok += 1;
-                            note_version(&mut versions_seen, snap.model_version, &mut violations);
+                            note_version(&mut latest, snap.model_version, &mut violations);
                         } else {
                             violations.push(format!(
                                 "retrain over {} buffered outcomes failed",
@@ -813,68 +782,91 @@ fn faulted_run(
                         }
                     }
                 }
-                Delivery::Reply(Response::RetrainQueued { queued: false }) => {
+                Some(Response::RetrainQueued { queued: false }) => {
                     violations.push("daemon refused to queue a retrain".into());
                 }
-                Delivery::Reply(other) => {
-                    violations.push(format!("trigger_retrain answered {other:?}"));
-                }
-                Delivery::RequestLost => run.lost_requests += 1,
-                Delivery::ReplyLost => unreachable!("send_op rejects reply loss on retrains"),
+                Some(other) => violations.push(format!("trigger_retrain answered {other:?}")),
+                None => {}
             }
+            continue;
         } else {
             // Hot reload; the Reload injection point decides up front
             // whether this one targets a nonexistent artifact.
             let fail = runner.injector.decide(InjectionPoint::Reload) == FaultAction::FailReload;
             let path = fail.then(|| "/nonexistent/gaugur-chaos/model.json".to_string());
-            match runner.send_op(&Request::ReloadModel { path }, false)? {
-                Delivery::Reply(Response::Reloaded { version }) => {
+            match runner.send_op(&Request::ReloadModel { path }, run)? {
+                Some(Response::Reloaded { version }) => {
                     if fail {
                         violations.push(format!(
                             "reload of a nonexistent artifact answered Reloaded v{version}"
                         ));
                     } else {
-                        note_version(&mut versions_seen, version, &mut violations);
+                        note_version(&mut latest, version, &mut violations);
                         run.reloads_ok += 1;
                     }
                 }
-                Delivery::Reply(Response::Error { message }) => {
+                Some(Response::Error { message }) => {
                     if fail {
                         run.reloads_failed += 1;
                     } else {
                         violations.push(format!("clean reload answered Error: {message}"));
                     }
                 }
-                Delivery::Reply(other) => {
-                    violations.push(format!("reload answered {other:?}"));
+                Some(other) => violations.push(format!("reload answered {other:?}")),
+                None => {}
+            }
+            continue;
+        };
+
+        match runner.send_op(&request, run)? {
+            Some(response) => match sessions.decode(&request, response) {
+                Ok((op, carried)) => {
+                    if let Some(v) = carried {
+                        note_version(&mut latest, v, &mut violations);
+                    }
+                    let outcomes = match &op {
+                        TraceOp::Place { outcome, .. } => std::slice::from_ref(outcome),
+                        TraceOp::Batch { outcomes, .. } => outcomes,
+                        _ => &[],
+                    };
+                    let rejected = outcomes.iter().filter(|&&o| o == PlaceOutcome::Rejected);
+                    run.rejected += rejected.count() as u64;
+                    trace.push(op);
                 }
-                Delivery::RequestLost => run.lost_requests += 1,
-                Delivery::ReplyLost => unreachable!("send_op rejects reply loss on reloads"),
+                Err(v) => violations.push(v),
+            },
+            None => {
+                if let Some(idx) = depart_idx {
+                    // A depart is lost only on the way in: the session is
+                    // still live, now at the back, where later draws look.
+                    let session = sessions.live.swap_remove(idx);
+                    sessions.live.push(session);
+                }
             }
         }
     }
 
-    // Drain every confirmed session (no injection: the drain is
-    // bookkeeping, not part of the scenario).
-    while let Some((logical, session, _)) = live.pop() {
-        match runner.raw_call(&Request::Depart { session })? {
-            Response::Departed { server, .. } => trace.push(TraceOp::Depart { logical, server }),
-            other => violations.push(format!("drain depart answered {other:?}")),
+    // Every confirmed placement took one logical id. Drain them all (no
+    // injection: the drain is bookkeeping, not part of the scenario).
+    run.confirmed = sessions.next_logical;
+    while let Some(&(_, session, _)) = sessions.live.last() {
+        let request = Request::Depart { session };
+        let response = runner.client.call(&request).map_err(call_failed)?;
+        match sessions.decode(&request, response) {
+            Ok((op, _)) => trace.push(op),
+            Err(v) => {
+                sessions.live.pop();
+                violations.push(format!("drain: {v}"));
+            }
         }
     }
 
     // Stats oracles against the live daemon, post-drain.
-    let snapshot = runner.raw_stats()?;
+    let snapshot = runner.client.stats().map_err(call_failed)?;
     if snapshot.placements_admitted != run.confirmed + snapshot.placements_rolled_back {
         violations.push(format!(
             "placement conservation broken: admitted {} != confirmed {} + rolled back {}",
             snapshot.placements_admitted, run.confirmed, snapshot.placements_rolled_back
-        ));
-    }
-    if snapshot.active_sessions != 0 {
-        violations.push(format!(
-            "leaked placements: {} sessions active after full drain",
-            snapshot.active_sessions
         ));
     }
     if snapshot.malformed_frames != runner.corrupt_sent + runner.oversized_sent {
@@ -923,33 +915,17 @@ fn faulted_run(
             snapshot.connections_accepted, connects
         ));
     }
-    // Per-stage tracing must reconcile exactly even under injected faults:
-    // every handled request — including those whose replies were dropped,
-    // torn, or stalled — holds exactly one sample in each request stage.
-    if let Err(v) = crate::trace::verify_stage_accounting(&snapshot) {
-        violations.push(format!("stage accounting (post-drain): {v}"));
-    }
-    if let Err(v) = verify_shard_layout(&snapshot, shards) {
-        violations.push(format!("shard conservation (post-drain): {v}"));
-    }
+    check_quiesced(&snapshot, shards, "post-drain", &mut violations);
 
     // Snapshot the flight recorder's deterministic view before shutdown.
     // `run_scenario` demands these bytes identical to the fault-free
     // replay's dump: admissions whose replies were lost were rolled back,
     // so they appear in neither.
-    match runner.raw_call(&Request::DumpRecorder {
-        deterministic: true,
-    })? {
-        Response::RecorderDump {
-            jsonl, truncated, ..
-        } => {
-            if truncated {
-                violations.push("recorder dump truncated: ring too small for the scenario".into());
-            }
-            run.recorder_dump = jsonl;
-        }
-        other => violations.push(format!("dump_recorder answered {other:?}")),
+    let (jsonl, _, truncated) = runner.client.dump_recorder(true).map_err(call_failed)?;
+    if truncated {
+        violations.push("recorder dump truncated: ring too small for the scenario".into());
     }
+    run.recorder_dump = jsonl;
 
     // Graceful shutdown must finish in-flight work and close every
     // connection — including the runner's, dropped here.
@@ -961,18 +937,7 @@ fn faulted_run(
             final_stats.connections_closed, connects
         ));
     }
-    if final_stats.active_sessions != 0 {
-        violations.push(format!(
-            "leaked placements after shutdown: {}",
-            final_stats.active_sessions
-        ));
-    }
-    if let Err(v) = crate::trace::verify_stage_accounting(&final_stats) {
-        violations.push(format!("stage accounting (after shutdown): {v}"));
-    }
-    if let Err(v) = verify_shard_layout(&final_stats, shards) {
-        violations.push(format!("shard conservation (after shutdown): {v}"));
-    }
+    check_quiesced(&final_stats, shards, "after shutdown", &mut violations);
 
     run.final_stats = final_stats;
     run.violations = violations;
@@ -981,193 +946,69 @@ fn faulted_run(
 
 /// Replay the surviving operations against a fresh fault-free daemon and
 /// demand bit-identical decisions. Lost operations were net no-ops (rolled
-/// back or never parsed), so the fleet trajectories must coincide exactly.
-/// Returns `(replayed, violations, deterministic recorder dump)`.
-fn replay(config: &ChaosConfig, trace: &[TraceOp]) -> Result<(u64, Vec<String>, String), String> {
+/// back or never parsed), so the fleet trajectories must coincide exactly:
+/// each recorded op's request is rebuilt (departs mapped from logical to
+/// this run's wire ids), sent, and its reply decoded by the faulted run's
+/// own decoder into an op that must equal the recorded one. Returns
+/// `(violations, deterministic recorder dump)`.
+fn replay(config: &ChaosConfig, trace: &[TraceOp]) -> Result<(Vec<String>, String), String> {
     let model = ModelHandle::load(&config.artifact).map_err(|e| format!("replay load: {e}"))?;
-    let handle = daemon::start(daemon_config(config, None), model)
-        .map_err(|e| format!("replay start failed: {e}"))?;
-    let mut stream = connect(handle.local_addr(), Duration::from_secs(10))?;
-    let mut call = |request: &Request| -> Result<Response, String> {
-        write_frame(&mut stream, request).map_err(|e| format!("replay write: {e}"))?;
-        read_frame(&mut stream).map_err(|e| format!("replay read: {e}"))
-    };
-
+    let daemon_config = daemon_config(config, None);
+    let shards = daemon_config.shards;
+    let handle =
+        daemon::start(daemon_config, model).map_err(|e| format!("replay start failed: {e}"))?;
+    let mut client = connect(handle.local_addr())?;
+    let mut sessions = Sessions::default();
     let mut violations = Vec::new();
-    let mut sessions: HashMap<u64, u64> = HashMap::new();
-    let mut replayed = 0u64;
-    let check_place = |expected: &PlaceOutcome,
-                       got_server: usize,
-                       got_fps: f64,
-                       label: &str,
-                       violations: &mut Vec<String>|
-     -> Option<u64> {
-        match expected {
-            PlaceOutcome::Placed {
-                server,
-                fps,
-                logical,
-            } => {
-                if got_server != *server || fps_bits(got_fps) != *fps {
-                    violations.push(format!(
-                        "{label} diverged: faulted run chose server {server} fps bits {fps:016x}, \
-                         replay chose server {got_server} fps bits {:016x}",
-                        fps_bits(got_fps)
-                    ));
-                }
-                Some(*logical)
-            }
-            PlaceOutcome::Rejected => {
-                violations.push(format!("{label}: faulted run rejected, replay placed"));
-                None
-            }
-        }
-    };
 
-    for op in trace {
-        replayed += 1;
-        match op {
-            TraceOp::Place {
-                game,
-                resolution,
-                outcome,
-            } => match call(&Request::Place {
-                game: *game,
-                resolution: *resolution,
-            })? {
-                Response::Placed {
-                    session,
-                    server,
-                    predicted_fps,
-                    ..
-                } => {
-                    if let Some(logical) =
-                        check_place(outcome, server, predicted_fps, "place", &mut violations)
-                    {
-                        sessions.insert(logical, session);
-                    }
-                }
-                Response::Rejected { .. } => {
-                    if *outcome != PlaceOutcome::Rejected {
-                        violations.push("place: faulted run placed, replay rejected".into());
-                    }
-                }
-                other => return Err(format!("replay place answered {other:?}")),
-            },
-            TraceOp::Batch { reqs, outcomes } => match call(&Request::PlaceBatch {
+    for (i, recorded) in trace.iter().enumerate() {
+        let request = match recorded {
+            &TraceOp::Place {
+                game, resolution, ..
+            } => Request::Place { game, resolution },
+            TraceOp::Batch { reqs, .. } => Request::PlaceBatch {
                 requests: reqs.clone(),
-            })? {
-                Response::PlacedBatch { results, .. } => {
-                    if results.len() != outcomes.len() {
-                        violations.push(format!(
-                            "batch cardinality diverged: {} vs {}",
-                            outcomes.len(),
-                            results.len()
-                        ));
+            },
+            TraceOp::Depart { logical, .. } => {
+                match sessions.live.iter().find(|&&(l, ..)| l == *logical) {
+                    Some(&(_, session, _)) => Request::Depart { session },
+                    None => {
+                        violations.push(format!("depart of unmapped logical session {logical}"));
                         continue;
                     }
-                    for (expected, result) in outcomes.iter().zip(&results) {
-                        match result {
-                            BatchPlaceResult::Placed {
-                                session,
-                                server,
-                                predicted_fps,
-                            } => {
-                                if let Some(logical) = check_place(
-                                    expected,
-                                    *server,
-                                    *predicted_fps,
-                                    "batch item",
-                                    &mut violations,
-                                ) {
-                                    sessions.insert(logical, *session);
-                                }
-                            }
-                            BatchPlaceResult::Rejected { .. } => {
-                                if *expected != PlaceOutcome::Rejected {
-                                    violations.push(
-                                        "batch item: faulted run placed, replay rejected".into(),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                other => return Err(format!("replay batch answered {other:?}")),
-            },
-            TraceOp::Depart { logical, server } => {
-                let Some(session) = sessions.remove(logical) else {
-                    violations.push(format!("depart of unmapped logical session {logical}"));
-                    continue;
-                };
-                match call(&Request::Depart { session })? {
-                    Response::Departed {
-                        server: got_server, ..
-                    } => {
-                        if got_server != *server {
-                            violations.push(format!(
-                                "depart diverged: freed server {got_server}, faulted run freed {server}"
-                            ));
-                        }
-                    }
-                    other => return Err(format!("replay depart answered {other:?}")),
                 }
             }
             TraceOp::Predict {
                 game,
                 resolution,
                 others,
-                feasible,
-                degradation,
-                fps,
-            } => match call(&Request::Predict {
+                ..
+            } => Request::Predict {
                 game: *game,
                 resolution: *resolution,
                 others: others.clone(),
                 qos: config.qos,
-            })? {
-                Response::Prediction {
-                    feasible: got_feasible,
-                    degradation: got_degradation,
-                    fps: got_fps,
-                    ..
-                } => {
-                    if got_feasible != *feasible
-                        || fps_bits(got_degradation) != *degradation
-                        || fps_bits(got_fps) != *fps
-                    {
-                        violations.push(format!(
-                            "predict diverged for game {} at {resolution:?} vs {others:?}",
-                            game.0
-                        ));
-                    }
-                }
-                other => return Err(format!("replay predict answered {other:?}")),
             },
+        };
+        let response = client.call(&request).map_err(call_failed)?;
+        let (op, _) = sessions
+            .decode(&request, response)
+            .map_err(|e| format!("replay {e}"))?;
+        if op != *recorded {
+            violations.push(format!(
+                "op {i} diverged: faulted run {recorded:?}, replay {op:?}"
+            ));
         }
     }
 
-    // The trace ends fully drained, so the replay fleet must be empty too.
-    match call(&Request::Stats)? {
-        Response::Stats(snapshot) => {
-            if snapshot.active_sessions != 0 {
-                violations.push(format!(
-                    "replay leaked {} sessions after the drained trace",
-                    snapshot.active_sessions
-                ));
-            }
-        }
-        other => return Err(format!("replay stats answered {other:?}")),
-    }
-    let dump = match call(&Request::DumpRecorder {
-        deterministic: true,
-    })? {
-        Response::RecorderDump { jsonl, .. } => jsonl,
-        other => return Err(format!("replay dump_recorder answered {other:?}")),
-    };
-    drop(stream);
+    // The trace ends fully drained, so the replay daemon must be quiesced
+    // exactly like the faulted one.
+    let snapshot = client.stats().map_err(call_failed)?;
+    check_quiesced(&snapshot, shards, "replay", &mut violations);
+    let (dump, ..) = client.dump_recorder(true).map_err(call_failed)?;
+    drop(client);
     handle.shutdown();
-    Ok((replayed, violations, dump))
+    Ok((violations, dump))
 }
 
 /// Run one seeded scenario end to end: faulted run, stats oracles, then the
@@ -1191,8 +1032,8 @@ pub fn run_scenario(config: &ChaosConfig) -> ScenarioReport {
             }
             report.decision_digest = h.finish();
             match replay(config, &trace) {
-                Ok((replayed, mut replay_violations, replay_dump)) => {
-                    report.replayed = replayed;
+                Ok((mut replay_violations, replay_dump)) => {
+                    report.replayed = trace.len() as u64;
                     report.violations.append(&mut replay_violations);
                     if replay_dump != report.recorder_dump {
                         report.violations.push(format!(
@@ -1271,6 +1112,36 @@ mod tests {
         assert_eq!(report.lost_requests + report.lost_replies, 0);
         assert!(report.confirmed > 0, "quiet run placed nothing");
         assert!(report.replayed > 0, "nothing survived to replay");
+    }
+
+    #[test]
+    fn the_replay_oracle_catches_one_changed_decision() {
+        let mut config = small_config(11);
+        config.plan = FaultPlan::quiet(11);
+        let mut run = ScenarioReport::default();
+        let injector = Arc::new(FaultInjector::new(config.plan));
+        let trace = faulted_run(&config, injector, &mut run).expect("faulted run");
+        assert!(run.passed(), "violations: {:?}", run.violations);
+        let (violations, _) = replay(&config, &trace).expect("replay");
+        assert!(violations.is_empty(), "unmodified trace: {violations:?}");
+
+        // One bit of one recorded Place's predicted FPS: the replay makes
+        // the true decision, so exactly that op must be reported.
+        let mut tampered = trace.clone();
+        let fps = tampered
+            .iter_mut()
+            .find_map(|op| match op {
+                TraceOp::Place {
+                    outcome: PlaceOutcome::Placed { fps, .. },
+                    ..
+                } => Some(fps),
+                _ => None,
+            })
+            .expect("the quiet run confirms a single Place");
+        *fps ^= 1;
+        let (violations, _) = replay(&config, &tampered).expect("replay");
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("diverged"), "{violations:?}");
     }
 
     #[test]

@@ -245,6 +245,12 @@ impl Client {
         Ok(())
     }
 
+    /// The connection itself, for the chaos harness's deliberately broken
+    /// frames.
+    pub(crate) fn stream(&mut self) -> &mut TcpStream {
+        &mut self.stream
+    }
+
     /// Send one request and read one response. The raw escape hatch — the
     /// typed helpers below are built on it.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {

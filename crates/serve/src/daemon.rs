@@ -789,12 +789,8 @@ fn write_reply(
                 FaultAction::TornFrame => {
                     fired(1);
                     let encode_started = Instant::now();
-                    let payload = serde_json::to_string(response)
-                        .map_err(io::Error::other)?
-                        .into_bytes();
+                    let frame = wire::encode_frame(response)?;
                     trace.add(Stage::Encode, elapsed_us(encode_started));
-                    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
-                    frame.extend_from_slice(&payload);
                     let cut = frame.len() / 2;
                     let write_started = Instant::now();
                     let _ = stream.write_all(&frame[..cut]);

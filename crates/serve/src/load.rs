@@ -220,6 +220,7 @@ impl std::fmt::Display for LoadReport {
     }
 }
 
+#[derive(Default)]
 struct ThreadOutcome {
     placed: u64,
     rejected: u64,
@@ -233,6 +234,23 @@ struct ThreadOutcome {
     outcomes_reported: u64,
     outcomes_stale: u64,
     outcomes_dropped: u64,
+}
+
+impl ThreadOutcome {
+    /// Count `n` errors and, when their outcome is ambiguous (the transport
+    /// died before a reply — see [`ClientError::is_ambiguous`]), reconnect
+    /// so the thread keeps going on a fresh stream. Ambiguous failures are
+    /// *never* retried: a `Place` the daemon may already have applied would
+    /// double-place on retry. The arrival is simply charged as an error and
+    /// the run moves on.
+    fn error(&mut self, n: u64, client: &mut Client, addr: &str, error: &ClientError) {
+        self.errors += n;
+        if error.is_ambiguous() {
+            if let Ok(fresh) = Client::connect(addr) {
+                *client = fresh;
+            }
+        }
+    }
 }
 
 /// Simulate the frame rate the session "actually" achieved: the model's
@@ -270,10 +288,7 @@ fn send_reports(
             out.outcomes_stale += stale;
             out.outcomes_dropped += dropped;
         }
-        Err(e) => {
-            out.errors += 1;
-            note_error(client, &config.addr, &e);
-        }
+        Err(e) => out.error(1, client, &config.addr, &e),
     }
 }
 
@@ -282,50 +297,40 @@ fn exponential(rng: &mut ChaCha8Rng, mean: f64) -> f64 {
     -(1.0 - u).ln() * mean
 }
 
-/// Count an error and, when its outcome is ambiguous (the transport died
-/// before a reply — see [`ClientError::is_ambiguous`]), reconnect so the
-/// thread keeps going on a fresh stream. Ambiguous failures are *never*
-/// retried: a `Place` the daemon may already have applied would double-place
-/// on retry. The arrival is simply charged as an error and the run moves on.
-fn note_error(client: &mut Client, addr: &str, error: &ClientError) {
-    if error.is_ambiguous() {
-        if let Ok(fresh) = Client::connect(addr) {
-            *client = fresh;
+/// Send one group of arrivals as one frame and read back one result per
+/// arrival. The frame follows the run's configuration, not the group's
+/// size: `single` (an unbatched run) sends a `Place`, anything else a
+/// `PlaceBatch`, a trailing group of one included.
+fn place_frame(
+    client: &mut Client,
+    wire: &[WirePlacement],
+    single: bool,
+) -> Result<(u64, Vec<BatchPlaceResult>), ClientError> {
+    if !single {
+        return client.place_batch(wire);
+    }
+    let (game, resolution) = wire[0];
+    match client.place(game, resolution) {
+        Ok(placed) => {
+            let result = BatchPlaceResult::Placed {
+                session: placed.session,
+                server: placed.server,
+                predicted_fps: placed.predicted_fps,
+            };
+            Ok((placed.model_version, vec![result]))
         }
+        // A rejection is still a delivered reply; it carries no version.
+        Err(ClientError::Rejected { reason }) => {
+            Ok((0, vec![BatchPlaceResult::Rejected { reason }]))
+        }
+        Err(e) => Err(e),
     }
-}
-
-/// Pass an op's `result` through, counting it if it is an `Overloaded`
-/// pushback. Arrivals go through [`Client::call_with_retry`], which answers
-/// a pushback by reconnecting after the daemon's hint plus jitter drawn
-/// from `retry_rng` — a *separate* stream from the arrival RNG, so the
-/// request sequence stays a pure function of the seed regardless of how
-/// many pushbacks wire timing produces. The jitter closure runs once per
-/// retry, which is where retries are counted.
-fn count_pushback<T>(
-    overloaded: &mut u64,
-    result: Result<T, ClientError>,
-) -> Result<T, ClientError> {
-    if matches!(result, Err(ClientError::Overloaded { .. })) {
-        *overloaded += 1;
-    }
-    result
 }
 
 fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutcome {
     let mut out = ThreadOutcome {
-        placed: 0,
-        rejected: 0,
-        overloaded: 0,
-        retries: 0,
-        departed: 0,
-        errors: 0,
-        fps_sum: 0.0,
-        violations: 0,
         latencies_us: Vec::with_capacity(n_arrivals as usize),
-        outcomes_reported: 0,
-        outcomes_stale: 0,
-        outcomes_dropped: 0,
+        ..ThreadOutcome::default()
     };
     let mut rng = rng_for(config.seed, &[LOAD_CTX, thread as u64]);
     let mut retry_rng = rng_for(config.seed, &[LOAD_CTX, thread as u64, RETRY_CTX]);
@@ -351,7 +356,8 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
         let group = batch.min(n_arrivals - i);
         // Draw the whole group *before* any I/O so the request sequence
         // stays a pure function of the seed even when calls fail.
-        let mut arrivals: Vec<(GameId, Resolution, u64)> = Vec::with_capacity(group as usize);
+        let mut wire: Vec<WirePlacement> = Vec::with_capacity(group as usize);
+        let mut lifetimes: Vec<u64> = Vec::with_capacity(group as usize);
         for _ in 0..group {
             let game = config.games[rng.gen_range(0..config.games.len())];
             let resolution = config.resolutions[rng.gen_range(0..config.resolutions.len())];
@@ -361,7 +367,8 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
             if paced {
                 next_at += Duration::from_secs_f64(exponential(&mut rng, 1.0 / per_thread_rate));
             }
-            arrivals.push((game, resolution, lifetime));
+            wire.push((game, resolution));
+            lifetimes.push(lifetime);
         }
         // A batch frame fires when its *last* arrival is due, and a paced
         // arrival is timed from that instant: when the driver runs behind
@@ -382,106 +389,66 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
             departures.pop();
             match client.depart(session) {
                 Ok(_) => out.departed += 1,
-                Err(e) => {
-                    out.errors += 1;
-                    note_error(&mut client, &config.addr, &e);
-                }
+                Err(e) => out.error(1, &mut client, &config.addr, &e),
             }
         }
 
-        if batch == 1 {
-            let (game, resolution, lifetime) = arrivals[0];
-            let t0 = due.unwrap_or_else(Instant::now);
-            let placed = client.call_with_retry(
-                RetryPolicy::default(),
-                &mut || {
-                    out.retries += 1;
-                    retry_rng.gen()
-                },
-                |c| count_pushback(&mut out.overloaded, c.place(game, resolution)),
-            );
-            match placed {
-                Ok(placed) => {
-                    out.latencies_us.push(t0.elapsed().as_micros() as u64);
+        // A pushback is answered by reconnecting after the daemon's hint
+        // plus jitter drawn from `retry_rng` — a *separate* stream from the
+        // arrival RNG, so the request sequence stays a pure function of the
+        // seed however many pushbacks wire timing produces. The jitter
+        // closure runs once per retry, the op closure once per attempt.
+        let t0 = due.unwrap_or_else(Instant::now);
+        let frame = client.call_with_retry(
+            RetryPolicy::default(),
+            &mut || {
+                out.retries += 1;
+                retry_rng.gen()
+            },
+            |c| {
+                let result = place_frame(c, &wire, batch == 1);
+                if matches!(result, Err(ClientError::Overloaded { .. })) {
+                    out.overloaded += 1;
+                }
+                result
+            },
+        );
+        match frame {
+            Ok((version, results)) => {
+                // One latency sample per frame, not per arrival.
+                out.latencies_us.push(t0.elapsed().as_micros() as u64);
+                let mut reports: Vec<OutcomeReport> = Vec::new();
+                for (k, result) in results.iter().enumerate() {
+                    let (session, predicted_fps) = match *result {
+                        BatchPlaceResult::Placed {
+                            session,
+                            predicted_fps,
+                            ..
+                        } => (session, predicted_fps),
+                        BatchPlaceResult::Rejected { .. } => {
+                            out.rejected += 1;
+                            continue;
+                        }
+                    };
                     out.placed += 1;
-                    out.fps_sum += placed.predicted_fps;
-                    if placed.predicted_fps < config.qos {
+                    out.fps_sum += predicted_fps;
+                    if predicted_fps < config.qos {
                         out.violations += 1;
                     }
-                    departures.push(Reverse((i + lifetime, placed.session)));
+                    departures.push(Reverse((i + k as u64 + lifetimes[k], session)));
                     if config.report_outcomes {
-                        let report = OutcomeReport {
-                            session: placed.session,
-                            observed_fps: observe_fps(&mut noise_rng, config, placed.predicted_fps),
-                            predicted_fps: placed.predicted_fps,
-                            model_version: placed.model_version,
-                        };
-                        send_reports(&mut client, config, &[report], &mut out);
+                        reports.push(OutcomeReport {
+                            session,
+                            observed_fps: observe_fps(&mut noise_rng, config, predicted_fps),
+                            predicted_fps,
+                            model_version: version,
+                        });
                     }
                 }
-                Err(ClientError::Rejected { .. }) => {
-                    out.latencies_us.push(t0.elapsed().as_micros() as u64);
-                    out.rejected += 1;
-                }
-                Err(e) => {
-                    out.errors += 1;
-                    note_error(&mut client, &config.addr, &e);
-                }
+                send_reports(&mut client, config, &reports, &mut out);
+                out.errors += group.saturating_sub(results.len() as u64);
             }
-        } else {
-            let wire: Vec<WirePlacement> = arrivals.iter().map(|&(g, r, _)| (g, r)).collect();
-            let t0 = due.unwrap_or_else(Instant::now);
-            let placed = client.call_with_retry(
-                RetryPolicy::default(),
-                &mut || {
-                    out.retries += 1;
-                    retry_rng.gen()
-                },
-                |c| count_pushback(&mut out.overloaded, c.place_batch(&wire)),
-            );
-            match placed {
-                Ok((version, results)) => {
-                    // One latency sample per frame, not per arrival.
-                    out.latencies_us.push(t0.elapsed().as_micros() as u64);
-                    let mut reports: Vec<OutcomeReport> = Vec::new();
-                    for (k, result) in results.iter().enumerate() {
-                        match result {
-                            BatchPlaceResult::Placed {
-                                session,
-                                predicted_fps,
-                                ..
-                            } => {
-                                out.placed += 1;
-                                out.fps_sum += predicted_fps;
-                                if *predicted_fps < config.qos {
-                                    out.violations += 1;
-                                }
-                                let lifetime = arrivals[k].2;
-                                departures.push(Reverse((i + k as u64 + lifetime, *session)));
-                                if config.report_outcomes {
-                                    reports.push(OutcomeReport {
-                                        session: *session,
-                                        observed_fps: observe_fps(
-                                            &mut noise_rng,
-                                            config,
-                                            *predicted_fps,
-                                        ),
-                                        predicted_fps: *predicted_fps,
-                                        model_version: version,
-                                    });
-                                }
-                            }
-                            BatchPlaceResult::Rejected { .. } => out.rejected += 1,
-                        }
-                    }
-                    send_reports(&mut client, config, &reports, &mut out);
-                    out.errors += (wire.len().saturating_sub(results.len())) as u64;
-                }
-                Err(e) => {
-                    out.errors += group;
-                    note_error(&mut client, &config.addr, &e);
-                }
-            }
+            Err(e) => out.error(group, &mut client, &config.addr, &e),
         }
         i += group;
     }
@@ -491,10 +458,7 @@ fn run_thread(config: &LoadConfig, thread: usize, n_arrivals: u64) -> ThreadOutc
     while let Some(Reverse((_, session))) = departures.pop() {
         match client.depart(session) {
             Ok(_) => out.departed += 1,
-            Err(e) => {
-                out.errors += 1;
-                note_error(&mut client, &config.addr, &e);
-            }
+            Err(e) => out.error(1, &mut client, &config.addr, &e),
         }
     }
     out

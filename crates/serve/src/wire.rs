@@ -304,6 +304,17 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T) -> io::Result<()>
     w.flush()
 }
 
+/// Serialize `msg` as one whole frame — header plus payload — in one
+/// buffer. The fault paths write it cut or poisoned on purpose; clean
+/// writes go through [`write_frame`].
+pub fn encode_frame<T: Serialize>(msg: &T) -> io::Result<Vec<u8>> {
+    let payload = serde_json::to_string(msg).map_err(io::Error::other)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload.as_bytes());
+    Ok(frame)
+}
+
 /// Read one frame from `r` and decode it.
 pub fn read_frame<R: Read, T: Deserialize>(r: &mut R) -> Result<T, FrameError> {
     let payload = read_frame_bytes(r)?;
@@ -403,6 +414,7 @@ mod tests {
     fn roundtrip_request(req: &Request) {
         let mut buf = Vec::new();
         write_frame(&mut buf, req).unwrap();
+        assert_eq!(encode_frame(req).unwrap(), buf);
         let back: Request = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(*req, back);
         // The stats label, and with it the slot in every telemetry block, is
@@ -424,6 +436,7 @@ mod tests {
     fn roundtrip_response(resp: &Response) {
         let mut buf = Vec::new();
         write_frame(&mut buf, resp).unwrap();
+        assert_eq!(encode_frame(resp).unwrap(), buf);
         let back: Response = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(*resp, back);
     }

@@ -436,31 +436,37 @@ fn concurrent_place_batch_depart_stress_reconciles() {
 
 #[test]
 fn batched_load_driver_reconciles_like_singles() {
-    let handle = daemon::start(
-        DaemonConfig {
-            n_servers: 12,
-            ..quiet_config()
-        },
-        ModelHandle::from_model(model()),
-    )
-    .unwrap();
-    let report = load::run(&LoadConfig {
-        addr: handle.local_addr().to_string(),
-        seed: 23,
-        connections: 2,
-        requests: 240,
-        games: (0..N_GAMES).map(GameId).collect(),
-        batch: 8,
-        ..LoadConfig::default()
-    });
-    assert_eq!(report.errors, 0, "{report}");
-    assert_eq!(report.placed + report.rejected, 240);
-    assert_eq!(report.placed, report.departed);
-    // One latency frame per batch, so p50 exists but throughput counts arrivals.
-    assert!(report.achieved_rps > 0.0);
-    let stats = handle.shutdown();
-    assert_eq!(stats.active_sessions, 0);
-    assert_eq!(stats.per_request["place_batch"].ok, 240 / 8);
+    // 240 arrivals fill 30 frames of 8. 242 leave each of the two
+    // connections a trailing group of one, which must still go out as a
+    // `PlaceBatch`: the frame follows the configured batch, not the group.
+    for (requests, frames) in [(240, 30), (242, 32)] {
+        let handle = daemon::start(
+            DaemonConfig {
+                n_servers: 12,
+                ..quiet_config()
+            },
+            ModelHandle::from_model(model()),
+        )
+        .unwrap();
+        let report = load::run(&LoadConfig {
+            addr: handle.local_addr().to_string(),
+            seed: 23,
+            connections: 2,
+            requests,
+            games: (0..N_GAMES).map(GameId).collect(),
+            batch: 8,
+            ..LoadConfig::default()
+        });
+        assert_eq!(report.errors, 0, "{report}");
+        assert_eq!(report.placed + report.rejected, requests);
+        assert_eq!(report.placed, report.departed);
+        // One latency frame per batch, so p50 exists but throughput counts arrivals.
+        assert!(report.achieved_rps > 0.0);
+        let stats = handle.shutdown();
+        assert_eq!(stats.active_sessions, 0);
+        assert_eq!(stats.per_request["place_batch"].ok, frames);
+        assert_eq!(stats.per_request["place"].total(), 0);
+    }
 }
 
 #[test]
