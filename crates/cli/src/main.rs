@@ -219,9 +219,22 @@ fn compiled_line(stats: Option<gaugur_ml::CompiledStats>) -> String {
     }
 }
 
+/// `gaugur inspect`'s line for the RM's target prefixes.
+fn prefix_line(stats: Option<gaugur_core::PrefixStats>) -> String {
+    match stats {
+        Some(s) => format!(
+            "{} splits on fixed features, {} on free; table {} bytes, \
+             prefixes {} bytes ({} games)",
+            s.fixed_splits, s.free_splits, s.table_bytes, s.prefix_bytes, s.games
+        ),
+        None => "none (row path)".to_string(),
+    }
+}
+
 /// Print the provenance of a `gaugur build` artifact without serving it:
 /// schema version, catalog coverage, feature dimensionality, and the
-/// hyperparameters and compiled-ensemble size of both trained models.
+/// hyperparameters and compiled-ensemble size of both trained models, and
+/// the size of the RM's target prefixes.
 fn inspect(opts: &HashMap<String, String>) {
     let path: String = get(opts, "model", None::<String>);
     let gaugur = GAugur::load_json(&path).unwrap_or_else(|e| {
@@ -242,6 +255,7 @@ fn inspect(opts: &HashMap<String, String>) {
         "RM compiled:       {}",
         compiled_line(gaugur.rm.compiled_stats())
     );
+    println!("RM prefixes:       {}", prefix_line(gaugur.prefix_stats()));
     println!(
         "CM ({}):  {}",
         gaugur.config.cm_algorithm,

@@ -18,7 +18,7 @@ use gaugur_gamesim::{ResourceVec, ALL_RESOURCES, NUM_RESOURCES};
 /// Number of features of the aggregate-intensity transform (`2R + 1`).
 pub const AGGREGATE_INTENSITY_WIDTH: usize = 2 * NUM_RESOURCES + 1;
 
-/// Sentinel for "exclude no index" in the `*_excluding` aggregations.
+/// Sentinel for "exclude no index" in [`aggregate_excluding`].
 pub(crate) const NO_SKIP: usize = usize::MAX;
 
 /// Paper Eq. (5): fold the per-game intensity vectors of a colocated set into
@@ -35,22 +35,17 @@ pub fn aggregate_intensity_into(intensities: &[ResourceVec], out: &mut Vec<f64>)
     aggregate_excluding(intensities, NO_SKIP, out);
 }
 
-/// [`aggregate_intensity`] over all intensities *except* index `skip`,
-/// appended to `out`. Bit-identical to filtering the slice first: the
-/// non-skipped elements are visited in the same order, so every float
-/// summation runs in the same order. This is what lets one colocation's
-/// intensity gather be shared across its members (member `i`'s co-runner
-/// set is "everyone but `i`").
-pub fn aggregate_intensity_excluding_into(
-    intensities: &[ResourceVec],
-    skip: usize,
-    out: &mut Vec<f64>,
-) {
-    debug_assert!(skip < intensities.len(), "skip index out of range");
-    aggregate_excluding(intensities, skip, out);
-}
-
-fn aggregate_excluding(intensities: &[ResourceVec], skip: usize, out: &mut Vec<f64>) {
+/// [`aggregate_intensity`] over all intensities *except* index `skip` (none
+/// when `skip` is [`NO_SKIP`]), appended to `out`. Bit-identical to
+/// filtering the slice first: the non-skipped elements are visited in the
+/// same order, so every float summation runs in the same order. This is
+/// what lets one colocation's intensity gather be shared across its
+/// members (member `i`'s co-runner set is "everyone but `i`").
+pub(crate) fn aggregate_excluding(intensities: &[ResourceVec], skip: usize, out: &mut Vec<f64>) {
+    debug_assert!(
+        skip == NO_SKIP || skip < intensities.len(),
+        "skip index out of range"
+    );
     let count = if skip < intensities.len() {
         intensities.len() - 1
     } else {
@@ -121,19 +116,6 @@ pub fn rm_features_into(
     aggregate_intensity_into(corunner_intensities, out);
 }
 
-/// RM features where the co-runner set is `colocation_intensities` minus
-/// index `skip` (the target's own slot). Appended to `out`; bit-identical
-/// to filtering the slice and calling [`rm_features`].
-pub fn rm_features_excluding_into(
-    target: &GameProfile,
-    colocation_intensities: &[ResourceVec],
-    skip: usize,
-    out: &mut Vec<f64>,
-) {
-    flatten_sensitivity_into(target, out);
-    aggregate_intensity_excluding_into(colocation_intensities, skip, out);
-}
-
 /// Width of the RM feature vector for granularity `k`.
 pub fn rm_width(granularity: usize) -> usize {
     sensitivity_width(granularity) + AGGREGATE_INTENSITY_WIDTH
@@ -188,8 +170,12 @@ pub fn cm_width(granularity: usize) -> usize {
 pub struct FeatureBuffer {
     /// Gathered intensity vectors of one colocation.
     pub(crate) intensities: Vec<ResourceVec>,
-    /// Packed feature rows (row-major).
+    /// Packed feature rows (row-major): all RM features, or only the `I_G`
+    /// ones when the RM scores rows from target prefixes.
     pub(crate) rows: Vec<f64>,
+    /// Leaf bitvectors of one block of rows, started from their targets'
+    /// prefixes.
+    pub(crate) bits: Vec<u32>,
     /// Standardized copy of a feature row (SVM models only).
     pub(crate) scaled: Vec<f64>,
     /// Materialized co-runner sets for the scalar fallback path.
@@ -321,7 +307,6 @@ mod tests {
                     proptest::collection::vec(0.0f64..1.0, NUM_RESOURCES), 1..6),
                 skip_seed in 0usize..1_000_000,
             ) {
-                let p = cached_profile();
                 let ints = to_resource_vecs(raw);
                 let skip = skip_seed % ints.len();
                 let filtered: Vec<ResourceVec> = ints
@@ -332,12 +317,8 @@ mod tests {
                     .collect();
 
                 let mut out = Vec::new();
-                aggregate_intensity_excluding_into(&ints, skip, &mut out);
+                aggregate_excluding(&ints, skip, &mut out);
                 prop_assert_eq!(bits(&out), bits(&aggregate_intensity(&filtered)));
-
-                let mut out = Vec::new();
-                rm_features_excluding_into(p, &ints, skip, &mut out);
-                prop_assert_eq!(bits(&out), bits(&rm_features(p, &filtered)));
             }
         }
     }

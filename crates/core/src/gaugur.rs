@@ -9,6 +9,7 @@
 use crate::cf::{fold_in_profile, CfConfig};
 use crate::features::{cm_features, rm_features};
 use crate::model::{Algorithm, ClassificationModel, RegressionModel};
+use crate::prefix::{PrefixStats, TargetPrefixes};
 use crate::profile::{PartialProfile, Profiler, ProfilingConfig};
 use crate::train::{
     build_cm_samples, build_rm_samples, measure_colocations, plan_colocations, to_dataset,
@@ -17,6 +18,7 @@ use crate::train::{
 use gaugur_gamesim::{GameCatalog, Server};
 use gaugur_ml::Dataset;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Version of the on-disk artifact layout written by [`GAugur::save_json`].
 ///
@@ -86,19 +88,73 @@ pub struct RetrainReport {
 }
 
 /// A fully built GAugur predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// The public fields are for reading, and clones share them. Every way of
+/// making a predictor — [`GAugur::from_measurements`],
+/// [`GAugur::retrain_from_outcomes`], [`GAugur::fold_in_game`],
+/// deserializing — derives the RM's target prefixes from `rm` and
+/// `profiles`; a predictor whose fields are replaced keeps the prefixes of
+/// the old ones.
+#[derive(Debug, Clone)]
 pub struct GAugur {
     /// Profiled contention features for every game.
-    pub profiles: ProfileStore,
+    pub profiles: Arc<ProfileStore>,
     /// The trained classification model (Eq. 3).
-    pub cm: ClassificationModel,
+    pub cm: Arc<ClassificationModel>,
     /// The trained regression model (Eq. 4).
-    pub rm: RegressionModel,
+    pub rm: Arc<RegressionModel>,
     /// The configuration used to build the predictor.
     pub config: GAugurConfig,
+    /// Derived from `rm` and `profiles`; `None` when the RM has no split
+    /// table. Not part of the artifact.
+    pub(crate) prefixes: Option<Arc<TargetPrefixes>>,
+}
+
+/// The artifact is the four public fields, in declaration order.
+impl Serialize for GAugur {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Map(vec![
+            ("profiles".to_string(), self.profiles.serialize()),
+            ("cm".to_string(), self.cm.serialize()),
+            ("rm".to_string(), self.rm.serialize()),
+            ("config".to_string(), self.config.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for GAugur {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        if v.as_map().is_none() {
+            return Err(serde::Error::expected("map", v, "GAugur"));
+        }
+        Ok(GAugur::new(
+            Arc::new(serde::field(v, "profiles", "GAugur")?),
+            Arc::new(serde::field(v, "cm", "GAugur")?),
+            Arc::new(serde::field(v, "rm", "GAugur")?),
+            serde::field(v, "config", "GAugur")?,
+        ))
+    }
 }
 
 impl GAugur {
+    /// The one constructor: every predictor's target prefixes are built
+    /// here.
+    fn new(
+        profiles: Arc<ProfileStore>,
+        cm: Arc<ClassificationModel>,
+        rm: Arc<RegressionModel>,
+        config: GAugurConfig,
+    ) -> GAugur {
+        let prefixes = TargetPrefixes::build(&rm, &profiles).map(Arc::new);
+        GAugur {
+            profiles,
+            cm,
+            rm,
+            config,
+            prefixes,
+        }
+    }
+
     /// Run the full offline pipeline on a catalog: profile every game,
     /// measure the planned colocations, and train both models.
     pub fn build(server: &Server, catalog: &GameCatalog, config: GAugurConfig) -> GAugur {
@@ -132,12 +188,7 @@ impl GAugur {
             // scratch in a process that goes on to serve.
             (rm.clone(), cm)
         });
-        GAugur {
-            profiles,
-            cm,
-            rm,
-            config,
-        }
+        GAugur::new(Arc::new(profiles), Arc::new(cm), Arc::new(rm), config)
     }
 
     /// Online prediction (Eq. 4): the degradation ratio game `target` will
@@ -146,6 +197,12 @@ impl GAugur {
         let profile = self.profiles.get(target.0);
         let intensities = self.profiles.intensities(others);
         self.rm.predict(&rm_features(profile, &intensities))
+    }
+
+    /// Size of the RM's target prefixes (for `gaugur inspect`); `None` when
+    /// the RM has no split table.
+    pub fn prefix_stats(&self) -> Option<PrefixStats> {
+        self.prefixes.as_deref().map(TargetPrefixes::stats)
     }
 
     /// Online prediction: the absolute FPS of `target` under colocation
@@ -314,12 +371,12 @@ impl GAugur {
         };
         let rm = self.rm.warm_start(&data, extra_rounds, self.config.seed);
         Some((
-            GAugur {
-                profiles: self.profiles.clone(),
-                cm: self.cm.clone(),
-                rm,
-                config: self.config.clone(),
-            },
+            GAugur::new(
+                self.profiles.clone(),
+                self.cm.clone(),
+                Arc::new(rm),
+                self.config.clone(),
+            ),
             report,
         ))
     }
@@ -335,14 +392,14 @@ impl GAugur {
         let profiler = Profiler::new(self.config.profiling);
         let known = self.profiles.sorted();
         let folded = fold_in_profile(&known, partial, &profiler, cf);
-        let mut profiles = self.profiles.clone();
+        let mut profiles = ProfileStore::clone(&self.profiles);
         profiles.insert(folded);
-        GAugur {
-            profiles,
-            cm: self.cm.clone(),
-            rm: self.rm.clone(),
-            config: self.config.clone(),
-        }
+        GAugur::new(
+            Arc::new(profiles),
+            self.cm.clone(),
+            self.rm.clone(),
+            self.config.clone(),
+        )
     }
 
     /// Whether an entire colocation is *feasible*: every member satisfies
@@ -430,12 +487,20 @@ mod tests {
 
         let rm_data = to_dataset(&build_rm_samples(&profiles, &measured));
         let cm_data = to_dataset(&build_cm_samples(&profiles, &measured, &config.qos_values));
-        let in_turn = GAugur {
-            rm: RegressionModel::train(&rm_data, config.rm_algorithm, config.seed),
-            cm: ClassificationModel::train(&cm_data, config.cm_algorithm, config.seed),
-            profiles: profiles.clone(),
-            config: config.clone(),
-        };
+        let in_turn = GAugur::new(
+            Arc::new(profiles.clone()),
+            Arc::new(ClassificationModel::train(
+                &cm_data,
+                config.cm_algorithm,
+                config.seed,
+            )),
+            Arc::new(RegressionModel::train(
+                &rm_data,
+                config.rm_algorithm,
+                config.seed,
+            )),
+            config.clone(),
+        );
         let side_by_side = GAugur::from_measurements(profiles, &measured, config);
         assert!(
             serde_json::to_string(&side_by_side.serialize()).unwrap()

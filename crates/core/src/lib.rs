@@ -50,6 +50,7 @@ pub mod gaugur;
 pub mod importance;
 pub mod model;
 pub mod predictor;
+mod prefix;
 pub mod profile;
 pub mod resolution;
 pub mod train;
@@ -60,6 +61,7 @@ pub use gaugur::{GAugur, GAugurConfig, RetrainReport, SessionOutcome, ARTIFACT_S
 pub use importance::{permutation_importance, FeatureGroup};
 pub use model::{Algorithm, ClassificationModel, RegressionModel, ALL_ALGORITHMS};
 pub use predictor::{DegradationBatch, InterferencePredictor};
+pub use prefix::PrefixStats;
 pub use profile::{
     GameProfile, PartialProfile, Profiler, ProfilingConfig, ProfilingStat, SensitivityCurve,
 };

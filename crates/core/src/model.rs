@@ -12,7 +12,7 @@ use gaugur_ml::svm::SvmParams;
 use gaugur_ml::{
     Classifier, CompiledStats, Dataset, DecisionTreeClassifier, DecisionTreeRegressor,
     GbdtClassifier, GbrtRegressor, RandomForestClassifier, RandomForestRegressor, Regressor, Rows,
-    StandardScaler, SvmClassifier, SvmRegressor, TreeParams,
+    SplitTable, StandardScaler, SvmClassifier, SvmRegressor, TreeParams,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -224,7 +224,23 @@ impl RegressionModel {
             }
             None => x,
         };
-        self.raw_predict(x).clamp(self.bounds.0, self.bounds.1)
+        self.clamp(self.raw_predict(x))
+    }
+
+    /// A raw prediction clamped to the model's physical bounds, as every
+    /// prediction is.
+    pub(crate) fn clamp(&self, raw: f64) -> f64 {
+        raw.clamp(self.bounds.0, self.bounds.1)
+    }
+
+    /// The model as a [`SplitTable`] whose raw predictions equal this
+    /// model's before the clamp: an unscaled GBRT whose trees all fit a
+    /// table row. `None` for every other model.
+    pub(crate) fn split_table(&self) -> Option<SplitTable> {
+        match (&self.inner, &self.scaler) {
+            (RegInner::Gbrt(m), None) => m.split_table(),
+            _ => None,
+        }
     }
 
     /// [`RegressionModel::predict`] with caller-provided scratch for the
@@ -238,7 +254,7 @@ impl RegressionModel {
             }
             None => self.raw_predict(x),
         };
-        raw.clamp(self.bounds.0, self.bounds.1)
+        self.clamp(raw)
     }
 
     /// Batched prediction of a flat row-major batch into `out`. The tree
@@ -256,7 +272,7 @@ impl RegressionModel {
             None => self.raw_predict_rows(rows, out),
         }
         for v in out.iter_mut() {
-            *v = v.clamp(self.bounds.0, self.bounds.1);
+            *v = self.clamp(*v);
         }
     }
 

@@ -19,7 +19,10 @@
 //! keep internal mutable state, so one immutable predictor can serve any
 //! number of workers, each with its own scratch.
 
-use crate::features::{rm_features_excluding_into, rm_features_into, FeatureBuffer, NO_SKIP};
+use crate::features::{
+    aggregate_excluding, flatten_sensitivity_into, FeatureBuffer, AGGREGATE_INTENSITY_WIDTH,
+    NO_SKIP,
+};
 use crate::gaugur::GAugur;
 use crate::train::Placement;
 use gaugur_ml::Rows;
@@ -179,11 +182,13 @@ impl InterferencePredictor for GAugur {
         "GAugur"
     }
 
-    /// Fused batch path: one intensity gather per distinct colocation span,
-    /// all RM feature rows packed into one flat matrix, one pass over the
-    /// compiled ensemble. Bit-identical to the scalar path because rows
-    /// are assembled by the same (`*_into`) feature code and the ensemble
-    /// batch evaluators preserve the scalar summation order.
+    /// Fused batch path: one intensity gather per distinct colocation span
+    /// and one model call for every row. With target prefixes, a row is its
+    /// 15 `I_G` features, applied to its target's prefix; otherwise it is
+    /// all 92 RM features, and the rows go through the compiled ensemble.
+    /// Bit-identical to the scalar path either way: features come from the
+    /// same aggregation code, the prefix path reaches the same exit leaves,
+    /// and both sum them in tree order.
     fn predict_degradation_batch(
         &self,
         batch: &DegradationBatch,
@@ -194,34 +199,45 @@ impl InterferencePredictor for GAugur {
         if batch.is_empty() {
             return;
         }
-        scratch.rows.clear();
+        let FeatureBuffer {
+            intensities,
+            rows,
+            scaled,
+            bits,
+            ..
+        } = scratch;
+        rows.clear();
+        if self.prefixes.is_some() {
+            // Grown for the whole batch at once, not row by row.
+            rows.reserve(batch.len() * AGGREGATE_INTENSITY_WIDTH);
+        }
         let mut gathered: Option<(usize, usize)> = None;
         for i in 0..batch.len() {
             let span = batch.span(i);
             if gathered != Some((span.start, span.len)) {
-                scratch.intensities.clear();
+                intensities.clear();
                 for &(id, res) in batch.pool_slice(span) {
-                    scratch
-                        .intensities
-                        .push(self.profiles.get(id).intensity_at(res));
+                    intensities.push(self.profiles.get(id).intensity_at(res));
                 }
                 gathered = Some((span.start, span.len));
             }
-            let profile = self.profiles.get(batch.target(i).0);
-            if span.skip == NO_SKIP {
-                rm_features_into(profile, &scratch.intensities, &mut scratch.rows);
-            } else {
-                rm_features_excluding_into(
-                    profile,
-                    &scratch.intensities,
-                    span.skip,
-                    &mut scratch.rows,
-                );
+            if self.prefixes.is_none() {
+                flatten_sensitivity_into(self.profiles.get(batch.target(i).0), rows);
+            }
+            aggregate_excluding(intensities, span.skip, rows);
+        }
+        match &self.prefixes {
+            Some(prefixes) => {
+                prefixes.predict_rows(&batch.targets, rows, bits, out);
+                for v in out.iter_mut() {
+                    *v = self.rm.clamp(*v);
+                }
+            }
+            None => {
+                let width = rows.len() / batch.len();
+                self.rm.predict_rows(Rows::new(rows, width), scaled, out);
             }
         }
-        let width = scratch.rows.len() / batch.len();
-        let FeatureBuffer { rows, scaled, .. } = scratch;
-        self.rm.predict_rows(Rows::new(rows, width), scaled, out);
     }
 }
 

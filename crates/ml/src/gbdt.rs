@@ -8,6 +8,7 @@
 
 use crate::compiled::{CompiledEnsemble, CompiledStats};
 use crate::data::Dataset;
+use crate::splits::SplitTable;
 use crate::tree::{FitContext, Tree, TreeFitter, TreeParams};
 use crate::{Classifier, Regressor};
 use rand::seq::SliceRandom;
@@ -241,6 +242,17 @@ impl GbrtRegressor {
     /// Size of the compiled ensemble predictions run through.
     pub fn compiled_stats(&self) -> CompiledStats {
         self.model.compiled.stats()
+    }
+
+    /// The ensemble as a [`SplitTable`], whose predictions equal
+    /// [`Regressor::predict`]'s bit for bit; `None` when a tree has more
+    /// leaves than a table row holds.
+    pub fn split_table(&self) -> Option<SplitTable> {
+        SplitTable::new(
+            &self.model.compiled.to_trees(),
+            self.model.init,
+            self.params.learning_rate,
+        )
     }
 
     /// [`Regressor::predict`] by node walk (test reference).

@@ -15,6 +15,8 @@
 //!   logistic loss for binary classification),
 //! * [`svm`] — kernel SVC (SMO) and ε-SVR (pairwise dual coordinate
 //!   descent), with RBF and linear kernels,
+//! * [`splits`] — a boosted ensemble in feature-major leaf-bitvector form,
+//!   for rows that share most of their features,
 //! * [`linear`] — ordinary/ridge least squares via normal equations,
 //! * [`mf`] — ALS low-rank matrix completion (for collaborative-filtering
 //!   profile completion),
@@ -39,6 +41,7 @@ pub mod linear;
 pub mod metrics;
 pub mod mf;
 pub mod scale;
+pub mod splits;
 pub mod svm;
 pub mod tree;
 
@@ -51,6 +54,7 @@ pub use gridsearch::{cross_val_error, grid_search};
 pub use linear::LinearRegression;
 pub use mf::{MatrixFactorization, MfParams};
 pub use scale::StandardScaler;
+pub use splits::SplitTable;
 pub use svm::{Kernel, SvmClassifier, SvmRegressor};
 pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeParams};
 

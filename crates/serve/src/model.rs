@@ -188,6 +188,16 @@ pub struct Prediction {
     pub fps: f64,
 }
 
+/// What the memo keeps of a [`Prediction`]. The FPS is the degradation times
+/// the target's solo FPS, and is recomputed on a hit — the same product, so
+/// the same bits — which makes the value 16 bytes instead of 24: at the
+/// paper's scale the map holds two generations of some 28 k entries.
+#[derive(Clone, Copy)]
+struct Memoized {
+    feasible: bool,
+    degradation: f64,
+}
+
 /// Memo key for a whole colocation's summed FPS: its members plus the model
 /// version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -267,7 +277,7 @@ impl<K: std::hash::Hash + Eq + Copy, V: Copy> Generations<K, V> {
 /// recently hit entries. The memo is a pure cache — every value is a
 /// function of its key — so what is resident changes cost, never an answer.
 pub struct PredictionMemo {
-    map: Mutex<Generations<MemoKey, Prediction>>,
+    map: Mutex<Generations<MemoKey, Memoized>>,
     sums: Mutex<Generations<SumKey, f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -388,7 +398,10 @@ impl PredictionMemo {
                     None => {
                         self.misses.fetch_add(1, Ordering::Relaxed);
                         miss_at.push(i);
-                        scratch.queries.push_colocation(members);
+                        // A lone member has no co-runners and takes no row.
+                        if members.len() > 1 {
+                            scratch.queries.push_colocation(members);
+                        }
                     }
                 }
             }
@@ -399,7 +412,7 @@ impl PredictionMemo {
                 &mut scratch.features,
                 &mut scratch.values,
             );
-            let mut q = 0;
+            let mut rows = scratch.values.iter();
             let mut sums = self.sums.lock();
             for &i in &miss_at {
                 let members = batch.members(i);
@@ -408,15 +421,13 @@ impl PredictionMemo {
                 let mut sum = -0.0;
                 for &(id, res) in members {
                     let solo = model.gaugur.profiles.get(id).solo_fps_at(res);
-                    // A lone member has no co-runners: the scalar path serves
-                    // its solo FPS without consulting the model.
-                    let fps = if members.len() == 1 {
+                    // The scalar path serves a lone member its solo FPS
+                    // without consulting the model.
+                    sum += if members.len() == 1 {
                         solo
                     } else {
-                        scratch.values[q] * solo
+                        rows.next().expect("a row per member of a pair or more") * solo
                     };
-                    sum += fps;
-                    q += 1;
                 }
                 if let Some(key) = sum_key(model.version, members) {
                     sums.insert(key, sum);
@@ -477,11 +488,16 @@ impl PredictionMemo {
         degradation: impl FnOnce(&GAugur) -> f64,
     ) -> (Prediction, bool) {
         let key = memo_key(model.version, qos, target, others);
+        let solo = model.gaugur.profiles.get(target.0).solo_fps_at(target.1);
         if let Some(hit) = key.and_then(|key| self.map.lock().get(&key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return (hit, true);
+            let prediction = Prediction {
+                feasible: hit.feasible,
+                degradation: hit.degradation,
+                fps: hit.degradation * solo,
+            };
+            return (prediction, true);
         }
-        let solo = model.gaugur.profiles.get(target.0).solo_fps_at(target.1);
         let prediction = if others.is_empty() {
             // Solo: no interference, no model involved.
             Prediction {
@@ -499,7 +515,11 @@ impl PredictionMemo {
         };
         if let Some(key) = key {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.map.lock().insert(key, prediction);
+            let memoized = Memoized {
+                feasible: prediction.feasible,
+                degradation: prediction.degradation,
+            };
+            self.map.lock().insert(key, memoized);
         }
         (prediction, false)
     }
@@ -891,6 +911,39 @@ mod tests {
         assert_eq!(h1 - h0, 3);
         assert_eq!(m1, m0);
         assert_eq!(out, again);
+    }
+
+    #[test]
+    fn lone_members_take_no_query_row() {
+        let handle = ModelHandle::from_model(tiny_model());
+        let model = handle.get();
+        let scalar_memo = PredictionMemo::new(1024);
+        let batch_memo = PredictionMemo::new(1024);
+        let p = |g: u32, res| (GameId(g), res);
+        let colocations: [&[Placement]; 5] = [
+            &[p(0, Resolution::Fhd1080)],
+            &[p(1, Resolution::Hd720), p(2, Resolution::Fhd1080)],
+            &[p(3, Resolution::Qhd1440)],
+            &[p(4, Resolution::Fhd1080)],
+            &[p(5, Resolution::Hd720), p(6, Resolution::Hd720)],
+        ];
+        let mut batch = ColocationBatch::new();
+        for members in colocations {
+            batch.push(members);
+        }
+
+        let mut scratch = PredictScratch::new();
+        let mut out = Vec::new();
+        batch_memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
+        // The query plan holds the pairs' four rows and nothing else.
+        assert_eq!(scratch.queries.len(), 4);
+        let targets: Vec<Placement> = (0..4).map(|i| scratch.queries.target(i)).collect();
+        assert_eq!(targets, [colocations[1], colocations[4]].concat());
+        for (i, &got) in out.iter().enumerate() {
+            let direct = scalar_memo.colocation_sum(&model, 60.0, colocations[i]);
+            assert_eq!(got.to_bits(), direct.to_bits(), "colocation {i}");
+        }
+        assert_eq!(batch_memo.counts(), (0, 5));
     }
 
     #[test]
