@@ -1,18 +1,138 @@
-//! Live fleet state: which session runs which game on which server.
+//! Live fleet state: which session runs which game on which server, and
+//! the placement shards it is partitioned into.
 //!
-//! The daemon mutates this under a single mutex — placement must read the
-//! occupancy, pick a server and insert atomically, or two concurrent
-//! `Place` requests could both land on a server's last slot.
+//! The daemon keeps each shard under its own mutex — placement must read
+//! the occupancy, pick a server and insert atomically, or two concurrent
+//! `Place` requests could both land on a server's last slot. What a shard
+//! does under that lock is a `Shard` method, shared with the serial
+//! [`crate::Reference`].
 //!
 //! Session ids and placements are stored in parallel per-server arrays so
 //! the placement scorer can borrow each server's `&[Placement]` directly
 //! (via [`gaugur_sched::OccupancyView`]) instead of cloning the fleet into
 //! a `Vec<Vec<Placement>>` on every request.
 
+use crate::model::MemoizedFps;
+use crate::trace::{elapsed_us, RequestTrace, Stage};
 use gaugur_core::Placement;
 use gaugur_sched::maxfps::MAX_PER_SERVER;
-use gaugur_sched::OccupancyView;
+use gaugur_sched::{
+    select_server_incremental_with, OccupancyView, PlacementScratch, PredictScratch, ScoreCache,
+    Selection,
+};
 use std::collections::HashMap;
+use std::io;
+use std::time::Instant;
+
+/// The shard owning session `id` among `n_shards` (shard `s` mints the ids
+/// with `(id - 1) % n_shards == s`). Total: any id — including 0 and ids
+/// never issued — maps to some shard, whose cluster then answers "unknown"
+/// for ids it never minted.
+pub(crate) fn shard_of_session(id: u64, n_shards: usize) -> usize {
+    (id.wrapping_sub(1) % n_shards as u64) as usize
+}
+
+/// One placement domain: the occupancy of a contiguous server range plus
+/// its score cache. Server indices inside are shard-local; the methods
+/// return global fleet indices (local + `base`).
+pub(crate) struct Shard {
+    pub(crate) cluster: ClusterState,
+    pub(crate) scores: ScoreCache,
+    /// Bumped on every occupancy mutation (admit, depart, rollback): an
+    /// unchanged epoch proves a ranking was computed from the occupancy
+    /// still in force.
+    pub(crate) epoch: u64,
+    /// Global index of the shard's first server.
+    pub(crate) base: usize,
+}
+
+impl Shard {
+    /// Partition a fleet of `n_servers` into `shards` (clamped to
+    /// `[1, n_servers]`) contiguous disjoint ranges; the first
+    /// `n_servers % shards` absorb the remainder, so sizes differ by at most
+    /// one. Shard `s` mints the interleaved id stream with offset `s`. An
+    /// empty fleet is an `InvalidInput` error.
+    pub(crate) fn partition(n_servers: usize, shards: usize) -> io::Result<Vec<Shard>> {
+        if n_servers == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "fleet needs at least one server",
+            ));
+        }
+        let n_shards = shards.clamp(1, n_servers);
+        let mut base = 0;
+        let partition = (0..n_shards).map(|s| {
+            let size = n_servers / n_shards + usize::from(s < n_servers % n_shards);
+            let shard = Shard {
+                cluster: ClusterState::new_sharded(size, s as u64, n_shards as u64),
+                scores: ScoreCache::new(size),
+                epoch: 0,
+                base,
+            };
+            base += size;
+            shard
+        });
+        Ok(partition.collect())
+    }
+
+    /// Choose a server for `placement` in one incremental pass, leaving the
+    /// chosen server's post-admit sum in the score cache under the admit
+    /// contract. Timed as [`Stage::Place`].
+    pub(crate) fn select(
+        &mut self,
+        fps: &MemoizedFps<'_>,
+        scratch: &mut PlacementScratch,
+        placement: Placement,
+        trace: &mut RequestTrace,
+    ) -> Option<Selection> {
+        let started = Instant::now();
+        let sel = select_server_incremental_with(
+            &self.cluster,
+            placement,
+            fps,
+            fps.model.version,
+            &mut self.scores,
+            scratch,
+        );
+        trace.add(Stage::Place, elapsed_us(started));
+        sel
+    }
+
+    /// Admit `placement` on the server `sel` chose, predicting the new
+    /// session's FPS against the pre-admit co-runners first (timed as
+    /// [`Stage::Predict`]), and bump the epoch: `(session, global server,
+    /// predicted fps)`.
+    pub(crate) fn admit(
+        &mut self,
+        fps: &MemoizedFps<'_>,
+        scratch: &mut PredictScratch,
+        placement: Placement,
+        sel: &Selection,
+        trace: &mut RequestTrace,
+    ) -> (u64, usize, f64) {
+        let started = Instant::now();
+        let (prediction, _) = fps.memo.predict_with(
+            fps.model,
+            fps.qos,
+            placement,
+            self.cluster.members(sel.server),
+            scratch,
+        );
+        trace.add(Stage::Predict, elapsed_us(started));
+        let session = self.cluster.admit(sel.server, placement);
+        self.epoch += 1;
+        (session, self.base + sel.server, prediction.fps)
+    }
+
+    /// Depart `session` if this shard holds it, forgetting its server's
+    /// cached sum and bumping the epoch: the global server it left.
+    pub(crate) fn depart(&mut self, session: u64) -> Option<usize> {
+        let placed = self.cluster.depart(session)?;
+        self.scores.invalidate(placed.server);
+        self.epoch += 1;
+        Some(self.base + placed.server)
+    }
+}
 
 /// One placed session.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,21 +360,32 @@ mod tests {
     }
 
     #[test]
-    fn sharded_id_streams_interleave_and_route_back() {
-        let stride = 3u64;
-        let mut shards: Vec<ClusterState> = (0..stride)
-            .map(|s| ClusterState::new_sharded(1, s, stride))
-            .collect();
+    fn partition_is_contiguous_and_its_id_streams_route_back() {
+        let shape = |n, k| -> Vec<(usize, usize)> {
+            let shards = Shard::partition(n, k).unwrap();
+            shards
+                .iter()
+                .map(|s| (s.base, s.cluster.n_servers()))
+                .collect()
+        };
+        assert_eq!(shape(5, 3), [(0, 2), (2, 2), (4, 1)]);
+        assert_eq!(shape(3, 8), [(0, 1), (1, 1), (2, 1)]);
+        assert_eq!(shape(4, 0), [(0, 4)]);
+        let err = Shard::partition(0, 1).err().expect("empty fleet");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+
+        let mut shards = Shard::partition(3, 3).unwrap();
         for (s, shard) in shards.iter_mut().enumerate() {
             for g in 0..2u32 {
-                let id = shard.admit(0, (GameId(10 * s as u32 + g), R));
-                assert_eq!((id - 1) % stride, s as u64, "id {id} routes to its shard");
+                let id = shard.cluster.admit(0, (GameId(10 * s as u32 + g), R));
+                assert_eq!(shard_of_session(id, 3), s, "id {id} routes to its shard");
             }
-            shard.check_invariants();
+            shard.cluster.check_invariants();
         }
         // Shard 0 mints 1, 4; shard 1 mints 2, 5; shard 2 mints 3, 6.
-        assert_eq!(shards[1].lookup(2).map(|p| p.placement.0), Some(GameId(10)));
-        assert!(shards[1].lookup(1).is_none());
+        let cluster = &shards[1].cluster;
+        assert_eq!(cluster.lookup(2).map(|p| p.placement.0), Some(GameId(10)));
+        assert!(cluster.lookup(1).is_none());
     }
 
     #[test]

@@ -18,21 +18,17 @@
 //!   snapshot.
 //!
 //! Fleet state is partitioned into [`DaemonConfig::shards`] placement
-//! domains, each owning a contiguous disjoint server range behind its own
-//! mutex (occupancy + score cache + epoch counter). `Place` takes one path
-//! whatever the shard count (`place`): it scores the shards in order, each
-//! under its own lock only, and admits under the last shard's hold when
-//! that shard wins, otherwise under the winner's lock with epoch
-//! re-validation — no global fleet lock exists anywhere on the
-//! `Place`/`Depart` hot path, and no worker holds two shard locks. With
-//! `shards = 1` the daemon makes the classic single-lock decisions
-//! bit-identically. The candidates' extended-colocation sums are evaluated
-//! with the lock released (`score_shard`); two evaluations can still run
-//! under it: the newcomer's own prediction at admit (`predict_with` — the
-//! RM and the CM, on a memo miss), and a `before` sum the `ScoreCache` does
-//! not hold (`fill_befores` — the RM, on a memo miss).
+//! domains (`cluster::Shard`), each behind its own mutex. `Place` takes one
+//! path whatever the shard count (`place`); no global fleet lock exists on
+//! the `Place`/`Depart` hot path, no worker holds two shard locks, and with
+//! one worker every reply is the serial [`crate::Reference`]'s. The
+//! candidates' extended-colocation sums are evaluated with the lock
+//! released (`score_shard`); two evaluations can still run under it: the
+//! newcomer's own prediction at admit (`predict_with` — the RM and the CM,
+//! on a memo miss), and a `before` sum the `ScoreCache` does not hold
+//! (`fill_befores` — the RM, on a memo miss).
 
-use crate::cluster::ClusterState;
+use crate::cluster::{shard_of_session, Shard};
 use crate::fault::{FaultAction, FaultInjector, InjectionPoint};
 use crate::feedback::{Feedback, FeedbackConfig, OutcomeRecord};
 use crate::model::{LoadedModel, MemoizedFps, ModelHandle, PredictionMemo};
@@ -42,13 +38,12 @@ use crate::slo::{AlertState, Clock, MonotonicClock, SloConfig, SloEngine, SloRep
 use crate::stats::{Counter, StatsSnapshot, Telemetry, Writer};
 use crate::trace::{elapsed_us, RequestTrace, SlowMeta, Stage};
 use crate::wire::{
-    self, read_frame_bytes_capped, request_kind_index, write_frame, BatchPlaceResult, FrameError,
-    OutcomeReport, Request, Response,
+    self, read_frame_bytes_capped, request_kind_index, write_frame, FrameError, OutcomeReport,
+    Request, Response,
 };
 use gaugur_core::Placement;
 use gaugur_sched::{
-    rank_shard_selections, select_server_if_resident, select_server_incremental_with, NotResident,
-    PlacementScratch, ScoreCache, Selection,
+    rank_shard_selections, select_server_if_resident, NotResident, PlacementScratch, Selection,
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::io::{self, Write as _};
@@ -151,23 +146,6 @@ struct RetrainJob {
     extra_rounds: Option<u64>,
 }
 
-/// One placement domain: the occupancy of a contiguous server range plus
-/// its score cache, kept under one mutex so every placement decision and
-/// its cache update are atomic *within the shard*. Server indices inside
-/// are shard-local; the daemon translates to global fleet indices (local +
-/// `base`) before anything reaches the wire or the stats.
-struct Shard {
-    cluster: ClusterState,
-    scores: ScoreCache,
-    /// Bumped on every occupancy mutation (admit, depart, rollback) under
-    /// this shard's lock. The two-phase admit records it while scoring and
-    /// re-checks it before admitting: an unchanged epoch proves the ranking
-    /// was computed from the occupancy still in force.
-    epoch: u64,
-    /// Global index of the shard's first server.
-    base: usize,
-}
-
 /// Worst-N capacity of the slow-request ring exposed via `slow_requests`.
 const SLOW_LOG_CAPACITY: usize = 16;
 
@@ -203,12 +181,19 @@ struct Shared {
 }
 
 impl Shared {
-    /// The shard owning session `id` under the interleaved id scheme
-    /// (shard `s` mints ids with `(id - 1) % n_shards == s`). Total: any
-    /// id — including 0 and ids the daemon never issued — maps to some
-    /// shard, whose cluster then answers "unknown" for ids it never minted.
+    /// The shard owning session `id` under the interleaved id scheme.
     fn shard_of_session(&self, id: u64) -> usize {
-        (id.wrapping_sub(1) % self.shards.len() as u64) as usize
+        shard_of_session(id, self.shards.len())
+    }
+
+    /// The placement path's view of `model`: this daemon's memo, keyed at
+    /// its QoS floor.
+    fn fps<'a>(&'a self, model: &'a LoadedModel) -> MemoizedFps<'a> {
+        MemoizedFps {
+            model,
+            memo: &self.memo,
+            qos: self.config.qos,
+        }
     }
 
     /// Request shutdown: stop the acceptor, close the queue (queued
@@ -391,9 +376,11 @@ type ThreadSpawner<'a> =
     dyn FnMut(String, Box<dyn FnOnce() + Send + 'static>) -> io::Result<JoinHandle<()>> + 'a;
 
 /// Start the daemon. Returns once the listener is bound and the worker pool
-/// is running. A thread-spawn failure (OS thread limit, memory pressure) is
-/// returned as an error — never a panic — with every already-spawned thread
-/// joined and the listener socket released before returning.
+/// is running. An empty fleet is an `InvalidInput` error, returned before
+/// anything is bound or spawned. A thread-spawn failure (OS thread limit,
+/// memory pressure) is returned as an error — never a panic — with every
+/// already-spawned thread joined and the listener socket released before
+/// returning.
 pub fn start(config: DaemonConfig, model: ModelHandle) -> io::Result<DaemonHandle> {
     start_with(config, model, &mut |name, body| {
         std::thread::Builder::new().name(name).spawn(body)
@@ -430,30 +417,17 @@ fn start_with(
     model: ModelHandle,
     spawn: &mut ThreadSpawner<'_>,
 ) -> io::Result<DaemonHandle> {
+    let shards: Vec<Mutex<Shard>> = Shard::partition(config.n_servers, config.shards)?
+        .into_iter()
+        .map(Mutex::new)
+        .collect();
+    let n_shards = shards.len();
     let listener = TcpListener::bind(&config.bind)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let (retrain_tx, retrain_rx) = mpsc::channel::<RetrainJob>();
     let workers_n = config.workers.max(1);
-    // Partition the fleet into contiguous disjoint shard ranges; the first
-    // `n_servers % n_shards` shards absorb the remainder so sizes differ by
-    // at most one. Shard s mints the interleaved id stream with offset s.
-    let n_shards = config.shards.max(1).min(config.n_servers.max(1));
-    let base_size = config.n_servers / n_shards;
-    let remainder = config.n_servers % n_shards;
-    let mut shards = Vec::with_capacity(n_shards);
-    let mut base = 0usize;
-    for s in 0..n_shards {
-        let size = base_size + usize::from(s < remainder);
-        shards.push(Mutex::new(Shard {
-            cluster: ClusterState::new_sharded(size, s as u64, n_shards as u64),
-            scores: ScoreCache::new(size),
-            epoch: 0,
-            base,
-        }));
-        base += size;
-    }
     let clock: Arc<dyn Clock> = config
         .clock
         .clone()
@@ -1011,13 +985,9 @@ fn score_shard<'a>(
     placement: Placement,
     trace: &mut RequestTrace,
 ) -> (MutexGuard<'a, Shard>, Option<Selection>) {
-    let fps_model = MemoizedFps {
-        model,
-        memo: &shared.memo,
-        qos: shared.config.qos,
-    };
+    let fps_model = shared.fps(model);
     let mut shard = held.unwrap_or_else(|| lock_shard(shared, s, trace));
-    let mut place_started = Instant::now();
+    let place_started = Instant::now();
     let Shard {
         cluster, scores, ..
     } = &mut *shard;
@@ -1030,34 +1000,24 @@ fn score_shard<'a>(
         scratch,
     );
     let sel = match resident {
-        Ok(sel) => sel,
+        Ok(sel) => {
+            trace.add(Stage::Place, elapsed_us(place_started));
+            sel
+        }
         Err(NotResident) => {
             drop(shard);
             scratch.evaluate_candidates(&fps_model);
             trace.add(Stage::Place, elapsed_us(place_started));
             shard = lock_shard(shared, s, trace);
-            place_started = Instant::now();
-            let Shard {
-                cluster, scores, ..
-            } = &mut *shard;
-            select_server_incremental_with(
-                &*cluster,
-                placement,
-                &fps_model,
-                model.version,
-                scores,
-                scratch,
-            )
+            shard.select(&fps_model, scratch, placement, trace)
         }
     };
-    trace.add(Stage::Place, elapsed_us(place_started));
     (shard, sel)
 }
 
-/// Admit `placement` on the server `sel` chose, predicting the new
-/// session's FPS against the pre-admit co-runners first. The caller holds
-/// this shard's lock and made `sel` under it; the returned server index is
-/// global (`base` + local).
+/// Admit `placement` on the server `sel` chose ([`Shard::admit`]) and note
+/// the admission for delivery or rollback. The caller holds this shard's
+/// lock and made `sel` under it, so the recorder stamp is in lock order.
 fn admit_selected(
     shared: &Shared,
     model: &LoadedModel,
@@ -1067,20 +1027,15 @@ fn admit_selected(
     sel: Selection,
     trace: &mut RequestTrace,
 ) -> (u64, usize, f64) {
-    // Co-runners of the new session = the server's pre-admit occupancy, so
-    // predict before admitting (borrowed — no fleet clone on the hot path).
-    let predict_started = Instant::now();
-    let (prediction, _) = shared.memo.predict_with(
-        model,
-        shared.config.qos,
-        placement,
-        shard.cluster.members(sel.server),
+    let fps_model = shared.fps(model);
+    let placed = shard.admit(
+        &fps_model,
         &mut state.scratch.predict,
+        placement,
+        &sel,
+        trace,
     );
-    trace.add(Stage::Predict, elapsed_us(predict_started));
-    let session = shard.cluster.admit(sel.server, placement);
-    shard.epoch += 1;
-    let server = shard.base + sel.server;
+    let (session, server, _) = placed;
     state.admitted.push(Admitted {
         session,
         server,
@@ -1090,36 +1045,7 @@ fn admit_selected(
         before_sum: sel.before_sum,
         after_sum: sel.server_sum,
     });
-    (session, server, prediction.fps)
-}
-
-/// Choose a server in one pass under the lock the caller already holds and
-/// admit there — the second phase of [`place`], whose candidate sums the
-/// first phase just made resident.
-fn admit_one_in_shard(
-    shared: &Shared,
-    model: &LoadedModel,
-    shard: &mut Shard,
-    state: &mut WorkerState,
-    placement: Placement,
-    trace: &mut RequestTrace,
-) -> Option<(u64, usize, f64)> {
-    let fps_model = MemoizedFps {
-        model,
-        memo: &shared.memo,
-        qos: shared.config.qos,
-    };
-    let place_started = Instant::now();
-    let sel = select_server_incremental_with(
-        &shard.cluster,
-        placement,
-        &fps_model,
-        model.version,
-        &mut shard.scores,
-        &mut state.scratch,
-    );
-    trace.add(Stage::Place, elapsed_us(place_started));
-    sel.map(|sel| admit_selected(shared, model, shard, state, placement, sel, trace))
+    placed
 }
 
 /// Whether the last shard's candidate `sel` settles the request under the
@@ -1206,8 +1132,12 @@ fn place<'a>(
         if shard.epoch == state.epochs[winner] {
             // Occupancy unchanged since scoring, so the under-lock re-score
             // deterministically reproduces the phase-1 selection (and
-            // restores the cache entry invalidated above) before admitting.
-            return admit_one_in_shard(shared, model, &mut shard, state, placement, trace);
+            // restores the cache entry invalidated above) in one pass, its
+            // candidate sums resident, before admitting.
+            let sel = shard.select(&shared.fps(model), &mut state.scratch, placement, trace);
+            return sel.map(|sel| {
+                admit_selected(shared, model, &mut shard, state, placement, sel, trace)
+            });
         }
         drop(shard);
         if attempt < MAX_ADMIT_RETRIES {
@@ -1220,8 +1150,8 @@ fn place<'a>(
     for i in 0..state.order.len() {
         let s = state.order[i];
         let mut shard = lock_shard(shared, s, trace);
-        if let Some(placed) = admit_one_in_shard(shared, model, &mut shard, state, placement, trace)
-        {
+        if let Some(sel) = shard.select(&shared.fps(model), &mut state.scratch, placement, trace) {
+            let placed = admit_selected(shared, model, &mut shard, state, placement, sel, trace);
             tel.fallback(s);
             return Some(placed);
         }
@@ -1326,137 +1256,44 @@ fn handle_request(
     effects: &mut RequestSideEffects,
 ) -> (Response, bool) {
     match request {
-        Request::Place { game, resolution } => {
-            let model = shared.model.get();
-            effects.meta.model_version = Some(model.version);
-            if !model.knows_game(*game) {
-                return (
-                    Response::Error {
-                        message: format!("unknown game {}", game.0),
-                    },
-                    false,
-                );
-            }
-            // Bound first, so a guard `place` hands back goes with the
-            // temporary here, before the reply is built.
-            let placed = place(
-                shared,
-                tel,
-                &model,
-                state,
-                &mut None,
-                (*game, *resolution),
-                trace,
-            );
-            match placed {
-                Some((session, server, predicted_fps)) => {
-                    let shard = shared.shard_of_session(session);
-                    tel.place_attempt(game.0, Some(shard));
-                    effects.meta.session = Some(session);
-                    effects.meta.shard = Some(shard as u64);
-                    (
-                        Response::Placed {
-                            session,
-                            server,
-                            predicted_fps,
-                            model_version: model.version,
-                        },
-                        true,
-                    )
-                }
-                None => {
-                    // Saturation: every server is at its session cap or
-                    // already runs this game. No QoS floor is consulted on
-                    // this path; the `admit_qos` objective burns on these
-                    // rejections all the same.
-                    tel.place_attempt(game.0, None);
-                    (
-                        Response::Rejected {
-                            reason: "no eligible server (fleet saturated)".into(),
-                        },
-                        true,
-                    )
-                }
-            }
-        }
-        Request::PlaceBatch { requests } => {
+        Request::Place { .. } | Request::PlaceBatch { .. } => {
             let model = shared.model.get();
             effects.meta.model_version = Some(model.version);
             // Items place in order and fail independently (unknown game or
             // saturation). The guard the last shard scored in comes back
-            // (`held`), so a single-shard fleet keeps its lock across the
+            // (`held`), so a single-shard fleet keeps its lock across a
             // burst, releasing it only where an item has to evaluate the
             // model; on more shards the next item's scoring starts at
             // shard 0 and drops it first, so a long burst never pins any
             // one shard.
             let mut held = None;
-            let results: Vec<BatchPlaceResult> = requests
-                .iter()
-                .map(|&(game, resolution)| {
-                    if !model.knows_game(game) {
-                        return BatchPlaceResult::Rejected {
-                            reason: format!("unknown game {}", game.0),
-                        };
-                    }
-                    let placed = place(
-                        shared,
-                        tel,
-                        &model,
-                        state,
-                        &mut held,
-                        (game, resolution),
-                        trace,
-                    );
-                    match placed {
-                        Some((session, server, predicted_fps)) => {
-                            let shard = shared.shard_of_session(session);
-                            tel.place_attempt(game.0, Some(shard));
-                            // The ring entry points at the batch's first
-                            // admitted session — one concrete session to
-                            // start debugging a slow burst from.
-                            if effects.meta.session.is_none() {
-                                effects.meta.session = Some(session);
-                                effects.meta.shard = Some(shard as u64);
-                            }
-                            BatchPlaceResult::Placed {
-                                session,
-                                server,
-                                predicted_fps,
-                            }
-                        }
-                        None => {
-                            tel.place_attempt(game.0, None);
-                            BatchPlaceResult::Rejected {
-                                reason: "no eligible server (fleet saturated)".into(),
-                            }
-                        }
-                    }
-                })
-                .collect();
-            (
-                Response::PlacedBatch {
-                    model_version: model.version,
-                    results,
-                },
-                true,
-            )
+            model.place_reply(request, |placement| {
+                let placed = place(shared, tel, &model, state, &mut held, placement, trace);
+                // Saturation (`None`): every server is at its session cap
+                // or already runs this game. No QoS floor is consulted on
+                // this path; the `admit_qos` objective burns on these
+                // rejections all the same.
+                let shard = placed.map(|(session, ..)| shared.shard_of_session(session));
+                tel.place_attempt(placement.0 .0, shard);
+                // The ring entry points at the first admitted session — one
+                // concrete session to start debugging a slow burst from.
+                if effects.meta.session.is_none() {
+                    effects.meta.session = placed.map(|(session, ..)| session);
+                    effects.meta.shard = shard.map(|s| s as u64);
+                }
+                placed
+            })
         }
         Request::Depart { session } => {
             // The id scheme routes every session to exactly one shard, so a
             // depart touches one lock — never the whole fleet.
             let owner = shared.shard_of_session(*session);
+            // Held to the end of the arm: the recorder stamp is taken in
+            // lock order.
             let mut shard = lock_shard(shared, owner, trace);
-            let Shard {
-                cluster,
-                scores,
-                epoch,
-                base,
-            } = &mut *shard;
-            match cluster.depart(*session) {
-                Some(placed) => {
-                    scores.invalidate(placed.server);
-                    *epoch += 1;
-                    let server = *base + placed.server;
+            let departed = shard.depart(*session);
+            match departed {
+                Some(server) => {
                     effects.meta.session = Some(*session);
                     effects.meta.shard = Some(owner as u64);
                     effects.events.push((
@@ -1467,22 +1304,13 @@ fn handle_request(
                             shard: owner as u64,
                         },
                     ));
-                    (
-                        Response::Departed {
-                            session: *session,
-                            server,
-                        },
-                        true,
-                    )
                 }
-                None => {
-                    // Typed, counted, and not a protocol error: departing an
-                    // id that is already gone (double-depart, rolled back,
-                    // or never issued) is a client-visible state, not noise.
-                    tel.note(Counter::DepartUnknown, 1);
-                    (Response::UnknownSession { session: *session }, false)
-                }
+                // Typed, counted, and not a protocol error: departing an id
+                // that is already gone (double-depart, rolled back, or never
+                // issued) is a client-visible state, not noise.
+                None => tel.note(Counter::DepartUnknown, 1),
             }
+            (Response::departed(*session, departed), departed.is_some())
         }
         Request::Predict {
             game,
@@ -1491,49 +1319,18 @@ fn handle_request(
             qos,
         } => {
             let model = shared.model.get();
-            if !model.knows_game(*game) {
-                return (
-                    Response::Error {
-                        message: format!("unknown game {}", game.0),
-                    },
-                    false,
-                );
-            }
-            if let Some(bad) = others.iter().find(|(g, _)| !model.knows_game(*g)) {
-                return (
-                    Response::Error {
-                        message: format!("unknown co-runner game {}", bad.0 .0),
-                    },
-                    false,
-                );
-            }
-            if !qos.is_finite() || *qos < 0.0 {
-                return (
-                    Response::Error {
-                        message: format!("invalid qos {qos}"),
-                    },
-                    false,
-                );
-            }
-            let predict_started = Instant::now();
-            let (prediction, cached) = shared.memo.predict_with(
-                &model,
-                *qos,
+            let predicted = model.predict_reply(
+                &shared.memo,
                 (*game, *resolution),
                 others,
+                *qos,
                 &mut state.scratch.predict,
+                trace,
             );
-            trace.add(Stage::Predict, elapsed_us(predict_started));
-            (
-                Response::Prediction {
-                    feasible: prediction.feasible,
-                    degradation: prediction.degradation,
-                    fps: prediction.fps,
-                    model_version: model.version,
-                    cached,
-                },
-                true,
-            )
+            match predicted {
+                Ok(reply) => (reply, true),
+                Err(message) => (Response::Error { message }, false),
+            }
         }
         Request::ReportOutcome { report } => {
             ingest_reports(shared, tel, std::slice::from_ref(report))
@@ -1606,7 +1403,7 @@ mod tests {
     /// `expect_err` can't be used directly on `start_with`'s result.
     fn must_fail(r: io::Result<DaemonHandle>, what: &str) -> io::Error {
         match r {
-            Ok(_) => panic!("{what}: expected a spawn failure, daemon started"),
+            Ok(_) => panic!("{what}: expected a start failure, daemon started"),
             Err(e) => e,
         }
     }
@@ -1691,6 +1488,32 @@ mod tests {
         assert!(err.to_string().contains("acceptor"), "{err}");
         // Retrainer + both workers were attempted before the acceptor.
         assert_eq!(calls, 4);
+    }
+
+    #[test]
+    fn an_empty_fleet_is_invalid_input_before_anything_is_bound_or_spawned() {
+        // The address is taken: an error other than `InvalidInput` would
+        // mean the daemon tried to bind before it checked the fleet.
+        let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut calls = 0u32;
+        let err = must_fail(
+            start_with(
+                DaemonConfig {
+                    bind: taken.local_addr().unwrap().to_string(),
+                    n_servers: 0,
+                    print_stats_on_shutdown: false,
+                    ..Default::default()
+                },
+                test_model(),
+                &mut |name, body| {
+                    calls += 1;
+                    std::thread::Builder::new().name(name).spawn(body)
+                },
+            ),
+            "empty fleet",
+        );
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(calls, 0, "no thread spawned for an empty fleet");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! * [`wire`] — request/response types, framing, decode hardening.
 //! * [`daemon`] — acceptor, worker pool, handlers, graceful shutdown.
 //! * [`model`] — artifact loading, hot reload, prediction memoization.
-//! * [`cluster`] — live fleet occupancy and session bookkeeping.
+//! * [`cluster`] — live fleet occupancy, session bookkeeping and the
+//!   placement shards.
+//! * [`reference`] — the serial reference the daemon's replies are held to.
 //! * [`queue`] — the bounded work queue between acceptor and workers.
 //! * [`stats`] — the telemetry collector: one single-writer counter block
 //!   per thread, one histogram type, the `Stats` snapshot.
@@ -77,6 +79,7 @@ pub mod load;
 pub mod model;
 pub mod queue;
 pub mod recorder;
+pub mod reference;
 pub mod slo;
 pub mod stats;
 pub mod trace;
@@ -91,6 +94,7 @@ pub use feedback::{DriftDetector, Feedback, FeedbackConfig, FeedbackCounters, Ou
 pub use load::{LoadConfig, LoadReport};
 pub use model::{LoadedModel, MemoizedFps, ModelHandle, PredictionMemo};
 pub use recorder::{Event, Recorder, RecorderDump};
+pub use reference::Reference;
 pub use slo::{
     AlertState, Clock, ManualClock, MonotonicClock, SloConfig, SloEngine, SloReport, WindowView,
 };

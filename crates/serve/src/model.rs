@@ -6,6 +6,8 @@
 //! can never fail or skew a request that already started — the old model
 //! simply lives until its last request drops the Arc.
 
+use crate::trace::{elapsed_us, RequestTrace, Stage};
+use crate::wire::{BatchPlaceResult, Request, Response};
 use gaugur_core::{GAugur, InterferencePredictor, Placement};
 use gaugur_sched::maxfps::MAX_PER_SERVER;
 use gaugur_sched::{ColocationBatch, PredictScratch};
@@ -15,6 +17,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One immutable loaded model plus its provenance.
 pub struct LoadedModel {
@@ -30,6 +33,103 @@ impl LoadedModel {
     /// Whether `id` is a game this model can predict for.
     pub fn knows_game(&self, id: gaugur_gamesim::GameId) -> bool {
         self.gaugur.profiles.contains(id)
+    }
+
+    /// The reply text for a request naming a game this model has no
+    /// profile for, or `Ok` when it knows `game`.
+    pub(crate) fn check_game(&self, game: gaugur_gamesim::GameId) -> Result<(), String> {
+        match self.knows_game(game) {
+            true => Ok(()),
+            false => Err(format!("unknown game {}", game.0)),
+        }
+    }
+
+    /// The reply to a `Place` or a `PlaceBatch` (panics on any other
+    /// request): an unknown game is an `Error` for a `Place` and a rejected
+    /// item of a batch; every other item goes to `place`, in order, whose
+    /// `(session, global server, predicted fps)` is placed and whose `None`
+    /// is rejected as a saturated fleet.
+    pub(crate) fn place_reply(
+        &self,
+        request: &Request,
+        mut place: impl FnMut(Placement) -> Option<(u64, usize, f64)>,
+    ) -> (Response, bool) {
+        const SATURATED: &str = "no eligible server (fleet saturated)";
+        let model_version = self.version;
+        match request {
+            Request::Place { game, resolution } => {
+                if let Err(message) = self.check_game(*game) {
+                    return (Response::Error { message }, false);
+                }
+                let reply = match place((*game, *resolution)) {
+                    Some((session, server, predicted_fps)) => Response::Placed {
+                        session,
+                        server,
+                        predicted_fps,
+                        model_version,
+                    },
+                    None => Response::Rejected {
+                        reason: SATURATED.into(),
+                    },
+                };
+                (reply, true)
+            }
+            Request::PlaceBatch { requests } => {
+                let mut item = |&(game, resolution): &Placement| {
+                    self.check_game(game)?;
+                    place((game, resolution)).ok_or_else(|| SATURATED.to_string())
+                };
+                let results = requests.iter().map(|placement| match item(placement) {
+                    Ok((session, server, predicted_fps)) => BatchPlaceResult::Placed {
+                        session,
+                        server,
+                        predicted_fps,
+                    },
+                    Err(reason) => BatchPlaceResult::Rejected { reason },
+                });
+                let results = results.collect();
+                (
+                    Response::PlacedBatch {
+                        model_version,
+                        results,
+                    },
+                    true,
+                )
+            }
+            other => unreachable!("not a placement request: {other:?}"),
+        }
+    }
+
+    /// The reply to a `Predict` of `target` beside `others` at floor `qos`,
+    /// answered through `memo` (only that call is timed, as
+    /// [`Stage::Predict`]) — or the error text of an unknown game or
+    /// co-runner, or of a floor that is not a finite non-negative number.
+    pub(crate) fn predict_reply(
+        &self,
+        memo: &PredictionMemo,
+        target: Placement,
+        others: &[Placement],
+        qos: f64,
+        scratch: &mut PredictScratch,
+        trace: &mut RequestTrace,
+    ) -> Result<Response, String> {
+        self.check_game(target.0)?;
+        if let Some(bad) = others.iter().find(|(g, _)| !self.knows_game(*g)) {
+            return Err(format!("unknown co-runner game {}", bad.0 .0));
+        }
+        if !qos.is_finite() || qos < 0.0 {
+            return Err(format!("invalid qos {qos}"));
+        }
+        let started = Instant::now();
+        let (prediction, cached) = memo.predict_with(self, qos, target, others, scratch);
+        trace.add(Stage::Predict, elapsed_us(started));
+        Ok(Response::Prediction {
+            feasible: prediction.feasible,
+            degradation: prediction.degradation,
+            fps: prediction.fps,
+            model_version: self.version,
+            cached,
+        })
     }
 }
 

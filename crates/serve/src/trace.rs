@@ -682,35 +682,28 @@ fn render_slo(out: &mut String, slo: &crate::slo::SloReport) {
         "objective=\"fleet\"",
         slo.state.as_u8(),
     );
-    write_header(
-        out,
-        "gaugur_slo_burn_rate",
-        "gauge",
-        "Error-budget burn rate per objective and evaluation window.",
-    );
-    write_header(
-        out,
-        "gaugur_slo_objective_value",
-        "gauge",
-        "Raw objective value (ratio, or p99 µs) per evaluation window.",
-    );
-    for o in &slo.objectives {
-        for (window, burn, value) in [
-            ("10s", o.fast_burn, o.fast_value),
-            ("5m", o.slow_burn, o.slow_value),
-        ] {
-            write_metric(
-                out,
-                "gaugur_slo_burn_rate",
-                &format!("objective=\"{}\",window=\"{window}\"", o.name),
-                burn,
-            );
-            write_metric(
-                out,
-                "gaugur_slo_objective_value",
-                &format!("objective=\"{}\",window=\"{window}\"", o.name),
-                value,
-            );
+    // One family at a time: text format 0.0.4 wants each family's samples
+    // in one group under its own TYPE line.
+    type Windows = fn(&crate::slo::ObjectiveStatus) -> [f64; 2];
+    let families: [(&str, &str, Windows); 2] = [
+        (
+            "gaugur_slo_burn_rate",
+            "Error-budget burn rate per objective and evaluation window.",
+            |o| [o.fast_burn, o.slow_burn],
+        ),
+        (
+            "gaugur_slo_objective_value",
+            "Raw objective value (ratio, or p99 µs) per evaluation window.",
+            |o| [o.fast_value, o.slow_value],
+        ),
+    ];
+    for (name, help, windows) in families {
+        write_header(out, name, "gauge", help);
+        for o in &slo.objectives {
+            for (window, v) in ["10s", "5m"].into_iter().zip(windows(o)) {
+                let labels = format!("objective=\"{}\",window=\"{window}\"", o.name);
+                write_metric(out, name, &labels, v);
+            }
         }
     }
     write_header(
@@ -918,17 +911,32 @@ mod tests {
 
     #[test]
     fn prometheus_exposition_is_well_formed() {
-        let snap = populated_snapshot();
+        let mut snap = populated_snapshot();
+        let t = Telemetry::new(1, 1, 4, 0);
+        let engine = crate::SloEngine::new(crate::SloConfig::default());
+        snap.slo = Some(engine.evaluate(&t.views(0), t.per_game()).0);
         let text = render_prometheus(&snap);
         let mut seen_series = 0usize;
+        // Each family is one group: its samples directly follow its own
+        // TYPE line, and no family is typed twice.
+        let mut typed = std::collections::HashSet::new();
+        let mut family = "";
         for line in text.lines() {
-            if line.starts_with('#') {
-                assert!(
-                    line.starts_with("# HELP ") || line.starts_with("# TYPE "),
-                    "{line}"
-                );
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                family = rest.split(' ').next().unwrap();
+                assert!(typed.insert(family), "family typed twice: {line}");
                 continue;
             }
+            if line.starts_with('#') {
+                assert!(line.starts_with("# HELP "), "{line}");
+                continue;
+            }
+            let name = line.split(['{', ' ']).next().unwrap();
+            let suffix = name.strip_prefix(family).unwrap_or(name);
+            assert!(
+                ["", "_bucket", "_sum", "_count", "_total"].contains(&suffix),
+                "sample outside its family's group (current family {family}): {line}"
+            );
             // Every sample line is `name[{labels}] value` with a finite value.
             let (series, value) = line.rsplit_once(' ').expect(line);
             assert!(!series.is_empty(), "{line}");
@@ -953,6 +961,7 @@ mod tests {
         assert!(text.contains("gaugur_score_cache_total{result=\"hit\"} 0"));
         assert!(text.contains("gaugur_drift_windowed_mae"));
         assert!(text.contains("le=\"+Inf\""));
+        assert!(text.contains("gaugur_slo_burn_rate{objective=\"admit_qos\",window=\"5m\"}"));
     }
 
     #[test]

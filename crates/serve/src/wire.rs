@@ -257,6 +257,17 @@ pub enum BatchPlaceResult {
     },
 }
 
+impl Response {
+    /// The reply to a `Depart` of `session`: the server it left, or `None`
+    /// when it is not live.
+    pub(crate) fn departed(session: u64, server: Option<usize>) -> Response {
+        match server {
+            Some(server) => Response::Departed { session, server },
+            None => Response::UnknownSession { session },
+        }
+    }
+}
+
 /// Why a frame could not be read.
 #[derive(Debug)]
 pub enum FrameError {

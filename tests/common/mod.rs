@@ -3,6 +3,8 @@
 
 use gaugur::core::{measure_colocations, plan_colocations, MeasuredColocation};
 use gaugur::prelude::*;
+use gaugur::serve::wire::{self, BatchPlaceResult, Request, Response};
+use gaugur::serve::{daemon, DaemonHandle, Reference};
 use std::sync::OnceLock;
 
 /// A small but complete experiment fixture.
@@ -67,4 +69,75 @@ pub fn gaugur() -> &'static GAugur {
         let f = fixture();
         GAugur::from_measurements(f.profiles.clone(), &f.train, GAugurConfig::default())
     })
+}
+
+/// A daemon serving the fixture's predictor under `config`, beside the
+/// serial reference built from the same configuration and model.
+#[allow(dead_code)]
+pub fn daemon_and_reference(config: DaemonConfig) -> (DaemonHandle, Reference) {
+    let model = ModelHandle::from_model(gaugur().clone());
+    let reference = Reference::new(&config, model.get()).unwrap();
+    (daemon::start(config, model).unwrap(), reference)
+}
+
+/// Drive a daemon under `config` over one connection beside the serial
+/// reference: `next` gets the step and the previous reply and returns the
+/// next request, or `None` to stop. Every reply frame must be the
+/// reference's byte for byte, and each shard's score-cache counts must be
+/// too; returns those counts and the daemon's stats at shutdown.
+#[allow(dead_code)]
+pub fn drive_beside_reference(
+    config: DaemonConfig,
+    mut next: impl FnMut(usize, Option<Response>) -> Option<Request>,
+) -> (Vec<(u64, u64)>, StatsSnapshot) {
+    let (handle, mut reference) = daemon_and_reference(config);
+    let mut stream = std::net::TcpStream::connect(handle.local_addr()).unwrap();
+    // A frame is two writes: without this, each request waits out the
+    // daemon's delayed ACK.
+    stream.set_nodelay(true).unwrap();
+    let mut reply = None;
+    for step in 0.. {
+        let Some(request) = next(step, reply.take()) else {
+            break;
+        };
+        wire::write_frame(&mut stream, &request).unwrap();
+        let frame = wire::read_frame_bytes(&mut stream).unwrap();
+        let expected = reference.handle(&request);
+        let want = wire::encode_frame(&expected).unwrap();
+        assert_eq!(
+            String::from_utf8_lossy(&frame),
+            String::from_utf8_lossy(&want[4..]),
+            "step {step}: {request:?}"
+        );
+        reply = Some(expected);
+    }
+    let counts = reference.score_counts();
+    assert_eq!(handle.shard_score_counts(), counts);
+    drop(stream);
+    (counts, handle.shutdown())
+}
+
+/// The sessions a `Place` or `PlaceBatch` reply admitted, with the FPS
+/// predicted for each.
+#[allow(dead_code)]
+pub fn admitted(reply: &Response) -> Vec<(u64, f64)> {
+    match reply {
+        Response::Placed {
+            session,
+            predicted_fps,
+            ..
+        } => vec![(*session, *predicted_fps)],
+        Response::PlacedBatch { results, .. } => results
+            .iter()
+            .filter_map(|r| match *r {
+                BatchPlaceResult::Placed {
+                    session,
+                    predicted_fps,
+                    ..
+                } => Some((session, predicted_fps)),
+                BatchPlaceResult::Rejected { .. } => None,
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
 }

@@ -1,213 +1,29 @@
-//! Differential oracle for the placement daemon: whatever the daemon answers
-//! over the wire must be what a plain serial loop over the library calls
-//! answers — `select_server_incremental_with → PredictionMemo::predict_with →
-//! ClusterState::admit / depart`, one request at a time, no locks, no
-//! threads, no second scoring pass.
+//! Differential oracle for the placement daemon: whatever it answers over
+//! the wire must be what the serial [`gaugur::serve::Reference`] answers
+//! for the lock order the daemon ran in (DESIGN §13).
 //!
-//! The daemon evaluates the model with its shard lock released and decides
-//! under it; this file is what holds that protocol to "exactly the serial
-//! outcome for the lock order":
-//!
-//! * with one worker the lock order is the request order, so every reply
-//!   frame must equal the oracle's byte for byte — over cold traffic (the
-//!   whole catalog at two resolutions) and a 64-entry memo that evicts all
-//!   the way through — and so must each shard's `ScoreCache` hit/miss
-//!   counts, on one shard and on two, where the oracle also does what the
-//!   daemon's one admit path does across shards: score them all in order,
-//!   admit from the last shard's own selection when it ranks first, and
-//!   otherwise drop every speculative entry and re-score the winner;
-//! * with four racing workers, on one shard and on two, the order is
-//!   whatever the race made it — the flight recorder stamps each admit and
-//!   depart under its shard's lock, and replaying the recorded order through
-//!   the oracle must reproduce every server choice and every
-//!   `predicted_fps` bit the clients were told.
+//! * With one worker the lock order is the request order, so every reply
+//!   frame must equal the reference's byte for byte, on one, two and three
+//!   shards, over cold traffic (the whole catalog at two resolutions, with
+//!   `Predict` reads and `ReportOutcome` reports beside the placements) and
+//!   a 64-entry memo that evicts all the way through; so must each shard's
+//!   `ScoreCache` hit/miss counts.
+//! * With four racing workers, on one shard and on two, the flight recorder
+//!   stamps each admit and depart under its shard's lock, and replaying the
+//!   recorded order through the reference must reproduce every server
+//!   choice and every `predicted_fps` bit the clients were told.
 
 mod common;
 
-use common::{fixture, gaugur};
+use common::{admitted, daemon_and_reference, drive_beside_reference, fixture};
 use gaugur::core::Placement;
 use gaugur::gamesim::rng::rng_for;
 use gaugur::prelude::*;
-use gaugur::sched::{
-    rank_shard_selections, select_server_incremental_with, PlacementScratch, ScoreCache, Selection,
-};
-use gaugur::serve::wire::{self, Request, Response};
-use gaugur::serve::{
-    daemon, verify_stage_accounting, BatchPlaceResult, ClusterState, LoadedModel, MemoizedFps,
-    PredictionMemo,
-};
+use gaugur::sched::maxfps::MAX_PER_SERVER;
+use gaugur::serve::wire::{OutcomeReport, Request, Response};
+use gaugur::serve::{daemon, verify_stage_accounting, Placed};
 use rand::Rng;
 use std::collections::HashMap;
-use std::net::TcpStream;
-
-const QOS: f64 = 60.0;
-const SATURATED: &str = "no eligible server (fleet saturated)";
-
-/// The serial reference: the fleet partitioned exactly as the daemon
-/// partitions it, driven inline.
-struct Oracle {
-    model: LoadedModel,
-    memo: PredictionMemo,
-    /// Per shard: first global server index, occupancy, score cache.
-    shards: Vec<(usize, ClusterState, ScoreCache)>,
-    scratch: PlacementScratch,
-    /// Requests [`Oracle::place_anywhere`] admitted from the last shard's
-    /// own selection, and those it re-scored on an earlier winner.
-    last_decided: u64,
-    rescored: u64,
-}
-
-impl Oracle {
-    fn new(n_servers: usize, n_shards: usize, memo_capacity: usize) -> Oracle {
-        let mut shards = Vec::new();
-        let mut base = 0;
-        for s in 0..n_shards {
-            let size = n_servers / n_shards + usize::from(s < n_servers % n_shards);
-            let cluster = ClusterState::new_sharded(size, s as u64, n_shards as u64);
-            shards.push((base, cluster, ScoreCache::new(size)));
-            base += size;
-        }
-        Oracle {
-            model: LoadedModel {
-                gaugur: gaugur().clone(),
-                version: 1,
-                source: std::path::PathBuf::from("<oracle>"),
-            },
-            memo: PredictionMemo::new(memo_capacity),
-            shards,
-            scratch: PlacementScratch::new(),
-            last_decided: 0,
-            rescored: 0,
-        }
-    }
-
-    /// Choose within `shard`, under the admit contract.
-    fn select(&mut self, shard: usize, placement: Placement) -> Option<Selection> {
-        let (_, cluster, scores) = &mut self.shards[shard];
-        let fps_model = MemoizedFps {
-            model: &self.model,
-            memo: &self.memo,
-            qos: QOS,
-        };
-        select_server_incremental_with(
-            &*cluster,
-            placement,
-            &fps_model,
-            self.model.version,
-            scores,
-            &mut self.scratch,
-        )
-    }
-
-    /// Predict against the pre-admit co-runners, admit: `(session, global
-    /// server, predicted fps)`.
-    fn admit(&mut self, shard: usize, placement: Placement, sel: Selection) -> (u64, usize, f64) {
-        let (base, cluster, _) = &mut self.shards[shard];
-        let (prediction, _) = self.memo.predict_with(
-            &self.model,
-            QOS,
-            placement,
-            cluster.members(sel.server),
-            &mut self.scratch.predict,
-        );
-        let session = cluster.admit(sel.server, placement);
-        (session, *base + sel.server, prediction.fps)
-    }
-
-    /// Choose within `shard` and admit there.
-    fn place(&mut self, shard: usize, placement: Placement) -> Option<(u64, usize, f64)> {
-        let sel = self.select(shard, placement)?;
-        Some(self.admit(shard, placement, sel))
-    }
-
-    /// One request through the daemon's admit path, uncontended: every
-    /// shard chooses in order; the cross-shard winner is the largest delta,
-    /// ties to the lower shard. Only the last shard's lock outlives its
-    /// choice, so a winning last shard admits its own selection, and every
-    /// other speculative entry is dropped — the winner then chooses again.
-    fn place_anywhere(&mut self, placement: Placement) -> Option<(u64, usize, f64)> {
-        let last = self.shards.len() - 1;
-        let candidates: Vec<Option<Selection>> =
-            (0..=last).map(|s| self.select(s, placement)).collect();
-        let mut ranked = Vec::new();
-        rank_shard_selections(&candidates, &mut ranked);
-        let &winner = ranked.first()?;
-        for (s, sel) in candidates.iter().enumerate() {
-            if let Some(sel) = sel {
-                if (s, winner) != (last, last) {
-                    self.shards[s].2.invalidate(sel.server);
-                }
-            }
-        }
-        if winner == last {
-            self.last_decided += 1;
-            let sel = candidates[last].expect("the winner has a candidate");
-            Some(self.admit(last, placement, sel))
-        } else {
-            self.rescored += 1;
-            self.place(winner, placement)
-        }
-    }
-
-    /// Depart `session` from the shard its id routes to: the global server.
-    fn depart(&mut self, session: u64) -> Option<usize> {
-        let shard = (session.wrapping_sub(1) % self.shards.len() as u64) as usize;
-        let (base, cluster, scores) = &mut self.shards[shard];
-        let placed = cluster.depart(session)?;
-        scores.invalidate(placed.server);
-        Some(*base + placed.server)
-    }
-
-    fn active_sessions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|(_, cluster, _)| cluster.active_sessions())
-            .sum()
-    }
-
-    /// Wire semantics of the requests the traffic below sends.
-    fn handle(&mut self, request: &Request) -> Response {
-        match request {
-            Request::Place { game, resolution } => {
-                match self.place_anywhere((*game, *resolution)) {
-                    Some((session, server, predicted_fps)) => Response::Placed {
-                        session,
-                        server,
-                        predicted_fps,
-                        model_version: 1,
-                    },
-                    None => Response::Rejected {
-                        reason: SATURATED.into(),
-                    },
-                }
-            }
-            Request::PlaceBatch { requests } => Response::PlacedBatch {
-                model_version: 1,
-                results: requests
-                    .iter()
-                    .map(|&p| match self.place_anywhere(p) {
-                        Some((session, server, predicted_fps)) => BatchPlaceResult::Placed {
-                            session,
-                            server,
-                            predicted_fps,
-                        },
-                        None => BatchPlaceResult::Rejected {
-                            reason: SATURATED.into(),
-                        },
-                    })
-                    .collect(),
-            },
-            Request::Depart { session } => match self.depart(*session) {
-                Some(server) => Response::Departed {
-                    session: *session,
-                    server,
-                },
-                None => Response::UnknownSession { session: *session },
-            },
-            other => panic!("the oracle does not replay {other:?}"),
-        }
-    }
-}
 
 /// Any game of the catalog at one of two resolutions.
 fn any_placement(rng: &mut impl Rng) -> Placement {
@@ -220,21 +36,17 @@ fn any_placement(rng: &mut impl Rng) -> Placement {
     (game, resolution)
 }
 
-fn start(n_servers: usize, shards: usize, workers: usize, memo: usize) -> daemon::DaemonHandle {
-    daemon::start(
-        DaemonConfig {
-            n_servers,
-            shards,
-            workers,
-            qos: QOS,
-            memo_capacity: memo,
-            recorder_capacity: 4096,
-            print_stats_on_shutdown: false,
-            ..Default::default()
-        },
-        ModelHandle::from_model(gaugur().clone()),
-    )
-    .unwrap()
+fn config(n_servers: usize, shards: usize, workers: usize, memo: usize) -> DaemonConfig {
+    DaemonConfig {
+        n_servers,
+        shards,
+        workers,
+        qos: 60.0,
+        memo_capacity: memo,
+        recorder_capacity: 4096,
+        print_stats_on_shutdown: false,
+        ..Default::default()
+    }
 }
 
 /// What must hold of a daemon once its clients have drained it.
@@ -246,25 +58,85 @@ fn assert_drained(stats: &StatsSnapshot, shards: usize) {
     assert_eq!(stats.shard_misrouted_sessions, 0);
 }
 
-fn one_worker_replies_match_the_serial_replay(shards: usize, seed: u64) {
-    const N_SERVERS: usize = 5;
-    const MEMO: usize = 64;
-    let handle = start(N_SERVERS, shards, 1, MEMO);
-    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-    let mut oracle = Oracle::new(N_SERVERS, shards, MEMO);
+/// The `n`-th `Predict`: one placement beside up to three others. One in
+/// ten names a co-runner the model does not know, and one in ten more
+/// co-runners than a server holds.
+fn nth_predict(n: usize, rng: &mut impl Rng) -> Request {
+    let (game, resolution) = any_placement(rng);
+    let n_others = match n % 10 {
+        5 => MAX_PER_SERVER,
+        _ => rng.gen_range(0..4),
+    };
+    let mut others: Vec<Placement> = (0..n_others).map(|_| any_placement(rng)).collect();
+    if n.is_multiple_of(10) {
+        others.push((GameId(999), Resolution::Hd720));
+    }
+    let qos = if rng.gen_bool(0.5) { 60.0 } else { 30.0 };
+    Request::Predict {
+        game,
+        resolution,
+        others,
+        qos,
+    }
+}
 
+fn one_worker_replies_match_the_serial_replay(shards: usize, seed: u64) {
+    const MEMO: usize = 64;
     let mut rng = rng_for(seed, &[1]);
-    let mut live: Vec<u64> = Vec::new();
-    let mut rejected = 0;
-    for step in 0..500 {
-        // Fill, churn, and drain at the end.
-        let request = if step >= 470 || (!live.is_empty() && rng.gen_bool(0.42)) {
-            match live.len() {
-                0 => break,
-                n => Request::Depart {
-                    session: live.swap_remove(rng.gen_range(0..n)),
-                },
+    // Live sessions with the FPS each was predicted, and departed ones.
+    let mut live: Vec<(u64, f64)> = Vec::new();
+    let mut departed: Vec<u64> = Vec::new();
+    let mut predicts = Vec::new();
+    let mut per_shard = vec![0; shards];
+    // What the traffic is meant to reach, each at least once.
+    let mut unseen = vec![
+        "Rejected",
+        "cached: true",
+        "Error",
+        "accepted: 1",
+        "dropped: 1",
+    ];
+    let next = |step, reply: Option<Response>| {
+        if let Some(reply) = reply {
+            let text = format!("{reply:?}");
+            unseen.retain(|needle| !text.contains(needle));
+            for (session, fps) in admitted(&reply) {
+                live.push((session, fps));
+                per_shard[(session as usize - 1) % shards] += 1;
             }
+        }
+        // Fill, churn, read, report, and drain at the end.
+        Some(if step >= 570 || (!live.is_empty() && rng.gen_bool(0.35)) {
+            let n = live.len().checked_sub(1)?;
+            let (session, _) = live.swap_remove(rng.gen_range(0..=n));
+            departed.push(session);
+            Request::Depart { session }
+        } else if rng.gen_bool(0.12) {
+            // Half of them repeat the last read, which the memo then holds
+            // unless the placements in between evicted it.
+            match predicts.last() {
+                Some(previous) if rng.gen_bool(0.5) => Request::clone(previous),
+                _ => {
+                    predicts.push(nth_predict(predicts.len(), &mut rng));
+                    predicts[predicts.len() - 1].clone()
+                }
+            }
+        } else if rng.gen_bool(0.1) {
+            // The observed FPS is the predicted one, so drift never trips
+            // and the model version stays 1.
+            let (session, fps) = match rng.gen_range(0..4) {
+                0 if !departed.is_empty() => (departed[rng.gen_range(0..departed.len())], 60.0),
+                1 => (rng.gen_range(10_000..10_100), 60.0),
+                _ if !live.is_empty() => live[rng.gen_range(0..live.len())],
+                _ => (0, 60.0),
+            };
+            let report = OutcomeReport {
+                session,
+                observed_fps: fps,
+                predicted_fps: fps,
+                model_version: 1,
+            };
+            Request::ReportOutcome { report }
         } else if rng.gen_bool(0.15) {
             Request::PlaceBatch {
                 requests: (0..3).map(|_| any_placement(&mut rng)).collect(),
@@ -272,60 +144,26 @@ fn one_worker_replies_match_the_serial_replay(shards: usize, seed: u64) {
         } else {
             let (game, resolution) = any_placement(&mut rng);
             Request::Place { game, resolution }
-        };
-
-        wire::write_frame(&mut stream, &request).unwrap();
-        let reply = wire::read_frame_bytes(&mut stream).unwrap();
-        let expected = oracle.handle(&request);
-        let mut frame = Vec::new();
-        wire::write_frame(&mut frame, &expected).unwrap();
-        assert_eq!(
-            String::from_utf8_lossy(&reply),
-            String::from_utf8_lossy(&frame[4..]),
-            "step {step}: {request:?}"
-        );
-
-        match expected {
-            Response::Placed { session, .. } => live.push(session),
-            Response::PlacedBatch { results, .. } => {
-                for r in results {
-                    match r {
-                        BatchPlaceResult::Placed { session, .. } => live.push(session),
-                        BatchPlaceResult::Rejected { .. } => rejected += 1,
-                    }
-                }
-            }
-            Response::Rejected { .. } => rejected += 1,
-            _ => {}
-        }
-    }
-    assert!(live.is_empty(), "the script drains what it placed");
-    assert!(rejected > 0, "the fleet should saturate at least once");
-    assert_eq!(oracle.active_sessions(), 0);
-    assert!(oracle.last_decided > 0);
-    if shards > 1 {
-        assert!(oracle.rescored > 0, "no earlier shard ever won");
-    }
-
-    // The memo really was under eviction pressure the whole way, and each
-    // of the daemon's score caches saw exactly the serial hit/miss stream:
-    // its abandoned first passes never touch them.
-    let (_, misses) = oracle.memo.counts();
-    assert!(misses > 10 * MEMO as u64, "only {misses} memo misses");
-    let per_shard: Vec<(u64, u64)> = oracle.shards.iter().map(|(_, _, c)| c.counts()).collect();
-    assert_eq!(handle.shard_score_counts(), per_shard);
-    wire::write_frame(&mut stream, &Request::Stats).unwrap();
-    let Response::Stats(stats) = wire::read_frame(&mut stream).unwrap() else {
-        panic!("stats reply expected");
+        })
     };
-    let (hits, misses) = per_shard
-        .iter()
-        .fold((0, 0), |(h, m), &(sh, sm)| (h + sh, m + sm));
+    let (per_shard_counts, stats) = drive_beside_reference(config(5, shards, 1, MEMO), next);
+    assert!(unseen.is_empty(), "no reply showed {unseen:?}");
+    // Every shard admitted: on more than one, an earlier shard winning is
+    // the re-scored branch and the last shard winning is its own decision.
+    assert!(!per_shard.contains(&0), "admits per shard {per_shard:?}");
+
+    // The memo really was under eviction pressure the whole way, and the
+    // score caches' hit/miss streams were exactly the serial ones: the
+    // daemon's abandoned first passes never touch them.
+    let memo_misses = stats.cache_misses;
+    assert!(memo_misses > 10 * MEMO as u64, "{memo_misses} memo misses");
+    let hits = per_shard_counts.iter().map(|c| c.0).sum();
+    let misses = per_shard_counts.iter().map(|c| c.1).sum();
     assert_eq!((stats.score_hits, stats.score_misses), (hits, misses));
     assert_eq!(stats.place_admit_retries + stats.place_admit_fallbacks, 0);
+    assert_eq!((stats.model_version, stats.drift_trips), (1, 0));
+    // Drained: the script departs everything it placed.
     assert_drained(&stats, shards);
-    drop(stream);
-    handle.shutdown();
 }
 
 #[test]
@@ -338,18 +176,17 @@ fn one_worker_on_two_shards_replies_are_byte_identical_to_the_serial_replay() {
     one_worker_replies_match_the_serial_replay(2, 0x0D1F_F0A4);
 }
 
-/// What one client was told about a session it placed.
-#[derive(Clone, Copy)]
-struct Told {
-    placement: Placement,
-    server: usize,
-    fps_bits: u64,
+/// Five servers on three shards split 2/2/1.
+#[test]
+fn one_worker_on_three_shards_replies_are_byte_identical_to_the_serial_replay() {
+    one_worker_replies_match_the_serial_replay(3, 0x0D1F_F0A5);
 }
 
-/// Four racing clients place and depart; returns what they were told, keyed
-/// by session. A client never holds more than four sessions, so sixteen at
-/// most are live on the eight servers and no placement can be refused.
-fn race(handle: &daemon::DaemonHandle, seed: u64) -> HashMap<u64, Told> {
+/// Four racing clients place and depart; returns what they asked for and
+/// were told, keyed by session. A client never holds more than four
+/// sessions, so sixteen at most are live on the eight servers and no
+/// placement can be refused.
+fn race(handle: &daemon::DaemonHandle, seed: u64) -> HashMap<u64, (Placement, Placed)> {
     let addr = handle.local_addr();
     let mut told = HashMap::new();
     std::thread::scope(|scope| {
@@ -368,14 +205,7 @@ fn race(handle: &daemon::DaemonHandle, seed: u64) -> HashMap<u64, Told> {
                             let placement = any_placement(&mut rng);
                             let placed = client.place(placement.0, placement.1).unwrap();
                             live.push(placed.session);
-                            told.push((
-                                placed.session,
-                                Told {
-                                    placement,
-                                    server: placed.server,
-                                    fps_bits: placed.predicted_fps.to_bits(),
-                                },
-                            ));
+                            told.push((placed.session, (placement, placed)));
                         }
                     }
                     for session in live {
@@ -406,8 +236,8 @@ fn field(line: &str, name: &str) -> u64 {
 }
 
 fn racing_workers_match_the_replay_of_their_recorded_order(shards: usize, seed: u64) {
-    const N_SERVERS: usize = 8;
-    let handle = start(N_SERVERS, shards, 4, DaemonConfig::default().memo_capacity);
+    let memo = DaemonConfig::default().memo_capacity;
+    let (handle, mut reference) = daemon_and_reference(config(8, shards, 4, memo));
     let told = race(&handle, seed);
 
     let mut client = Client::connect(handle.local_addr()).unwrap();
@@ -419,7 +249,6 @@ fn racing_workers_match_the_replay_of_their_recorded_order(shards: usize, seed: 
         "one admit, one depart each"
     );
 
-    let mut oracle = Oracle::new(N_SERVERS, shards, DaemonConfig::default().memo_capacity);
     let mut last_seq = None;
     for line in jsonl.lines() {
         let seq = field(line, "seq");
@@ -430,25 +259,22 @@ fn racing_workers_match_the_replay_of_their_recorded_order(shards: usize, seed: 
         let kind = line.split_once("\"kind\":\"").expect("kind").1;
         match kind.split_once('"').expect("kind").0 {
             "admit" => {
-                let client_saw = told[&session];
-                assert_eq!(client_saw.server, server);
+                let (placement, saw) = told[&session];
                 let shard = field(line, "shard") as usize;
-                let (replayed, at, fps) = oracle
-                    .place(shard, client_saw.placement)
+                let (replayed, at, fps) = reference
+                    .place_in(shard, placement)
                     .expect("the daemon found room");
-                assert_eq!(replayed, session, "seq {seq}: session id");
-                assert_eq!(at, server, "seq {seq}: server choice for session {session}");
                 assert_eq!(
-                    fps.to_bits(),
-                    client_saw.fps_bits,
-                    "seq {seq}: predicted fps of session {session}"
+                    (replayed, at, fps.to_bits()),
+                    (session, server, saw.predicted_fps.to_bits()),
+                    "seq {seq}: session, server and predicted fps the client was told"
                 );
+                assert_eq!(saw.server, server, "seq {seq}: the recorded server");
             }
-            "depart" => assert_eq!(oracle.depart(session), Some(server), "seq {seq}"),
+            "depart" => assert_eq!(reference.depart(session), Some(server), "seq {seq}"),
             other => panic!("unexpected recorder event {other}"),
         }
     }
-    assert_eq!(oracle.active_sessions(), 0);
 
     let stats = client.stats().unwrap();
     assert_drained(&stats, shards);

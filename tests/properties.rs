@@ -79,103 +79,43 @@ proptest! {
     }
 
     /// With a single shard the daemon must reproduce the classic
-    /// single-lock placement loop bit for bit: same accept/reject stream,
-    /// same server choices, same predicted-FPS bits, same departed-server
-    /// replies and same score-cache hit/miss counts, for any interleaving
-    /// of places and departs. This pins the one admit path at `shards = 1`
-    /// to the pre-sharding semantics.
+    /// single-lock placement loop, the serial reference, bit for bit: the
+    /// same reply frames (accept/reject stream, server choices,
+    /// predicted-FPS bits, departed servers) and the same score-cache
+    /// hit/miss counts, for any interleaving of places and departs. This
+    /// pins the one admit path at `shards = 1` to the pre-sharding
+    /// semantics.
     #[test]
     fn single_shard_daemon_is_bit_identical_to_single_lock_reference(
         ops in proptest::collection::vec((any::<bool>(), 0usize..16, 0u8..4, 0usize..64), 1..40),
     ) {
-        use gaugur::sched::{select_server_incremental_with, PlacementScratch, ScoreCache};
-        use gaugur::serve::model::{LoadedModel, MemoizedFps, PredictionMemo};
-        use gaugur::serve::{daemon, ClientError, ClusterState};
+        use gaugur::serve::{Request, Response};
 
         let f = fixture();
-        let g = gaugur();
-        const N_SERVERS: usize = 3;
-        const QOS: f64 = 60.0;
-
-        // The pre-refactor reference: one occupancy map, one score cache,
-        // driven inline — exactly what the daemon did under its global lock.
-        let model = LoadedModel {
-            gaugur: g.clone(),
-            version: 1,
-            source: std::path::PathBuf::from("<reference>"),
+        let config = DaemonConfig {
+            n_servers: 3,
+            shards: 1,
+            workers: 1,
+            qos: 60.0,
+            print_stats_on_shutdown: false,
+            ..Default::default()
         };
-        let memo = PredictionMemo::new(1 << 16);
-        let fps_model = MemoizedFps { model: &model, memo: &memo, qos: QOS };
-        let mut cluster = ClusterState::new(N_SERVERS);
-        let mut scores = ScoreCache::new(N_SERVERS);
-        let mut scratch = PlacementScratch::new();
-
-        let handle = daemon::start(
-            DaemonConfig {
-                n_servers: N_SERVERS,
-                shards: 1,
-                workers: 1,
-                qos: QOS,
-                print_stats_on_shutdown: false,
-                ..Default::default()
-            },
-            ModelHandle::from_model(g.clone()),
-        )
-        .unwrap();
-        let mut client = Client::connect(handle.local_addr()).unwrap();
-
         let mut live: Vec<u64> = Vec::new();
-        for &(is_place, gi, ri, pick) in &ops {
-            if is_place || live.is_empty() {
-                let placement: Placement = (f.catalog[gi].id, res_from(ri));
-                let sel = select_server_incremental_with(
-                    &cluster, placement, &fps_model, model.version, &mut scores, &mut scratch,
-                );
-                match sel {
-                    Some(sel) => {
-                        let (prediction, _) = memo.predict_with(
-                            &model, QOS, placement, cluster.members(sel.server),
-                            &mut scratch.predict,
-                        );
-                        let session = cluster.admit(sel.server, placement);
-                        let placed = client.place(placement.0, placement.1).unwrap();
-                        prop_assert_eq!(placed.session, session);
-                        prop_assert_eq!(placed.server, sel.server);
-                        prop_assert_eq!(
-                            placed.predicted_fps.to_bits(),
-                            prediction.fps.to_bits(),
-                            "predicted FPS diverged: daemon {} vs reference {}",
-                            placed.predicted_fps,
-                            prediction.fps
-                        );
-                        live.push(session);
-                    }
-                    None => {
-                        let reply = client.place(placement.0, placement.1);
-                        prop_assert!(
-                            matches!(reply, Err(ClientError::Rejected { .. })),
-                            "reference rejected but daemon replied {reply:?}"
-                        );
-                    }
-                }
+        let next = |step: usize, reply: Option<Response>| {
+            live.extend(reply.iter().flat_map(common::admitted).map(|(session, _)| session));
+            let &(is_place, gi, ri, pick) = ops.get(step)?;
+            Some(if is_place || live.is_empty() {
+                Request::Place { game: f.catalog[gi].id, resolution: res_from(ri) }
             } else {
-                let id = live.swap_remove(pick % live.len());
-                let placed = cluster.depart(id).expect("reference owns every live id");
-                scores.invalidate(placed.server);
-                let server = client.depart(id).unwrap();
-                prop_assert_eq!(server, placed.server);
-            }
-        }
-
-        let stats = client.stats().unwrap();
-        let (hits, misses) = scores.counts();
-        prop_assert_eq!(stats.score_hits, hits);
-        prop_assert_eq!(stats.score_misses, misses);
+                Request::Depart { session: live.swap_remove(pick % live.len()) }
+            })
+        };
+        let (counts, stats) = common::drive_beside_reference(config, next);
+        prop_assert_eq!((stats.score_hits, stats.score_misses), counts[0]);
         prop_assert_eq!(stats.active_sessions, live.len() as u64);
         prop_assert_eq!(stats.shards, 1);
         prop_assert_eq!(stats.place_admit_retries, 0);
         prop_assert_eq!(stats.place_admit_fallbacks, 0);
-        handle.shutdown();
     }
 
     /// The simulator degrades (never improves) games under added load, and
