@@ -14,7 +14,7 @@ use crate::table::{f, Table};
 use gaugur_baselines::VbpPolicy;
 use gaugur_ml::metrics::Cdf;
 use gaugur_sched::{
-    assign_max_fps, assign_worst_fit, evaluate_cluster, random_requests, FpsModel, GaugurRm,
+    assign, assign_max_fps, evaluate_cluster, random_requests, FpsModel, GaugurRm, Policy,
     PredictorFps,
 };
 use serde::Serialize;
@@ -44,6 +44,7 @@ impl Fig10 {
         let gaugur = build_gaugur(ctx);
         let (sigmoid, smite) = crate::figures::common::train_baselines(ctx);
         let vbp = VbpPolicy::from_catalog(&ctx.catalog);
+        let worst_fit = Policy::WorstFitVbp(&vbp);
 
         let rm = GaugurRm(&gaugur);
         let sig = PredictorFps {
@@ -74,7 +75,7 @@ impl Fig10 {
                 }
             }
             // VBP worst-fit.
-            let result = assign_worst_fit(&vbp, SCHED_RESOLUTION, &requests, n_servers);
+            let result = assign(&worst_fit, SCHED_RESOLUTION, &requests, n_servers);
             let eval =
                 evaluate_cluster(&ctx.server, &ctx.catalog, &result.servers, SCHED_RESOLUTION);
             average_fps.push((

@@ -287,9 +287,9 @@ impl RegressionModel {
 
     fn raw_predict_rows(&self, rows: Rows<'_>, out: &mut Vec<f64>) {
         match &self.inner {
-            RegInner::Dtr(m) => m.predict_batch(rows, out),
-            RegInner::Gbrt(m) => m.predict_batch(rows, out),
-            RegInner::Rf(m) => m.predict_batch(rows, out),
+            RegInner::Dtr(m) => Regressor::predict_rows(m, rows, out),
+            RegInner::Gbrt(m) => Regressor::predict_rows(m, rows, out),
+            RegInner::Rf(m) => Regressor::predict_rows(m, rows, out),
             RegInner::Svr(m) => Regressor::predict_rows(m, rows, out),
         }
     }
@@ -419,9 +419,9 @@ impl ClassificationModel {
 
     fn raw_score_rows(&self, rows: Rows<'_>, out: &mut Vec<f64>) {
         match &self.inner {
-            ClsInner::Dtc(m) => m.score_batch(rows, out),
-            ClsInner::Gbdt(m) => m.score_batch(rows, out),
-            ClsInner::Rf(m) => m.score_batch(rows, out),
+            ClsInner::Dtc(m) => Classifier::score_rows(m, rows, out),
+            ClsInner::Gbdt(m) => Classifier::score_rows(m, rows, out),
+            ClsInner::Rf(m) => Classifier::score_rows(m, rows, out),
             ClsInner::Svc(m) => Classifier::score_rows(m, rows, out),
         }
     }

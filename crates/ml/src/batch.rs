@@ -5,7 +5,7 @@
 //! The serving hot path scores many feature rows per placement decision
 //! (one per candidate server per colocation member). Callers pack those rows
 //! into one reusable flat buffer and pass a [`Rows`] view of it; the
-//! ensembles answer it through their compiled form ([`crate::compiled`]),
+//! ensembles answer it through their compiled form (a private `compiled` module),
 //! single trees through an interleaved lane walk ([`crate::tree`]). All of
 //! it runs on the calling thread.
 //!
@@ -146,7 +146,7 @@ mod bit_identity_tests {
                 &regression,
                 TreeParams { seed, ..TreeParams::default() },
             );
-            dtr.predict_batch(rows, &mut out);
+            dtr.predict_rows(rows, &mut out);
             for (i, &(a, b)) in probes.iter().enumerate() {
                 prop_assert_eq!(out[i].to_bits(), dtr.predict(&[a, b]).to_bits());
             }
@@ -155,7 +155,7 @@ mod bit_identity_tests {
                 &regression,
                 ForestParams { n_trees: 7, seed, ..ForestParams::default() },
             );
-            rf.predict_batch(rows, &mut out);
+            rf.predict_rows(rows, &mut out);
             for (i, &(a, b)) in probes.iter().enumerate() {
                 prop_assert_eq!(out[i].to_bits(), rf.predict(&[a, b]).to_bits());
             }
@@ -164,7 +164,7 @@ mod bit_identity_tests {
                 &regression,
                 GbdtParams { n_estimators: 12, seed, ..GbdtParams::default() },
             );
-            gbrt.predict_batch(rows, &mut out);
+            gbrt.predict_rows(rows, &mut out);
             for (i, &(a, b)) in probes.iter().enumerate() {
                 prop_assert_eq!(out[i].to_bits(), gbrt.predict(&[a, b]).to_bits());
             }
@@ -185,7 +185,7 @@ mod bit_identity_tests {
                 &classification,
                 TreeParams { seed, ..TreeParams::default() },
             );
-            dtc.score_batch(rows, &mut out);
+            dtc.score_rows(rows, &mut out);
             for (i, &(a, b)) in probes.iter().enumerate() {
                 prop_assert_eq!(out[i].to_bits(), dtc.score(&[a, b]).to_bits());
             }
@@ -194,7 +194,7 @@ mod bit_identity_tests {
                 &classification,
                 ForestParams { n_trees: 7, seed, ..ForestParams::default() },
             );
-            rfc.score_batch(rows, &mut out);
+            rfc.score_rows(rows, &mut out);
             for (i, &(a, b)) in probes.iter().enumerate() {
                 prop_assert_eq!(out[i].to_bits(), rfc.score(&[a, b]).to_bits());
             }
@@ -203,7 +203,7 @@ mod bit_identity_tests {
                 &classification,
                 GbdtParams { n_estimators: 12, seed, ..GbdtParams::default() },
             );
-            gbdt.score_batch(rows, &mut out);
+            gbdt.score_rows(rows, &mut out);
             for (i, &(a, b)) in probes.iter().enumerate() {
                 prop_assert_eq!(out[i].to_bits(), gbdt.score(&[a, b]).to_bits());
             }
@@ -230,14 +230,14 @@ mod bit_identity_tests {
                 ..GbdtParams::default()
             },
         );
-        gbrt.predict_batch(rows, &mut out);
+        gbrt.predict_rows(rows, &mut out);
         assert_eq!(out.len(), probes.len());
         for (i, &(a, b)) in probes.iter().enumerate() {
             assert_eq!(out[i].to_bits(), gbrt.predict(&[a, b]).to_bits());
         }
 
         let dtr = DecisionTreeRegressor::fit(&regression, TreeParams::default());
-        dtr.predict_batch(rows, &mut out);
+        dtr.predict_rows(rows, &mut out);
         for (i, &(a, b)) in probes.iter().enumerate() {
             assert_eq!(out[i].to_bits(), dtr.predict(&[a, b]).to_bits());
         }

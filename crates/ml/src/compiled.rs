@@ -433,7 +433,7 @@ mod tests {
             let flat = flat_rows(&raw, &split_thresholds(&gbrt.trees()));
             assert_batches_match(
                 &flat,
-                |rows, out| gbrt.predict_batch(rows, out),
+                |rows, out| gbrt.predict_rows(rows, out),
                 |x| gbrt.predict(x),
                 |x| gbrt.node_walk(x),
             )?;
@@ -442,7 +442,7 @@ mod tests {
             let flat = flat_rows(&raw, &split_thresholds(&gbdt.trees()));
             assert_batches_match(
                 &flat,
-                |rows, out| gbdt.score_batch(rows, out),
+                |rows, out| gbdt.score_rows(rows, out),
                 |x| gbdt.score(x),
                 |x| gbdt.node_walk(x),
             )?;
@@ -451,7 +451,7 @@ mod tests {
             let flat = flat_rows(&raw, &split_thresholds(&rf.trees()));
             assert_batches_match(
                 &flat,
-                |rows, out| rf.predict_batch(rows, out),
+                |rows, out| rf.predict_rows(rows, out),
                 |x| rf.predict(x),
                 |x| rf.node_walk(x),
             )?;
@@ -459,7 +459,7 @@ mod tests {
             let rfc = RandomForestClassifier::fit(&classification, forest);
             assert_batches_match(
                 &flat,
-                |rows, out| rfc.score_batch(rows, out),
+                |rows, out| rfc.score_rows(rows, out),
                 |x| rfc.score(x),
                 |x| rfc.node_walk(x),
             )?;
@@ -485,7 +485,7 @@ mod tests {
             let flat = flat_rows(&raw, &split_thresholds(&base.trees()));
             assert_batches_match(
                 &flat,
-                |rows, out| same.predict_batch(rows, out),
+                |rows, out| same.predict_rows(rows, out),
                 |x| same.predict(x),
                 |x| base.node_walk(x),
             )?;
@@ -496,7 +496,7 @@ mod tests {
             let flat = flat_rows(&raw, &split_thresholds(&grown.trees()));
             assert_batches_match(
                 &flat,
-                |rows, out| grown.predict_batch(rows, out),
+                |rows, out| grown.predict_rows(rows, out),
                 |x| grown.predict(x),
                 |x| grown.node_walk(x),
             )?;
@@ -525,16 +525,16 @@ mod tests {
             prop_assert!(!json.contains("compiled") && !json.contains("first_child"));
             let back: GbrtRegressor = serde_json::from_str(&json).unwrap();
             prop_assert_eq!(&serde_json::to_string(&back).unwrap(), &json);
-            gbrt.predict_batch(rows, &mut a);
-            back.predict_batch(rows, &mut b);
+            gbrt.predict_rows(rows, &mut a);
+            back.predict_rows(rows, &mut b);
             prop_assert_eq!(bits(&a), bits(&b));
 
             let gbdt = GbdtClassifier::fit(&classification, params);
             let json = serde_json::to_string(&gbdt).unwrap();
             let back: GbdtClassifier = serde_json::from_str(&json).unwrap();
             prop_assert_eq!(&serde_json::to_string(&back).unwrap(), &json);
-            gbdt.score_batch(rows, &mut a);
-            back.score_batch(rows, &mut b);
+            gbdt.score_rows(rows, &mut a);
+            back.score_rows(rows, &mut b);
             prop_assert_eq!(bits(&a), bits(&b));
 
             let rf = RandomForestRegressor::fit(&regression, forest);
@@ -542,8 +542,8 @@ mod tests {
             prop_assert!(json.starts_with(r#"{"forest":{"trees":[{"nodes":["#), "{}", &json[..40]);
             let back: RandomForestRegressor = serde_json::from_str(&json).unwrap();
             prop_assert_eq!(&serde_json::to_string(&back).unwrap(), &json);
-            rf.predict_batch(rows, &mut a);
-            back.predict_batch(rows, &mut b);
+            rf.predict_rows(rows, &mut a);
+            back.predict_rows(rows, &mut b);
             prop_assert_eq!(bits(&a), bits(&b));
         }
     }
@@ -570,7 +570,7 @@ mod tests {
         assert_eq!(stats.bytes, 3 * (16 + 8 + 4));
         let flat: Vec<f64> = (0..20).map(f64::from).collect();
         let mut out = Vec::new();
-        m.predict_batch(Rows::new(&flat, 1), &mut out);
+        m.predict_rows(Rows::new(&flat, 1), &mut out);
         for (x, got) in flat.iter().zip(&out) {
             assert_eq!(got.to_bits(), m.node_walk(&[*x]).to_bits());
             assert_eq!(m.predict(&[*x]).to_bits(), got.to_bits());

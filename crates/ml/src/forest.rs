@@ -167,12 +167,6 @@ impl RandomForestRegressor {
     pub(crate) fn trees(&self) -> Vec<Tree> {
         self.forest.compiled.to_trees()
     }
-
-    /// Batched prediction into a reusable output buffer; bit-identical to
-    /// calling [`Regressor::predict`] per row.
-    pub fn predict_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.forest.mean_prediction_batch(rows, out);
-    }
 }
 
 impl Regressor for RandomForestRegressor {
@@ -181,7 +175,7 @@ impl Regressor for RandomForestRegressor {
     }
 
     fn predict_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.predict_batch(rows, out);
+        self.forest.mean_prediction_batch(rows, out);
     }
 }
 
@@ -219,12 +213,6 @@ impl RandomForestClassifier {
     pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
         self.forest.node_walk(x)
     }
-
-    /// Batched scoring into a reusable output buffer; bit-identical to
-    /// calling [`Classifier::score`] per row.
-    pub fn score_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.forest.mean_prediction_batch(rows, out);
-    }
 }
 
 impl Classifier for RandomForestClassifier {
@@ -233,7 +221,7 @@ impl Classifier for RandomForestClassifier {
     }
 
     fn score_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.score_batch(rows, out);
+        self.forest.mean_prediction_batch(rows, out);
     }
 }
 

@@ -265,13 +265,6 @@ impl GbrtRegressor {
     pub(crate) fn trees(&self) -> Vec<Tree> {
         self.model.compiled.to_trees()
     }
-
-    /// Batched prediction into a reusable output buffer; bit-identical to
-    /// calling [`Regressor::predict`] per row (per row:
-    /// `init + learning_rate * Σ_t tree_t(x)`, summed in tree order).
-    pub fn predict_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.model.raw_rows(self.params.learning_rate, rows, out);
-    }
 }
 
 impl Regressor for GbrtRegressor {
@@ -279,8 +272,10 @@ impl Regressor for GbrtRegressor {
         self.model.raw(self.params.learning_rate, x)
     }
 
+    /// Per row: `init + learning_rate * Σ_t tree_t(x)`, summed in tree
+    /// order.
     fn predict_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.predict_batch(rows, out);
+        self.model.raw_rows(self.params.learning_rate, rows, out);
     }
 }
 
@@ -395,15 +390,6 @@ impl GbdtClassifier {
     pub(crate) fn trees(&self) -> Vec<Tree> {
         self.model.compiled.to_trees()
     }
-
-    /// Batched scoring into a reusable output buffer; bit-identical to
-    /// calling [`Classifier::score`] per row.
-    pub fn score_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.model.raw_rows(self.params.learning_rate, rows, out);
-        for v in out.iter_mut() {
-            *v = sigmoid(*v);
-        }
-    }
 }
 
 impl Classifier for GbdtClassifier {
@@ -412,7 +398,10 @@ impl Classifier for GbdtClassifier {
     }
 
     fn score_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.score_batch(rows, out);
+        self.model.raw_rows(self.params.learning_rate, rows, out);
+        for v in out.iter_mut() {
+            *v = sigmoid(*v);
+        }
     }
 }
 

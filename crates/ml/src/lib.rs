@@ -63,11 +63,6 @@ pub trait Regressor: Send + Sync {
     /// Predict the target for one feature vector.
     fn predict(&self, x: &[f64]) -> f64;
 
-    /// Predict a batch.
-    fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<f64> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
     /// Predict a flat row-major batch into a reusable output buffer. The
     /// default is a per-row loop; the tree models override it with their
     /// batched evaluators. Always bit-identical to calling
@@ -88,11 +83,6 @@ pub trait Classifier: Send + Sync {
     /// Hard decision.
     fn classify(&self, x: &[f64]) -> bool {
         self.score(x) >= 0.5
-    }
-
-    /// Classify a batch.
-    fn classify_batch(&self, xs: &[Vec<f64>]) -> Vec<bool> {
-        xs.iter().map(|x| self.classify(x)).collect()
     }
 
     /// Score a flat row-major batch into a reusable output buffer. The

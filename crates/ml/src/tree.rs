@@ -635,13 +635,6 @@ impl DecisionTreeRegressor {
     pub fn depth(&self) -> usize {
         self.tree.depth()
     }
-
-    /// Batched prediction into a reusable output buffer; bit-identical to
-    /// calling [`Regressor::predict`] per row.
-    pub fn predict_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        crate::batch::reset_out(out, rows.len());
-        self.tree.assign_rows(rows, out);
-    }
 }
 
 impl Regressor for DecisionTreeRegressor {
@@ -650,7 +643,8 @@ impl Regressor for DecisionTreeRegressor {
     }
 
     fn predict_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.predict_batch(rows, out);
+        crate::batch::reset_out(out, rows.len());
+        self.tree.assign_rows(rows, out);
     }
 }
 
@@ -675,13 +669,6 @@ impl DecisionTreeClassifier {
             params,
         }
     }
-
-    /// Batched scoring into a reusable output buffer; bit-identical to
-    /// calling [`Classifier::score`] per row.
-    pub fn score_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        crate::batch::reset_out(out, rows.len());
-        self.tree.assign_rows(rows, out);
-    }
 }
 
 impl Classifier for DecisionTreeClassifier {
@@ -690,7 +677,8 @@ impl Classifier for DecisionTreeClassifier {
     }
 
     fn score_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.score_batch(rows, out);
+        crate::batch::reset_out(out, rows.len());
+        self.tree.assign_rows(rows, out);
     }
 }
 

@@ -8,12 +8,13 @@
 //! the time-weighted FPS and QoS-violation rate the players actually
 //! experienced — the natural online extension of the paper's evaluation.
 
+use crate::eval::measure_set;
 use crate::placement::{select_server, ScoreCache};
 use crate::FpsModel;
 use gaugur_baselines::VbpPolicy;
 use gaugur_core::Placement;
 use gaugur_gamesim::rng::rng_for;
-use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server, Workload};
+use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -95,27 +96,18 @@ pub fn simulate_dynamic(
 
     let mut rng = rng_for(config.seed, &[0x44_594e]);
     let mut servers: Vec<Vec<Session>> = vec![Vec::new(); config.n_servers];
-    let mut fps_cache: HashMap<Vec<u32>, Vec<f64>> = HashMap::new();
+    let mut fps_cache: HashMap<Vec<GameId>, Vec<f64>> = HashMap::new();
     // Incremental placement scores, shared logic with the serving daemon.
     // The simulator never reloads its model, so the version is constant.
     let mut scores = ScoreCache::new(config.n_servers);
 
     // Ground-truth FPS of every member of one server's current contents.
     let mut measured_fps = |contents: &[Session]| -> Vec<f64> {
-        let mut key: Vec<u32> = contents.iter().map(|s| s.game.0).collect();
+        let mut key: Vec<GameId> = contents.iter().map(|s| s.game).collect();
         key.sort_unstable();
         fps_cache
             .entry(key)
-            .or_insert_with(|| {
-                let ws: Vec<Workload<'_>> = contents
-                    .iter()
-                    .map(|s| Workload::game(catalog.get(s.game).expect("id"), resolution))
-                    .collect();
-                let out = server.measure_colocation(&ws);
-                (0..contents.len())
-                    .map(|i| out.game_fps(i).expect("game"))
-                    .collect()
-            })
+            .or_insert_with_key(|key| measure_set(server, catalog, key, resolution))
             .clone()
     };
 
@@ -146,12 +138,7 @@ pub fn simulate_dynamic(
         // Accumulate the interval [now, event_t).
         if dt > 0.0 {
             for contents in servers.iter().filter(|c| !c.is_empty()) {
-                // Borrow juggling: measure without holding `servers` mutably.
-                let fps = {
-                    let snapshot = contents.clone();
-                    measured_fps(&snapshot)
-                };
-                for f in fps {
+                for f in measured_fps(contents) {
                     fps_time += f * dt;
                     session_time += dt;
                     if f < config.qos {

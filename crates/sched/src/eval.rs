@@ -8,7 +8,7 @@
 use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server, Workload};
 use gaugur_ml::metrics::Cdf;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Measured cluster-wide outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -42,58 +42,56 @@ impl ClusterEvaluation {
     }
 }
 
+/// Measured FPS of each member of one server's content set, in member
+/// order. `members` must be in ascending id order: ground truth is a
+/// property of the set of games on a server, not of the order they arrived
+/// in, so every caller measures the same set the same way.
+pub fn measure_set(
+    server: &Server,
+    catalog: &GameCatalog,
+    members: &[GameId],
+    resolution: Resolution,
+) -> Vec<f64> {
+    debug_assert!(members.is_sorted(), "content set {members:?} not sorted");
+    let ws: Vec<Workload<'_>> = members
+        .iter()
+        .map(|&id| Workload::game(catalog.get(id).expect("id"), resolution))
+        .collect();
+    let out = server.measure_colocation(&ws);
+    (0..members.len())
+        .map(|i| out.game_fps(i).expect("game"))
+        .collect()
+}
+
 /// Measure every server's colocation and collect per-game outcomes.
 ///
 /// Server contents that repeat (common: the greedy converges to a few good
 /// mixes) are measured once and reused — the simulator is deterministic per
-/// content set, like re-running the same test on the paper's testbed.
+/// content set, like re-running the same test on the paper's testbed. The
+/// result depends only on the multiset of server contents: contents are
+/// counted by their sorted member list, measured through [`measure_set`]
+/// and emitted in that key's order.
 pub fn evaluate_cluster(
     server: &Server,
     catalog: &GameCatalog,
     placements: &[Vec<GameId>],
     resolution: Resolution,
 ) -> ClusterEvaluation {
-    // Deduplicate contents.
-    let mut unique: Vec<Vec<GameId>> = Vec::new();
-    let mut index: HashMap<Vec<u32>, usize> = HashMap::new();
-    let mut counts: Vec<usize> = Vec::new();
-    for contents in placements {
-        if contents.is_empty() {
-            continue;
-        }
-        let mut key: Vec<u32> = contents.iter().map(|g| g.0).collect();
+    let mut counts: BTreeMap<Vec<GameId>, usize> = BTreeMap::new();
+    for contents in placements.iter().filter(|c| !c.is_empty()) {
+        let mut key = contents.clone();
         key.sort_unstable();
-        match index.get(&key) {
-            Some(&i) => counts[i] += 1,
-            None => {
-                index.insert(key, unique.len());
-                unique.push(contents.clone());
-                counts.push(1);
-            }
-        }
+        *counts.entry(key).or_default() += 1;
     }
-
-    let measured: Vec<Vec<f64>> = unique
-        .iter()
-        .map(|contents| {
-            let ws: Vec<Workload<'_>> = contents
-                .iter()
-                .map(|&id| Workload::game(catalog.get(id).expect("id"), resolution))
-                .collect();
-            let out = server.measure_colocation(&ws);
-            (0..contents.len())
-                .map(|i| out.game_fps(i).expect("game"))
-                .collect()
-        })
-        .collect();
 
     let mut fps = Vec::new();
     let mut servers_used = 0;
-    for (i, per_member) in measured.iter().enumerate() {
-        for _ in 0..counts[i] {
-            fps.extend_from_slice(per_member);
-            servers_used += 1;
+    for (members, &count) in &counts {
+        let measured = measure_set(server, catalog, members, resolution);
+        for _ in 0..count {
+            fps.extend_from_slice(&measured);
         }
+        servers_used += count;
     }
 
     ClusterEvaluation { fps, servers_used }
@@ -130,6 +128,36 @@ mod tests {
         let eval = evaluate_cluster(&server, &catalog, &placements, Resolution::Fhd1080);
         assert_eq!(eval.fps[0], eval.fps[2]);
         assert_eq!(eval.fps[1], eval.fps[3]);
+    }
+
+    #[test]
+    fn evaluation_ignores_server_order_and_member_order() {
+        let server = Server::reference(9);
+        let catalog = GameCatalog::generate(42, 8);
+        let ids = |v: &[u32]| v.iter().map(|&i| GameId(i)).collect::<Vec<_>>();
+        let placements = vec![
+            ids(&[0, 1, 2]),
+            ids(&[3, 4]),
+            ids(&[5]),
+            ids(&[]),
+            ids(&[6, 7, 0, 3]),
+            ids(&[2, 1, 0]),
+        ];
+        // The same contents, servers in another order and every server's
+        // members shuffled.
+        let permuted = vec![
+            ids(&[7, 3, 0, 6]),
+            ids(&[]),
+            ids(&[1, 0, 2]),
+            ids(&[5]),
+            ids(&[2, 0, 1]),
+            ids(&[4, 3]),
+        ];
+        let a = evaluate_cluster(&server, &catalog, &placements, Resolution::Fhd1080);
+        let b = evaluate_cluster(&server, &catalog, &permuted, Resolution::Fhd1080);
+        let bits = |e: &ClusterEvaluation| e.fps.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a.servers_used, b.servers_used);
     }
 
     #[test]

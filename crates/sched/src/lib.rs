@@ -10,11 +10,13 @@
 //!    `ln k`).
 //! 2. **Maximizing overall performance** (Section 5.2, [`maxfps`]): pack the
 //!    requests onto a *fixed* fleet so the average frame rate is maximal —
-//!    an online greedy guided by predicted FPS, against VBP worst-fit
-//!    ([`vbp_fit`]).
+//!    an online greedy guided by predicted FPS, against VBP worst-fit.
 //!
-//! The [`dynamic`] module extends the static problems with a discrete-event
-//! simulation of live session arrivals and departures.
+//! Every Section 5.2 decision, offline or online, is one call of
+//! [`select_server`] ([`placement`]): [`maxfps::assign`] streams a request
+//! list through it, the [`dynamic`] module's discrete-event simulation of
+//! live session arrivals and departures calls it per arrival, and so does
+//! the serving daemon.
 //!
 //! The [`coloc`] module enumerates and measures the candidate colocations
 //! (the 385 ≤4-game subsets of 10 games used throughout the paper's Figures
@@ -43,20 +45,18 @@ pub mod eval;
 pub mod maxfps;
 pub mod placement;
 pub mod requests;
-pub mod vbp_fit;
 
 pub use algorithm1::{pack_requests, PackingResult};
 pub use coloc::{enumerate_subsets, ColocationTable, FeasibilityReport};
 pub use dynamic::{simulate_dynamic, DynamicConfig, DynamicResult, Policy};
 pub use eval::{evaluate_cluster, ClusterEvaluation};
-pub use maxfps::{assign_max_fps, MaxFpsResult};
+pub use maxfps::{assign, assign_max_fps, MaxFpsResult};
 pub use placement::{
     eligible_servers, rank_shard_selections, select_server, select_server_if_resident,
     select_server_incremental, select_server_incremental_with, NotResident, OccupancyView,
     PlacementScratch, ScoreCache, Selection,
 };
 pub use requests::{random_requests, RequestCounts};
-pub use vbp_fit::assign_worst_fit;
 
 use gaugur_core::{
     DegradationBatch, FeatureBuffer, GAugur, InterferencePredictor, Placement, ProfileStore,

@@ -5,7 +5,8 @@
 //! discrete-event simulator. The serving daemon (`gaugur-serve`) faces the
 //! same decision — one request, one view of fleet occupancy, pick a server —
 //! so the eligibility filter and the per-policy argmax live here and both
-//! callers share them.
+//! callers share them, as does the fixed-fleet
+//! [`assign`](crate::maxfps::assign) of Fig. 10.
 //!
 //! The delta-greedy objective (Section 5.2) has one scorer,
 //! [`select_server_incremental_with`]: a [`ScoreCache`] keeps each server's
@@ -120,12 +121,6 @@ impl ScoreCache {
     /// Drop the cached sum of one server (call after a departure).
     pub fn invalidate(&mut self, server: usize) {
         self.sums[server] = None;
-    }
-
-    /// Drop every cached sum (rarely needed: version keying already handles
-    /// model reloads).
-    pub fn invalidate_all(&mut self) {
-        self.sums.fill(None);
     }
 
     /// `(hits, misses)` so far.
@@ -439,10 +434,10 @@ pub fn select_server<V: OccupancyView + ?Sized>(
                 .map(|sel| sel.server)
         }
         Policy::FirstFit => eligible().next(),
-        Policy::WorstFitVbp(vbp) => eligible().max_by(|&a, &b| {
-            vbp.remaining_capacity(occupancy.members(a))
-                .total_cmp(&vbp.remaining_capacity(occupancy.members(b)))
-        }),
+        Policy::WorstFitVbp(vbp) => eligible()
+            .map(|s| (s, vbp.remaining_capacity(occupancy.members(s))))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(s, _)| s),
     }
 }
 
@@ -559,12 +554,13 @@ mod tests {
             let policy = Policy::MaxPredictedFps(&FakeFps);
             let inc = select_server(&occupancy, request, &policy, 1, &mut fresh);
             assert_eq!(full, inc, "game {g} (cold cache)");
-            // A warm cache (possibly stale from hypothetical admits) is
-            // reset here so the comparison stays against the same fleet.
-            cache.invalidate_all();
-            let warm = select_server_incremental(&occupancy, request, &FakeFps, 1, &mut cache)
-                .map(|s| s.server);
-            assert_eq!(full, warm, "game {g} (warm cache)");
+            let warm = select_server_incremental(&occupancy, request, &FakeFps, 1, &mut cache);
+            assert_eq!(full, warm.map(|s| s.server), "game {g} (warm cache)");
+            // The fleet does not change, so undo the admit-contract store to
+            // keep the warm cache describing it.
+            if let Some(sel) = warm {
+                cache.invalidate(sel.server);
+            }
         }
     }
 

@@ -201,11 +201,6 @@ impl ClusterState {
         &self.members[server]
     }
 
-    /// Sessions on one server.
-    pub fn server_load(&self, server: usize) -> usize {
-        self.members[server].len()
-    }
-
     /// Insert a session on `server` (already chosen by the policy) and
     /// return its id. Panics if the placement would break the per-server
     /// invariants — the caller must have used the eligibility filter.
@@ -328,7 +323,7 @@ mod tests {
         let b = c.admit(0, (GameId(2), R));
         assert_ne!(a, b);
         assert_eq!(c.active_sessions(), 2);
-        assert_eq!(c.server_load(0), 2);
+        assert_eq!(c.members(0).len(), 2);
         c.check_invariants();
 
         let gone = c.depart(a).unwrap();

@@ -26,8 +26,7 @@
 
 use gaugur_core::{Placement, SessionOutcome};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Tuning knobs for the feedback subsystem.
@@ -78,16 +77,6 @@ pub struct OutcomeRecord {
     pub others: Vec<Placement>,
     /// Frame rate the client measured.
     pub observed_fps: f64,
-}
-
-/// Per-colocated-game-pair aggregate: how often the pair was observed and
-/// how far predictions were off for it.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PairStat {
-    /// Reports covering this pair.
-    pub n: u64,
-    /// Sum of relative prediction errors (divide by `n` for the mean).
-    pub rel_err_sum: f64,
 }
 
 /// Page–Hinkley sequential change detector over a stream of error values,
@@ -218,7 +207,9 @@ pub struct Feedback {
     config: FeedbackConfig,
     shards: Vec<Mutex<VecDeque<OutcomeRecord>>>,
     next_shard: AtomicUsize,
-    pairs: Mutex<HashMap<(u32, u32), PairStat>>,
+    /// Canonical keys of the game pairs seen in reports against a live
+    /// prediction.
+    pairs: Mutex<HashSet<(u32, u32)>>,
     drift: Mutex<DriftState>,
     accepted: AtomicU64,
     stale: AtomicU64,
@@ -238,7 +229,7 @@ impl Feedback {
         Feedback {
             shards: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
             next_shard: AtomicUsize::new(0),
-            pairs: Mutex::new(HashMap::new()),
+            pairs: Mutex::new(HashSet::new()),
             drift: Mutex::new(DriftState {
                 overall: DriftDetector::new(config.window, config.ph_delta, config.ph_lambda),
                 per_game: HashMap::new(),
@@ -277,13 +268,10 @@ impl Feedback {
             None
         };
 
-        if let Some(err) = rel_err {
+        if rel_err.is_some() {
             let mut pairs = self.pairs.lock();
             for &(other, _) in &record.others {
-                let key = pair_key(record.target.0 .0, other.0);
-                let stat = pairs.entry(key).or_default();
-                stat.n += 1;
-                stat.rel_err_sum += err;
+                pairs.insert(pair_key(record.target.0 .0, other.0));
             }
         }
 
@@ -391,17 +379,6 @@ impl Feedback {
         for detector in drift.per_game.values_mut() {
             detector.reset();
         }
-    }
-
-    /// Mean relative error per observed game pair (for diagnostics).
-    pub fn pair_errors(&self) -> Vec<((u32, u32), f64, u64)> {
-        let pairs = self.pairs.lock();
-        let mut out: Vec<_> = pairs
-            .iter()
-            .map(|(&k, s)| (k, s.rel_err_sum / s.n.max(1) as f64, s.n))
-            .collect();
-        out.sort_by_key(|&(k, _, _)| k);
-        out
     }
 }
 
@@ -546,17 +523,14 @@ mod tests {
     }
 
     #[test]
-    fn pair_errors_aggregate_by_canonical_key() {
+    fn pairs_count_canonical_keys_of_live_predictions() {
         let fb = Feedback::new(small_config());
-        fb.ingest(record(1, &[2], 54.0), 60.0, false); // err 0.1
-        fb.ingest(record(2, &[1], 66.0), 60.0, false); // err 0.1
-        fb.ingest(record(1, &[3], 60.0), 60.0, false); // err 0.0
-        let errs = fb.pair_errors();
-        assert_eq!(errs.len(), 2);
-        assert_eq!(errs[0].0, (1, 2));
-        assert_eq!(errs[0].2, 2);
-        assert!((errs[0].1 - 0.1).abs() < 1e-12);
-        assert_eq!(errs[1].0, (1, 3));
+        fb.ingest(record(1, &[2], 54.0), 60.0, false);
+        fb.ingest(record(2, &[1], 66.0), 60.0, false);
+        fb.ingest(record(1, &[3], 60.0), 60.0, false);
+        // No live prediction to compare with: no pair.
+        fb.ingest(record(4, &[5], 60.0), f64::NAN, false);
+        assert_eq!(fb.counters().pairs, 2);
     }
 
     #[test]

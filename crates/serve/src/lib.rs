@@ -22,7 +22,7 @@
 //! * [`model`] — artifact loading, hot reload, prediction memoization.
 //! * [`cluster`] — live fleet occupancy, session bookkeeping and the
 //!   placement shards.
-//! * [`reference`] — the serial reference the daemon's replies are held to.
+//! * [`reference`](mod@reference) — the serial reference the daemon's replies are held to.
 //! * [`queue`] — the bounded work queue between acceptor and workers.
 //! * [`stats`] — the telemetry collector: one single-writer counter block
 //!   per thread, one histogram type, the `Stats` snapshot.

@@ -373,7 +373,7 @@ impl<K: std::hash::Hash + Eq + Copy, V: Copy> Generations<K, V> {
 ///
 /// At the paper's scale (100 games × 2 resolutions) the colocations a fleet
 /// runs through far outnumber any sensible capacity, so the bound is in
-/// force continuously: both maps keep two [`Generations`] and never drop
+/// force continuously: both maps keep two generations and never drop
 /// recently hit entries. The memo is a pure cache — every value is a
 /// function of its key — so what is resident changes cost, never an answer.
 pub struct PredictionMemo {

@@ -753,7 +753,7 @@ impl Telemetry {
     /// at (and including) the partial second of `now_us`; slots stamped in
     /// the future (the clock moved backwards) or past the window are
     /// ignored, so clock skips simply empty the windows. A window's `max_us`
-    /// is bucket-bounded ([`bucket_bounded_max`]), not the largest sample:
+    /// is bucket-bounded (the upper bound of its highest bucket), not the largest sample:
     /// Prometheus `histogram_quantile` semantics.
     pub fn views(&self, now_us: u64) -> Vec<WindowView> {
         let view = |&window_secs: &u64| self.view(window_secs, now_us / 1_000_000);

@@ -35,7 +35,7 @@ fn main() {
         let smart_eval = evaluate_cluster(&server, &catalog, &smart.servers, res);
 
         // Interference-blind worst-fit (VBP).
-        let blind = assign_worst_fit(&vbp, res, &stream, n_servers);
+        let blind = assign(&Policy::WorstFitVbp(&vbp), res, &stream, n_servers);
         let blind_eval = evaluate_cluster(&server, &catalog, &blind.servers, res);
 
         println!(

@@ -65,8 +65,8 @@ pub mod prelude {
         Game, GameCatalog, GameId, Genre, Microbenchmark, Resolution, Resource, Server, Workload,
     };
     pub use gaugur_sched::{
-        assign_max_fps, assign_worst_fit, evaluate_cluster, pack_requests, random_requests,
-        ColocationTable, FeasibilityReport, GaugurCm, GaugurRm,
+        assign, assign_max_fps, evaluate_cluster, pack_requests, random_requests, ColocationTable,
+        FeasibilityReport, GaugurCm, GaugurRm, Policy,
     };
     pub use gaugur_serve::{Client, DaemonConfig, LoadConfig, ModelHandle, StatsSnapshot};
 }

@@ -60,7 +60,12 @@ fn interference_aware_assignment_beats_blind_worst_fit() {
     let stream = random_requests(&ids, 400, 6).as_request_stream(7);
 
     let smart = assign_max_fps(&GaugurRm(g), Resolution::Fhd1080, &stream, 150);
-    let blind = assign_worst_fit(&vbp, Resolution::Fhd1080, &stream, 150);
+    let blind = assign(
+        &Policy::WorstFitVbp(&vbp),
+        Resolution::Fhd1080,
+        &stream,
+        150,
+    );
     let smart_eval = evaluate_cluster(&f.server, &f.catalog, &smart.servers, Resolution::Fhd1080);
     let blind_eval = evaluate_cluster(&f.server, &f.catalog, &blind.servers, Resolution::Fhd1080);
 
@@ -72,6 +77,76 @@ fn interference_aware_assignment_beats_blind_worst_fit() {
         smart_eval.average_fps(),
         blind_eval.average_fps()
     );
+}
+
+/// Section 5.2 in the paper's words, sharing no code with the scheduler:
+/// each request goes to the eligible server (below the colocation cap, not
+/// already running the game) with the highest `score`, ties to the lowest
+/// index, nothing cached. Returns the sorted content multiset.
+fn paper_greedy(
+    stream: &[GameId],
+    n_servers: usize,
+    score: impl Fn(&[Placement], Placement) -> f64,
+) -> Vec<Vec<GameId>> {
+    let mut servers: Vec<Vec<Placement>> = vec![Vec::new(); n_servers];
+    for &game in stream {
+        let request = (game, Resolution::Fhd1080);
+        let mut best: Option<(usize, f64)> = None;
+        for (s, members) in servers.iter().enumerate() {
+            if members.len() >= 4 || members.iter().any(|&(g, _)| g == game) {
+                continue;
+            }
+            let v = score(members, request);
+            if best.is_none_or(|(_, b)| v > b) {
+                best = Some((s, v));
+            }
+        }
+        servers[best.expect("the fleet has room").0].push(request);
+    }
+    content_multiset(servers.iter().map(|m| m.iter().map(|p| p.0).collect()))
+}
+
+/// Server contents as a sorted multiset of sorted member lists.
+fn content_multiset(servers: impl IntoIterator<Item = Vec<GameId>>) -> Vec<Vec<GameId>> {
+    let mut sets: Vec<Vec<GameId>> = servers
+        .into_iter()
+        .map(|mut s| {
+            s.sort();
+            s
+        })
+        .collect();
+    sets.sort();
+    sets
+}
+
+#[test]
+fn assignment_is_the_papers_greedy_for_every_policy() {
+    use gaugur::sched::FpsModel;
+    let f = fixture();
+    let rm = GaugurRm(gaugur());
+    let vbp = VbpPolicy::from_catalog(&f.catalog);
+    let stream = random_requests(&servable_games(8), 200, 6).as_request_stream(7);
+    let (res, n) = (Resolution::Fhd1080, 70);
+
+    let fps_sum =
+        |m: &[Placement]| -> f64 { (0..m.len()).map(|i| rm.predict_member_fps(m, i)).sum() };
+    let gain = |m: &[Placement], request| {
+        let extended = [m, &[request]].concat();
+        fps_sum(&extended) - fps_sum(m)
+    };
+    let greedy = paper_greedy(&stream, n, gain);
+    for placed in [
+        assign(&Policy::MaxPredictedFps(&rm), res, &stream, n),
+        assign_max_fps(&rm, res, &stream, n),
+    ] {
+        assert_eq!(placed.unplaced, 0);
+        assert_eq!(content_multiset(placed.servers), greedy);
+    }
+
+    let worst_fit = paper_greedy(&stream, n, |m, _| vbp.remaining_capacity(m));
+    let placed = assign(&Policy::WorstFitVbp(&vbp), res, &stream, n);
+    assert_eq!(placed.unplaced, 0);
+    assert_eq!(content_multiset(placed.servers), worst_fit);
 }
 
 #[test]
