@@ -14,29 +14,61 @@ use std::time::Instant;
 /// Batch sizes swept by the batched-vs-scalar comparison.
 const BATCH_SIZES: [usize; 4] = [1, 8, 32, 128];
 
+/// Queries timed by the scalar `predict_qos` row.
+const QOS_QUERIES: usize = 32;
+
+/// The QoS floor of the `predict_qos` row: one of the CM's trained floors,
+/// the daemon's default.
+const QOS_FLOOR: f64 = 60.0;
+
+/// `n` queries, each a distinct target under three co-runners — the shape
+/// one admit produces when scoring every candidate server.
+fn queries(ctx: &ExperimentContext, n: usize) -> Vec<(Placement, [Placement; 3])> {
+    let res = Resolution::Fhd1080;
+    let ids: Vec<_> = ctx.catalog.games().iter().map(|g| g.id).collect();
+    (0..n)
+        .map(|i| {
+            let t = (ids[i % ids.len()], res);
+            let o = [
+                (ids[(i + 1) % ids.len()], res),
+                (ids[(i + 2) % ids.len()], Resolution::Hd720),
+                (ids[(i + 3) % ids.len()], res),
+            ];
+            (t, o)
+        })
+        .collect()
+}
+
+/// Scalar `predict_qos` at [`QOS_FLOOR`] over [`QOS_QUERIES`] queries, in
+/// ns per query: one CM evaluation each.
+fn qos_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> f64 {
+    let queries = queries(ctx, QOS_QUERIES);
+    let reps = 20_000 / QOS_QUERIES;
+    let mut feasible = 0usize;
+    for (t, o) in &queries {
+        feasible += usize::from(gaugur.predict_qos(QOS_FLOOR, *t, o));
+    }
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        for (t, o) in &queries {
+            feasible += usize::from(gaugur.predict_qos(QOS_FLOOR, *t, o));
+        }
+    }
+    let ns = t0.elapsed().as_nanos() as f64 / (reps * QOS_QUERIES) as f64;
+    std::hint::black_box(feasible);
+    eprintln!("prediction_qos_scalar: {ns:.0} ns/query");
+    ns
+}
+
 /// Time the scalar loop against the fused batch path at each batch size.
 /// Returns `(batch size, scalar ns/query, batch ns/query)` rows.
 fn batch_vs_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> Vec<(usize, f64, f64)> {
-    let res = Resolution::Fhd1080;
-    let ids: Vec<_> = ctx.catalog.games().iter().map(|g| g.id).collect();
     let mut scratch = FeatureBuffer::new();
     let mut out = Vec::new();
     let mut results = Vec::new();
     let mut sink = 0.0f64;
     for &n in &BATCH_SIZES {
-        // n queries, each a distinct target under three co-runners — the
-        // shape one admit produces when scoring every candidate server.
-        let queries: Vec<(Placement, [Placement; 3])> = (0..n)
-            .map(|i| {
-                let t = (ids[i % ids.len()], res);
-                let o = [
-                    (ids[(i + 1) % ids.len()], res),
-                    (ids[(i + 2) % ids.len()], Resolution::Hd720),
-                    (ids[(i + 3) % ids.len()], res),
-                ];
-                (t, o)
-            })
-            .collect();
+        let queries = queries(ctx, n);
         let mut batch = DegradationBatch::new();
         for (t, o) in &queries {
             batch.push(*t, o);
@@ -75,7 +107,7 @@ fn batch_vs_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> Vec<(usize, f64,
 }
 
 /// Write the machine-readable report the CI gate checks for.
-fn emit_report(results: &[(usize, f64, f64)]) {
+fn emit_report(results: &[(usize, f64, f64)], qos_ns: f64) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prediction.json");
     let mut rows = String::new();
     for (i, &(n, scalar_ns, batch_ns)) in results.iter().enumerate() {
@@ -90,7 +122,9 @@ fn emit_report(results: &[(usize, f64, f64)]) {
     }
     let json = format!(
         "{{\n  \"benchmark\": \"prediction\",\n  \"unit\": \"ns/query\",\n  \
-         {},\n  \"results\": [{rows}\n  ]\n}}\n",
+         {},\n  \"results\": [{rows}\n  ],\n  \
+         \"predict_qos\": {{\"floor_fps\": {QOS_FLOOR:.1}, \"queries\": {QOS_QUERIES}, \
+         \"scalar_ns_per_query\": {qos_ns:.1}}}\n}}\n",
         gaugur_bench::host_fields()
     );
     std::fs::write(path, json).expect("write BENCH_prediction.json");
@@ -114,7 +148,7 @@ fn bench(c: &mut Criterion) {
     ];
     let members: Vec<Placement> = std::iter::once(target).chain(others.clone()).collect();
 
-    emit_report(&batch_vs_scalar(&ctx, &gaugur));
+    emit_report(&batch_vs_scalar(&ctx, &gaugur), qos_scalar(&ctx, &gaugur));
 
     let mut g = c.benchmark_group("online_prediction");
     g.bench_function("gaugur_cm_qos", |b| {

@@ -53,7 +53,6 @@ fn scale_json(name: &str, ctx: &ExperimentContext, runs: usize) -> String {
         &config.qos_values,
     ));
     let algo = Algorithm::GradientBoosting;
-    let trees = |stats: Option<gaugur_ml::CompiledStats>| stats.map_or(0, |s| s.trees);
 
     let (rm, rm_model) = time_s(runs, || RegressionModel::train(&rm_data, algo, config.seed));
     let (cm, cm_model) = time_s(runs, || {
@@ -79,9 +78,9 @@ fn scale_json(name: &str, ctx: &ExperimentContext, runs: usize) -> String {
          \"cm_gbdt\": {{{}, \"fit\": {}}},\n     \
          \"from_measurements\": {}}}",
         ctx.train.len(),
-        shape_json(&rm_data, trees(rm_model.compiled_stats())),
+        shape_json(&rm_data, rm_model.n_trees()),
         timing_json(rm),
-        shape_json(&cm_data, trees(cm_model.compiled_stats())),
+        shape_json(&cm_data, cm_model.n_trees()),
         timing_json(cm),
         timing_json(whole)
     )

@@ -208,18 +208,7 @@ fn load_model(opts: &HashMap<String, String>) -> GAugur {
     })
 }
 
-/// `gaugur inspect`'s line for one model's compiled ensemble.
-fn compiled_line(stats: Option<gaugur_ml::CompiledStats>) -> String {
-    match stats {
-        Some(s) => format!(
-            "{} trees, {} nodes, {} bytes, max depth {}",
-            s.trees, s.nodes, s.bytes, s.max_depth
-        ),
-        None => "none (not a tree ensemble)".to_string(),
-    }
-}
-
-/// `gaugur inspect`'s line for the RM's target prefixes.
+/// `gaugur inspect`'s line for one model's target prefixes.
 fn prefix_line(stats: Option<gaugur_core::PrefixStats>) -> String {
     match stats {
         Some(s) => format!(
@@ -227,14 +216,13 @@ fn prefix_line(stats: Option<gaugur_core::PrefixStats>) -> String {
              prefixes {} bytes ({} games)",
             s.fixed_splits, s.free_splits, s.table_bytes, s.prefix_bytes, s.games
         ),
-        None => "none (row path)".to_string(),
+        None => "none (node walk)".to_string(),
     }
 }
 
 /// Print the provenance of a `gaugur build` artifact without serving it:
 /// schema version, catalog coverage, feature dimensionality, and the
-/// hyperparameters and compiled-ensemble size of both trained models, and
-/// the size of the RM's target prefixes.
+/// hyperparameters and target-prefix sizes of both trained models.
 fn inspect(opts: &HashMap<String, String>) {
     let path: String = get(opts, "model", None::<String>);
     let gaugur = GAugur::load_json(&path).unwrap_or_else(|e| {
@@ -252,18 +240,17 @@ fn inspect(opts: &HashMap<String, String>) {
         gaugur.rm.hyperparameters()
     );
     println!(
-        "RM compiled:       {}",
-        compiled_line(gaugur.rm.compiled_stats())
+        "RM prefixes:       {}",
+        prefix_line(gaugur.rm_prefix_stats())
     );
-    println!("RM prefixes:       {}", prefix_line(gaugur.prefix_stats()));
     println!(
         "CM ({}):  {}",
         gaugur.config.cm_algorithm,
         gaugur.cm.hyperparameters()
     );
     println!(
-        "CM compiled:       {}",
-        compiled_line(gaugur.cm.compiled_stats())
+        "CM prefixes:       {}",
+        prefix_line(gaugur.cm_prefix_stats())
     );
     println!("CM QoS floors:     {:?}", gaugur.config.qos_values);
     println!(

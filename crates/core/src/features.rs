@@ -148,15 +148,22 @@ pub fn cm_features_into(
     corunner_intensities: &[ResourceVec],
     out: &mut Vec<f64>,
 ) {
-    out.push(qos);
-    out.push(solo_fps);
-    out.push(qos / solo_fps.max(1.0));
+    out.extend_from_slice(&cm_head(qos, solo_fps));
     rm_features_into(target, corunner_intensities, out);
+}
+
+/// Number of features a CM row has before the RM features.
+pub(crate) const CM_HEAD_WIDTH: usize = 3;
+
+/// The features a CM row has before the RM features: the QoS requirement,
+/// the target's solo FPS and their ratio.
+pub(crate) fn cm_head(qos: f64, solo_fps: f64) -> [f64; CM_HEAD_WIDTH] {
+    [qos, solo_fps, qos / solo_fps.max(1.0)]
 }
 
 /// Width of the CM feature vector for granularity `k`.
 pub fn cm_width(granularity: usize) -> usize {
-    rm_width(granularity) + 3
+    rm_width(granularity) + CM_HEAD_WIDTH
 }
 
 /// Reusable scratch space for the zero-allocation inference path.

@@ -7,7 +7,10 @@
 //! continuously arriving prediction requests with negligible overhead.
 
 use crate::cf::{fold_in_profile, CfConfig};
-use crate::features::{cm_features, rm_features};
+use crate::features::{
+    aggregate_intensity_into, cm_features, cm_head, rm_features, FeatureBuffer,
+    AGGREGATE_INTENSITY_WIDTH, CM_HEAD_WIDTH,
+};
 use crate::model::{Algorithm, ClassificationModel, RegressionModel};
 use crate::prefix::{PrefixStats, TargetPrefixes};
 use crate::profile::{PartialProfile, Profiler, ProfilingConfig};
@@ -18,6 +21,7 @@ use crate::train::{
 use gaugur_gamesim::{GameCatalog, Server};
 use gaugur_ml::Dataset;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Version of the on-disk artifact layout written by [`GAugur::save_json`].
@@ -92,7 +96,7 @@ pub struct RetrainReport {
 /// The public fields are for reading, and clones share them. Every way of
 /// making a predictor — [`GAugur::from_measurements`],
 /// [`GAugur::retrain_from_outcomes`], [`GAugur::fold_in_game`],
-/// deserializing — derives the RM's target prefixes from `rm` and
+/// deserializing — derives each model's target prefixes from it and
 /// `profiles`; a predictor whose fields are replaced keeps the prefixes of
 /// the old ones.
 #[derive(Debug, Clone)]
@@ -107,7 +111,15 @@ pub struct GAugur {
     pub config: GAugurConfig,
     /// Derived from `rm` and `profiles`; `None` when the RM has no split
     /// table. Not part of the artifact.
-    pub(crate) prefixes: Option<Arc<TargetPrefixes>>,
+    pub(crate) rm_prefixes: Option<Arc<TargetPrefixes>>,
+    /// Derived from `cm` and `profiles` likewise.
+    cm_prefixes: Option<Arc<TargetPrefixes>>,
+}
+
+thread_local! {
+    /// The scratch of the scalar entry points, which take none from their
+    /// caller: grown once per thread, then reused.
+    static SCALAR: RefCell<FeatureBuffer> = RefCell::new(FeatureBuffer::new());
 }
 
 /// The artifact is the four public fields, in declaration order.
@@ -145,13 +157,17 @@ impl GAugur {
         rm: Arc<RegressionModel>,
         config: GAugurConfig,
     ) -> GAugur {
-        let prefixes = TargetPrefixes::build(&rm, &profiles).map(Arc::new);
+        let prefixes =
+            |table, fixed_from| Arc::new(TargetPrefixes::build(table, fixed_from, &profiles));
+        let rm_prefixes = rm.split_table().map(|table| prefixes(table, 0));
+        let cm_prefixes = cm.split_table().map(|table| prefixes(table, CM_HEAD_WIDTH));
         GAugur {
             profiles,
             cm,
             rm,
             config,
-            prefixes,
+            rm_prefixes,
+            cm_prefixes,
         }
     }
 
@@ -194,15 +210,81 @@ impl GAugur {
     /// Online prediction (Eq. 4): the degradation ratio game `target` will
     /// suffer when colocated with `others`.
     pub fn predict_degradation(&self, target: Placement, others: &[Placement]) -> f64 {
-        let profile = self.profiles.get(target.0);
-        let intensities = self.profiles.intensities(others);
-        self.rm.predict(&rm_features(profile, &intensities))
+        SCALAR.with_borrow_mut(|scratch| {
+            self.gather(others, scratch);
+            self.degradation_of(target, scratch)
+        })
+    }
+
+    /// Gather the intensities of `others` into `scratch`, and their `I_G`.
+    fn gather(&self, others: &[Placement], scratch: &mut FeatureBuffer) {
+        let FeatureBuffer {
+            intensities, rows, ..
+        } = scratch;
+        intensities.clear();
+        intensities.extend(
+            others
+                .iter()
+                .map(|&(id, res)| self.profiles.get(id).intensity_at(res)),
+        );
+        rows.clear();
+        // A thread's first call grows it once, not once per doubling.
+        rows.reserve(AGGREGATE_INTENSITY_WIDTH);
+        aggregate_intensity_into(intensities, rows);
+    }
+
+    /// The RM's degradation ratio of `target` beside the co-runners
+    /// [`GAugur::gather`] left in `scratch`: from the target's prefix, or by
+    /// the node walk over the full row when the RM has no split table.
+    fn degradation_of(&self, target: Placement, scratch: &mut FeatureBuffer) -> f64 {
+        match &self.rm_prefixes {
+            Some(prefixes) => {
+                let raw = prefixes.predict(target.0, &[], &scratch.rows, &mut scratch.bits);
+                self.rm.clamp(raw)
+            }
+            None => {
+                let profile = self.profiles.get(target.0);
+                self.rm.predict(&rm_features(profile, &scratch.intensities))
+            }
+        }
+    }
+
+    /// The CM's judgement that `target`, whose solo FPS is `solo`, meets
+    /// `qos` beside the co-runners [`GAugur::gather`] left in `scratch`:
+    /// from the target's prefix, or by the node walk over the full row when
+    /// the CM has no split table.
+    fn cm_meets(
+        &self,
+        qos: f64,
+        solo: f64,
+        target: Placement,
+        scratch: &mut FeatureBuffer,
+    ) -> bool {
+        match &self.cm_prefixes {
+            // The GBDT's `classify`: its score, the margin's sigmoid, ≥ 0.5.
+            Some(prefixes) => {
+                let head = cm_head(qos, solo);
+                let margin = prefixes.predict(target.0, &head, &scratch.rows, &mut scratch.bits);
+                gaugur_ml::gbdt::sigmoid(margin) >= 0.5
+            }
+            None => {
+                let profile = self.profiles.get(target.0);
+                self.cm
+                    .classify(&cm_features(qos, solo, profile, &scratch.intensities))
+            }
+        }
     }
 
     /// Size of the RM's target prefixes (for `gaugur inspect`); `None` when
     /// the RM has no split table.
-    pub fn prefix_stats(&self) -> Option<PrefixStats> {
-        self.prefixes.as_deref().map(TargetPrefixes::stats)
+    pub fn rm_prefix_stats(&self) -> Option<PrefixStats> {
+        self.rm_prefixes.as_deref().map(TargetPrefixes::stats)
+    }
+
+    /// Size of the CM's target prefixes (for `gaugur inspect`); `None` when
+    /// the CM has no split table.
+    pub fn cm_prefix_stats(&self) -> Option<PrefixStats> {
+        self.cm_prefixes.as_deref().map(TargetPrefixes::stats)
     }
 
     /// Online prediction: the absolute FPS of `target` under colocation
@@ -215,8 +297,7 @@ impl GAugur {
     /// Online prediction (Eq. 3): does `target` meet `qos` FPS when
     /// colocated with `others`?
     pub fn predict_qos(&self, qos: f64, target: Placement, others: &[Placement]) -> bool {
-        let profile = self.profiles.get(target.0);
-        let solo = profile.solo_fps_at(target.1);
+        let solo = self.profiles.get(target.0).solo_fps_at(target.1);
         // Colocation can only degrade a game, so a QoS bar above the solo
         // frame rate is unreachable no matter what the learned model says.
         if qos > solo {
@@ -242,20 +323,22 @@ impl GAugur {
             .copied()
             .fold(f64::NEG_INFINITY, f64::max);
 
-        let intensities = self.profiles.intensities(others);
-        let cm_at = |q: f64| -> bool {
-            self.cm
-                .classify(&cm_features(q, solo, profile, &intensities))
-        };
-
-        if self.config.qos_values.is_empty() || (lo..=hi).contains(&qos) {
-            cm_at(qos)
-        } else if qos < lo {
-            cm_at(lo) || self.predict_fps(target, others) >= qos
-        } else {
-            // lo..=hi excluded qos and qos > hi.
-            cm_at(hi) && self.predict_fps(target, others) >= qos
-        }
+        SCALAR.with_borrow_mut(|scratch| {
+            self.gather(others, scratch);
+            let cm_at =
+                |q: f64, scratch: &mut FeatureBuffer| self.cm_meets(q, solo, target, scratch);
+            // The same product as `predict_fps`.
+            let fps_meets =
+                |scratch: &mut FeatureBuffer| self.degradation_of(target, scratch) * solo >= qos;
+            if self.config.qos_values.is_empty() || (lo..=hi).contains(&qos) {
+                cm_at(qos, scratch)
+            } else if qos < lo {
+                cm_at(lo, scratch) || fps_meets(scratch)
+            } else {
+                // lo..=hi excluded qos and qos > hi.
+                cm_at(hi, scratch) && fps_meets(scratch)
+            }
+        })
     }
 
     /// QoS judgement via the regression model (the paper's GAugur(RM)
@@ -543,7 +626,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The compiled ensembles are derived state: they must leave no trace
+    /// The target prefixes are derived state: they must leave no trace
     /// in the artifact, so a loaded model re-saves to the very same bytes
     /// under the same schema version.
     #[test]

@@ -10,9 +10,9 @@ use gaugur_ml::forest::ForestParams;
 use gaugur_ml::gbdt::GbdtParams;
 use gaugur_ml::svm::SvmParams;
 use gaugur_ml::{
-    Classifier, CompiledStats, Dataset, DecisionTreeClassifier, DecisionTreeRegressor,
-    GbdtClassifier, GbrtRegressor, RandomForestClassifier, RandomForestRegressor, Regressor, Rows,
-    SplitTable, StandardScaler, SvmClassifier, SvmRegressor, TreeParams,
+    Classifier, Dataset, DecisionTreeClassifier, DecisionTreeRegressor, GbdtClassifier,
+    GbrtRegressor, RandomForestClassifier, RandomForestRegressor, Regressor, SplitTable,
+    StandardScaler, SvmClassifier, SvmRegressor, TreeParams,
 };
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -257,25 +257,6 @@ impl RegressionModel {
         self.clamp(raw)
     }
 
-    /// Batched prediction of a flat row-major batch into `out`. The tree
-    /// ensembles evaluate their compiled form in row blocks; every row's
-    /// result is bit-identical to [`RegressionModel::predict`] on that row.
-    pub fn predict_rows(&self, rows: Rows<'_>, scaled: &mut Vec<f64>, out: &mut Vec<f64>) {
-        match &self.scaler {
-            Some(s) => {
-                scaled.clear();
-                for row in rows.iter() {
-                    s.transform_extend(row, scaled);
-                }
-                self.raw_predict_rows(Rows::new(scaled, rows.width()), out);
-            }
-            None => self.raw_predict_rows(rows, out),
-        }
-        for v in out.iter_mut() {
-            *v = self.clamp(*v);
-        }
-    }
-
     fn raw_predict(&self, x: &[f64]) -> f64 {
         match &self.inner {
             RegInner::Dtr(m) => m.predict(x),
@@ -285,22 +266,14 @@ impl RegressionModel {
         }
     }
 
-    fn raw_predict_rows(&self, rows: Rows<'_>, out: &mut Vec<f64>) {
+    /// Trees the model evaluates (for the training bench):
+    /// one for a single tree, none for an SVM.
+    pub fn n_trees(&self) -> usize {
         match &self.inner {
-            RegInner::Dtr(m) => Regressor::predict_rows(m, rows, out),
-            RegInner::Gbrt(m) => Regressor::predict_rows(m, rows, out),
-            RegInner::Rf(m) => Regressor::predict_rows(m, rows, out),
-            RegInner::Svr(m) => Regressor::predict_rows(m, rows, out),
-        }
-    }
-
-    /// Size of the compiled ensemble predictions run through (for `gaugur
-    /// inspect`); `None` for the families that are not tree ensembles.
-    pub fn compiled_stats(&self) -> Option<CompiledStats> {
-        match &self.inner {
-            RegInner::Gbrt(m) => Some(m.compiled_stats()),
-            RegInner::Rf(m) => Some(m.compiled_stats()),
-            RegInner::Dtr(_) | RegInner::Svr(_) => None,
+            RegInner::Dtr(_) => 1,
+            RegInner::Gbrt(m) => m.n_trees(),
+            RegInner::Rf(m) => m.n_trees(),
+            RegInner::Svr(_) => 0,
         }
     }
 
@@ -393,21 +366,6 @@ impl ClassificationModel {
         self.raw_score(x)
     }
 
-    /// Batched scoring of a flat row-major batch into `out`; every row's
-    /// result is bit-identical to [`ClassificationModel::score`] on it.
-    pub fn score_rows(&self, rows: Rows<'_>, scaled: &mut Vec<f64>, out: &mut Vec<f64>) {
-        match &self.scaler {
-            Some(s) => {
-                scaled.clear();
-                for row in rows.iter() {
-                    s.transform_extend(row, scaled);
-                }
-                self.raw_score_rows(Rows::new(scaled, rows.width()), out);
-            }
-            None => self.raw_score_rows(rows, out),
-        }
-    }
-
     fn raw_score(&self, x: &[f64]) -> f64 {
         match &self.inner {
             ClsInner::Dtc(m) => m.score(x),
@@ -417,27 +375,29 @@ impl ClassificationModel {
         }
     }
 
-    fn raw_score_rows(&self, rows: Rows<'_>, out: &mut Vec<f64>) {
-        match &self.inner {
-            ClsInner::Dtc(m) => Classifier::score_rows(m, rows, out),
-            ClsInner::Gbdt(m) => Classifier::score_rows(m, rows, out),
-            ClsInner::Rf(m) => Classifier::score_rows(m, rows, out),
-            ClsInner::Svc(m) => Classifier::score_rows(m, rows, out),
-        }
-    }
-
     /// Hard decision: does the game satisfy the QoS requirement?
     pub fn classify(&self, x: &[f64]) -> bool {
         self.score(x) >= 0.5
     }
 
-    /// Size of the compiled ensemble scores run through (for `gaugur
-    /// inspect`); `None` for the families that are not tree ensembles.
-    pub fn compiled_stats(&self) -> Option<CompiledStats> {
+    /// The model's margin as a [`SplitTable`]: an unscaled GBDT whose
+    /// trees all fit a table row, whose score is [`gaugur_ml::gbdt::sigmoid`]
+    /// of the table's prediction. `None` for every other model.
+    pub(crate) fn split_table(&self) -> Option<SplitTable> {
+        match (&self.inner, &self.scaler) {
+            (ClsInner::Gbdt(m), None) => m.split_table(),
+            _ => None,
+        }
+    }
+
+    /// Trees the model evaluates (for the training bench):
+    /// one for a single tree, none for an SVM.
+    pub fn n_trees(&self) -> usize {
         match &self.inner {
-            ClsInner::Gbdt(m) => Some(m.compiled_stats()),
-            ClsInner::Rf(m) => Some(m.compiled_stats()),
-            ClsInner::Dtc(_) | ClsInner::Svc(_) => None,
+            ClsInner::Dtc(_) => 1,
+            ClsInner::Gbdt(m) => m.n_trees(),
+            ClsInner::Rf(m) => m.n_trees(),
+            ClsInner::Svc(_) => 0,
         }
     }
 

@@ -25,7 +25,6 @@ use crate::features::{
 };
 use crate::gaugur::GAugur;
 use crate::train::Placement;
-use gaugur_ml::Rows;
 
 /// One co-runner span inside a [`DegradationBatch`]: `len` placements
 /// starting at `start` in the pool, with `skip` (an index *within the
@@ -184,11 +183,12 @@ impl InterferencePredictor for GAugur {
 
     /// Fused batch path: one intensity gather per distinct colocation span
     /// and one model call for every row. With target prefixes, a row is its
-    /// 15 `I_G` features, applied to its target's prefix; otherwise it is
-    /// all 92 RM features, and the rows go through the compiled ensemble.
-    /// Bit-identical to the scalar path either way: features come from the
-    /// same aggregation code, the prefix path reaches the same exit leaves,
-    /// and both sum them in tree order.
+    /// 15 `I_G` features, applied to its target's prefix, and four rows
+    /// have their exit leaves summed side by side; otherwise it is all 92
+    /// RM features, and each row walks the RM's trees. Bit-identical to the
+    /// scalar path either way: features come from the same aggregation
+    /// code, the prefix path reaches the same exit leaves, and every path
+    /// sums them in tree order.
     fn predict_degradation_batch(
         &self,
         batch: &DegradationBatch,
@@ -207,7 +207,7 @@ impl InterferencePredictor for GAugur {
             ..
         } = scratch;
         rows.clear();
-        if self.prefixes.is_some() {
+        if self.rm_prefixes.is_some() {
             // Grown for the whole batch at once, not row by row.
             rows.reserve(batch.len() * AGGREGATE_INTENSITY_WIDTH);
         }
@@ -221,12 +221,12 @@ impl InterferencePredictor for GAugur {
                 }
                 gathered = Some((span.start, span.len));
             }
-            if self.prefixes.is_none() {
+            if self.rm_prefixes.is_none() {
                 flatten_sensitivity_into(self.profiles.get(batch.target(i).0), rows);
             }
             aggregate_excluding(intensities, span.skip, rows);
         }
-        match &self.prefixes {
+        match &self.rm_prefixes {
             Some(prefixes) => {
                 prefixes.predict_rows(&batch.targets, rows, bits, out);
                 for v in out.iter_mut() {
@@ -235,7 +235,8 @@ impl InterferencePredictor for GAugur {
             }
             None => {
                 let width = rows.len() / batch.len();
-                self.rm.predict_rows(Rows::new(rows, width), scaled, out);
+                let rows = rows.chunks_exact(width);
+                out.extend(rows.map(|row| self.rm.predict_into(row, scaled)));
             }
         }
     }

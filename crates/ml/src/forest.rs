@@ -1,9 +1,8 @@
 //! Random forests: bagged CART trees with per-split feature subsampling,
 //! trained one after another over one shared fit context.
 
-use crate::compiled::{CompiledEnsemble, CompiledStats};
 use crate::data::Dataset;
-use crate::tree::{FitContext, Tree, TreeFitter, TreeParams};
+use crate::tree::{self, FitContext, Tree, TreeFitter, TreeParams};
 use crate::{Classifier, Regressor};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -41,44 +40,13 @@ impl Default for ForestParams {
     }
 }
 
-/// The bagged trees in compiled form, the only form kept once fitting is
-/// done. The serialized shape is the fitted one, `{"trees"}`: the trees are
-/// decompiled to be written and compiled when read.
-#[derive(Debug, Clone)]
+/// The bagged trees, in fitting order. The artifact is `{"trees"}`.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Forest {
-    compiled: CompiledEnsemble,
-}
-
-impl Serialize for Forest {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![(
-            "trees".to_string(),
-            self.compiled.to_trees().serialize(),
-        )])
-    }
-}
-
-impl Deserialize for Forest {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        if v.as_map().is_none() {
-            return Err(serde::Error::expected("map", v, "Forest"));
-        }
-        let trees: Vec<Tree> = serde::field(v, "trees", "Forest")?;
-        Ok(Forest::new(&trees))
-    }
+    trees: Vec<Tree>,
 }
 
 impl Forest {
-    fn new(trees: &[Tree]) -> Forest {
-        Forest {
-            compiled: CompiledEnsemble::compile(trees),
-        }
-    }
-
-    fn n_trees(&self) -> usize {
-        self.compiled.n_trees()
-    }
-
     fn fit(data: &Dataset, params: &ForestParams, default_features: usize) -> Forest {
         assert!(!data.is_empty(), "cannot fit a forest on an empty dataset");
         assert!(params.n_trees > 0, "forest needs at least one tree");
@@ -103,29 +71,11 @@ impl Forest {
                 fitter.fit(&boot, &data.targets, &tree_params)
             })
             .collect();
-        Forest::new(&trees)
+        Forest { trees }
     }
 
     fn mean_prediction(&self, x: &[f64]) -> f64 {
-        self.compiled.sum_one(x) / self.n_trees() as f64
-    }
-
-    /// [`Forest::mean_prediction`] by node walk (test reference).
-    #[cfg(test)]
-    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
-        let trees = self.compiled.to_trees();
-        trees.iter().map(|t| t.predict(x)).sum::<f64>() / trees.len() as f64
-    }
-
-    /// Batched tree-mean: sum per row in tree order, then one division —
-    /// the same float operation order as [`Forest::mean_prediction`].
-    fn mean_prediction_batch(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        crate::batch::reset_out(out, rows.len());
-        self.compiled.sum_rows(rows, out);
-        let n = self.n_trees() as f64;
-        for v in out.iter_mut() {
-            *v /= n;
-        }
+        tree::sum(&self.trees, x) / self.trees.len() as f64
     }
 }
 
@@ -149,33 +99,13 @@ impl RandomForestRegressor {
 
     /// Number of trees (diagnostics).
     pub fn n_trees(&self) -> usize {
-        self.forest.n_trees()
-    }
-
-    /// Size of the compiled ensemble predictions run through.
-    pub fn compiled_stats(&self) -> CompiledStats {
-        self.forest.compiled.stats()
-    }
-
-    /// [`Regressor::predict`] by node walk (test reference).
-    #[cfg(test)]
-    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
-        self.forest.node_walk(x)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn trees(&self) -> Vec<Tree> {
-        self.forest.compiled.to_trees()
+        self.forest.trees.len()
     }
 }
 
 impl Regressor for RandomForestRegressor {
     fn predict(&self, x: &[f64]) -> f64 {
         self.forest.mean_prediction(x)
-    }
-
-    fn predict_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.forest.mean_prediction_batch(rows, out);
     }
 }
 
@@ -203,25 +133,15 @@ impl RandomForestClassifier {
         }
     }
 
-    /// Size of the compiled ensemble scores run through.
-    pub fn compiled_stats(&self) -> CompiledStats {
-        self.forest.compiled.stats()
-    }
-
-    /// [`Classifier::score`] by node walk (test reference).
-    #[cfg(test)]
-    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
-        self.forest.node_walk(x)
+    /// Number of trees (diagnostics).
+    pub fn n_trees(&self) -> usize {
+        self.forest.trees.len()
     }
 }
 
 impl Classifier for RandomForestClassifier {
     fn score(&self, x: &[f64]) -> f64 {
         self.forest.mean_prediction(x)
-    }
-
-    fn score_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.forest.mean_prediction_batch(rows, out);
     }
 }
 
@@ -341,5 +261,30 @@ mod tests {
                 ..ForestParams::default()
             },
         );
+    }
+
+    /// The artifact is `{"forest": {"trees"}, "params"}`, the trees as
+    /// fitted; reading it back gives the same bytes and the same answers.
+    #[test]
+    fn serialized_shape_is_unchanged_and_round_trips() {
+        let data = noisy_quadratic(40);
+        let params = ForestParams {
+            n_trees: 4,
+            seed: 8,
+            ..ForestParams::default()
+        };
+        let rf = RandomForestRegressor::fit(&data, params);
+        let json = serde_json::to_string(&rf).unwrap();
+        assert!(
+            json.starts_with(r#"{"forest":{"trees":[{"nodes":["#),
+            "{}",
+            &json[..40]
+        );
+        let back: RandomForestRegressor = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        for i in 0..40 {
+            let x = [i as f64 / 40.0];
+            assert_eq!(rf.predict(&x).to_bits(), back.predict(&x).to_bits());
+        }
     }
 }

@@ -6,10 +6,9 @@
 //! produces an error of 7.9%" (Section 4.2) and "GBDT achieves as high as 95%
 //! accuracy" (classification).
 
-use crate::compiled::{CompiledEnsemble, CompiledStats};
 use crate::data::Dataset;
 use crate::splits::SplitTable;
-use crate::tree::{FitContext, Tree, TreeFitter, TreeParams};
+use crate::tree::{self, FitContext, Tree, TreeFitter, TreeParams};
 use crate::{Classifier, Regressor};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -73,62 +72,9 @@ fn round_indices(n: usize, params: &GbdtParams, round: usize) -> Vec<usize> {
     idx
 }
 
-/// A boosted ensemble: initial value plus the trees in compiled form, the
-/// only form kept once fitting is done. The serialized shape is the fitted
-/// one, exactly `{"init", "trees", "params"}`: the trees are decompiled to
-/// be written and compiled when read.
-#[derive(Debug, Clone)]
-struct Boosted {
-    init: f64,
-    compiled: CompiledEnsemble,
-}
-
-impl Boosted {
-    fn new(init: f64, trees: &[Tree]) -> Boosted {
-        Boosted {
-            init,
-            compiled: CompiledEnsemble::compile(trees),
-        }
-    }
-
-    /// `init + learning_rate * Σ_t tree_t(x)`, summed in tree order.
-    fn raw(&self, learning_rate: f64, x: &[f64]) -> f64 {
-        self.init + learning_rate * self.compiled.sum_one(x)
-    }
-
-    /// [`Boosted::raw`] for every row, into a reusable output buffer.
-    fn raw_rows(&self, learning_rate: f64, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        crate::batch::reset_out(out, rows.len());
-        self.compiled.sum_rows(rows, out);
-        for v in out.iter_mut() {
-            *v = self.init + learning_rate * *v;
-        }
-    }
-
-    /// The pre-compilation evaluation, kept as the tests' reference: walk
-    /// each fitted tree's nodes and sum in tree order.
-    #[cfg(test)]
-    fn node_walk(&self, learning_rate: f64, x: &[f64]) -> f64 {
-        let trees = self.compiled.to_trees();
-        self.init + learning_rate * trees.iter().map(|t| t.predict(x)).sum::<f64>()
-    }
-
-    fn serialize(&self, params: &GbdtParams) -> serde::Value {
-        serde::Value::Map(vec![
-            ("init".to_string(), self.init.serialize()),
-            ("trees".to_string(), self.compiled.to_trees().serialize()),
-            ("params".to_string(), params.serialize()),
-        ])
-    }
-
-    fn deserialize(v: &serde::Value, ty: &str) -> Result<(Boosted, GbdtParams), serde::Error> {
-        if v.as_map().is_none() {
-            return Err(serde::Error::expected("map", v, ty));
-        }
-        let trees: Vec<Tree> = serde::field(v, "trees", ty)?;
-        let model = Boosted::new(serde::field(v, "init", ty)?, &trees);
-        Ok((model, serde::field(v, "params", ty)?))
-    }
+/// `init + learning_rate · Σ_t tree_t(x)`.
+fn margin(init: f64, learning_rate: f64, trees: &[Tree], x: &[f64]) -> f64 {
+    init + learning_rate * tree::sum(trees, x)
 }
 
 /// The squared-loss boosting rounds `rounds`: each fits a tree to what
@@ -159,25 +105,16 @@ fn boost_residuals(
     }
 }
 
-/// Gradient-boosted regression trees (the paper's GBRT).
-#[derive(Debug, Clone)]
+/// Gradient-boosted regression trees (the paper's GBRT). The artifact is
+/// the three fields in declaration order.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GbrtRegressor {
-    model: Boosted,
+    /// The targets' mean, the prediction before any tree.
+    init: f64,
+    /// The fitted trees, in boosting order.
+    trees: Vec<Tree>,
     /// The hyperparameters used for training.
     pub params: GbdtParams,
-}
-
-impl Serialize for GbrtRegressor {
-    fn serialize(&self) -> serde::Value {
-        self.model.serialize(&self.params)
-    }
-}
-
-impl Deserialize for GbrtRegressor {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let (model, params) = Boosted::deserialize(v, "GbrtRegressor")?;
-        Ok(GbrtRegressor { model, params })
-    }
 }
 
 impl GbrtRegressor {
@@ -197,7 +134,8 @@ impl GbrtRegressor {
             &mut trees,
         );
         GbrtRegressor {
-            model: Boosted::new(init, &trees),
+            init,
+            trees,
             params,
         }
     }
@@ -219,8 +157,9 @@ impl GbrtRegressor {
             "cannot warm-start GBRT on an empty dataset"
         );
         let mut current: Vec<f64> = data.features.iter().map(|x| self.predict(x)).collect();
-        let mut trees = self.model.compiled.to_trees();
-        let start = trees.len();
+        let start = self.trees.len();
+        let mut trees = Vec::with_capacity(start + extra_rounds);
+        trees.extend_from_slice(&self.trees);
         boost_residuals(
             data,
             &self.params,
@@ -229,81 +168,48 @@ impl GbrtRegressor {
             &mut trees,
         );
         GbrtRegressor {
-            model: Boosted::new(self.model.init, &trees),
+            init: self.init,
+            trees,
             params: self.params,
         }
     }
 
     /// Number of boosting rounds (diagnostics).
     pub fn n_trees(&self) -> usize {
-        self.model.compiled.n_trees()
-    }
-
-    /// Size of the compiled ensemble predictions run through.
-    pub fn compiled_stats(&self) -> CompiledStats {
-        self.model.compiled.stats()
+        self.trees.len()
     }
 
     /// The ensemble as a [`SplitTable`], whose predictions equal
     /// [`Regressor::predict`]'s bit for bit; `None` when a tree has more
     /// leaves than a table row holds.
     pub fn split_table(&self) -> Option<SplitTable> {
-        SplitTable::new(
-            &self.model.compiled.to_trees(),
-            self.model.init,
-            self.params.learning_rate,
-        )
-    }
-
-    /// [`Regressor::predict`] by node walk (test reference).
-    #[cfg(test)]
-    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
-        self.model.node_walk(self.params.learning_rate, x)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn trees(&self) -> Vec<Tree> {
-        self.model.compiled.to_trees()
+        SplitTable::new(&self.trees, self.init, self.params.learning_rate)
     }
 }
 
 impl Regressor for GbrtRegressor {
     fn predict(&self, x: &[f64]) -> f64 {
-        self.model.raw(self.params.learning_rate, x)
-    }
-
-    /// Per row: `init + learning_rate * Σ_t tree_t(x)`, summed in tree
-    /// order.
-    fn predict_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.model.raw_rows(self.params.learning_rate, rows, out);
+        margin(self.init, self.params.learning_rate, &self.trees, x)
     }
 }
 
 /// Gradient-boosted classification trees with logistic loss (the paper's
 /// GBDT). Targets must be `0.0` / `1.0`; [`Classifier::score`] returns the
-/// predicted positive-class probability.
-#[derive(Debug, Clone)]
+/// predicted positive-class probability, [`sigmoid`] of the margin
+/// `init + learning_rate · Σ trees`. The artifact is the three fields in
+/// declaration order.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GbdtClassifier {
-    /// `init` is the initial log-odds.
-    model: Boosted,
+    /// The initial log-odds.
+    init: f64,
+    /// The fitted trees, in boosting order.
+    trees: Vec<Tree>,
     /// The hyperparameters used for training.
     pub params: GbdtParams,
 }
 
-impl Serialize for GbdtClassifier {
-    fn serialize(&self) -> serde::Value {
-        self.model.serialize(&self.params)
-    }
-}
-
-impl Deserialize for GbdtClassifier {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let (model, params) = Boosted::deserialize(v, "GbdtClassifier")?;
-        Ok(GbdtClassifier { model, params })
-    }
-}
-
-fn sigmoid(z: f64) -> f64 {
+/// The logistic link from a [`GbdtClassifier`]'s margin to its score.
+pub fn sigmoid(z: f64) -> f64 {
     1.0 / (1.0 + (-z).exp())
 }
 
@@ -365,43 +271,28 @@ impl GbdtClassifier {
         }
 
         GbdtClassifier {
-            model: Boosted::new(init, &trees),
+            init,
+            trees,
             params,
         }
     }
 
     /// Number of boosting rounds (diagnostics).
     pub fn n_trees(&self) -> usize {
-        self.model.compiled.n_trees()
+        self.trees.len()
     }
 
-    /// Size of the compiled ensemble scores run through.
-    pub fn compiled_stats(&self) -> CompiledStats {
-        self.model.compiled.stats()
-    }
-
-    /// [`Classifier::score`] by node walk (test reference).
-    #[cfg(test)]
-    pub(crate) fn node_walk(&self, x: &[f64]) -> f64 {
-        sigmoid(self.model.node_walk(self.params.learning_rate, x))
-    }
-
-    #[cfg(test)]
-    pub(crate) fn trees(&self) -> Vec<Tree> {
-        self.model.compiled.to_trees()
+    /// The margin as a [`SplitTable`]: [`sigmoid`] of its predictions
+    /// equals [`Classifier::score`] bit for bit. `None` when a tree has more
+    /// leaves than a table row holds.
+    pub fn split_table(&self) -> Option<SplitTable> {
+        SplitTable::new(&self.trees, self.init, self.params.learning_rate)
     }
 }
 
 impl Classifier for GbdtClassifier {
     fn score(&self, x: &[f64]) -> f64 {
-        sigmoid(self.model.raw(self.params.learning_rate, x))
-    }
-
-    fn score_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        self.model.raw_rows(self.params.learning_rate, rows, out);
-        for v in out.iter_mut() {
-            *v = sigmoid(*v);
-        }
+        sigmoid(margin(self.init, self.params.learning_rate, &self.trees, x))
     }
 }
 
@@ -649,5 +540,49 @@ mod tests {
             0,
         );
         assert_eq!(idx2.len(), 5);
+    }
+
+    mod artifact {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn bits(m: &impl Fn(&[f64]) -> f64) -> Vec<u64> {
+            (0..40).map(|i| m(&[i as f64 / 40.0]).to_bits()).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// The artifact is the three fields in declaration order, the
+            /// trees as fitted, node for node; reading it back gives the
+            /// same bytes and the same answers.
+            #[test]
+            fn serialized_shape_is_unchanged_and_round_trips(
+                ys in proptest::collection::vec(-5.0f64..5.0, 16..40),
+                seed in 0u64..1000,
+            ) {
+                let features: Vec<Vec<f64>> =
+                    (0..ys.len()).map(|i| vec![i as f64 / ys.len() as f64]).collect();
+                let labels = ys.iter().map(|&y| f64::from(y > 0.0)).collect();
+                let regression = Dataset::from_parts(features.clone(), ys);
+                let classification = Dataset::from_parts(features, labels);
+                let params = GbdtParams { n_estimators: 6, seed, ..GbdtParams::default() };
+
+                let gbrt = GbrtRegressor::fit(&regression, params);
+                let json = serde_json::to_string(&gbrt).unwrap();
+                prop_assert!(json.starts_with(r#"{"init":"#), "{}", &json[..40]);
+                prop_assert!(json.contains(r#""trees":[{"nodes":["#), "no trees");
+                prop_assert!(json.contains(r#""params":{"n_estimators":6,"#), "no params");
+                let back: GbrtRegressor = serde_json::from_str(&json).unwrap();
+                prop_assert_eq!(&serde_json::to_string(&back).unwrap(), &json);
+                prop_assert_eq!(bits(&|x| gbrt.predict(x)), bits(&|x| back.predict(x)));
+
+                let gbdt = GbdtClassifier::fit(&classification, params);
+                let json = serde_json::to_string(&gbdt).unwrap();
+                let back: GbdtClassifier = serde_json::from_str(&json).unwrap();
+                prop_assert_eq!(&serde_json::to_string(&back).unwrap(), &json);
+                prop_assert_eq!(bits(&|x| gbdt.score(x)), bits(&|x| back.score(x)));
+            }
+        }
     }
 }

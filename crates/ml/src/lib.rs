@@ -16,7 +16,8 @@
 //! * [`svm`] — kernel SVC (SMO) and ε-SVR (pairwise dual coordinate
 //!   descent), with RBF and linear kernels,
 //! * [`splits`] — a boosted ensemble in feature-major leaf-bitvector form,
-//!   for rows that share most of their features,
+//!   for rows that share most of their features; every other prediction
+//!   walks each tree's nodes,
 //! * [`linear`] — ordinary/ridge least squares via normal equations,
 //! * [`mf`] — ALS low-rank matrix completion (for collaborative-filtering
 //!   profile completion),
@@ -30,8 +31,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod batch;
-mod compiled;
 pub mod curvefit;
 pub mod data;
 pub mod forest;
@@ -45,8 +44,6 @@ pub mod splits;
 pub mod svm;
 pub mod tree;
 
-pub use batch::Rows;
-pub use compiled::CompiledStats;
 pub use data::Dataset;
 pub use forest::{RandomForestClassifier, RandomForestRegressor};
 pub use gbdt::{GbdtClassifier, GbrtRegressor};
@@ -62,15 +59,6 @@ pub use tree::{DecisionTreeClassifier, DecisionTreeRegressor, TreeParams};
 pub trait Regressor: Send + Sync {
     /// Predict the target for one feature vector.
     fn predict(&self, x: &[f64]) -> f64;
-
-    /// Predict a flat row-major batch into a reusable output buffer. The
-    /// default is a per-row loop; the tree models override it with their
-    /// batched evaluators. Always bit-identical to calling
-    /// [`Regressor::predict`] per row.
-    fn predict_rows(&self, rows: Rows<'_>, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(rows.iter().map(|x| self.predict(x)));
-    }
 }
 
 /// A trained binary classifier: maps a feature vector to a boolean decision
@@ -83,14 +71,5 @@ pub trait Classifier: Send + Sync {
     /// Hard decision.
     fn classify(&self, x: &[f64]) -> bool {
         self.score(x) >= 0.5
-    }
-
-    /// Score a flat row-major batch into a reusable output buffer. The
-    /// default is a per-row loop; the tree models override it with their
-    /// batched evaluators. Always bit-identical to calling
-    /// [`Classifier::score`] per row.
-    fn score_rows(&self, rows: Rows<'_>, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(rows.iter().map(|x| self.score(x)));
     }
 }

@@ -55,21 +55,17 @@ impl StandardScaler {
             .collect()
     }
 
-    /// Transform one feature vector, appending the standardized values to
-    /// `out` without allocating (bit-identical to [`StandardScaler::transform`]).
-    pub fn transform_extend(&self, x: &[f64], out: &mut Vec<f64>) {
+    /// Transform one feature vector into a reusable buffer (cleared first),
+    /// without allocating once it has grown (bit-identical to
+    /// [`StandardScaler::transform`]).
+    pub fn transform_into(&self, x: &[f64], out: &mut Vec<f64>) {
         assert_eq!(x.len(), self.mean.len(), "feature width mismatch");
+        out.clear();
         out.extend(
             x.iter()
                 .zip(self.mean.iter().zip(&self.std))
                 .map(|(v, (m, s))| (v - m) / s),
         );
-    }
-
-    /// Transform one feature vector into a reusable buffer (cleared first).
-    pub fn transform_into(&self, x: &[f64], out: &mut Vec<f64>) {
-        out.clear();
-        self.transform_extend(x, out);
     }
 
     /// Transform a whole dataset (targets pass through).

@@ -26,7 +26,8 @@
 //!
 //! Bit-identity contract: [`SplitTable::predict`] adds the exit leaves'
 //! values in tree order onto `0.0` and returns `init + learning_rate · Σ`,
-//! which is what [`crate::GbrtRegressor`]'s compiled evaluation computes.
+//! which is what [`crate::GbrtRegressor`]'s node walk computes, and what
+//! [`crate::GbdtClassifier`]'s score is the [`crate::gbdt::sigmoid`] of.
 
 use crate::tree::{Node, Tree};
 
@@ -41,8 +42,9 @@ struct Clear {
     keep: u32,
 }
 
-/// A boosted regression ensemble as per-feature sorted splits and per-tree
-/// leaf values. Built by [`crate::GbrtRegressor::split_table`].
+/// A boosted ensemble as per-feature sorted splits and per-tree leaf
+/// values. Built by [`crate::GbrtRegressor::split_table`] and
+/// [`crate::GbdtClassifier::split_table`].
 #[derive(Debug, Clone)]
 pub struct SplitTable {
     /// The splits of feature `f` are `starts[f]..starts[f + 1]` of
@@ -203,12 +205,12 @@ fn walk(
             if threshold.is_nan() {
                 return None;
             }
-            let under_left = walk(nodes, left, tree, leaves, splits)?;
-            let under_right = walk(nodes, right, tree, leaves, splits)?;
+            let under_left = walk(nodes, left as usize, tree, leaves, splits)?;
+            let under_right = walk(nodes, right as usize, tree, leaves, splits)?;
             // Bits `under_left.start..under_left.end`; the end may be 32.
             let mask = (1u64 << under_left.end) - (1u64 << under_left.start);
             splits.push((
-                feature,
+                feature as usize,
                 threshold,
                 Clear {
                     tree,
@@ -224,18 +226,20 @@ fn walk(
 mod tests {
     use super::*;
     use crate::data::Dataset;
-    use crate::gbdt::{GbdtParams, GbrtRegressor};
-    use crate::Regressor;
+    use crate::gbdt::{sigmoid, GbdtClassifier, GbdtParams, GbrtRegressor};
+    use crate::{Classifier, Regressor};
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
     const WIDTH: usize = 4;
 
     /// Every prefix length `k`: features `..k` applied first, then the
-    /// rest, against the ensemble's own prediction.
+    /// rest, against the ensemble's own prediction, which is `link` of the
+    /// table's.
     fn assert_every_prefix_matches(
         table: &SplitTable,
         x: &[f64],
+        link: fn(f64) -> f64,
         want: f64,
     ) -> Result<(), TestCaseError> {
         let mut bits = Vec::new();
@@ -243,7 +247,7 @@ mod tests {
             table.start(&mut bits);
             table.apply(0, &x[..k], &mut bits);
             table.apply(k, &x[k..], &mut bits);
-            let got = table.predict(&bits);
+            let got = link(table.predict(&bits));
             prop_assert_eq!(got.to_bits(), want.to_bits(), "prefix {} of {:?}", k, x);
         }
         Ok(())
@@ -263,16 +267,48 @@ mod tests {
         }
     }
 
-    fn fit(ys: &[f64], features: &[Vec<f64>], seed: u64, max_depth: usize) -> GbrtRegressor {
-        let data = Dataset::from_parts(features.to_vec(), ys.to_vec());
-        let params = GbdtParams {
+    /// Features with ties and signed zeros, so thresholds land on values a
+    /// probe can hit exactly.
+    fn features(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                vec![
+                    i as f64 / n as f64,
+                    ((i * 7) % 5) as f64 - 2.0,
+                    if i % 2 == 0 { 0.0 } else { -0.0 },
+                    ((i * 3) % 11) as f64,
+                ]
+            })
+            .collect()
+    }
+
+    /// Depth 0 makes every tree a single leaf.
+    fn params(seed: u64, max_depth: usize) -> GbdtParams {
+        GbdtParams {
             n_estimators: 15,
             max_depth,
             min_samples_leaf: 1,
             seed,
             ..GbdtParams::default()
-        };
-        GbrtRegressor::fit(&data, params)
+        }
+    }
+
+    fn fit(ys: &[f64], features: &[Vec<f64>], seed: u64, max_depth: usize) -> GbrtRegressor {
+        let data = Dataset::from_parts(features.to_vec(), ys.to_vec());
+        GbrtRegressor::fit(&data, params(seed, max_depth))
+    }
+
+    fn probe_row(row: &[(u8, f64, usize)], thresholds: &[f64]) -> Vec<f64> {
+        row.iter()
+            .map(|&(kind, value, pick)| probe(kind, value, pick, thresholds))
+            .collect()
+    }
+
+    fn probe_rows() -> impl Strategy<Value = Vec<Vec<(u8, f64, usize)>>> {
+        proptest::collection::vec(
+            proptest::collection::vec((0u8..10, -3.0f64..3.0, 0usize..10_000), WIDTH),
+            24,
+        )
     }
 
     proptest! {
@@ -281,38 +317,18 @@ mod tests {
         #[test]
         fn every_prefix_split_predicts_like_the_ensemble(
             ys in proptest::collection::vec(-5.0f64..5.0, 12..40),
-            raw in proptest::collection::vec(
-                proptest::collection::vec((0u8..10, -3.0f64..3.0, 0usize..10_000), WIDTH),
-                24,
-            ),
+            raw in probe_rows(),
             seed in 0u64..1000,
             max_depth in 0usize..6,
         ) {
-            // Features with ties and signed zeros, so thresholds land on
-            // values a probe can hit exactly.
-            let features: Vec<Vec<f64>> = (0..ys.len())
-                .map(|i| {
-                    vec![
-                        i as f64 / ys.len() as f64,
-                        ((i * 7) % 5) as f64 - 2.0,
-                        if i % 2 == 0 { 0.0 } else { -0.0 },
-                        ((i * 3) % 11) as f64,
-                    ]
-                })
-                .collect();
-            // Depth 0 makes every tree a single leaf.
-            let gbrt = fit(&ys, &features, seed, max_depth);
+            let gbrt = fit(&ys, &features(ys.len()), seed, max_depth);
             let table = gbrt.split_table().expect("depth ≤ 5 fits 32 leaves");
             prop_assert_eq!(table.n_trees(), gbrt.n_trees());
-            let thresholds = table.thresholds.clone();
             let (mut bits, mut all, mut want) = (Vec::new(), Vec::new(), Vec::new());
             for row in &raw {
-                let x: Vec<f64> = row
-                    .iter()
-                    .map(|&(kind, value, pick)| probe(kind, value, pick, &thresholds))
-                    .collect();
+                let x = probe_row(row, &table.thresholds);
                 want.push(gbrt.predict(&x));
-                assert_every_prefix_matches(&table, &x, want[want.len() - 1])?;
+                assert_every_prefix_matches(&table, &x, |v| v, want[want.len() - 1])?;
                 table.start(&mut bits);
                 table.apply(0, &x, &mut bits);
                 all.extend_from_slice(&bits);
@@ -326,6 +342,24 @@ mod tests {
                 prop_assert_eq!(bits_of(&got), bits_of(&want[..rows]), "{} rows", rows);
             }
         }
+
+        #[test]
+        fn every_prefix_split_scores_like_the_classifier(
+            ys in proptest::collection::vec(-5.0f64..5.0, 12..40),
+            raw in probe_rows(),
+            seed in 0u64..1000,
+            max_depth in 0usize..6,
+        ) {
+            let labels = ys.iter().map(|&y| f64::from(y > 0.0)).collect();
+            let data = Dataset::from_parts(features(ys.len()), labels);
+            let gbdt = GbdtClassifier::fit(&data, params(seed, max_depth));
+            let table = gbdt.split_table().expect("depth ≤ 5 fits 32 leaves");
+            prop_assert_eq!(table.n_trees(), gbdt.n_trees());
+            for row in &raw {
+                let x = probe_row(row, &table.thresholds);
+                assert_every_prefix_matches(&table, &x, sigmoid, gbdt.score(&x))?;
+            }
+        }
     }
 
     /// A tree of `n` leaves: a chain of splits on feature 0 at 0, 1, …,
@@ -336,8 +370,8 @@ mod tests {
             nodes.push(Node::Split {
                 feature: 0,
                 threshold: k as f64,
-                left: 2 * k + 1,
-                right: 2 * k + 2,
+                left: 2 * k as u32 + 1,
+                right: 2 * k as u32 + 2,
             });
             nodes.push(Node::Leaf { value: k as f64 });
         }

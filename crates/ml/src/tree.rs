@@ -7,7 +7,6 @@
 //! Leaves store the target mean, which doubles as the positive-class
 //! probability for classification.
 
-use crate::batch::Rows;
 use crate::data::Dataset;
 use crate::{Classifier, Regressor};
 use rand::seq::SliceRandom;
@@ -44,17 +43,32 @@ impl Default for TreeParams {
     }
 }
 
+/// One node of a tree, 24 bytes. A split sends `x` to `left` when
+/// `x[feature] <= threshold` and to `right` otherwise (a NaN goes right);
+/// children are indices into the tree's nodes. The fields are declared in
+/// the order the artifact writes them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) enum Node {
     Leaf {
         value: f64,
     },
     Split {
-        feature: usize,
+        feature: u32,
         threshold: f64,
-        left: usize,
-        right: usize,
+        left: u32,
+        right: u32,
     },
+}
+
+/// `Σ_t trees[t](x)`: each tree's node walk, added in tree order onto `0.0`.
+/// Every ensemble's prediction is this sum, scaled.
+pub(crate) fn sum(trees: &[Tree], x: &[f64]) -> f64 {
+    trees.iter().fold(0.0, |sum, tree| sum + tree.predict(x))
+}
+
+/// A feature number or node index as a [`Node`] holds it.
+fn narrow(i: usize) -> u32 {
+    u32::try_from(i).expect("a tree numbers its features and nodes in 32 bits")
 }
 
 /// A fitted CART tree (crate-internal; use the public wrappers).
@@ -62,12 +76,6 @@ pub(crate) enum Node {
 pub(crate) struct Tree {
     nodes: Vec<Node>,
 }
-
-/// Rows walked through a single tree simultaneously by the batched
-/// evaluator: enough independent root-to-leaf chains to keep several node
-/// loads in flight per core, small enough that the lane state lives in
-/// registers. (Ensembles are evaluated through [`crate::compiled`] instead.)
-const LANES: usize = 8;
 
 impl Tree {
     /// Fit one tree on every sample of `data`, by recursive
@@ -91,10 +99,10 @@ impl Tree {
                     left,
                     right,
                 } => {
-                    node = if x[*feature] <= *threshold {
-                        *left
+                    node = if x[*feature as usize] <= *threshold {
+                        *left as usize
                     } else {
-                        *right
+                        *right as usize
                     };
                 }
             }
@@ -103,85 +111,14 @@ impl Tree {
 
     /// Predicted value for `x` (leaf mean).
     pub(crate) fn predict(&self, x: &[f64]) -> f64 {
-        match &self.nodes[self.leaf_index(x)] {
-            Node::Leaf { value } => *value,
-            Node::Split { .. } => unreachable!("leaf_index returns leaves"),
-        }
-    }
-
-    /// Advance one traversal lane a single level; returns `true` while the
-    /// lane is still on a split node.
-    #[inline]
-    fn step(&self, idx: &mut usize, x: &[f64]) -> bool {
-        match &self.nodes[*idx] {
-            Node::Leaf { .. } => false,
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                *idx = if x[*feature] <= *threshold {
-                    *left
-                } else {
-                    *right
-                };
-                true
-            }
-        }
+        self.leaf_value(self.leaf_index(x))
     }
 
     /// Leaf value at node `i` (must be a leaf).
-    #[inline]
     pub(crate) fn leaf_value(&self, i: usize) -> f64 {
         match &self.nodes[i] {
             Node::Leaf { value } => *value,
             Node::Split { .. } => unreachable!("traversal ends on leaves"),
-        }
-    }
-
-    /// Walk a block of [`LANES`] rows through the tree in lockstep, level
-    /// by level. The lanes are independent root-to-leaf chains, so the CPU
-    /// keeps several node loads in flight instead of stalling on one
-    /// dependent chain per row. A lane that reaches its leaf early just
-    /// stays there.
-    #[inline]
-    fn leaf_block(&self, rows: Rows<'_>, base: usize) -> [usize; LANES] {
-        let mut idx = [0usize; LANES];
-        let mut xs: [&[f64]; LANES] = [&[]; LANES];
-        for (l, x) in xs.iter_mut().enumerate() {
-            *x = rows.row(base + l);
-        }
-        loop {
-            let mut descending = false;
-            for (i, &x) in idx.iter_mut().zip(&xs) {
-                descending |= self.step(i, x);
-            }
-            if !descending {
-                return idx;
-            }
-        }
-    }
-
-    /// `out[i] = self.predict(rows.row(i))` for every row, with the bulk of
-    /// the rows going through the interleaved [`leaf_block`] traversal.
-    /// Bit-identical to the scalar loop: the leaf reached and the value
-    /// written are exactly the scalar ones.
-    ///
-    /// [`leaf_block`]: Tree::leaf_block
-    pub(crate) fn assign_rows(&self, rows: Rows<'_>, out: &mut [f64]) {
-        debug_assert_eq!(rows.len(), out.len());
-        let n = rows.len();
-        let mut i = 0;
-        while i + LANES <= n {
-            let leaves = self.leaf_block(rows, i);
-            for (l, &leaf) in leaves.iter().enumerate() {
-                out[i + l] = self.leaf_value(leaf);
-            }
-            i += LANES;
-        }
-        for (j, slot) in out.iter_mut().enumerate().skip(i) {
-            *slot = self.predict(rows.row(j));
         }
     }
 
@@ -194,6 +131,7 @@ impl Tree {
     }
 
     /// A tree over already-built nodes (root first, children by index).
+    #[cfg(test)]
     pub(crate) fn from_nodes(nodes: Vec<Node>) -> Tree {
         Tree { nodes }
     }
@@ -213,7 +151,9 @@ impl Tree {
         fn walk(nodes: &[Node], id: usize) -> usize {
             match &nodes[id] {
                 Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + walk(nodes, *left).max(walk(nodes, *right)),
+                Node::Split { left, right, .. } => {
+                    1 + walk(nodes, *left as usize).max(walk(nodes, *right as usize))
+                }
             }
         }
         walk(&self.nodes, 0)
@@ -332,6 +272,8 @@ impl<'a> TreeFitter<'a> {
         let mut nodes = Vec::new();
         let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
         self.build(&mut nodes, targets, params, (0, ids.len()), 0, &mut rng);
+        // Fitted trees are kept for prediction: hold no spare capacity.
+        nodes.shrink_to_fit();
         Tree { nodes }
     }
 
@@ -385,10 +327,10 @@ impl<'a> TreeFitter<'a> {
                     let left = self.build(nodes, targets, params, (lo, mid), depth + 1, rng);
                     let right = self.build(nodes, targets, params, (mid, hi), depth + 1, rng);
                     nodes[node_id] = Node::Split {
-                        feature,
+                        feature: narrow(feature),
                         threshold,
-                        left,
-                        right,
+                        left: narrow(left),
+                        right: narrow(right),
                     };
                     return node_id;
                 }
@@ -641,11 +583,6 @@ impl Regressor for DecisionTreeRegressor {
     fn predict(&self, x: &[f64]) -> f64 {
         self.tree.predict(x)
     }
-
-    fn predict_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        crate::batch::reset_out(out, rows.len());
-        self.tree.assign_rows(rows, out);
-    }
 }
 
 /// A single CART classification tree (the paper's DTC). Targets must be
@@ -674,11 +611,6 @@ impl DecisionTreeClassifier {
 impl Classifier for DecisionTreeClassifier {
     fn score(&self, x: &[f64]) -> f64 {
         self.tree.predict(x)
-    }
-
-    fn score_rows(&self, rows: crate::batch::Rows<'_>, out: &mut Vec<f64>) {
-        crate::batch::reset_out(out, rows.len());
-        self.tree.assign_rows(rows, out);
     }
 }
 
@@ -727,10 +659,10 @@ mod tests {
                         let left = build(tree, data, params, left_idx, depth + 1, rng);
                         let right = build(tree, data, params, right_idx, depth + 1, rng);
                         tree.nodes[node_id] = Node::Split {
-                            feature,
+                            feature: feature as u32,
                             threshold,
-                            left,
-                            right,
+                            left: left as u32,
+                            right: right as u32,
                         };
                         return node_id;
                     }
@@ -858,9 +790,9 @@ mod tests {
         Dataset::from_parts(features, targets)
     }
 
-    fn bits(node: &Node) -> (usize, u64, usize, usize) {
+    fn bits(node: &Node) -> (u32, u64, u32, u32) {
         match *node {
-            Node::Leaf { value } => (usize::MAX, value.to_bits(), 0, 0),
+            Node::Leaf { value } => (u32::MAX, value.to_bits(), 0, 0),
             Node::Split {
                 feature,
                 threshold,

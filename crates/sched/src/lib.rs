@@ -32,7 +32,7 @@
 //! [`FpsModel::predict_colocation_sums`]: one call scores a whole
 //! [`ColocationBatch`] of candidate colocations, and predictors with a
 //! fused batch evaluator (GAugur) answer it with a single feature-matrix
-//! assembly and one pass over the compiled ensemble — bit-identical to the
+//! assembly and one pass over the RM's split table — bit-identical to the
 //! scalar per-member loop by contract.
 
 #![warn(missing_docs)]

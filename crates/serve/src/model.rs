@@ -259,7 +259,8 @@ impl std::hash::Hash for Members {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct MemoKey {
     version: u64,
-    qos_millis: u64,
+    /// The QoS floor's bits, `-0.0` written as `0.0`.
+    qos: u64,
     game: u32,
     resolution: u8,
     others: Members,
@@ -268,9 +269,9 @@ struct MemoKey {
 fn memo_key(version: u64, qos: f64, target: Placement, others: &[Placement]) -> Option<MemoKey> {
     Some(MemoKey {
         version,
-        // QoS floors are human-chosen values like 30/60 FPS; milli-FPS
-        // granularity keys them exactly without hashing raw f64 bits.
-        qos_millis: (qos.max(0.0) * 1000.0).round() as u64,
+        // Exactly the floor asked: two floors that differ by any amount can
+        // get different judgements. The two zeros are one floor.
+        qos: if qos == 0.0 { 0.0f64 } else { qos }.to_bits(),
         game: target.0 .0,
         resolution: target.1 as u8,
         others: Members::canonical(others)?,
@@ -754,6 +755,35 @@ mod tests {
         assert_eq!(p.degradation, model.gaugur.predict_degradation(t, &others));
         assert_eq!(p.fps, model.gaugur.predict_fps(t, &others));
         assert_eq!(p.feasible, model.gaugur.predict_qos(60.0, t, &others));
+    }
+
+    /// Two floors a hair apart are two questions. Above the CM's trained
+    /// range `predict_qos` also asks whether the RM's FPS meets the floor,
+    /// so a colocation the CM passes at 60 FPS whose predicted FPS is below
+    /// 60.0004 is feasible at the one floor and not at the other.
+    #[test]
+    fn floors_a_hair_apart_get_their_own_judgements() {
+        let handle = ModelHandle::from_model(tiny_model());
+        let model = handle.get();
+        let gaugur = &model.gaugur;
+        let (floor, above) = (60.0, 60.0004);
+        let placements: Vec<Placement> = gaugur
+            .profiles
+            .sorted()
+            .iter()
+            .flat_map(|p| [(p.id, Resolution::Fhd1080), (p.id, Resolution::Hd720)])
+            .collect();
+        let (target, others) = placements
+            .iter()
+            .flat_map(|&t| placements.iter().map(move |&o| (t, [o])))
+            .find(|(t, o)| gaugur.predict_qos(floor, *t, o) && !gaugur.predict_qos(above, *t, o))
+            .expect("a colocation the CM passes at 60 FPS whose RM FPS is below it");
+        let memo = PredictionMemo::new(1024);
+        for qos in [floor, above] {
+            let (prediction, _) = memo.predict(&model, qos, target, &others);
+            let want = gaugur.predict_qos(qos, target, &others);
+            assert_eq!(prediction.feasible, want, "at {qos} FPS");
+        }
     }
 
     #[test]

@@ -1,21 +1,25 @@
-//! The batched RM path scores each row from its target game's prefix (the
-//! RM's leaf bitvectors after the game's own sensitivity features) and
-//! applies only the co-runner aggregate. Here it is held, bit for bit, to
-//! the full-row reference `rm.predict(&rm_features(..))` for every target
-//! and every co-runner set of one to three placements of a 12-game catalog
-//! at two resolutions — for every way a predictor is made, and for an RM
-//! that has no prefixes and keeps the row path.
+//! GAugur's serving models score each row from its target game's prefix
+//! (the model's leaf bitvectors after the game's own sensitivity features)
+//! and apply only the row's other features. Here every such path is held,
+//! bit for bit, to the node walk over the full row — `rm.predict` and
+//! `cm.classify` of `rm_features`/`cm_features` — for every target and
+//! every co-runner set of one to three placements of a 12-game catalog at
+//! two resolutions: the batched RM, the scalar RM and all three branches of
+//! the scalar QoS judgement. It holds for every way a predictor is made,
+//! and for models that have no table and walk their trees.
 
-use gaugur::core::features::rm_features;
+use gaugur::core::features::{cm_features, rm_features};
 use gaugur::core::{
-    Algorithm, CfConfig, ColocationPlan, DegradationBatch, FeatureBuffer, GAugur, GAugurConfig,
-    InterferencePredictor, Placement, Profiler, SessionOutcome,
+    measure_colocations, plan_colocations, Algorithm, CfConfig, ColocationPlan, DegradationBatch,
+    FeatureBuffer, GAugur, GAugurConfig, InterferencePredictor, Placement, ProfileStore, Profiler,
+    SessionOutcome,
 };
 use gaugur::gamesim::{GameCatalog, Resolution, Resource, Server, Workload};
+use std::sync::OnceLock;
 
 const RESOLUTIONS: [Resolution; 2] = [Resolution::Fhd1080, Resolution::Hd720];
 
-fn config(rm_algorithm: Algorithm) -> GAugurConfig {
+fn config(algorithm: Algorithm) -> GAugurConfig {
     GAugurConfig {
         plan: ColocationPlan {
             pairs: 40,
@@ -23,18 +27,137 @@ fn config(rm_algorithm: Algorithm) -> GAugurConfig {
             quads: 5,
             seed: 1,
         },
-        rm_algorithm,
-        // The CM plays no part here; a single tree keeps the build short.
-        cm_algorithm: Algorithm::DecisionTree,
+        rm_algorithm: algorithm,
+        cm_algorithm: algorithm,
         ..GAugurConfig::default()
     }
 }
 
+/// Every way a predictor is made, labelled: built, trained from
+/// measurements, loaded, retrained, folded in, and a random forest's (no
+/// split tables).
+fn predictors() -> &'static [(&'static str, GAugur)] {
+    static ALL: OnceLock<Vec<(&'static str, GAugur)>> = OnceLock::new();
+    ALL.get_or_init(|| {
+        let server = Server::reference(5);
+        let catalog = GameCatalog::generate(42, 13);
+        let (known, newcomer) = catalog.games().split_at(12);
+        let twelve = GameCatalog::generate(42, 12);
+
+        let base = GAugur::build(&server, &twelve, config(Algorithm::GradientBoosting));
+        assert!(
+            base.rm_prefix_stats().is_some(),
+            "the default RM has prefixes"
+        );
+        assert!(
+            base.cm_prefix_stats().is_some(),
+            "the default CM has prefixes"
+        );
+
+        let profiler = Profiler::new(base.config.profiling);
+        let profiles = ProfileStore::new(profiler.profile_catalog(&server, &twelve));
+        let plan = ColocationPlan {
+            seed: 9,
+            ..base.config.plan
+        };
+        let measured = measure_colocations(&server, &twelve, &plan_colocations(&twelve, &plan));
+        let from_measurements =
+            GAugur::from_measurements(profiles, &measured, config(Algorithm::GradientBoosting));
+
+        let dir = std::env::temp_dir().join(format!("gaugur-prefixes-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        base.save_json(&path).unwrap();
+        let loaded = GAugur::load_json(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(loaded.rm_prefix_stats(), base.rm_prefix_stats());
+        assert_eq!(loaded.cm_prefix_stats(), base.cm_prefix_stats());
+
+        let res = Resolution::Fhd1080;
+        let outcomes: Vec<SessionOutcome> = known
+            .windows(2)
+            .map(|pair| {
+                let measured = server.measure_colocation(&[
+                    Workload::game(&pair[0], res),
+                    Workload::game(&pair[1], res),
+                ]);
+                SessionOutcome {
+                    target: (pair[0].id, res),
+                    others: vec![(pair[1].id, res)],
+                    observed_fps: 0.9 * measured.game_fps(0).unwrap(),
+                }
+            })
+            .collect();
+        let (retrained, report) = base.retrain_from_outcomes(&outcomes, 12).unwrap();
+        assert!(report.warm_started);
+
+        let partial = profiler.profile_game_partial(
+            &server,
+            &newcomer[0],
+            &[Resource::GpuCore, Resource::CpuCore],
+        );
+        let folded = base.fold_in_game(&partial, &CfConfig::default());
+        assert_eq!(folded.rm_prefix_stats().unwrap().games, 13);
+        assert_eq!(folded.cm_prefix_stats().unwrap().games, 13);
+
+        let forest = GAugur::build(&server, &twelve, config(Algorithm::RandomForest));
+        assert!(forest.rm_prefix_stats().is_none(), "a forest's RM walks");
+        assert!(forest.cm_prefix_stats().is_none(), "a forest's CM walks");
+
+        vec![
+            ("built", base),
+            ("from measurements", from_measurements),
+            ("loaded", loaded),
+            ("retrained", retrained),
+            ("folded in", folded),
+            ("random forest", forest),
+        ]
+    })
+}
+
+/// The RM's node walk over the full row.
 fn reference(model: &GAugur, target: Placement, others: &[Placement]) -> f64 {
     let profile = model.profiles.get(target.0);
     model
         .rm
         .predict(&rm_features(profile, &model.profiles.intensities(others)))
+}
+
+/// `predict_qos` over node walks: the CM's inside the trained QoS range,
+/// the CM's at the nearest trained floor and the RM's FPS outside it.
+fn reference_qos(model: &GAugur, qos: f64, target: Placement, others: &[Placement]) -> bool {
+    let profile = model.profiles.get(target.0);
+    let solo = profile.solo_fps_at(target.1);
+    if qos > solo {
+        return false;
+    }
+    let intensities = model.profiles.intensities(others);
+    let cm_at = |q: f64| {
+        model
+            .cm
+            .classify(&cm_features(q, solo, profile, &intensities))
+    };
+    let fps_meets = || reference(model, target, others) * solo >= qos;
+    let floors = &model.config.qos_values;
+    let lo = floors.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = floors.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    if (lo..=hi).contains(&qos) {
+        cm_at(qos)
+    } else if qos < lo {
+        cm_at(lo) || fps_meets()
+    } else {
+        cm_at(hi) && fps_meets()
+    }
+}
+
+/// Every profiled game at both resolutions.
+fn placements(model: &GAugur) -> Vec<Placement> {
+    model
+        .profiles
+        .sorted()
+        .iter()
+        .flat_map(|p| RESOLUTIONS.map(|res| (p.id, res)))
+        .collect()
 }
 
 /// Every co-runner set of one to three placements drawn from `pool`.
@@ -52,29 +175,31 @@ fn corunner_sets(pool: &[Placement]) -> Vec<Vec<Placement>> {
     sets
 }
 
-/// Every target against every co-runner set, as explicit-others queries;
-/// and every colocation of the target and one or two others, as one
-/// shared-colocation query per member.
-fn assert_batch_equals_full_rows(model: &GAugur, label: &str) {
-    let placements: Vec<Placement> = model
-        .profiles
-        .sorted()
-        .iter()
-        .flat_map(|p| RESOLUTIONS.map(|res| (p.id, res)))
-        .collect();
-    let mut batch = DegradationBatch::new();
-    let mut scratch = FeatureBuffer::new();
-    let mut out = Vec::new();
-    let mut want = Vec::new();
-    for &target in &placements {
+/// Every target and the co-runner sets from the other placements.
+fn targets_and_sets(model: &GAugur) -> impl Iterator<Item = (Placement, Vec<Vec<Placement>>)> {
+    let placements = placements(model);
+    placements.clone().into_iter().map(move |target| {
         let pool: Vec<Placement> = placements
             .iter()
             .copied()
             .filter(|&p| p != target)
             .collect();
+        (target, corunner_sets(&pool))
+    })
+}
+
+/// Every target against every co-runner set, as explicit-others queries;
+/// and every colocation of the target and one or two others, as one
+/// shared-colocation query per member.
+fn assert_batch_equals_full_rows(model: &GAugur, label: &str) {
+    let mut batch = DegradationBatch::new();
+    let mut scratch = FeatureBuffer::new();
+    let mut out = Vec::new();
+    let mut want = Vec::new();
+    for (target, sets) in targets_and_sets(model) {
         batch.clear();
         want.clear();
-        for others in corunner_sets(&pool) {
+        for others in sets {
             batch.push(target, &others);
             want.push(reference(model, target, &others));
             if others.len() <= 2 {
@@ -104,57 +229,35 @@ fn assert_batch_equals_full_rows(model: &GAugur, label: &str) {
 
 #[test]
 fn batched_rm_rows_equal_full_rows_for_every_predictor() {
-    let server = Server::reference(5);
-    let catalog = GameCatalog::generate(42, 13);
-    let (known, newcomer) = catalog.games().split_at(12);
-    let twelve = GameCatalog::generate(42, 12);
+    for (label, model) in predictors() {
+        assert_batch_equals_full_rows(model, label);
+    }
+}
 
-    let base = GAugur::build(&server, &twelve, config(Algorithm::GradientBoosting));
-    assert!(base.prefix_stats().is_some(), "the default RM has prefixes");
-    assert_batch_equals_full_rows(&base, "built");
-
-    let dir = std::env::temp_dir().join(format!("gaugur-prefixes-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model.json");
-    base.save_json(&path).unwrap();
-    let loaded = GAugur::load_json(&path).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(loaded.prefix_stats(), base.prefix_stats());
-    assert_batch_equals_full_rows(&loaded, "loaded");
-
-    let res = Resolution::Fhd1080;
-    let outcomes: Vec<SessionOutcome> = known
-        .windows(2)
-        .map(|pair| {
-            let measured = server.measure_colocation(&[
-                Workload::game(&pair[0], res),
-                Workload::game(&pair[1], res),
-            ]);
-            SessionOutcome {
-                target: (pair[0].id, res),
-                others: vec![(pair[1].id, res)],
-                observed_fps: 0.9 * measured.game_fps(0).unwrap(),
+/// The scalar entry points against the node walk, at the config's floors
+/// (50, 60), off the grid (55), below and above the trained range (30, 75)
+/// and above the target's solo FPS.
+#[test]
+fn scalar_predictions_equal_the_node_walk_for_every_predictor() {
+    for (label, model) in predictors() {
+        assert_eq!(model.config.qos_values, [50.0, 60.0]);
+        for (target, sets) in targets_and_sets(model) {
+            let solo = model.profiles.get(target.0).solo_fps_at(target.1);
+            for others in &sets {
+                let got = model.predict_degradation(target, others);
+                let want = reference(model, target, others);
+                assert!(
+                    got.to_bits() == want.to_bits(),
+                    "{label}: {target:?} beside {others:?}: {got} vs {want}"
+                );
+                for qos in [50.0, 60.0, 55.0, 30.0, 75.0, solo + 1.0] {
+                    assert_eq!(
+                        model.predict_qos(qos, target, others),
+                        reference_qos(model, qos, target, others),
+                        "{label}: {target:?} beside {others:?} at {qos} FPS"
+                    );
+                }
             }
-        })
-        .collect();
-    let (retrained, report) = base.retrain_from_outcomes(&outcomes, 12).unwrap();
-    assert!(report.warm_started);
-    assert_batch_equals_full_rows(&retrained, "retrained");
-
-    let profiler = Profiler::new(base.config.profiling);
-    let partial = profiler.profile_game_partial(
-        &server,
-        &newcomer[0],
-        &[Resource::GpuCore, Resource::CpuCore],
-    );
-    let folded = base.fold_in_game(&partial, &CfConfig::default());
-    assert_eq!(folded.prefix_stats().unwrap().games, 13);
-    assert_batch_equals_full_rows(&folded, "folded in");
-
-    let forest = GAugur::build(&server, &twelve, config(Algorithm::RandomForest));
-    assert!(
-        forest.prefix_stats().is_none(),
-        "a forest keeps the row path"
-    );
-    assert_batch_equals_full_rows(&forest, "random forest");
+        }
+    }
 }
