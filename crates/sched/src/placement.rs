@@ -25,10 +25,18 @@
 //! from its cache, and otherwise hands the candidates back so the caller
 //! can evaluate them with the lock released and then select for real.
 //!
+//! Empty servers are one candidate: the highest-index one. Every empty
+//! server has the same `before` (the empty sum) and the same `after` (the
+//! model's sum of the newcomer alone), so all of them score the same delta
+//! bits, and the argmax breaks ties toward the later index — the lower
+//! empty servers can never be chosen, whatever the model. A fleet of 64
+//! servers with a dozen occupied scores 13 candidates, not 64.
+//!
 //! The cached `before` sum is the member-wise sum a from-scratch scorer
 //! would recompute, and the batched sums are bit-identical to the scalar
 //! ones by the [`FpsModel::predict_colocation_sums`] contract, so the
-//! choice is the full recompute's (the tests keep one as the reference).
+//! choice is the full recompute's over every eligible server (the tests
+//! keep one as the reference).
 
 use crate::dynamic::Policy;
 use crate::maxfps::MAX_PER_SERVER;
@@ -101,7 +109,7 @@ pub fn eligible_servers<V: OccupancyView + ?Sized>(occupancy: &V, game: GameId) 
 ///   both hold their fleet lock across select + admit).
 /// * **Depart** — the caller must call [`invalidate`](ScoreCache::invalidate)
 ///   for the server that lost a session; the sum is rebuilt lazily on the
-///   server's next appearance in an eligible set.
+///   server's next appearance in a candidate set.
 pub struct ScoreCache {
     sums: Vec<Option<(u64, f64)>>,
     hits: u64,
@@ -213,17 +221,29 @@ impl PlacementScratch {
 }
 
 impl PlacementScratch {
-    /// Fill `eligible` for `request`; `false` when no server is.
+    /// Fill `eligible` for `request`, in ascending server order: every
+    /// eligible occupied server and the highest-index empty one; `false`
+    /// when no server is eligible. Every empty server scores the same
+    /// `after - before` bits, and [`pick`](PlacementScratch::pick) breaks
+    /// ties toward the later index, so the lower empty servers can never
+    /// win and are not candidates.
     fn gather_eligible<V: OccupancyView + ?Sized>(
         &mut self,
         occupancy: &V,
         request: Placement,
     ) -> bool {
         self.eligible.clear();
-        self.eligible.extend(
-            (0..occupancy.n_servers())
-                .filter(|&s| server_eligible(occupancy.members(s), request.0)),
-        );
+        let mut empty_kept = false;
+        self.eligible
+            .extend((0..occupancy.n_servers()).rev().filter(|&s| {
+                let members = occupancy.members(s);
+                if members.is_empty() {
+                    !std::mem::replace(&mut empty_kept, true)
+                } else {
+                    server_eligible(members, request.0)
+                }
+            }));
+        self.eligible.reverse();
         !self.eligible.is_empty()
     }
 
@@ -445,6 +465,7 @@ pub fn select_server<V: OccupancyView + ?Sized>(
 mod tests {
     use super::*;
     use gaugur_gamesim::Resolution;
+    use proptest::prelude::*;
 
     const R: Resolution = Resolution::Fhd1080;
 
@@ -464,13 +485,32 @@ mod tests {
         }
     }
 
+    /// Every member of every colocation scores the same FPS, so every
+    /// candidate's delta ties and the greedy must take the highest eligible
+    /// index.
+    struct FlatFps;
+
+    impl FpsModel for FlatFps {
+        fn predict_member_fps(&self, _members: &[Placement], _idx: usize) -> f64 {
+            50.0
+        }
+
+        fn model_name(&self) -> &'static str {
+            "flat"
+        }
+    }
+
     /// The full-recompute reference the incremental scorer must agree
     /// with: a candidate's `before` and `after` sums predicted member by
     /// member from scratch (the delta-greedy of Section 5.2).
-    fn placement_delta(members: &[Placement], candidate: Placement) -> f64 {
+    fn placement_delta_with(
+        model: &dyn FpsModel,
+        members: &[Placement],
+        candidate: Placement,
+    ) -> f64 {
         let sum = |members: &[Placement]| -> f64 {
             (0..members.len())
-                .map(|i| FakeFps.predict_member_fps(members, i))
+                .map(|i| model.predict_member_fps(members, i))
                 .sum()
         };
         let mut extended = members.to_vec();
@@ -478,12 +518,109 @@ mod tests {
         sum(&extended) - sum(members)
     }
 
-    /// The full recompute's argmax over the eligible servers.
-    fn full_recompute(occupancy: &[Vec<Placement>], request: Placement) -> Option<usize> {
-        let delta = |s: usize| placement_delta(&occupancy[s], request);
+    fn placement_delta(members: &[Placement], candidate: Placement) -> f64 {
+        placement_delta_with(&FakeFps, members, candidate)
+    }
+
+    /// The full recompute's argmax over every eligible server, ties to the
+    /// last index: the chosen server and its delta.
+    fn full_recompute_with(
+        model: &dyn FpsModel,
+        occupancy: &[Vec<Placement>],
+        request: Placement,
+    ) -> Option<(usize, f64)> {
         eligible_servers(occupancy, request.0)
             .into_iter()
-            .max_by(|&a, &b| delta(a).total_cmp(&delta(b)))
+            .map(|s| (s, placement_delta_with(model, &occupancy[s], request)))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+    }
+
+    fn full_recompute(occupancy: &[Vec<Placement>], request: Placement) -> Option<usize> {
+        full_recompute_with(&FakeFps, occupancy, request).map(|(s, _)| s)
+    }
+
+    /// A model that notes how many colocations each batch asked it for.
+    struct Counting<'a> {
+        inner: &'a dyn FpsModel,
+        batches: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl FpsModel for Counting<'_> {
+        fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
+            self.inner.predict_member_fps(members, idx)
+        }
+
+        fn predict_colocation_sums(
+            &self,
+            batch: &ColocationBatch,
+            scratch: &mut PredictScratch,
+            out: &mut Vec<f64>,
+        ) {
+            self.batches.lock().unwrap().push(batch.len());
+            self.inner.predict_colocation_sums(batch, scratch, out);
+        }
+
+        fn model_name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// A drawn fleet: a server whose roll is below 3 of 5 is empty, the
+    /// others run the distinct games among their draws (1–4 members).
+    fn sparse_fleet(draws: Vec<(u8, Vec<(u32, bool)>)>) -> Vec<Vec<Placement>> {
+        let fleet = draws.into_iter().map(|(roll, games)| {
+            let mut members: Vec<Placement> = Vec::new();
+            for (g, hd) in games.into_iter().filter(|_| roll >= 3) {
+                if !members.iter().any(|&(m, _)| m == GameId(g)) {
+                    members.push((GameId(g), if hd { Resolution::Hd720 } else { R }));
+                }
+            }
+            members
+        });
+        fleet.collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Scoring only the highest-index empty server picks what scoring
+        /// every eligible server picks, with the same delta bits, and asks
+        /// the model for one `before` and one `after` batch of exactly the
+        /// occupied eligible servers plus one if any server is empty.
+        #[test]
+        fn empty_servers_are_one_candidate_and_the_choice_is_the_full_recomputes(
+            draws in proptest::collection::vec(
+                (0u8..5, proptest::collection::vec((0u32..12, any::<bool>()), 1..=4)),
+                1..=40,
+            ),
+            game in 0u32..12,
+            hd in any::<bool>(),
+        ) {
+            let occupancy = sparse_fleet(draws);
+            let request = (GameId(game), if hd { Resolution::Hd720 } else { R });
+            let eligible = eligible_servers(&occupancy, request.0);
+            let occupied = eligible.iter().filter(|&&s| !occupancy[s].is_empty()).count();
+            let candidates = occupied + usize::from(occupancy.iter().any(Vec::is_empty));
+            let asked = if candidates == 0 { vec![] } else { vec![candidates; 2] };
+            for (model, ties) in [(&FakeFps as &dyn FpsModel, false), (&FlatFps, true)] {
+                let counting = Counting { inner: model, batches: Default::default() };
+                let sel = select_server_incremental_with(
+                    &occupancy,
+                    request,
+                    &counting,
+                    1,
+                    &mut ScoreCache::new(occupancy.len()),
+                    &mut PlacementScratch::new(),
+                );
+                let got = sel.map(|sel| (sel.server, sel.delta.to_bits()));
+                let want = full_recompute_with(model, &occupancy, request);
+                prop_assert_eq!(got, want.map(|(s, delta)| (s, delta.to_bits())));
+                prop_assert_eq!(counting.batches.into_inner().unwrap(), asked.clone());
+                if ties {
+                    prop_assert_eq!(sel.map(|sel| sel.server), eligible.last().copied());
+                }
+            }
+        }
     }
 
     #[test]

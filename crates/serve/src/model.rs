@@ -314,6 +314,20 @@ fn sum_key(version: u64, members: &[Placement]) -> Option<SumKey> {
     })
 }
 
+/// The summed FPS of a colocation of at most one member, which needs
+/// neither the model nor the memo: 0.0 for none, and for a lone member its
+/// solo FPS added to `-0.0` — `Iterator::sum`'s additive identity, so the
+/// bits are the member-wise sum's.
+fn closed_form_sum(model: &LoadedModel, members: &[Placement]) -> Option<f64> {
+    match *members {
+        [] => Some(0.0),
+        [(game, resolution)] => {
+            Some(-0.0 + model.gaugur.profiles.get(game).solo_fps_at(resolution))
+        }
+        _ => None,
+    }
+}
+
 /// A bounded map that forgets by generation instead of all at once.
 ///
 /// Inserts go to the young generation; once it holds half the capacity the
@@ -396,12 +410,13 @@ impl PredictionMemo {
         }
     }
 
-    /// Memoized summed FPS of every member of `members` together. Member
-    /// predictions funnel through [`predict`](PredictionMemo::predict), so
-    /// the per-member entries stay shared with `Predict` requests.
+    /// Memoized summed FPS of every member of `members` together; an empty
+    /// or lone colocation is answered in closed form, with no memo traffic.
+    /// Member predictions funnel through [`predict`](PredictionMemo::predict),
+    /// so the per-member entries stay shared with `Predict` requests.
     pub fn colocation_sum(&self, model: &LoadedModel, qos: f64, members: &[Placement]) -> f64 {
-        if members.is_empty() {
-            return 0.0;
+        if let Some(sum) = closed_form_sum(model, members) {
+            return sum;
         }
         let key = sum_key(model.version, members);
         if let Some(hit) = key.and_then(|key| self.sums.lock().get(&key)) {
@@ -427,11 +442,11 @@ impl PredictionMemo {
     }
 
     /// [`colocation_sums`](PredictionMemo::colocation_sums) only if it takes
-    /// no model evaluation: with every non-empty colocation of `batch`
-    /// resident, write the sums into `out` and return `true`; at the first
-    /// one that is not, return `false` with `out` unspecified. Counts the
-    /// hits of a complete answer only — an abandoned pass is not a lookup
-    /// the caller gets to use.
+    /// no model evaluation: with every colocation of two or more members in
+    /// `batch` resident, write the sums into `out` and return `true`; at the
+    /// first one that is not, return `false` with `out` unspecified. Counts
+    /// the hits of a complete answer only — an abandoned pass is not a
+    /// lookup the caller gets to use.
     pub fn resident_colocation_sums(
         &self,
         model: &LoadedModel,
@@ -440,13 +455,14 @@ impl PredictionMemo {
     ) -> bool {
         out.clear();
         let mut hits = 0;
-        let mut sums = self.sums.lock();
+        let mut sums = None;
         for i in 0..batch.len() {
             let members = batch.members(i);
-            if members.is_empty() {
-                out.push(0.0);
+            if let Some(sum) = closed_form_sum(model, members) {
+                out.push(sum);
                 continue;
             }
+            let sums = sums.get_or_insert_with(|| self.sums.lock());
             match sum_key(model.version, members).and_then(|key| sums.get(&key)) {
                 Some(hit) => {
                     hits += 1;
@@ -465,8 +481,9 @@ impl PredictionMemo {
     /// all misses are assembled into one [`DegradationBatch`] query plan and
     /// answered by a single fused model call through `scratch` — with no
     /// memo lock held, so workers evaluate side by side and meet again only
-    /// to insert. Bit-identical to the scalar path, including the `-0.0`
-    /// empty-set sum identity.
+    /// to insert. Empty and lone colocations are answered in closed form,
+    /// as in the scalar path. Bit-identical to the scalar path, including
+    /// the `-0.0` sum identity.
     ///
     /// [`colocation_sum`]: PredictionMemo::colocation_sum
     /// [`DegradationBatch`]: gaugur_core::DegradationBatch
@@ -483,14 +500,14 @@ impl PredictionMemo {
         miss_at.clear();
         scratch.queries.clear();
         {
-            let mut sums = self.sums.lock();
+            let mut sums = None;
             for (i, slot) in out.iter_mut().enumerate() {
                 let members = batch.members(i);
-                if members.is_empty() {
-                    // `out[i]` stays 0.0, matching the scalar early return
-                    // (which touches neither the memo nor the counters).
+                if let Some(sum) = closed_form_sum(model, members) {
+                    *slot = sum;
                     continue;
                 }
+                let sums = sums.get_or_insert_with(|| self.sums.lock());
                 match sum_key(model.version, members).and_then(|key| sums.get(&key)) {
                     Some(hit) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
@@ -499,10 +516,7 @@ impl PredictionMemo {
                     None => {
                         self.misses.fetch_add(1, Ordering::Relaxed);
                         miss_at.push(i);
-                        // A lone member has no co-runners and takes no row.
-                        if members.len() > 1 {
-                            scratch.queries.push_colocation(members);
-                        }
+                        scratch.queries.push_colocation(members);
                     }
                 }
             }
@@ -522,13 +536,7 @@ impl PredictionMemo {
                 let mut sum = -0.0;
                 for &(id, res) in members {
                     let solo = model.gaugur.profiles.get(id).solo_fps_at(res);
-                    // The scalar path serves a lone member its solo FPS
-                    // without consulting the model.
-                    sum += if members.len() == 1 {
-                        solo
-                    } else {
-                        rows.next().expect("a row per member of a pair or more") * solo
-                    };
+                    sum += rows.next().expect("a row per member") * solo;
                 }
                 if let Some(key) = sum_key(model.version, members) {
                     sums.insert(key, sum);
@@ -540,7 +548,8 @@ impl PredictionMemo {
     }
 
     /// Predict through the memo. Returns the prediction and whether it was
-    /// served from cache.
+    /// served from cache (never, for a target with no co-runners: that
+    /// answer is the solo FPS, computed in closed form).
     pub fn predict(
         &self,
         model: &LoadedModel,
@@ -578,8 +587,9 @@ impl PredictionMemo {
         })
     }
 
-    /// A co-runner set too large for a key (only a wire `Predict` can name
-    /// one) is answered straight from the model: no entry, no counters.
+    /// A target with no co-runners is answered in closed form and a
+    /// co-runner set too large for a key (only a wire `Predict` can name
+    /// one) straight from the model: neither takes an entry or a count.
     fn predict_inner(
         &self,
         model: &LoadedModel,
@@ -588,8 +598,17 @@ impl PredictionMemo {
         others: &[Placement],
         degradation: impl FnOnce(&GAugur) -> f64,
     ) -> (Prediction, bool) {
-        let key = memo_key(model.version, qos, target, others);
         let solo = model.gaugur.profiles.get(target.0).solo_fps_at(target.1);
+        if others.is_empty() {
+            // Solo: no interference, no model involved.
+            let prediction = Prediction {
+                feasible: solo >= qos,
+                degradation: 1.0,
+                fps: solo,
+            };
+            return (prediction, false);
+        }
+        let key = memo_key(model.version, qos, target, others);
         if let Some(hit) = key.and_then(|key| self.map.lock().get(&key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             let prediction = Prediction {
@@ -599,20 +618,11 @@ impl PredictionMemo {
             };
             return (prediction, true);
         }
-        let prediction = if others.is_empty() {
-            // Solo: no interference, no model involved.
-            Prediction {
-                feasible: solo >= qos,
-                degradation: 1.0,
-                fps: solo,
-            }
-        } else {
-            let degradation = degradation(&model.gaugur);
-            Prediction {
-                feasible: model.gaugur.predict_qos(qos, target, others),
-                degradation,
-                fps: degradation * solo,
-            }
+        let degradation = degradation(&model.gaugur);
+        let prediction = Prediction {
+            feasible: model.gaugur.predict_qos(qos, target, others),
+            degradation,
+            fps: degradation * solo,
         };
         if let Some(key) = key {
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -797,6 +807,56 @@ mod tests {
         let solo = model.gaugur.profiles.get(t.0).solo_fps_at(t.1);
         assert_eq!(p.fps, solo);
         assert_eq!(p.feasible, solo >= 30.0);
+    }
+
+    /// Lone sums and solo predictions are closed forms: the bits the miss
+    /// path used to compute (`-0.0 + solo`; degradation 1.0, the solo FPS
+    /// and the floor judged against it) through every entry point, with
+    /// the counters and both tables left where they were.
+    #[test]
+    fn lone_sums_and_solo_predictions_never_touch_the_memo() {
+        let handle = ModelHandle::from_model(tiny_model());
+        let model = handle.get();
+        let memo = PredictionMemo::new(1024);
+        let mut scratch = PredictScratch::new();
+        // Ordinary traffic first, so there is something not to move.
+        let pair = [
+            (GameId(0), Resolution::Fhd1080),
+            (GameId(1), Resolution::Hd720),
+        ];
+        let _ = memo.colocation_sum(&model, 60.0, &pair);
+        let state = |memo: &PredictionMemo| (memo.counts(), memo.len(), memo.sums.lock().len());
+        let before = state(&memo);
+        assert_eq!(before, ((0, 3), 2, 1));
+
+        let mut batch = ColocationBatch::new();
+        let mut out = Vec::new();
+        for profile in model.gaugur.profiles.sorted() {
+            for res in gaugur_gamesim::game::ALL_RESOLUTIONS {
+                let lone = (profile.id, res);
+                let solo = profile.solo_fps_at(res);
+                let sum = (-0.0 + solo).to_bits();
+                assert_eq!(memo.colocation_sum(&model, 60.0, &[lone]).to_bits(), sum);
+                batch.clear();
+                batch.push(&[lone]);
+                batch.push(&[]);
+                let sums = [sum, 0.0f64.to_bits()];
+                memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
+                assert_eq!(out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), sums);
+                assert!(memo.resident_colocation_sums(&model, &batch, &mut out));
+                assert_eq!(out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), sums);
+                for qos in [0.0, 30.0, 60.0, solo, solo + 1.0] {
+                    let want = (solo >= qos, 1.0f64.to_bits(), solo.to_bits(), false);
+                    let scalar = memo.predict(&model, qos, lone, &[]);
+                    let batched = memo.predict_with(&model, qos, lone, &[], &mut scratch);
+                    for (p, cached) in [scalar, batched] {
+                        let got = (p.feasible, p.degradation.to_bits(), p.fps.to_bits(), cached);
+                        assert_eq!(got, want, "{lone:?} at {qos} FPS");
+                    }
+                }
+            }
+        }
+        assert_eq!(state(&memo), before);
     }
 
     /// Every ordered pair of distinct games, the newcomer first.
@@ -1032,13 +1092,14 @@ mod tests {
             );
         }
 
-        // A second pass hits the sum memo for every non-empty colocation;
-        // the empty one touches neither the memo nor the counters.
+        // A second pass hits the sum memo for the pair and the triple; the
+        // empty and the lone colocation touch neither the memo nor the
+        // counters.
         let (h0, m0) = batch_memo.counts();
         let mut again = Vec::new();
         batch_memo.colocation_sums(&model, &batch, &mut scratch, &mut again);
         let (h1, m1) = batch_memo.counts();
-        assert_eq!(h1 - h0, 3);
+        assert_eq!(h1 - h0, 2);
         assert_eq!(m1, m0);
         assert_eq!(out, again);
     }
@@ -1073,7 +1134,9 @@ mod tests {
             let direct = scalar_memo.colocation_sum(&model, 60.0, colocations[i]);
             assert_eq!(got.to_bits(), direct.to_bits(), "colocation {i}");
         }
-        assert_eq!(batch_memo.counts(), (0, 5));
+        // Only the two pairs are memo traffic; the lone members are
+        // answered in closed form.
+        assert_eq!(batch_memo.counts(), (0, 2));
     }
 
     #[test]

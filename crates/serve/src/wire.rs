@@ -174,7 +174,8 @@ pub enum Response {
         fps: f64,
         /// Version of the model that answered.
         model_version: u64,
-        /// Whether the answer came from the prediction memo.
+        /// Whether the answer came from the prediction memo (never for a
+        /// target with no co-runners: its answer is its solo FPS).
         cached: bool,
     },
     /// Answer to `ReportOutcome` / `ReportOutcomeBatch`.
