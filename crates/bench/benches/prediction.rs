@@ -8,7 +8,13 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gaugur_baselines::{InterferencePredictor, SigmoidPredictor, SmitePredictor, VbpPolicy};
 use gaugur_bench::ExperimentContext;
 use gaugur_core::{DegradationBatch, FeatureBuffer, GAugur, GAugurConfig, Placement};
-use gaugur_gamesim::Resolution;
+use gaugur_gamesim::rng::rng_for;
+use gaugur_gamesim::{GameId, Resolution};
+use gaugur_serve::wire::{Request, Response};
+use gaugur_serve::{DaemonConfig, ModelHandle, Reference, RowCounts};
+use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Batch sizes swept by the batched-vs-scalar comparison.
@@ -60,6 +66,90 @@ fn qos_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> f64 {
     ns
 }
 
+/// Shape of the `cold_place` replay: the ledger's `place_cold` workload
+/// (100 games at two resolutions on 64 servers, one shard) with its two
+/// connections' sessions, each living a mean 64 of its connection's
+/// arrivals, folded into one stream living a mean 128 arrivals.
+const COLD_SERVERS: usize = 64;
+const COLD_GAMES: u32 = 100;
+const COLD_LIFETIME: f64 = 128.0;
+const COLD_SEED: u64 = 7;
+/// Arrivals before the counted ones: the fleet and the memo fill up.
+const COLD_WARMUP: u64 = 1_000;
+const COLD_ARRIVALS: u64 = 4_000;
+
+/// What one `cold_place` replay measured over its counted arrivals.
+struct ColdPlace {
+    ns_per_place: f64,
+    candidates_per_place: f64,
+    rows: RowCounts,
+    places: u64,
+}
+
+/// A fixed-seed serial replay of `place_cold`-shaped traffic through
+/// [`Reference`] — the daemon's placement path, one request at a time, no
+/// socket and no threads: model work and memo traffic only. Counts are
+/// exact and repeat; the time is the host's.
+fn cold_place(model: &GAugur) -> ColdPlace {
+    let config = DaemonConfig {
+        n_servers: COLD_SERVERS,
+        shards: 1,
+        ..DaemonConfig::default()
+    };
+    let mut reference = Reference::new(&config, ModelHandle::from_model(model.clone()).get())
+        .expect("a non-empty fleet");
+    let mut rng = rng_for(COLD_SEED, &[0xC01D]);
+    let mut departures: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+    let (mut rows, mut probes, mut started) = (RowCounts::default(), 0, Instant::now());
+    for arrival in 0..COLD_WARMUP + COLD_ARRIVALS {
+        if arrival == COLD_WARMUP {
+            rows = reference.memo().row_counts();
+            probes = reference.score_counts().iter().map(|(h, m)| h + m).sum();
+            started = Instant::now();
+        }
+        while departures
+            .peek()
+            .is_some_and(|Reverse((due, _))| *due <= arrival)
+        {
+            let Reverse((_, session)) = departures.pop().expect("peeked");
+            reference.handle(&Request::Depart { session });
+        }
+        let game = GameId(rng.gen_range(0..COLD_GAMES));
+        let resolution = [Resolution::Hd720, Resolution::Fhd1080][rng.gen_range(0..2usize)];
+        let lifetime = (-COLD_LIFETIME * (1.0 - rng.gen::<f64>()).ln())
+            .ceil()
+            .max(1.0);
+        if let Response::Placed { session, .. } =
+            reference.handle(&Request::Place { game, resolution })
+        {
+            departures.push(Reverse((arrival + lifetime as u64, session)));
+        }
+    }
+    let ns = started.elapsed().as_nanos() as f64;
+    let end = reference.memo().row_counts();
+    let probed: u64 = reference.score_counts().iter().map(|(h, m)| h + m).sum();
+    let places = COLD_ARRIVALS;
+    let cold = ColdPlace {
+        ns_per_place: ns / places as f64,
+        candidates_per_place: (probed - probes) as f64 / places as f64,
+        rows: RowCounts {
+            first_stage: end.first_stage - rows.first_stage,
+            second_stage: end.second_stage - rows.second_stage,
+            whole: end.whole - rows.whole,
+        },
+        places,
+    };
+    eprintln!(
+        "cold_place: {:.0} ns/place, {:.1} candidates/place, per place {:.2} rows stopped \
+         after stage 1, {:.2} through all trees",
+        cold.ns_per_place,
+        cold.candidates_per_place,
+        cold.rows.stopped() as f64 / places as f64,
+        cold.rows.through_all_trees() as f64 / places as f64,
+    );
+    cold
+}
+
 /// Time the scalar loop against the fused batch path at each batch size.
 /// Returns `(batch size, scalar ns/query, batch ns/query)` rows.
 fn batch_vs_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> Vec<(usize, f64, f64)> {
@@ -107,7 +197,7 @@ fn batch_vs_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> Vec<(usize, f64,
 }
 
 /// Write the machine-readable report the CI gate checks for.
-fn emit_report(results: &[(usize, f64, f64)], qos_ns: f64) {
+fn emit_report(results: &[(usize, f64, f64)], qos_ns: f64, cold: &ColdPlace) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prediction.json");
     let mut rows = String::new();
     for (i, &(n, scalar_ns, batch_ns)) in results.iter().enumerate() {
@@ -120,12 +210,24 @@ fn emit_report(results: &[(usize, f64, f64)], qos_ns: f64) {
             scalar_ns / batch_ns.max(1e-9)
         ));
     }
+    let per_place = |rows: u64| rows as f64 / cold.places as f64;
     let json = format!(
         "{{\n  \"benchmark\": \"prediction\",\n  \"unit\": \"ns/query\",\n  \
          {},\n  \"results\": [{rows}\n  ],\n  \
          \"predict_qos\": {{\"floor_fps\": {QOS_FLOOR:.1}, \"queries\": {QOS_QUERIES}, \
-         \"scalar_ns_per_query\": {qos_ns:.1}}}\n}}\n",
-        gaugur_bench::host_fields()
+         \"scalar_ns_per_query\": {qos_ns:.1}}},\n  \
+         \"cold_place\": {{\"seed\": {COLD_SEED}, \"servers\": {COLD_SERVERS}, \
+         \"places\": {}, \"ns_per_place\": {:.0}, \"candidates_per_place\": {:.2}, \
+         \"rows_stopped_after_stage_1_per_place\": {:.3}, \
+         \"rows_through_all_trees_per_place\": {:.3}, \
+         \"rows_second_stage_per_place\": {:.3}}}\n}}\n",
+        gaugur_bench::host_fields(),
+        cold.places,
+        cold.ns_per_place,
+        cold.candidates_per_place,
+        per_place(cold.rows.stopped()),
+        per_place(cold.rows.through_all_trees()),
+        per_place(cold.rows.second_stage),
     );
     std::fs::write(path, json).expect("write BENCH_prediction.json");
     eprintln!("wrote {path}");
@@ -148,7 +250,21 @@ fn bench(c: &mut Criterion) {
     ];
     let members: Vec<Placement> = std::iter::once(target).chain(others.clone()).collect();
 
-    emit_report(&batch_vs_scalar(&ctx, &gaugur), qos_scalar(&ctx, &gaugur));
+    // The ledger's model: the paper's 100-game catalog, 60 training
+    // colocations, the default configuration.
+    let ledger = ExperimentContext::with_scale(1, 100, 72, 16, 16, 60);
+    let ledger_model = GAugur::from_measurements(
+        ledger.profiles.clone(),
+        &ledger.train,
+        GAugurConfig::default(),
+    );
+    let cold = cold_place(&ledger_model);
+    drop((ledger, ledger_model));
+    emit_report(
+        &batch_vs_scalar(&ctx, &gaugur),
+        qos_scalar(&ctx, &gaugur),
+        &cold,
+    );
 
     let mut g = c.benchmark_group("online_prediction");
     g.bench_function("gaugur_cm_qos", |b| {

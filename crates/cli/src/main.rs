@@ -244,6 +244,16 @@ fn inspect(opts: &HashMap<String, String>) {
         prefix_line(gaugur.rm_prefix_stats())
     );
     println!(
+        "RM stages:         {}",
+        match gaugur.rm_prefix_stats() {
+            Some(s) => format!(
+                "trees 0..{} then {}..{}; second-stage ceilings {} bytes",
+                s.stage_one_trees, s.stage_one_trees, s.trees, s.ceiling_bytes
+            ),
+            None => "one (node walk)".to_string(),
+        }
+    );
+    println!(
         "CM ({}):  {}",
         gaugur.config.cm_algorithm,
         gaugur.cm.hyperparameters()

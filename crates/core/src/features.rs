@@ -172,7 +172,8 @@ pub fn cm_width(granularity: usize) -> usize {
 /// `WorkerState` in the serving daemon, stack-local elsewhere); the
 /// predictor borrows it for the duration of one batch call and leaves its
 /// capacity behind for the next call. Nothing in it is meaningful between
-/// calls.
+/// calls, except what a first scoring stage leaves for the second
+/// ([`crate::InterferencePredictor::bound_degradation_batch`]).
 #[derive(Debug, Default)]
 pub struct FeatureBuffer {
     /// Gathered intensity vectors of one colocation.
@@ -183,6 +184,9 @@ pub struct FeatureBuffer {
     /// Leaf bitvectors of one block of rows, started from their targets'
     /// prefixes.
     pub(crate) bits: Vec<u32>,
+    /// Each row's leaf sum after the RM's first stage, which its second
+    /// stage continues.
+    pub(crate) partials: Vec<f64>,
     /// Standardized copy of a feature row (SVM models only).
     pub(crate) scaled: Vec<f64>,
     /// Materialized co-runner sets for the scalar fallback path.

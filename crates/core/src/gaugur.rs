@@ -12,7 +12,7 @@ use crate::features::{
     AGGREGATE_INTENSITY_WIDTH, CM_HEAD_WIDTH,
 };
 use crate::model::{Algorithm, ClassificationModel, RegressionModel};
-use crate::prefix::{PrefixStats, TargetPrefixes};
+use crate::prefix::{PrefixStats, TargetPrefixes, STAGE_ONE_TREES};
 use crate::profile::{PartialProfile, Profiler, ProfilingConfig};
 use crate::train::{
     build_cm_samples, build_rm_samples, measure_colocations, plan_colocations, to_dataset,
@@ -157,10 +157,18 @@ impl GAugur {
         rm: Arc<RegressionModel>,
         config: GAugurConfig,
     ) -> GAugur {
-        let prefixes =
-            |table, fixed_from| Arc::new(TargetPrefixes::build(table, fixed_from, &profiles));
-        let rm_prefixes = rm.split_table().map(|table| prefixes(table, 0));
-        let cm_prefixes = cm.split_table().map(|table| prefixes(table, CM_HEAD_WIDTH));
+        let prefixes = |table, fixed_from, stage_one| {
+            Arc::new(TargetPrefixes::build(
+                table, fixed_from, stage_one, &profiles,
+            ))
+        };
+        let rm_prefixes = rm
+            .split_table()
+            .map(|table| prefixes(table, 0, STAGE_ONE_TREES));
+        // The CM is one stage: nothing reads its bounds.
+        let cm_prefixes = cm
+            .split_table()
+            .map(|table| prefixes(table, CM_HEAD_WIDTH, usize::MAX));
         GAugur {
             profiles,
             cm,

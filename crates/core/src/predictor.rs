@@ -25,6 +25,7 @@ use crate::features::{
 };
 use crate::gaugur::GAugur;
 use crate::train::Placement;
+use std::ops::Range;
 
 /// One co-runner span inside a [`DegradationBatch`]: `len` placements
 /// starting at `start` in the pool, with `skip` (an index *within the
@@ -166,6 +167,83 @@ pub trait InterferencePredictor: Sync {
         }
         scratch.others = others;
     }
+
+    /// The first of two stages answering `batch`: one value per query in
+    /// `out` (cleared first), in query order — an upper bound on the
+    /// query's degradation ratio, compared as `f64` (NaN bounds nothing),
+    /// or, when this returns `true`, the ratio itself.
+    /// [`finish_degradation_batch`] then gives the exact ratio of any query
+    /// from what this left in `scratch`. A caller that can tell from the
+    /// bound that a query's ratio cannot matter skips the second stage.
+    ///
+    /// The default has one stage: [`predict_degradation_batch`], exact.
+    ///
+    /// [`finish_degradation_batch`]: InterferencePredictor::finish_degradation_batch
+    /// [`predict_degradation_batch`]: InterferencePredictor::predict_degradation_batch
+    fn bound_degradation_batch(
+        &self,
+        batch: &DegradationBatch,
+        scratch: &mut FeatureBuffer,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        self.predict_degradation_batch(batch, scratch, out);
+        true
+    }
+
+    /// The second stage: the degradation ratios of queries `queries` of
+    /// `batch`, one per query into `out`, after a
+    /// [`bound_degradation_batch`] of the same batch through the same
+    /// `scratch` returned `false` (and nothing used the scratch since).
+    /// Bit-identical to [`predict_degradation`]; the default calls it
+    /// query by query.
+    ///
+    /// [`bound_degradation_batch`]: InterferencePredictor::bound_degradation_batch
+    /// [`predict_degradation`]: InterferencePredictor::predict_degradation
+    fn finish_degradation_batch(
+        &self,
+        batch: &DegradationBatch,
+        queries: Range<usize>,
+        scratch: &mut FeatureBuffer,
+        out: &mut [f64],
+    ) {
+        let mut others = std::mem::take(&mut scratch.others);
+        for (i, v) in queries.zip(out) {
+            batch.copy_others_into(i, &mut others);
+            *v = self.predict_degradation(batch.target(i), &others);
+        }
+        scratch.others = others;
+    }
+}
+
+impl GAugur {
+    /// Every query's RM features into `scratch.rows`, one row after
+    /// another, from one intensity gather per distinct colocation span: the
+    /// 15 `I_G` features with target prefixes, all 92 without.
+    fn gather_rows(&self, batch: &DegradationBatch, scratch: &mut FeatureBuffer) {
+        let FeatureBuffer {
+            intensities, rows, ..
+        } = scratch;
+        rows.clear();
+        if self.rm_prefixes.is_some() {
+            // Grown for the whole batch at once, not row by row.
+            rows.reserve(batch.len() * AGGREGATE_INTENSITY_WIDTH);
+        }
+        let mut gathered: Option<(usize, usize)> = None;
+        for i in 0..batch.len() {
+            let span = batch.span(i);
+            if gathered != Some((span.start, span.len)) {
+                intensities.clear();
+                for &(id, res) in batch.pool_slice(span) {
+                    intensities.push(self.profiles.get(id).intensity_at(res));
+                }
+                gathered = Some((span.start, span.len));
+            }
+            if self.rm_prefixes.is_none() {
+                flatten_sensitivity_into(self.profiles.get(batch.target(i).0), rows);
+            }
+            aggregate_excluding(intensities, span.skip, rows);
+        }
+    }
 }
 
 impl InterferencePredictor for GAugur {
@@ -199,33 +277,10 @@ impl InterferencePredictor for GAugur {
         if batch.is_empty() {
             return;
         }
+        self.gather_rows(batch, scratch);
         let FeatureBuffer {
-            intensities,
-            rows,
-            scaled,
-            bits,
-            ..
+            rows, scaled, bits, ..
         } = scratch;
-        rows.clear();
-        if self.rm_prefixes.is_some() {
-            // Grown for the whole batch at once, not row by row.
-            rows.reserve(batch.len() * AGGREGATE_INTENSITY_WIDTH);
-        }
-        let mut gathered: Option<(usize, usize)> = None;
-        for i in 0..batch.len() {
-            let span = batch.span(i);
-            if gathered != Some((span.start, span.len)) {
-                intensities.clear();
-                for &(id, res) in batch.pool_slice(span) {
-                    intensities.push(self.profiles.get(id).intensity_at(res));
-                }
-                gathered = Some((span.start, span.len));
-            }
-            if self.rm_prefixes.is_none() {
-                flatten_sensitivity_into(self.profiles.get(batch.target(i).0), rows);
-            }
-            aggregate_excluding(intensities, span.skip, rows);
-        }
         match &self.rm_prefixes {
             Some(prefixes) => {
                 prefixes.predict_rows(&batch.targets, rows, bits, out);
@@ -238,6 +293,64 @@ impl InterferencePredictor for GAugur {
                 let rows = rows.chunks_exact(width);
                 out.extend(rows.map(|row| self.rm.predict_into(row, scaled)));
             }
+        }
+    }
+
+    /// With target prefixes, the RM's first stage: each row's leaf sum over
+    /// its first 100 trees, kept in `scratch`, and its clamped bound —
+    /// monotone roundings of a bound on the raw sum, so `≥` the clamped
+    /// ratio. Without, one exact stage.
+    fn bound_degradation_batch(
+        &self,
+        batch: &DegradationBatch,
+        scratch: &mut FeatureBuffer,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        let Some(prefixes) = &self.rm_prefixes else {
+            self.predict_degradation_batch(batch, scratch, out);
+            return true;
+        };
+        out.clear();
+        self.gather_rows(batch, scratch);
+        let FeatureBuffer {
+            rows,
+            bits,
+            partials,
+            ..
+        } = scratch;
+        partials.clear();
+        prefixes.bound_rows(&batch.targets, rows, bits, partials, out);
+        for v in out.iter_mut() {
+            *v = self.rm.clamp(*v);
+        }
+        false
+    }
+
+    /// The RM's second stage, continuing each row's leaf sum from the
+    /// first: the same bits as [`GAugur::predict_degradation_batch`].
+    fn finish_degradation_batch(
+        &self,
+        batch: &DegradationBatch,
+        queries: Range<usize>,
+        scratch: &mut FeatureBuffer,
+        out: &mut [f64],
+    ) {
+        let prefixes = self
+            .rm_prefixes
+            .as_ref()
+            .expect("a two-stage answer comes from target prefixes");
+        let FeatureBuffer {
+            rows,
+            bits,
+            partials,
+            ..
+        } = scratch;
+        let free = &rows
+            [queries.start * AGGREGATE_INTENSITY_WIDTH..queries.end * AGGREGATE_INTENSITY_WIDTH];
+        let (targets, partials) = (&batch.targets[queries.clone()], &partials[queries]);
+        prefixes.finish_rows(targets, free, partials, bits, out);
+        for v in out.iter_mut() {
+            *v = self.rm.clamp(*v);
         }
     }
 }

@@ -3,7 +3,7 @@
 //! of their features.
 //!
 //! Number each tree's leaves left to right. A row's state is one `u32` per
-//! tree with a bit per leaf, every bit set at the start. A split whose test
+//! tree with a bit per leaf, every leaf's bit set at the start. A split whose test
 //! `x <= threshold` *fails* for the row clears the leaves under its left
 //! child. Once every split of every feature has been applied, the row's
 //! exit leaf in each tree is the lowest bit still set:
@@ -24,10 +24,19 @@
 //! features its rows share once and keep the state as a *prefix* that each
 //! row starts from.
 //!
-//! Bit-identity contract: [`SplitTable::predict`] adds the exit leaves'
-//! values in tree order onto `0.0` and returns `init + learning_rate · Σ`,
-//! which is what [`crate::GbrtRegressor`]'s node walk computes, and what
-//! [`crate::GbdtClassifier`]'s score is the [`crate::gbdt::sigmoid`] of.
+//! Bit-identity contract: [`SplitTable::sum_onto`] `0.0` adds the exit
+//! leaves' values in tree order, and [`SplitTable::output`] of that sum is
+//! `init + learning_rate · Σ`, which is what [`crate::GbrtRegressor`]'s
+//! node walk computes, and what [`crate::GbdtClassifier`]'s score is the
+//! [`crate::gbdt::sigmoid`] of.
+//!
+//! Staged evaluation: [`SplitTable::split_at`] cuts a table into its first
+//! trees and the rest. Summing the first table's exit leaves and then
+//! continuing the same running sum through the second is the whole sum,
+//! bit for bit. After the first stage, [`SplitTable::ceiling`] and
+//! [`SplitTable::bound`] bound what the second can still add, from the
+//! leaves a row's state leaves live — an exact upper bound in `f64`, so a
+//! caller that only needs to know a row cannot win can stop there.
 
 use crate::tree::{Node, Tree};
 
@@ -54,12 +63,14 @@ pub struct SplitTable {
     clears: Vec<Clear>,
     /// Tree `t`'s leaves, leftmost first, at `leaf_values[t * MAX_LEAVES..]`.
     leaf_values: Vec<f64>,
+    /// Tree `t`'s leaf bits: one per leaf it has, from bit 0.
+    leaf_bits: Vec<u32>,
     init: f64,
     learning_rate: f64,
 }
 
 impl SplitTable {
-    /// Rows whose exit leaves [`SplitTable::predict_rows`] adds up side by
+    /// Rows whose exit leaves [`SplitTable::sum_rows`] adds up side by
     /// side: independent sums in flight instead of one chain of dependent
     /// adds.
     pub const ROW_LANES: usize = 4;
@@ -71,11 +82,13 @@ impl SplitTable {
         // (feature, threshold, clear) of every split, in tree order.
         let mut splits: Vec<(usize, f64, Clear)> = Vec::new();
         let mut leaf_values = vec![0.0; trees.len() * MAX_LEAVES];
+        let mut leaf_bits = Vec::with_capacity(trees.len());
         let mut leaves = Vec::with_capacity(MAX_LEAVES);
         for (t, tree) in trees.iter().enumerate() {
             leaves.clear();
-            walk(tree.nodes(), 0, t as u32, &mut leaves, &mut splits)?;
+            let all = walk(tree.nodes(), 0, t as u32, &mut leaves, &mut splits)?;
             leaf_values[t * MAX_LEAVES..][..leaves.len()].copy_from_slice(&leaves);
+            leaf_bits.push(((1u64 << all.end) - 1) as u32);
         }
         splits.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
         let n_features = splits.last().map_or(0, |s| s.0 + 1);
@@ -91,20 +104,66 @@ impl SplitTable {
             thresholds: splits.iter().map(|s| s.1).collect(),
             clears: splits.iter().map(|s| s.2).collect(),
             leaf_values,
+            leaf_bits,
             init,
             learning_rate,
         })
     }
 
+    /// The table as two: trees `..at` and trees `at..` (`at` capped at the
+    /// tree count), each with this table's `init` and learning rate. A
+    /// row's state in either is its state here cut at tree `at`, so the
+    /// first table's [`SplitTable::sum_onto`] `0.0`, continued by the
+    /// second's onto that partial sum, is this table's sum bit for bit.
+    pub fn split_at(&self, at: usize) -> (SplitTable, SplitTable) {
+        let at = at.min(self.n_trees());
+        let part = |keep: &dyn Fn(u32) -> bool, first_tree: u32, trees: std::ops::Range<usize>| {
+            let mut starts = vec![0u32];
+            let (mut thresholds, mut clears) = (Vec::new(), Vec::new());
+            for f in 0..self.starts.len() - 1 {
+                let range = self.starts[f] as usize..self.starts[f + 1] as usize;
+                for (&t, &clear) in self.thresholds[range.clone()]
+                    .iter()
+                    .zip(&self.clears[range])
+                {
+                    if keep(clear.tree) {
+                        thresholds.push(t);
+                        clears.push(Clear {
+                            tree: clear.tree - first_tree,
+                            keep: clear.keep,
+                        });
+                    }
+                }
+                starts.push(thresholds.len() as u32);
+            }
+            SplitTable {
+                starts,
+                thresholds,
+                clears,
+                leaf_values: self.leaf_values[trees.start * MAX_LEAVES..trees.end * MAX_LEAVES]
+                    .to_vec(),
+                leaf_bits: self.leaf_bits[trees].to_vec(),
+                init: self.init,
+                learning_rate: self.learning_rate,
+            }
+        };
+        let n = self.n_trees();
+        let first = at as u32;
+        (
+            part(&|tree| tree < first, 0, 0..at),
+            part(&|tree| tree >= first, first, at..n),
+        )
+    }
+
     /// Number of trees: the length of a row's bitvector state.
     pub fn n_trees(&self) -> usize {
-        self.leaf_values.len() / MAX_LEAVES
+        self.leaf_bits.len()
     }
 
     /// The state of a row before any feature is applied: every leaf live.
     pub fn start(&self, bits: &mut Vec<u32>) {
         bits.clear();
-        bits.resize(self.n_trees(), u32::MAX);
+        bits.extend_from_slice(&self.leaf_bits);
     }
 
     /// Apply features `first..first + values.len()` of a row, valued
@@ -122,37 +181,103 @@ impl SplitTable {
         }
     }
 
-    /// `init + learning_rate · Σ_t` the exit leaf of tree `t`, summed in
-    /// tree order, for a row whose every feature has been applied to `bits`.
-    pub fn predict(&self, bits: &[u32]) -> f64 {
+    /// `start` plus each tree's exit leaf, added in tree order, for a row
+    /// whose every feature has been applied to `bits`.
+    pub fn sum_onto(&self, start: f64, bits: &[u32]) -> f64 {
         debug_assert_eq!(bits.len(), self.n_trees());
-        let mut sum = 0.0;
+        let mut sum = start;
         for (leaves, &live) in self.leaf_values.chunks_exact(MAX_LEAVES).zip(bits) {
             debug_assert!(live != 0, "a row's exit leaf is never cleared");
             sum += leaves[live.trailing_zeros() as usize % MAX_LEAVES];
         }
+        sum
+    }
+
+    /// The prediction of a row whose exit leaves sum to `sum`:
+    /// `init + learning_rate · sum`.
+    pub fn output(&self, sum: f64) -> f64 {
         self.init + self.learning_rate * sum
     }
 
-    /// [`SplitTable::predict`] of each of `rows` rows whose states lie back
-    /// to back in `bits`, appended to `out`. Blocks of [`Self::ROW_LANES`] rows
-    /// are summed side by side, each row still in tree order.
-    pub fn predict_rows(&self, rows: usize, bits: &[u32], out: &mut Vec<f64>) {
+    /// [`SplitTable::sum_onto`] of each row whose state lies back to back
+    /// in `bits`, onto and into its entry of `sums`. Blocks of
+    /// [`Self::ROW_LANES`] rows are summed side by side, each row still in
+    /// tree order.
+    pub fn sum_rows(&self, bits: &[u32], sums: &mut [f64]) {
         let n = self.n_trees();
-        debug_assert_eq!(bits.len(), rows * n);
-        let mut row = 0;
-        while rows - row >= Self::ROW_LANES {
-            let block = &bits[row * n..(row + Self::ROW_LANES) * n];
-            let mut sums = [0.0; Self::ROW_LANES];
+        debug_assert_eq!(bits.len(), sums.len() * n);
+        let done = sums.len() / Self::ROW_LANES * Self::ROW_LANES;
+        let mut blocks = sums.chunks_exact_mut(Self::ROW_LANES);
+        for (b, block) in blocks.by_ref().enumerate() {
+            let bits = &bits[b * Self::ROW_LANES * n..];
+            let mut lanes = [0.0; Self::ROW_LANES];
+            lanes.copy_from_slice(block);
             for (t, leaves) in self.leaf_values.chunks_exact(MAX_LEAVES).enumerate() {
-                for (l, sum) in sums.iter_mut().enumerate() {
-                    *sum += leaves[block[l * n + t].trailing_zeros() as usize % MAX_LEAVES];
+                for (l, sum) in lanes.iter_mut().enumerate() {
+                    *sum += leaves[bits[l * n + t].trailing_zeros() as usize % MAX_LEAVES];
                 }
             }
-            out.extend(sums.map(|sum| self.init + self.learning_rate * sum));
-            row += Self::ROW_LANES;
+            block.copy_from_slice(&lanes);
         }
-        out.extend((row..rows).map(|r| self.predict(&bits[r * n..(r + 1) * n])));
+        for (r, sum) in blocks.into_remainder().iter_mut().enumerate() {
+            *sum = self.sum_onto(*sum, &bits[(done + r) * n..(done + r + 1) * n]);
+        }
+    }
+
+    /// The relative rounding allowance of continuing a sum through this
+    /// table: `(n_trees + 4) · ε`, twice the `(n_trees + 4)` unit
+    /// roundoffs the argument at [`SplitTable::ceiling`] needs.
+    pub fn slack(&self) -> f64 {
+        (self.n_trees() + 4) as f64 * f64::EPSILON
+    }
+
+    /// A ceiling on what this table's exit leaves add to a running sum,
+    /// for a row whose state is `bits` or any state further features take
+    /// it to: for every start `p`, [`sum_onto`](SplitTable::sum_onto)`(p, ·)
+    /// <= p + ceiling + |p| · slack` in `f64`, and so
+    /// [`SplitTable::bound`]`(p, ceiling)` bounds the output.
+    ///
+    /// A row's exit leaf is one of the leaves still live in `bits`
+    /// (applying a feature only clears bits), so the tree adds at most the
+    /// largest of them, `m_t`, and at most `a_t` in magnitude. The ceiling
+    /// is `Σ m_t + 2·slack·Σ a_t + MIN_POSITIVE`, each sum in tree order.
+    /// Why that holds in floating point: with `u = ε/2` and `k` trees, the
+    /// recursive sum `sum_onto(p, ·)` is within `γ_k·(|p| + Σ a_t)` of the
+    /// real `p + Σ leaves ≤ p + Σ m_t` (γ_k = k·u/(1 − k·u)); the rounded
+    /// `Σ m_t` is within `γ_k·Σ a_t` of the real one; and the handful of
+    /// roundings in the ceiling and in the bound cost a few `u` more. A
+    /// slack of `2(k + 4)·u` per unit of `|p| + 2·Σ a_t` covers all of it
+    /// about twice over, and `MIN_POSITIVE` covers underflow. A NaN leaf
+    /// still live makes the ceiling NaN, which bounds nothing.
+    pub fn ceiling(&self, bits: &[u32]) -> f64 {
+        debug_assert_eq!(bits.len(), self.n_trees());
+        let (mut top, mut magnitude) = (0.0, 0.0);
+        for (leaves, &live) in self.leaf_values.chunks_exact(MAX_LEAVES).zip(bits) {
+            debug_assert!(live != 0, "a row's exit leaf is never cleared");
+            let (mut m, mut a, mut nan) = (f64::NEG_INFINITY, 0.0f64, false);
+            let mut rest = live;
+            while rest != 0 {
+                let v = leaves[rest.trailing_zeros() as usize];
+                rest &= rest - 1;
+                (m, a, nan) = (m.max(v), a.max(v.abs()), nan || v.is_nan());
+            }
+            top += if nan { f64::NAN } else { m };
+            magnitude += a;
+        }
+        top + 2.0 * magnitude * self.slack() + f64::MIN_POSITIVE
+    }
+
+    /// An upper bound on [`SplitTable::output`] of
+    /// [`SplitTable::sum_onto`]`(start, ·)` from a [`SplitTable::ceiling`]:
+    /// the output of `start + ceiling + |start| · slack`, summed in that
+    /// order. The output rises with the sum only for a positive learning
+    /// rate; for any other, and when `start` or `ceiling` is NaN, the bound
+    /// is NaN, which bounds nothing.
+    pub fn bound(&self, start: f64, ceiling: f64) -> f64 {
+        match self.learning_rate > 0.0 {
+            true => self.output(start + ceiling + start.abs() * self.slack()),
+            false => f64::NAN,
+        }
     }
 
     /// Splits on the features below `feature`.
@@ -174,6 +299,7 @@ impl SplitTable {
             + self.thresholds.len() * std::mem::size_of::<f64>()
             + self.clears.len() * std::mem::size_of::<Clear>()
             + self.leaf_values.len() * std::mem::size_of::<f64>()
+            + self.leaf_bits.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -247,7 +373,7 @@ mod tests {
             table.start(&mut bits);
             table.apply(0, &x[..k], &mut bits);
             table.apply(k, &x[k..], &mut bits);
-            let got = link(table.predict(&bits));
+            let got = link(table.output(table.sum_onto(0.0, &bits)));
             prop_assert_eq!(got.to_bits(), want.to_bits(), "prefix {} of {:?}", k, x);
         }
         Ok(())
@@ -334,13 +460,60 @@ mod tests {
                 all.extend_from_slice(&bits);
             }
             // Every row count: full blocks of lanes and every remainder.
-            let mut got = Vec::new();
+            let bits_of = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
             for rows in 0..=raw.len() {
-                got.clear();
-                table.predict_rows(rows, &all[..rows * table.n_trees()], &mut got);
-                let bits_of = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+                let mut sums = vec![0.0; rows];
+                table.sum_rows(&all[..rows * table.n_trees()], &mut sums);
+                let got: Vec<f64> = sums.iter().map(|&s| table.output(s)).collect();
                 prop_assert_eq!(bits_of(&got), bits_of(&want[..rows]), "{} rows", rows);
             }
+        }
+
+        /// At every cut, the first table's sum continued through the second
+        /// is the whole table's, row by row and in lanes; and after the
+        /// first stage and any prefix of the second's features, the
+        /// ceiling bounds what the second stage adds, whatever the row's
+        /// remaining features are.
+        #[test]
+        fn a_split_table_continues_the_sum_and_its_ceiling_bounds_it(
+            ys in proptest::collection::vec(-5.0f64..5.0, 12..40),
+            raw in probe_rows(),
+            seed in 0u64..1000,
+            max_depth in 0usize..6,
+            at in 0usize..20,
+            shared in 0usize..=WIDTH,
+        ) {
+            let gbrt = fit(&ys, &features(ys.len()), seed, max_depth);
+            let table = gbrt.split_table().expect("depth ≤ 5 fits 32 leaves");
+            let (head, tail) = table.split_at(at);
+            prop_assert_eq!(head.n_trees() + tail.n_trees(), table.n_trees());
+            prop_assert_eq!(head.n_splits() + tail.n_splits(), table.n_splits());
+            let (mut bits, mut all_head, mut all_tail, mut want) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for row in &raw {
+                let x = probe_row(row, &table.thresholds);
+                head.start(&mut bits);
+                head.apply(0, &x, &mut bits);
+                let partial = head.sum_onto(0.0, &bits);
+                all_head.extend_from_slice(&bits);
+                // The second stage's ceiling from the features rows share.
+                tail.start(&mut bits);
+                tail.apply(0, &x[..shared], &mut bits);
+                let ceiling = tail.ceiling(&bits);
+                tail.apply(shared, &x[shared..], &mut bits);
+                all_tail.extend_from_slice(&bits);
+                let sum = tail.sum_onto(partial, &bits);
+                let got = table.output(sum);
+                prop_assert_eq!(got.to_bits(), gbrt.predict(&x).to_bits());
+                let bound = tail.bound(partial, ceiling);
+                prop_assert!(got <= bound, "{} above its bound {}", got, bound);
+                want.push(sum);
+            }
+            let mut sums = vec![0.0; raw.len()];
+            head.sum_rows(&all_head, &mut sums);
+            tail.sum_rows(&all_tail, &mut sums);
+            let bits_of = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits_of(&sums), bits_of(&want));
         }
 
         #[test]
@@ -391,7 +564,8 @@ mod tests {
             table.start(&mut bits);
             table.apply(0, &[x], &mut bits);
             let want = 0.5 + 2.0 * tree.predict(&[x]);
-            assert_eq!(table.predict(&bits).to_bits(), want.to_bits(), "at {x}");
+            let got = table.output(table.sum_onto(0.0, &bits));
+            assert_eq!(got.to_bits(), want.to_bits(), "at {x}");
         }
         assert!(SplitTable::new(&[chain(2), chain(MAX_LEAVES + 1)], 0.0, 1.0).is_none());
     }

@@ -131,6 +131,34 @@ pub struct PredictScratch {
     pub values: Vec<f64>,
     /// General-purpose index scratch for implementations.
     pub indices: Vec<usize>,
+    /// Summed-FPS scratch for implementations.
+    pub sums: Vec<f64>,
+    /// After a two-stage [`FpsModel::bound_colocation_sums`]: where each
+    /// colocation's member queries start in `queries`, or [`NO_QUERIES`]
+    /// for one the first stage did not evaluate.
+    pub staged: Vec<usize>,
+}
+
+/// A colocation with no queries in [`PredictScratch::queries`].
+pub const NO_QUERIES: usize = usize::MAX;
+
+/// What the first scoring stage knows of one colocation's summed FPS.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SumBound {
+    /// The summed FPS itself.
+    Exact(f64),
+    /// An upper bound on it, compared as `f64`; NaN bounds nothing.
+    AtMost(f64),
+}
+
+impl SumBound {
+    /// The sum, when it is known exactly.
+    pub fn exact(self) -> Option<f64> {
+        match self {
+            SumBound::Exact(sum) => Some(sum),
+            SumBound::AtMost(_) => None,
+        }
+    }
 }
 
 impl PredictScratch {
@@ -172,20 +200,58 @@ pub trait FpsModel: Sync {
         out.extend((0..batch.len()).map(|i| self.predict_colocation_sum(batch.members(i))));
     }
 
-    /// [`predict_colocation_sums`](FpsModel::predict_colocation_sums) only
-    /// if it takes no model evaluation: a model that caches sums answers
-    /// the whole batch from its cache and returns `true`, or returns
-    /// `false` (with `out` unspecified) as soon as one sum is not resident,
-    /// so a caller holding a lock can release it before paying for the
-    /// evaluation. A model without a cache has nothing to wait for: the
-    /// default evaluates and returns `true`.
-    fn resident_colocation_sums(
+    /// The first of two scoring stages: for every colocation in `batch`,
+    /// written to `out` (cleared first) in batch order, its summed FPS or
+    /// an upper bound on it. [`finish_colocation_sum`] gives the exact sum
+    /// of any bounded one from what this leaves in `scratch`, so a caller
+    /// that can tell from a bound that a colocation cannot matter never
+    /// pays for it. The default has one stage: every sum exact, from one
+    /// [`predict_colocation_sums`](FpsModel::predict_colocation_sums) call.
+    ///
+    /// [`finish_colocation_sum`]: FpsModel::finish_colocation_sum
+    fn bound_colocation_sums(
         &self,
         batch: &ColocationBatch,
         scratch: &mut PredictScratch,
-        out: &mut Vec<f64>,
+        out: &mut Vec<SumBound>,
+    ) {
+        let mut sums = std::mem::take(&mut scratch.sums);
+        self.predict_colocation_sums(batch, scratch, &mut sums);
+        out.clear();
+        out.extend(sums.iter().map(|&sum| SumBound::Exact(sum)));
+        scratch.sums = sums;
+    }
+
+    /// The second stage: the exact summed FPS of colocation `i` of `batch`,
+    /// which the last [`bound_colocation_sums`] of this batch through this
+    /// `scratch` left bounded (finishing others in between is allowed).
+    /// Must equal [`predict_colocation_sum`] of its members, bit for bit.
+    ///
+    /// [`bound_colocation_sums`]: FpsModel::bound_colocation_sums
+    /// [`predict_colocation_sum`]: FpsModel::predict_colocation_sum
+    fn finish_colocation_sum(
+        &self,
+        batch: &ColocationBatch,
+        i: usize,
+        _scratch: &mut PredictScratch,
+    ) -> f64 {
+        self.predict_colocation_sum(batch.members(i))
+    }
+
+    /// [`bound_colocation_sums`](FpsModel::bound_colocation_sums) only if it
+    /// takes no model evaluation: a model that caches sums and bounds
+    /// answers the whole batch from its cache and returns `true`, or
+    /// returns `false` (with `out` unspecified) as soon as one colocation
+    /// has neither, so a caller holding a lock can release it before paying
+    /// for the evaluation. A model without a cache has nothing to wait for:
+    /// the default evaluates and returns `true`.
+    fn resident_colocation_bounds(
+        &self,
+        batch: &ColocationBatch,
+        scratch: &mut PredictScratch,
+        out: &mut Vec<SumBound>,
     ) -> bool {
-        self.predict_colocation_sums(batch, scratch, out);
+        self.bound_colocation_sums(batch, scratch, out);
         true
     }
 
@@ -231,16 +297,80 @@ pub fn predictor_colocation_sums<P: InterferencePredictor + ?Sized>(
     out.clear();
     let mut q = 0;
     for i in 0..batch.len() {
-        // -0.0 is `Iterator::sum::<f64>()`'s additive identity; starting
-        // from it keeps even the empty colocation bit-identical to the
-        // scalar `Σ predict_member_fps` path.
-        let mut sum = -0.0;
-        for &(id, res) in batch.members(i) {
-            sum += scratch.values[q] * profiles.get(id).solo_fps_at(res);
-            q += 1;
-        }
-        out.push(sum);
+        let members = batch.members(i);
+        out.push(member_sum(profiles, members, &scratch.values[q..]));
+        q += members.len();
     }
+}
+
+/// The two-stage counterpart of [`predictor_colocation_sums`]: one
+/// [`bound_degradation_batch`](InterferencePredictor::bound_degradation_batch)
+/// call over every member of every colocation, reduced per colocation to
+/// `Σ solo · bound` in member order. Degradation bounds are `≥` the ratios
+/// and solo frame rates are not negative, and a rounded product or sum
+/// never falls when an operand rises, so each colocation's bound is `≥` the
+/// sum [`predictor_colocation_sums`] computes from the exact ratios, bit
+/// for bit as `f64`. A predictor with one stage answers exactly.
+pub fn predictor_colocation_bounds<P: InterferencePredictor + ?Sized>(
+    predictor: &P,
+    profiles: &ProfileStore,
+    batch: &ColocationBatch,
+    scratch: &mut PredictScratch,
+    out: &mut Vec<SumBound>,
+) {
+    scratch.queries.clear();
+    scratch.staged.clear();
+    for i in 0..batch.len() {
+        scratch.staged.push(scratch.queries.len());
+        scratch.queries.push_colocation(batch.members(i));
+    }
+    let exact = predictor.bound_degradation_batch(
+        &scratch.queries,
+        &mut scratch.features,
+        &mut scratch.values,
+    );
+    out.clear();
+    for (i, &first) in scratch.staged.iter().enumerate() {
+        let sum = member_sum(profiles, batch.members(i), &scratch.values[first..]);
+        out.push(if exact {
+            SumBound::Exact(sum)
+        } else {
+            SumBound::AtMost(sum)
+        });
+    }
+}
+
+/// The second stage after [`predictor_colocation_bounds`]: colocation `i`'s
+/// member ratios from
+/// [`finish_degradation_batch`](InterferencePredictor::finish_degradation_batch),
+/// summed as [`predictor_colocation_sums`] sums them.
+pub fn predictor_finish_sum<P: InterferencePredictor + ?Sized>(
+    predictor: &P,
+    profiles: &ProfileStore,
+    batch: &ColocationBatch,
+    i: usize,
+    scratch: &mut PredictScratch,
+) -> f64 {
+    let members = batch.members(i);
+    let rows = scratch.staged[i]..scratch.staged[i] + members.len();
+    predictor.finish_degradation_batch(
+        &scratch.queries,
+        rows.clone(),
+        &mut scratch.features,
+        &mut scratch.values[rows.clone()],
+    );
+    member_sum(profiles, members, &scratch.values[rows])
+}
+
+/// `Σ ratio · solo` over `members`, in member order, onto `-0.0` —
+/// `Iterator::sum`'s additive identity, so even the empty colocation's sum
+/// has the scalar `Σ predict_member_fps` path's bits.
+pub fn member_sum(profiles: &ProfileStore, members: &[Placement], ratios: &[f64]) -> f64 {
+    let mut sum = -0.0;
+    for (&(id, res), ratio) in members.iter().zip(ratios) {
+        sum += ratio * profiles.get(id).solo_fps_at(res);
+    }
+    sum
 }
 
 /// GAugur's regression model as an FPS predictor.
@@ -264,6 +394,24 @@ impl FpsModel for GaugurRm<'_> {
         out: &mut Vec<f64>,
     ) {
         predictor_colocation_sums(self.0, &self.0.profiles, batch, scratch, out);
+    }
+
+    fn bound_colocation_sums(
+        &self,
+        batch: &ColocationBatch,
+        scratch: &mut PredictScratch,
+        out: &mut Vec<SumBound>,
+    ) {
+        predictor_colocation_bounds(self.0, &self.0.profiles, batch, scratch, out);
+    }
+
+    fn finish_colocation_sum(
+        &self,
+        batch: &ColocationBatch,
+        i: usize,
+        scratch: &mut PredictScratch,
+    ) -> f64 {
+        predictor_finish_sum(self.0, &self.0.profiles, batch, i, scratch)
     }
 
     fn model_name(&self) -> &'static str {
@@ -332,6 +480,24 @@ impl<P: InterferencePredictor + ?Sized> FpsModel for PredictorFps<'_, P> {
         out: &mut Vec<f64>,
     ) {
         predictor_colocation_sums(self.predictor, self.profiles, batch, scratch, out);
+    }
+
+    fn bound_colocation_sums(
+        &self,
+        batch: &ColocationBatch,
+        scratch: &mut PredictScratch,
+        out: &mut Vec<SumBound>,
+    ) {
+        predictor_colocation_bounds(self.predictor, self.profiles, batch, scratch, out);
+    }
+
+    fn finish_colocation_sum(
+        &self,
+        batch: &ColocationBatch,
+        i: usize,
+        scratch: &mut PredictScratch,
+    ) -> f64 {
+        predictor_finish_sum(self.predictor, self.profiles, batch, i, scratch)
     }
 
     fn model_name(&self) -> &'static str {

@@ -20,10 +20,23 @@
 //! nothing once the buffers have grown. [`select_server`] dispatches every
 //! [`Policy`] and sends `MaxPredictedFps` through it.
 //!
+//! The `after` sums come in two stages: one
+//! [`FpsModel::bound_colocation_sums`] call gives every candidate its sum
+//! or an upper bound on it, and only the candidates whose bound is not
+//! strictly below the best exact delta so far are finished
+//! ([`FpsModel::finish_colocation_sum`]), best bound first. A skipped
+//! candidate's delta is strictly below a finished one's, so the choice and
+//! its bits are the same as with every candidate finished. A model with
+//! one stage (the default) answers every sum exactly in the first.
+//!
 //! [`select_server_if_resident`] is the same scorer for a caller that scores
 //! under a lock: it completes only if the model answers every candidate
-//! from its cache, and otherwise hands the candidates back so the caller
-//! can evaluate them with the lock released and then select for real.
+//! from its cache, with its sum or with a bound strictly below the best
+//! exact delta, and otherwise hands the candidates back so the caller can
+//! evaluate both stages with the lock released and then select for real.
+//! Under the lock run the cache lookups, the score-cache reads and the
+//! decision; the model runs there only for a `before` sum neither cache
+//! holds.
 //!
 //! Empty servers are one candidate: the highest-index one. Every empty
 //! server has the same `before` (the empty sum) and the same `after` (the
@@ -40,7 +53,7 @@
 
 use crate::dynamic::Policy;
 use crate::maxfps::MAX_PER_SERVER;
-use crate::{ColocationBatch, FpsModel, PredictScratch};
+use crate::{ColocationBatch, FpsModel, PredictScratch, SumBound};
 use gaugur_core::Placement;
 use gaugur_gamesim::GameId;
 use std::cell::RefCell;
@@ -136,18 +149,18 @@ impl ScoreCache {
         (self.hits, self.misses)
     }
 
-    /// The server's cached sum under `version`, counting a hit; `None`
-    /// counts a miss and the caller is expected to compute and
-    /// [`store`](ScoreCache::store) it.
-    fn probe(&mut self, server: usize, version: u64) -> Option<f64> {
-        if let Some((v, sum)) = self.sums[server] {
-            if v == version {
-                self.hits += 1;
-                return Some(sum);
-            }
-        }
-        self.misses += 1;
-        None
+    /// The server's cached sum under `version`. A read counts nothing by
+    /// itself: a pass that completes counts its reads with
+    /// [`count`](ScoreCache::count), and the caller is expected to compute
+    /// and [`store`](ScoreCache::store) each sum that was not there.
+    fn peek(&self, server: usize, version: u64) -> Option<f64> {
+        self.sums[server].and_then(|(v, sum)| (v == version).then_some(sum))
+    }
+
+    /// Count `hits` reads that found a sum and `misses` that did not.
+    fn count(&mut self, hits: usize, misses: usize) {
+        self.hits += hits as u64;
+        self.misses += misses as u64;
     }
 
     /// Record a server's summed FPS under `version` (freshly computed, or
@@ -204,10 +217,18 @@ pub struct Selection {
 pub struct PlacementScratch {
     eligible: Vec<usize>,
     befores: Vec<f64>,
-    afters: Vec<f64>,
+    /// Candidates whose `before` the score cache did not hold, and their
+    /// colocations.
     miss_at: Vec<usize>,
-    coloc: ColocationBatch,
+    missing: ColocationBatch,
+    /// Whether `befores` holds the sums of `miss_at` yet.
+    missing_evaluated: bool,
+    /// Every candidate's colocation extended by the request.
+    extended: ColocationBatch,
+    afters: Vec<SumBound>,
     sums: Vec<f64>,
+    /// Bounded candidates, best bound first.
+    order: Vec<usize>,
     /// Scratch threaded into the model's batched scoring; also usable by
     /// callers for their own batched predictions between selections.
     pub predict: PredictScratch,
@@ -247,17 +268,64 @@ impl PlacementScratch {
         !self.eligible.is_empty()
     }
 
-    /// Fill `coloc` with every eligible server's colocation extended by
+    /// Fill `extended` with every eligible server's colocation extended by
     /// `request`: the batch the `after` sums are asked for.
     fn queue_extended<V: OccupancyView + ?Sized>(&mut self, occupancy: &V, request: Placement) {
-        self.coloc.clear();
+        self.extended.clear();
         for &s in &self.eligible {
-            self.coloc.push_extended(occupancy.members(s), request);
+            self.extended.push_extended(occupancy.members(s), request);
+        }
+    }
+
+    /// Fill `befores` from the score cache, noting the candidates it holds
+    /// no sum for in `miss_at` and their colocations in `missing`.
+    fn read_befores<V: OccupancyView + ?Sized>(
+        &mut self,
+        occupancy: &V,
+        model_version: u64,
+        cache: &ScoreCache,
+    ) {
+        self.befores.clear();
+        self.befores.resize(self.eligible.len(), 0.0);
+        self.miss_at.clear();
+        self.missing.clear();
+        self.missing_evaluated = false;
+        for (i, &s) in self.eligible.iter().enumerate() {
+            match cache.peek(s, model_version) {
+                Some(sum) => self.befores[i] = sum,
+                None => {
+                    self.miss_at.push(i);
+                    self.missing.push(occupancy.members(s));
+                }
+            }
+        }
+    }
+
+    /// Evaluate the `before` sums [`read_befores`](Self::read_befores) found
+    /// missing, in one batch call, once.
+    fn evaluate_befores(&mut self, model: &dyn FpsModel) {
+        if self.missing_evaluated || self.miss_at.is_empty() {
+            return;
+        }
+        model.predict_colocation_sums(&self.missing, &mut self.predict, &mut self.sums);
+        for (&i, &sum) in self.miss_at.iter().zip(&self.sums) {
+            self.befores[i] = sum;
+        }
+        self.missing_evaluated = true;
+    }
+
+    /// Count the reads of the pass that completes as the score cache's hits
+    /// and misses, and store the sums it evaluated for the misses.
+    fn commit_befores(&mut self, model_version: u64, cache: &mut ScoreCache) {
+        debug_assert!(self.missing_evaluated || self.miss_at.is_empty());
+        cache.count(self.eligible.len() - self.miss_at.len(), self.miss_at.len());
+        for &i in &self.miss_at {
+            cache.store(self.eligible[i], model_version, self.befores[i]);
         }
     }
 
     /// Fill `befores`: in steady state these are cache reads; the misses
-    /// are gathered into one batch call.
+    /// are gathered into one batch call and stored.
     fn fill_befores<V: OccupancyView + ?Sized>(
         &mut self,
         occupancy: &V,
@@ -265,52 +333,103 @@ impl PlacementScratch {
         model_version: u64,
         cache: &mut ScoreCache,
     ) {
-        self.befores.clear();
-        self.befores.resize(self.eligible.len(), 0.0);
-        self.miss_at.clear();
-        self.coloc.clear();
-        for (i, &s) in self.eligible.iter().enumerate() {
-            match cache.probe(s, model_version) {
-                Some(sum) => self.befores[i] = sum,
-                None => {
-                    self.miss_at.push(i);
-                    self.coloc.push(occupancy.members(s));
+        self.read_befores(occupancy, model_version, cache);
+        self.evaluate_befores(model);
+        self.commit_befores(model_version, cache);
+    }
+
+    /// The second scoring stage over filled `befores` and `afters`: visit
+    /// the bounded candidates by descending bound on their delta and finish
+    /// each through `model` unless its bound is strictly below the best
+    /// exact delta so far. A candidate left bounded then has a delta below
+    /// a finished one, so the argmax over the exact candidates is the
+    /// argmax over all of them — the same server, and the same bits, as if
+    /// every candidate had been finished. With no `model` nothing is
+    /// evaluated, and the return says whether nothing needed to be.
+    fn finish_candidates(&mut self, model: Option<&dyn FpsModel>) -> bool {
+        // Strictly below, as numbers; `max` passes over a NaN: a candidate
+        // is skipped only below a number some exact delta is.
+        let below = |delta: f64, best: f64| delta < best;
+        // The best exact delta, the highest bound, and whether one is NaN.
+        let (mut best, mut top, mut nan) = (f64::NEG_INFINITY, f64::NEG_INFINITY, false);
+        for (after, before) in self.afters.iter().zip(&self.befores) {
+            let (sum, exact) = match *after {
+                SumBound::Exact(sum) => (sum, true),
+                SumBound::AtMost(bound) => (bound, false),
+            };
+            let delta = sum - before;
+            best = best.max(if exact { delta } else { f64::NEG_INFINITY });
+            top = top.max(if exact { f64::NEG_INFINITY } else { delta });
+            nan |= !exact & delta.is_nan();
+        }
+        // The best only rises, so a bound below it now stays below.
+        if !nan && below(top, best) {
+            return true;
+        }
+        // Only the others are ordered and visited, each checked one by one,
+        // not cut off at the first: a NaN, which never compares below, may
+        // sort anywhere.
+        let (afters, befores) = (&mut self.afters, &self.befores);
+        let bound = |after: SumBound, before: f64| match after {
+            SumBound::Exact(sum) | SumBound::AtMost(sum) => sum - before,
+        };
+        self.order.clear();
+        self.order.extend((0..afters.len()).filter(|&i| {
+            afters[i].exact().is_none() && !below(bound(afters[i], befores[i]), best)
+        }));
+        let order = &mut self.order;
+        order.sort_by(|&a, &b| {
+            bound(afters[b], befores[b]).total_cmp(&bound(afters[a], befores[a]))
+        });
+        for &i in &self.order {
+            if below(bound(afters[i], befores[i]), best) {
+                continue;
+            }
+            let Some(model) = model else {
+                return false;
+            };
+            let sum = model.finish_colocation_sum(&self.extended, i, &mut self.predict);
+            afters[i] = SumBound::Exact(sum);
+            best = best.max(sum - befores[i]);
+        }
+        true
+    }
+
+    /// The delta-greedy argmax over the finished candidates — ties to the
+    /// later index, as `max_by` breaks them — stored into `cache` under the
+    /// admit contract.
+    fn pick(&self, model_version: u64, cache: &mut ScoreCache) -> Selection {
+        let mut best: Option<(usize, f64, f64)> = None;
+        for (i, (after, &before)) in self.afters.iter().zip(&self.befores).enumerate() {
+            if let SumBound::Exact(after) = *after {
+                let delta = after - before;
+                if best.is_none_or(|(_, top, _)| delta.total_cmp(&top).is_ge()) {
+                    best = Some((i, delta, after));
                 }
             }
         }
-        if !self.miss_at.is_empty() {
-            model.predict_colocation_sums(&self.coloc, &mut self.predict, &mut self.sums);
-            for (k, &i) in self.miss_at.iter().enumerate() {
-                self.befores[i] = self.sums[k];
-                cache.store(self.eligible[i], model_version, self.sums[k]);
-            }
-        }
-    }
-
-    /// The delta-greedy argmax over filled `befores` and `afters`, stored
-    /// into `cache` under the admit contract.
-    fn pick(&self, model_version: u64, cache: &mut ScoreCache) -> Selection {
-        let (befores, afters) = (&self.befores, &self.afters);
-        let best = (0..self.eligible.len())
-            .max_by(|&a, &b| (afters[a] - befores[a]).total_cmp(&(afters[b] - befores[b])))
-            .expect("non-empty eligible set");
+        let (best, delta, after) = best.expect("a finished candidate");
         let selection = Selection {
             server: self.eligible[best],
-            delta: afters[best] - befores[best],
-            server_sum: afters[best],
-            before_sum: befores[best],
+            delta,
+            server_sum: after,
+            before_sum: self.befores[best],
         };
         cache.store(selection.server, model_version, selection.server_sum);
         selection
     }
 
     /// Evaluate what the [`select_server_if_resident`] call that just
-    /// returned [`NotResident`] found missing — every candidate's extended
-    /// colocation, through `model`, which caches what it computes. Meant to
-    /// run with no lock held: the sums are discarded here and read back from
-    /// the model's cache by the selection that follows.
+    /// returned [`NotResident`] found missing, through `model`, which
+    /// caches what it computes: the `before` sums the score cache did not
+    /// hold, every candidate's first stage, and the second stage of every
+    /// candidate that may still win. Meant to run with no lock held: the
+    /// results are discarded here and read back from the model's cache by
+    /// the selection that follows.
     pub fn evaluate_candidates(&mut self, model: &dyn FpsModel) {
-        model.predict_colocation_sums(&self.coloc, &mut self.predict, &mut self.afters);
+        self.evaluate_befores(model);
+        model.bound_colocation_sums(&self.extended, &mut self.predict, &mut self.afters);
+        self.finish_candidates(Some(model));
     }
 }
 
@@ -318,10 +437,14 @@ impl PlacementScratch {
 /// reading `before` sums from (and maintaining) `cache`, with all buffers
 /// supplied by the caller.
 ///
-/// Scoring is fully batched: the cache-missing `before` sums are computed
-/// in one [`FpsModel::predict_colocation_sums`] call, and the `after` sums
-/// of every candidate in another, so a batched model evaluates two fused
-/// batches per admission regardless of fleet width.
+/// Scoring is batched and staged: the cache-missing `before` sums are
+/// computed in one [`FpsModel::predict_colocation_sums`] call, and every
+/// candidate's `after` sum, or an upper bound on it, in one
+/// [`FpsModel::bound_colocation_sums`] call. Then only the candidates
+/// whose bound does not fall strictly below an exact delta are finished
+/// ([`FpsModel::finish_colocation_sum`]), best bound first. The result is
+/// bit for bit the argmax over every candidate finished: a skipped
+/// candidate's delta is below a finished one's.
 ///
 /// Contract: on `Some(selection)`, the cache is updated as if the caller
 /// admits the candidate on `selection.server` — the caller must do so
@@ -340,7 +463,8 @@ pub fn select_server_incremental_with<V: OccupancyView + ?Sized>(
     }
     scratch.fill_befores(occupancy, model, model_version, cache);
     scratch.queue_extended(occupancy, request);
-    model.predict_colocation_sums(&scratch.coloc, &mut scratch.predict, &mut scratch.afters);
+    model.bound_colocation_sums(&scratch.extended, &mut scratch.predict, &mut scratch.afters);
+    scratch.finish_candidates(Some(model));
     Some(scratch.pick(model_version, cache))
 }
 
@@ -351,13 +475,18 @@ pub struct NotResident;
 
 /// [`select_server_incremental_with`] for a caller that holds a lock it
 /// does not want to evaluate a model under. The candidates' `after` sums
-/// are asked for first, through [`FpsModel::resident_colocation_sums`]:
-/// if the model can answer them all from its cache, selection completes
-/// exactly as the ordinary call would (same result, same cache updates,
-/// same contract). Otherwise it returns [`NotResident`] with `cache`
-/// untouched and the candidates left in `scratch`; the caller releases its
-/// lock, calls [`PlacementScratch::evaluate_candidates`], re-locks and runs
-/// the ordinary selection, which finds the sums cached and evaluates inline
+/// and bounds are asked for first, through
+/// [`FpsModel::resident_colocation_bounds`]. The pass completes exactly as
+/// the ordinary call would (same result, same cache updates, same
+/// contract) when the model answers every candidate from its cache with
+/// its sum, or with a bound strictly below the best exact delta. The
+/// `before` sums that decides with are read from `cache`, and those it
+/// lacks evaluated, as the ordinary call would evaluate them; the reads
+/// are counted and the evaluated sums stored only when the pass completes.
+/// Otherwise it returns [`NotResident`] with `cache` untouched and the
+/// candidates left in `scratch`; the caller releases its lock, calls
+/// [`PlacementScratch::evaluate_candidates`], re-locks and runs the
+/// ordinary selection, which finds the sums cached and evaluates inline
 /// whatever the occupancy changed meanwhile.
 pub fn select_server_if_resident<V: OccupancyView + ?Sized>(
     occupancy: &V,
@@ -371,10 +500,16 @@ pub fn select_server_if_resident<V: OccupancyView + ?Sized>(
         return Ok(None);
     }
     scratch.queue_extended(occupancy, request);
-    if !model.resident_colocation_sums(&scratch.coloc, &mut scratch.predict, &mut scratch.afters) {
+    scratch.read_befores(occupancy, model_version, cache);
+    let (extended, predict) = (&scratch.extended, &mut scratch.predict);
+    if !model.resident_colocation_bounds(extended, predict, &mut scratch.afters) {
         return Err(NotResident);
     }
-    scratch.fill_befores(occupancy, model, model_version, cache);
+    scratch.evaluate_befores(model);
+    if !scratch.finish_candidates(None) {
+        return Err(NotResident);
+    }
+    scratch.commit_befores(model_version, cache);
     Ok(Some(scratch.pick(model_version, cache)))
 }
 
@@ -623,6 +758,197 @@ mod tests {
         }
     }
 
+    /// GAugur's RM, trained on a 10-game catalog: 400 trees, staged.
+    fn real_model() -> &'static gaugur_core::GAugur {
+        static MODEL: std::sync::OnceLock<gaugur_core::GAugur> = std::sync::OnceLock::new();
+        MODEL.get_or_init(|| {
+            let catalog = gaugur_gamesim::GameCatalog::generate(42, 10);
+            let config = gaugur_core::GAugurConfig {
+                plan: gaugur_core::ColocationPlan {
+                    pairs: 25,
+                    triples: 8,
+                    quads: 4,
+                    seed: 5,
+                },
+                ..gaugur_core::GAugurConfig::default()
+            };
+            gaugur_core::GAugur::build(&gaugur_gamesim::Server::reference(19), &catalog, config)
+        })
+    }
+
+    /// A model's exact sums with the first stage's bounds taken away: every
+    /// candidate finished, in one batch.
+    struct Unbounded<'a>(&'a dyn FpsModel);
+
+    impl FpsModel for Unbounded<'_> {
+        fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
+            self.0.predict_member_fps(members, idx)
+        }
+
+        fn predict_colocation_sums(
+            &self,
+            batch: &ColocationBatch,
+            scratch: &mut PredictScratch,
+            out: &mut Vec<f64>,
+        ) {
+            self.0.predict_colocation_sums(batch, scratch, out);
+        }
+
+        fn model_name(&self) -> &'static str {
+            "unbounded"
+        }
+    }
+
+    /// A staged model that counts the candidates its first stage bounds
+    /// and those it finishes.
+    struct Staged<'a> {
+        inner: &'a dyn FpsModel,
+        bounded: std::sync::atomic::AtomicUsize,
+        finished: std::sync::atomic::AtomicUsize,
+    }
+
+    impl FpsModel for Staged<'_> {
+        fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
+            self.inner.predict_member_fps(members, idx)
+        }
+
+        fn predict_colocation_sums(
+            &self,
+            batch: &ColocationBatch,
+            scratch: &mut PredictScratch,
+            out: &mut Vec<f64>,
+        ) {
+            self.inner.predict_colocation_sums(batch, scratch, out);
+        }
+
+        fn bound_colocation_sums(
+            &self,
+            batch: &ColocationBatch,
+            scratch: &mut PredictScratch,
+            out: &mut Vec<SumBound>,
+        ) {
+            self.inner.bound_colocation_sums(batch, scratch, out);
+            let bounded = out.iter().filter(|b| b.exact().is_none()).count();
+            self.bounded
+                .fetch_add(bounded, std::sync::atomic::Ordering::Relaxed);
+        }
+
+        fn finish_colocation_sum(
+            &self,
+            batch: &ColocationBatch,
+            i: usize,
+            scratch: &mut PredictScratch,
+        ) -> f64 {
+            self.finished
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.finish_colocation_sum(batch, i, scratch)
+        }
+
+        fn model_name(&self) -> &'static str {
+            "staged"
+        }
+    }
+
+    /// Random fleets of 4–24 servers fed arrivals and departures, scored
+    /// side by side with the real GAugur model, pruned and unpruned: every
+    /// selection is the full recompute's server with its delta bits, and
+    /// the pruned path's server sums, counts and `before` sums are the
+    /// unpruned path's, bit for bit, after every step — while it finishes
+    /// only some of the candidates it bounds.
+    #[test]
+    fn pruned_selection_with_the_real_model_is_the_full_recomputes() {
+        use rand::Rng;
+        let gaugur = real_model();
+        let rm = crate::GaugurRm(gaugur);
+        let staged = Staged {
+            inner: &rm,
+            bounded: Default::default(),
+            finished: Default::default(),
+        };
+        let games: Vec<GameId> = gaugur.profiles.sorted().iter().map(|p| p.id).collect();
+        let sums = |cache: &ScoreCache| -> Vec<Option<(u64, u64)>> {
+            cache
+                .sums
+                .iter()
+                .map(|e| e.map(|(v, sum)| (v, sum.to_bits())))
+                .collect()
+        };
+        let bits = |sel: Selection| {
+            let Selection {
+                server,
+                delta,
+                server_sum,
+                before_sum,
+            } = sel;
+            (
+                server,
+                delta.to_bits(),
+                server_sum.to_bits(),
+                before_sum.to_bits(),
+            )
+        };
+        let mut scratch = PlacementScratch::new();
+        for stream in 0..6u64 {
+            let mut rng = gaugur_gamesim::rng::rng_for(0x5EED, &[stream]);
+            let n = rng.gen_range(4..=24);
+            let mut fleet: Vec<Vec<Placement>> = vec![Vec::new(); n];
+            let (mut pruned_cache, mut full_cache) = (ScoreCache::new(n), ScoreCache::new(n));
+            for step in 0..50 {
+                let occupied: Vec<usize> = (0..n).filter(|&s| !fleet[s].is_empty()).collect();
+                if !occupied.is_empty() && rng.gen_bool(0.3) {
+                    let s = occupied[rng.gen_range(0..occupied.len())];
+                    let leaving = rng.gen_range(0..fleet[s].len());
+                    fleet[s].swap_remove(leaving);
+                    pruned_cache.invalidate(s);
+                    full_cache.invalidate(s);
+                    continue;
+                }
+                let res = if rng.gen_bool(0.5) {
+                    R
+                } else {
+                    Resolution::Hd720
+                };
+                let request = (games[rng.gen_range(0..games.len())], res);
+                let pruned = select_server_incremental_with(
+                    &fleet,
+                    request,
+                    &staged,
+                    1,
+                    &mut pruned_cache,
+                    &mut scratch,
+                );
+                let full = select_server_incremental_with(
+                    &fleet,
+                    request,
+                    &Unbounded(&rm),
+                    1,
+                    &mut full_cache,
+                    &mut PlacementScratch::new(),
+                );
+                let at = format!("stream {stream}, step {step}");
+                assert_eq!(pruned.map(bits), full.map(bits), "{at}");
+                let reference = full_recompute_with(&rm, &fleet, request);
+                let got = pruned.map(|sel| (sel.server, sel.delta.to_bits()));
+                assert_eq!(
+                    got,
+                    reference.map(|(s, delta)| (s, delta.to_bits())),
+                    "{at}"
+                );
+                assert_eq!(sums(&pruned_cache), sums(&full_cache), "{at}");
+                assert_eq!(pruned_cache.counts(), full_cache.counts(), "{at}");
+                if let Some(sel) = pruned {
+                    fleet[sel.server].push(request);
+                }
+            }
+        }
+        let bounded = staged.bounded.into_inner();
+        let finished = staged.finished.into_inner();
+        assert!(
+            finished < bounded,
+            "{finished} of {bounded} bounded candidates finished: nothing pruned"
+        );
+    }
+
     #[test]
     fn eligibility_respects_cap_and_duplicates() {
         let occupancy = vec![
@@ -755,17 +1081,17 @@ mod tests {
                 })
         }
 
-        fn resident_colocation_sums(
+        fn resident_colocation_bounds(
             &self,
             batch: &ColocationBatch,
             _scratch: &mut PredictScratch,
-            out: &mut Vec<f64>,
+            out: &mut Vec<SumBound>,
         ) -> bool {
             out.clear();
             let sums = self.sums.lock().unwrap();
             (0..batch.len()).all(|i| match sums.get(batch.members(i)) {
                 Some(&sum) => {
-                    out.push(sum);
+                    out.push(SumBound::Exact(sum));
                     true
                 }
                 None => false,
@@ -801,11 +1127,12 @@ mod tests {
             0
         );
 
-        // The candidates it left behind are the four extended colocations.
+        // What it left behind: the four `before` sums the score cache
+        // lacks, and the four extended colocations.
         scratch.evaluate_candidates(&model);
         assert_eq!(
             model.evaluations.load(std::sync::atomic::Ordering::Relaxed),
-            4
+            8
         );
 
         // The ordinary pass now equals a selection that never bailed out.
@@ -953,12 +1280,12 @@ mod tests {
         // Another admission already replaced the entry being rolled back.
         cache.store(0, 1, 10.0);
         cache.rollback(0, 1, 11.0, 9.0);
-        assert_eq!(cache.probe(0, 1), None);
+        assert_eq!(cache.peek(0, 1), None);
         // A version bump likewise drops the entry rather than restoring a
         // sum computed under a stale model.
         cache.store(0, 2, 11.0);
         cache.rollback(0, 1, 11.0, 9.0);
-        assert_eq!(cache.probe(0, 2), None);
+        assert_eq!(cache.peek(0, 2), None);
     }
 
     #[test]

@@ -22,11 +22,15 @@
 //! path whatever the shard count (`place`); no global fleet lock exists on
 //! the `Place`/`Depart` hot path, no worker holds two shard locks, and with
 //! one worker every reply is the serial [`crate::Reference`]'s. The
-//! candidates' extended-colocation sums are evaluated with the lock
-//! released (`score_shard`); two evaluations can still run under it: the
-//! newcomer's own prediction at admit (`predict_with` — the RM and the CM,
-//! on a memo miss), and a `before` sum the `ScoreCache` does not hold
-//! (`fill_befores` — the RM, on a memo miss).
+//! candidates' extended-colocation sums are scored in two stages — every
+//! candidate's upper bound from the RM's first trees, then the rest of the
+//! trees only for the candidates whose bound does not fall below an exact
+//! delta — and both stages run with the lock released (`score_shard`).
+//! Under the lock run the memo lookups, the score-cache reads and the
+//! decision, and two evaluations can still run there: the newcomer's own
+//! prediction at admit (`predict_with` — the RM and the CM, on a memo
+//! miss), and a `before` sum the `ScoreCache` does not hold (the RM, on a
+//! memo miss).
 
 use crate::cluster::{shard_of_session, Shard};
 use crate::fault::{FaultAction, FaultInjector, InjectionPoint};
@@ -962,10 +966,11 @@ fn lock_shard<'a>(shared: &'a Shared, s: usize, trace: &mut RequestTrace) -> Mut
 
 /// Choose a server on shard `s` with the *decision* under the shard lock
 /// and the model *evaluation* outside it. The pass under the lock completes
-/// only if every candidate's extended-colocation sum is memo-resident —
-/// then this is one lock acquisition and one scoring pass. Otherwise it
-/// stops before touching the score cache, the lock is released, the missing
-/// sums are evaluated into the shared memo (so workers evaluate side by
+/// when the memo holds every candidate's extended-colocation sum, or a
+/// bound on it strictly below the best exact delta — then this is one lock
+/// acquisition and one scoring pass. Otherwise it stops before touching
+/// the score cache, the lock is released, both scoring stages of what is
+/// missing are evaluated into the shared memo (so workers evaluate side by
 /// side), and the ordinary pass runs under the re-taken lock: it hits the
 /// memo and evaluates inline only what an admit or depart in between made
 /// stale. At most two passes, never a retry.

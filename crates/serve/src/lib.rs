@@ -92,7 +92,7 @@ pub use daemon::{start, DaemonConfig, DaemonHandle};
 pub use fault::{FaultAction, FaultEvent, FaultInjector, FaultPlan, InjectionPoint};
 pub use feedback::{DriftDetector, Feedback, FeedbackConfig, FeedbackCounters, OutcomeRecord};
 pub use load::{LoadConfig, LoadReport};
-pub use model::{LoadedModel, MemoizedFps, ModelHandle, PredictionMemo};
+pub use model::{LoadedModel, MemoizedFps, ModelHandle, PredictionMemo, RowCounts};
 pub use recorder::{Event, Recorder, RecorderDump};
 pub use reference::Reference;
 pub use slo::{

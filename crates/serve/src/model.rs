@@ -10,7 +10,7 @@ use crate::trace::{elapsed_us, RequestTrace, Stage};
 use crate::wire::{BatchPlaceResult, Request, Response};
 use gaugur_core::{GAugur, InterferencePredictor, Placement};
 use gaugur_sched::maxfps::MAX_PER_SERVER;
-use gaugur_sched::{ColocationBatch, PredictScratch};
+use gaugur_sched::{member_sum, ColocationBatch, PredictScratch, SumBound, NO_QUERIES};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::io;
@@ -289,14 +289,30 @@ pub struct Prediction {
     pub fps: f64,
 }
 
-/// What the memo keeps of a [`Prediction`]. The FPS is the degradation times
-/// the target's solo FPS, and is recomputed on a hit — the same product, so
-/// the same bits — which makes the value 16 bytes instead of 24: at the
-/// paper's scale the map holds two generations of some 28 k entries.
+/// What the memo keeps of a [`Prediction`], in 8 bytes: the degradation,
+/// negated when the prediction is infeasible. The FPS is the degradation
+/// times the target's solo FPS, and is recomputed on a hit — the same
+/// product, so the same bits. At the paper's scale the map holds two
+/// generations of some 28 k entries, so every byte of an entry is 56 KB.
 #[derive(Clone, Copy)]
-struct Memoized {
-    feasible: bool,
-    degradation: f64,
+struct Memoized(f64);
+
+impl Memoized {
+    /// `None` for a degradation whose sign cannot carry the class — NaN, or
+    /// one with its sign bit set, which the RM's positive clamp floor never
+    /// yields: such a prediction is not memoized.
+    fn new(feasible: bool, degradation: f64) -> Option<Memoized> {
+        let positive = degradation.is_sign_positive() && !degradation.is_nan();
+        positive.then_some(Memoized(if feasible { degradation } else { -degradation }))
+    }
+
+    fn feasible(self) -> bool {
+        self.0.is_sign_positive()
+    }
+
+    fn degradation(self) -> f64 {
+        self.0.abs()
+    }
 }
 
 /// Memo key for a whole colocation's summed FPS: its members plus the model
@@ -312,6 +328,32 @@ fn sum_key(version: u64, members: &[Placement]) -> Option<SumKey> {
         version,
         members: Members::canonical(members)?,
     })
+}
+
+/// A colocation's memoized sum or first-stage bound in the 8 bytes of an
+/// `f64`: a sum as it is, a bound negated ([`recalled`] reads it back). A
+/// summed FPS is a sum of non-negative frame rates, so its sign bit is
+/// clear, and a bound `≥` it is too; a bound with its sign bit set (the
+/// sum is then at most `-0.0`) is kept as `-0.0`, and a NaN as NaN.
+fn stored(entry: SumBound) -> f64 {
+    match entry {
+        SumBound::Exact(sum) => sum,
+        SumBound::AtMost(bound) if bound.is_nan() => bound,
+        SumBound::AtMost(bound) if bound.is_sign_negative() => -0.0,
+        SumBound::AtMost(bound) => -bound,
+    }
+}
+
+/// The [`SumBound`] a [`stored`] value stands for: a sum for a number with
+/// its sign bit clear, a bound otherwise — its negation, which is `≥` the
+/// sum whatever was stored. So the memo may answer a sum it holds with a
+/// bound (a sum with its sign bit set, which only a model predicting
+/// negative frame rates could give; a NaN), never a bound with a sum.
+fn recalled(value: f64) -> SumBound {
+    match value.is_sign_positive() && !value.is_nan() {
+        true => SumBound::Exact(value),
+        false => SumBound::AtMost(-value),
+    }
 }
 
 /// The summed FPS of a colocation of at most one member, which needs
@@ -340,7 +382,8 @@ fn closed_form_sum(model: &LoadedModel, members: &[Placement]) -> Option<f64> {
 ///
 /// A generation also ends early when its table is full and would have to
 /// grow for less than it already holds: a table doubles when it grows, so
-/// that last doubling would sit mostly empty until the rotation.
+/// that last doubling would sit mostly empty until the rotation. After a
+/// rotation the new generation takes the room the last one filled at once.
 struct Generations<K, V> {
     young: HashMap<K, V>,
     old: HashMap<K, V>,
@@ -371,6 +414,10 @@ impl<K: std::hash::Hash + Eq + Copy, V: Copy> Generations<K, V> {
         if len >= self.half || (len == self.young.capacity() && 2 * len > self.half) {
             std::mem::swap(&mut self.young, &mut self.old);
             self.young.clear();
+            // The new generation fills as the last one did: take its room
+            // at once (no more than that table's) instead of doubling up to
+            // it, which would hold a half-size table beside each new one.
+            self.young.reserve(self.old.len());
         }
         self.young.insert(key, value);
     }
@@ -391,12 +438,46 @@ impl<K: std::hash::Hash + Eq + Copy, V: Copy> Generations<K, V> {
 /// force continuously: both maps keep two generations and never drop
 /// recently hit entries. The memo is a pure cache — every value is a
 /// function of its key — so what is resident changes cost, never an answer.
+/// That holds for the upper bounds the first scoring stage computes, too
+/// ([`PredictionMemo::colocation_bounds`]): the sum map keeps a
+/// colocation's bound until its exact sum replaces it.
 pub struct PredictionMemo {
     map: Mutex<Generations<MemoKey, Memoized>>,
+    /// [`stored`] sums and bounds.
     sums: Mutex<Generations<SumKey, f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
+    rows: [AtomicU64; 3],
 }
+
+/// RM rows a [`PredictionMemo`] had the model evaluate, by how far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RowCounts {
+    /// Rows run through the first stage for a bound.
+    pub first_stage: u64,
+    /// Of those, rows later continued through the second stage.
+    pub second_stage: u64,
+    /// Rows run through every tree in one go: exact sums, predictions,
+    /// a memoized bound's colocation finished, a model with one stage.
+    pub whole: u64,
+}
+
+impl RowCounts {
+    /// Rows that went through every tree.
+    pub fn through_all_trees(&self) -> u64 {
+        self.second_stage + self.whole
+    }
+
+    /// Rows the first stage's bound stopped.
+    pub fn stopped(&self) -> u64 {
+        self.first_stage - self.second_stage
+    }
+}
+
+/// Indices of [`PredictionMemo::rows`], in [`RowCounts`] order.
+const FIRST_STAGE: usize = 0;
+const SECOND_STAGE: usize = 1;
+const WHOLE: usize = 2;
 
 impl PredictionMemo {
     /// Memo bounded to `capacity` entries per map (at least 16).
@@ -407,7 +488,17 @@ impl PredictionMemo {
             sums: Mutex::new(Generations::new(capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            rows: Default::default(),
         }
+    }
+
+    fn count_rows(&self, which: usize, rows: usize) {
+        self.rows[which].fetch_add(rows as u64, Ordering::Relaxed);
+    }
+
+    /// The exact sum memoized for `key`: a bound is not one.
+    fn exact_sum(sums: &mut Generations<SumKey, f64>, key: &SumKey) -> Option<f64> {
+        sums.get(key).and_then(|value| recalled(value).exact())
     }
 
     /// Memoized summed FPS of every member of `members` together; an empty
@@ -419,7 +510,7 @@ impl PredictionMemo {
             return sum;
         }
         let key = sum_key(model.version, members);
-        if let Some(hit) = key.and_then(|key| self.sums.lock().get(&key)) {
+        if let Some(hit) = key.and_then(|key| Self::exact_sum(&mut self.sums.lock(), &key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
@@ -441,17 +532,18 @@ impl PredictionMemo {
         sum
     }
 
-    /// [`colocation_sums`](PredictionMemo::colocation_sums) only if it takes
-    /// no model evaluation: with every colocation of two or more members in
-    /// `batch` resident, write the sums into `out` and return `true`; at the
-    /// first one that is not, return `false` with `out` unspecified. Counts
-    /// the hits of a complete answer only — an abandoned pass is not a
-    /// lookup the caller gets to use.
-    pub fn resident_colocation_sums(
+    /// [`colocation_bounds`](PredictionMemo::colocation_bounds) only if it
+    /// takes no model evaluation: with every colocation of two or more
+    /// members in `batch` resident — its sum or its bound — write what the
+    /// memo holds into `out` and return `true`; at the first one that is
+    /// not, return `false` with `out` unspecified. Counts the hits of a
+    /// complete answer only — an abandoned pass is not a lookup the caller
+    /// gets to use.
+    pub fn resident_colocation_bounds(
         &self,
         model: &LoadedModel,
         batch: &ColocationBatch,
-        out: &mut Vec<f64>,
+        out: &mut Vec<SumBound>,
     ) -> bool {
         out.clear();
         let mut hits = 0;
@@ -459,20 +551,144 @@ impl PredictionMemo {
         for i in 0..batch.len() {
             let members = batch.members(i);
             if let Some(sum) = closed_form_sum(model, members) {
-                out.push(sum);
+                out.push(SumBound::Exact(sum));
                 continue;
             }
             let sums = sums.get_or_insert_with(|| self.sums.lock());
             match sum_key(model.version, members).and_then(|key| sums.get(&key)) {
                 Some(hit) => {
                     hits += 1;
-                    out.push(hit);
+                    out.push(recalled(hit));
                 }
                 None => return false,
             }
         }
         self.hits.fetch_add(hits, Ordering::Relaxed);
         true
+    }
+
+    /// The first scoring stage over `batch`, through the memo: each
+    /// colocation's exact sum or an upper bound on it into `out` (cleared
+    /// first), in batch order. Empty and lone colocations are closed forms;
+    /// a memoized sum or bound is a hit; the misses' member rows run
+    /// through the RM's first stage in one batch, with no memo lock held,
+    /// and their bounds are memoized — a model with one stage gives exact
+    /// sums here, memoized as such. [`PredictionMemo::finish_colocation_sum`]
+    /// finishes any bounded colocation.
+    pub fn colocation_bounds(
+        &self,
+        model: &LoadedModel,
+        batch: &ColocationBatch,
+        scratch: &mut PredictScratch,
+        out: &mut Vec<SumBound>,
+    ) {
+        out.clear();
+        scratch.queries.clear();
+        scratch.staged.clear();
+        let (mut hits, mut misses) = (0, 0);
+        {
+            let mut sums = None;
+            for i in 0..batch.len() {
+                let members = batch.members(i);
+                let known = match closed_form_sum(model, members) {
+                    Some(sum) => Some(SumBound::Exact(sum)),
+                    None => {
+                        let sums = sums.get_or_insert_with(|| self.sums.lock());
+                        let hit = sum_key(model.version, members).and_then(|key| sums.get(&key));
+                        hits += u64::from(hit.is_some());
+                        hit.map(recalled)
+                    }
+                };
+                let staged = match known {
+                    Some(_) => NO_QUERIES,
+                    None => {
+                        misses += 1;
+                        let first = scratch.queries.len();
+                        scratch.queries.push_colocation(members);
+                        first
+                    }
+                };
+                scratch.staged.push(staged);
+                out.push(known.unwrap_or(SumBound::AtMost(f64::NAN)));
+            }
+        }
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+        if misses == 0 {
+            return;
+        }
+        let exact = model.gaugur.bound_degradation_batch(
+            &scratch.queries,
+            &mut scratch.features,
+            &mut scratch.values,
+        );
+        let rows = scratch.queries.len();
+        self.count_rows(if exact { WHOLE } else { FIRST_STAGE }, rows);
+        let mut sums = self.sums.lock();
+        for (i, &first) in scratch.staged.iter().enumerate() {
+            if first == NO_QUERIES {
+                continue;
+            }
+            let members = batch.members(i);
+            let sum = member_sum(&model.gaugur.profiles, members, &scratch.values[first..]);
+            out[i] = match exact {
+                true => SumBound::Exact(sum),
+                false => SumBound::AtMost(sum),
+            };
+            if let Some(key) = sum_key(model.version, members) {
+                sums.insert(key, stored(out[i]));
+            }
+        }
+    }
+
+    /// The second stage: the exact sum of colocation `i` of `batch`, which
+    /// the last [`PredictionMemo::colocation_bounds`] of it through
+    /// `scratch` left bounded, memoized in place of the bound. A colocation
+    /// whose rows ran the first stage there continues them; one whose bound
+    /// came from the memo is evaluated member by member through the scalar
+    /// path, which leaves `scratch` to the other candidates. Either way the
+    /// bits are [`PredictionMemo::colocation_sums`]'.
+    pub fn finish_colocation_sum(
+        &self,
+        model: &LoadedModel,
+        batch: &ColocationBatch,
+        i: usize,
+        scratch: &mut PredictScratch,
+    ) -> f64 {
+        let members = batch.members(i);
+        let first = scratch.staged[i];
+        let sum = if first == NO_QUERIES {
+            self.count_rows(WHOLE, members.len());
+            let mut sum = -0.0;
+            // A memoized bound has a key: at most `MAX_PER_SERVER` members.
+            let mut others = [members[0]; MAX_PER_SERVER];
+            for (m, &target) in members.iter().enumerate() {
+                let mut n = 0;
+                for (j, &other) in members.iter().enumerate() {
+                    if j != m {
+                        others[n] = other;
+                        n += 1;
+                    }
+                }
+                let solo = model.gaugur.profiles.get(target.0).solo_fps_at(target.1);
+                sum += model.gaugur.predict_degradation(target, &others[..n]) * solo;
+            }
+            sum
+        } else {
+            let rows = first..first + members.len();
+            self.count_rows(SECOND_STAGE, members.len());
+            model.gaugur.finish_degradation_batch(
+                &scratch.queries,
+                rows.clone(),
+                &mut scratch.features,
+                &mut scratch.values[rows.clone()],
+            );
+            member_sum(&model.gaugur.profiles, members, &scratch.values[rows])
+        };
+        if let Some(key) = sum_key(model.version, members) {
+            self.sums.lock().insert(key, sum);
+        }
+        sum
     }
 
     /// Batched counterpart of [`colocation_sum`]: answer every colocation in
@@ -508,7 +724,7 @@ impl PredictionMemo {
                     continue;
                 }
                 let sums = sums.get_or_insert_with(|| self.sums.lock());
-                match sum_key(model.version, members).and_then(|key| sums.get(&key)) {
+                match sum_key(model.version, members).and_then(|key| Self::exact_sum(sums, &key)) {
                     Some(hit) => {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         *slot = hit;
@@ -527,17 +743,13 @@ impl PredictionMemo {
                 &mut scratch.features,
                 &mut scratch.values,
             );
-            let mut rows = scratch.values.iter();
+            self.count_rows(WHOLE, scratch.queries.len());
+            let mut first = 0;
             let mut sums = self.sums.lock();
             for &i in &miss_at {
                 let members = batch.members(i);
-                // -0.0 is `Iterator::sum`'s additive identity; seeding with
-                // it keeps the accumulation bit-identical to the scalar path.
-                let mut sum = -0.0;
-                for &(id, res) in members {
-                    let solo = model.gaugur.profiles.get(id).solo_fps_at(res);
-                    sum += rows.next().expect("a row per member") * solo;
-                }
+                let sum = member_sum(&model.gaugur.profiles, members, &scratch.values[first..]);
+                first += members.len();
                 if let Some(key) = sum_key(model.version, members) {
                     sums.insert(key, sum);
                 }
@@ -612,13 +824,14 @@ impl PredictionMemo {
         if let Some(hit) = key.and_then(|key| self.map.lock().get(&key)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             let prediction = Prediction {
-                feasible: hit.feasible,
-                degradation: hit.degradation,
-                fps: hit.degradation * solo,
+                feasible: hit.feasible(),
+                degradation: hit.degradation(),
+                fps: hit.degradation() * solo,
             };
             return (prediction, true);
         }
         let degradation = degradation(&model.gaugur);
+        self.count_rows(WHOLE, 1);
         let prediction = Prediction {
             feasible: model.gaugur.predict_qos(qos, target, others),
             degradation,
@@ -626,21 +839,31 @@ impl PredictionMemo {
         };
         if let Some(key) = key {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let memoized = Memoized {
-                feasible: prediction.feasible,
-                degradation: prediction.degradation,
-            };
-            self.map.lock().insert(key, memoized);
+            if let Some(memoized) = Memoized::new(prediction.feasible, prediction.degradation) {
+                self.map.lock().insert(key, memoized);
+            }
         }
         (prediction, false)
     }
 
-    /// `(hits, misses)` so far.
+    /// `(hits, misses)` so far. A colocation's memoized bound is a hit of
+    /// the first scoring stage and no answer to the others.
     pub fn counts(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
             self.misses.load(Ordering::Relaxed),
         )
+    }
+
+    /// The RM rows evaluated so far.
+    pub fn row_counts(&self) -> RowCounts {
+        let [first_stage, second_stage, whole] =
+            self.rows.each_ref().map(|n| n.load(Ordering::Relaxed));
+        RowCounts {
+            first_stage,
+            second_stage,
+            whole,
+        }
     }
 
     /// Prediction entries currently held.
@@ -692,13 +915,32 @@ impl gaugur_sched::FpsModel for MemoizedFps<'_> {
         self.memo.colocation_sums(self.model, batch, scratch, out);
     }
 
-    fn resident_colocation_sums(
+    fn bound_colocation_sums(
+        &self,
+        batch: &ColocationBatch,
+        scratch: &mut PredictScratch,
+        out: &mut Vec<SumBound>,
+    ) {
+        self.memo.colocation_bounds(self.model, batch, scratch, out);
+    }
+
+    fn finish_colocation_sum(
+        &self,
+        batch: &ColocationBatch,
+        i: usize,
+        scratch: &mut PredictScratch,
+    ) -> f64 {
+        self.memo
+            .finish_colocation_sum(self.model, batch, i, scratch)
+    }
+
+    fn resident_colocation_bounds(
         &self,
         batch: &ColocationBatch,
         _scratch: &mut PredictScratch,
-        out: &mut Vec<f64>,
+        out: &mut Vec<SumBound>,
     ) -> bool {
-        self.memo.resident_colocation_sums(self.model, batch, out)
+        self.memo.resident_colocation_bounds(self.model, batch, out)
     }
 
     fn model_name(&self) -> &'static str {
@@ -724,6 +966,56 @@ mod tests {
             ..Default::default()
         };
         GAugur::build(&server, &catalog, config)
+    }
+
+    /// The 8-byte memo values: a sum and a bound with their sign bits
+    /// clear come back as they went in; anything else comes back as a
+    /// bound `≥` what was stored (NaN bounds nothing), never as a sum. A
+    /// prediction keeps its class in the degradation's sign, or is not kept.
+    #[test]
+    fn eight_byte_values_read_back_as_stored_or_as_a_bound() {
+        let bits = |b: SumBound| match b {
+            SumBound::Exact(v) => (true, v.to_bits()),
+            SumBound::AtMost(v) => (false, v.to_bits()),
+        };
+        for v in [0.0, 1e-300, 0.75, 123.456, f64::MAX, f64::INFINITY] {
+            assert_eq!(
+                bits(recalled(stored(SumBound::Exact(v)))),
+                (true, v.to_bits())
+            );
+            assert_eq!(
+                bits(recalled(stored(SumBound::AtMost(v)))),
+                (false, v.to_bits())
+            );
+        }
+        for v in [-0.0, -2.5, f64::NEG_INFINITY] {
+            assert_eq!(recalled(stored(SumBound::AtMost(v))), SumBound::AtMost(0.0));
+            let SumBound::AtMost(bound) = recalled(stored(SumBound::Exact(v))) else {
+                panic!("a sum with its sign bit set read back as a sum");
+            };
+            assert!(bound >= v);
+        }
+        for stored_nan in [
+            stored(SumBound::Exact(f64::NAN)),
+            stored(SumBound::AtMost(-f64::NAN)),
+        ] {
+            assert!(matches!(recalled(stored_nan), SumBound::AtMost(b) if b.is_nan()));
+        }
+        for (feasible, d) in [
+            (true, 0.5),
+            (false, 0.5),
+            (true, 0.0),
+            (false, 0.0),
+            (false, 1.05),
+        ] {
+            let m = Memoized::new(feasible, d).expect("a positive degradation");
+            assert_eq!(
+                (m.feasible(), m.degradation().to_bits()),
+                (feasible, d.to_bits())
+            );
+        }
+        assert!(Memoized::new(true, f64::NAN).is_none());
+        assert!(Memoized::new(false, -0.0).is_none());
     }
 
     #[test]
@@ -830,7 +1122,7 @@ mod tests {
         assert_eq!(before, ((0, 3), 2, 1));
 
         let mut batch = ColocationBatch::new();
-        let mut out = Vec::new();
+        let (mut out, mut bounds) = (Vec::new(), Vec::new());
         for profile in model.gaugur.profiles.sorted() {
             for res in gaugur_gamesim::game::ALL_RESOLUTIONS {
                 let lone = (profile.id, res);
@@ -843,8 +1135,16 @@ mod tests {
                 let sums = [sum, 0.0f64.to_bits()];
                 memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
                 assert_eq!(out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), sums);
-                assert!(memo.resident_colocation_sums(&model, &batch, &mut out));
-                assert_eq!(out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), sums);
+                let exact_bits = |bounds: &[SumBound]| -> Vec<u64> {
+                    bounds
+                        .iter()
+                        .map(|b| b.exact().unwrap().to_bits())
+                        .collect()
+                };
+                assert!(memo.resident_colocation_bounds(&model, &batch, &mut bounds));
+                assert_eq!(exact_bits(&bounds), sums);
+                memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
+                assert_eq!(exact_bits(&bounds), sums);
                 for qos in [0.0, 30.0, 60.0, solo, solo + 1.0] {
                     let want = (solo >= qos, 1.0f64.to_bits(), solo.to_bits(), false);
                     let scalar = memo.predict(&model, qos, lone, &[]);
@@ -987,17 +1287,17 @@ mod tests {
         members.push(t);
         let mut batch = ColocationBatch::new();
         batch.push(&members);
-        let mut out = Vec::new();
+        let (mut out, mut bounds) = (Vec::new(), Vec::new());
         for _ in 0..2 {
             let (_, m0) = memo.counts();
             memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
             assert_eq!(memo.counts().1, m0 + 1);
-            assert!(!memo.resident_colocation_sums(&model, &batch, &mut out));
+            assert!(!memo.resident_colocation_bounds(&model, &batch, &mut bounds));
         }
     }
 
     #[test]
-    fn resident_sums_answer_only_without_evaluating() {
+    fn resident_bounds_answer_only_without_evaluating() {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
         let memo = PredictionMemo::new(1024);
@@ -1009,18 +1309,86 @@ mod tests {
         batch.push(&[(GameId(3), res), (GameId(4), res), (GameId(5), res)]);
 
         let mut out = Vec::new();
-        assert!(!memo.resident_colocation_sums(&model, &batch, &mut out));
+        assert!(!memo.resident_colocation_bounds(&model, &batch, &mut out));
         assert_eq!(memo.counts(), (0, 0), "an abandoned pass counts nothing");
 
+        // The first stage memoizes bounds: resident, but no exact sum.
+        memo.colocation_bounds(&model, &batch, &mut scratch, &mut out);
+        assert_eq!(memo.counts(), (0, 2));
+        let staged = out.clone();
+        assert!(memo.resident_colocation_bounds(&model, &batch, &mut out));
+        assert_eq!(memo.counts(), (2, 2));
+        assert_eq!(out, staged);
+        assert_eq!(out[0], SumBound::Exact(0.0));
+        assert!(out[1..].iter().all(|b| b.exact().is_none()));
+
+        // An exact pass misses a bound, and its sums replace the bounds.
         let mut evaluated = Vec::new();
         memo.colocation_sums(&model, &batch, &mut scratch, &mut evaluated);
-        assert_eq!(memo.counts(), (0, 2));
-        assert!(memo.resident_colocation_sums(&model, &batch, &mut out));
-        assert_eq!(memo.counts(), (2, 2));
-        assert_eq!(out.len(), 3);
-        for (a, b) in out.iter().zip(&evaluated) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(memo.counts(), (2, 4));
+        assert!(memo.resident_colocation_bounds(&model, &batch, &mut out));
+        assert_eq!(memo.counts(), (4, 4));
+        for ((got, bound), want) in out.iter().zip(&staged).zip(&evaluated) {
+            assert_eq!(got.exact().unwrap().to_bits(), want.to_bits());
+            let (SumBound::Exact(bound) | SumBound::AtMost(bound)) = *bound;
+            assert!(bound >= *want, "bound {bound} below the sum {want}");
         }
+    }
+
+    /// The first stage bounds each sum from above; finishing a colocation,
+    /// whether its rows ran the first stage in this pass or its bound came
+    /// from the memo, gives the exact pass's bits and memoizes them; and
+    /// the row counts say how far each row went.
+    #[test]
+    fn finished_sums_are_the_exact_passes_bits() {
+        let handle = ModelHandle::from_model(tiny_model());
+        let model = handle.get();
+        let res = Resolution::Fhd1080;
+        let mut batch = ColocationBatch::new();
+        for g in 0..6u32 {
+            batch.push(&[(GameId(g), res), (GameId(g + 1), Resolution::Hd720)]);
+            batch.push(&[(GameId(g), res), (GameId(g + 1), res), (GameId(g + 2), res)]);
+        }
+        let (mut scratch, mut exact, mut bounds) = (PredictScratch::new(), Vec::new(), Vec::new());
+        PredictionMemo::new(1024).colocation_sums(&model, &batch, &mut scratch, &mut exact);
+
+        let memo = PredictionMemo::new(1024);
+        memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
+        let rows = 6 * (2 + 3);
+        assert_eq!(memo.row_counts().first_stage, rows);
+        for (i, (bound, want)) in bounds.iter().zip(&exact).enumerate() {
+            let SumBound::AtMost(bound) = *bound else {
+                panic!("colocation {i} is exact after one stage");
+            };
+            assert!(bound >= *want, "colocation {i}: bound {bound} below {want}");
+        }
+        // Every other colocation, from the rows of this pass.
+        for i in (0..batch.len()).step_by(2) {
+            let got = memo.finish_colocation_sum(&model, &batch, i, &mut scratch);
+            assert_eq!(got.to_bits(), exact[i].to_bits(), "colocation {i}");
+        }
+        assert_eq!(memo.row_counts().second_stage, 6 * 2);
+        // A fresh pass: finished sums are exact hits, the rest memoized
+        // bounds, finished member by member.
+        memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
+        for (i, bound) in bounds.iter().enumerate() {
+            let got = match bound {
+                SumBound::Exact(sum) => *sum,
+                SumBound::AtMost(_) => memo.finish_colocation_sum(&model, &batch, i, &mut scratch),
+            };
+            assert_eq!(got.to_bits(), exact[i].to_bits(), "colocation {i}");
+        }
+        let counts = memo.row_counts();
+        assert_eq!((counts.first_stage, counts.whole), (rows, 6 * 3));
+        assert_eq!(
+            (counts.stopped(), counts.through_all_trees()),
+            (6 * 3, 6 * 5)
+        );
+        let mut sums = Vec::new();
+        assert!(memo.resident_colocation_bounds(&model, &batch, &mut bounds));
+        memo.colocation_sums(&model, &batch, &mut scratch, &mut sums);
+        assert_eq!(sums, exact);
+        assert_eq!(memo.row_counts(), counts, "every sum is memoized exact");
     }
 
     #[test]

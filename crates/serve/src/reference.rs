@@ -114,6 +114,11 @@ impl Reference {
         self.shards[owner].depart(session)
     }
 
+    /// The prediction memo the reference scores through.
+    pub fn memo(&self) -> &PredictionMemo {
+        &self.memo
+    }
+
     /// Each shard's score-cache `(hits, misses)`, in shard order.
     pub fn score_counts(&self) -> Vec<(u64, u64)> {
         self.shards.iter().map(|s| s.scores.counts()).collect()

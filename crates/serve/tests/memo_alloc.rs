@@ -74,24 +74,31 @@ fn memo_hits_allocate_nothing() {
     for g in 1..8u32 {
         batch.push_extended(&[(GameId(g), res), (GameId((g + 3) % 8), res)], target);
     }
-    let mut sums = Vec::new();
+    let (mut sums, mut bounds) = (Vec::new(), Vec::new());
 
     // Warm: entries resident, scratch and output buffers grown.
     let (first, cached) = memo.predict_with(&model, 60.0, target, &others, &mut scratch);
     assert!(!cached);
     memo.colocation_sums(&model, &batch, &mut scratch, &mut sums);
     let warm = sums.clone();
-    assert!(memo.resident_colocation_sums(&model, &batch, &mut sums));
+    assert!(memo.resident_colocation_bounds(&model, &batch, &mut bounds));
+    memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
 
     let (hits_before, misses_before) = memo.counts();
     let n = allocations_during(|| {
         let (again, cached) = memo.predict_with(&model, 60.0, target, &others, &mut scratch);
         assert!(cached && again == first);
         memo.colocation_sums(&model, &batch, &mut scratch, &mut sums);
-        assert!(memo.resident_colocation_sums(&model, &batch, &mut sums));
+        assert!(memo.resident_colocation_bounds(&model, &batch, &mut bounds));
+        memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
     });
     assert_eq!(n, 0, "memo hits allocated {n} times");
     assert_eq!(sums, warm);
+    let exact: Vec<f64> = bounds
+        .iter()
+        .map(|b| b.exact().expect("an exact sum"))
+        .collect();
+    assert_eq!(exact, warm);
     let (hits, misses) = memo.counts();
-    assert_eq!((hits - hits_before, misses), (1 + 7 + 7, misses_before));
+    assert_eq!((hits - hits_before, misses), (1 + 7 + 7 + 7, misses_before));
 }

@@ -7,6 +7,10 @@
 //! two resolutions: the batched RM, the scalar RM and all three branches of
 //! the scalar QoS judgement. It holds for every way a predictor is made,
 //! and for models that have no table and walk their trees.
+//!
+//! The RM's staged answer is held to the same rows: its first stage bounds
+//! every row and every candidate sum from above, as `f64`, clamped rows
+//! included, and its second stage gives the node walk's bits.
 
 use gaugur::core::features::{cm_features, rm_features};
 use gaugur::core::{
@@ -15,6 +19,11 @@ use gaugur::core::{
     SessionOutcome,
 };
 use gaugur::gamesim::{GameCatalog, Resolution, Resource, Server, Workload};
+use gaugur::sched::{
+    predictor_colocation_bounds, predictor_colocation_sums, predictor_finish_sum, ColocationBatch,
+    PredictScratch, SumBound,
+};
+use proptest::prelude::*;
 use std::sync::OnceLock;
 
 const RESOLUTIONS: [Resolution; 2] = [Resolution::Fhd1080, Resolution::Hd720];
@@ -190,12 +199,16 @@ fn targets_and_sets(model: &GAugur) -> impl Iterator<Item = (Placement, Vec<Vec<
 
 /// Every target against every co-runner set, as explicit-others queries;
 /// and every colocation of the target and one or two others, as one
-/// shared-colocation query per member.
-fn assert_batch_equals_full_rows(model: &GAugur, label: &str) {
+/// shared-colocation query per member. The staged answer too: each first-
+/// stage bound at or above the row, and the second stage, asked one
+/// colocation's worth of queries at a time, on it. Returns how many rows
+/// the RM's clamp decided.
+fn assert_batch_equals_full_rows(model: &GAugur, label: &str) -> usize {
     let mut batch = DegradationBatch::new();
     let mut scratch = FeatureBuffer::new();
-    let mut out = Vec::new();
+    let (mut out, mut bounds, mut finished) = (Vec::new(), Vec::new(), Vec::new());
     let mut want = Vec::new();
+    let mut clamped = 0;
     for (target, sets) in targets_and_sets(model) {
         batch.clear();
         want.clear();
@@ -224,13 +237,94 @@ fn assert_batch_equals_full_rows(model: &GAugur, label: &str) {
                 "{label}: target {target:?}, query {q}: batch {got} vs row {want}"
             );
         }
+        clamped += want.iter().filter(|&&w| w == 0.01 || w == 1.05).count();
+        if model.bound_degradation_batch(&batch, &mut scratch, &mut bounds) {
+            assert_eq!(bounds, out, "{label}: a one-stage answer is exact");
+            continue;
+        }
+        for (q, (bound, want)) in bounds.iter().zip(&want).enumerate() {
+            assert!(
+                bound >= want,
+                "{label}: target {target:?}, query {q}: bound {bound} below row {want}"
+            );
+        }
+        finished.clear();
+        finished.resize(want.len(), f64::NAN);
+        for (start, end) in (0..want.len())
+            .step_by(3)
+            .map(|q| (q, (q + 3).min(want.len())))
+        {
+            model.finish_degradation_batch(
+                &batch,
+                start..end,
+                &mut scratch,
+                &mut finished[start..end],
+            );
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&finished),
+            bits(&want),
+            "{label}: target {target:?}, second stage"
+        );
     }
+    clamped
 }
 
 #[test]
 fn batched_rm_rows_equal_full_rows_for_every_predictor() {
+    let mut clamped = 0;
     for (label, model) in predictors() {
-        assert_batch_equals_full_rows(model, label);
+        clamped += assert_batch_equals_full_rows(model, label);
+    }
+    assert!(
+        clamped > 0,
+        "no row the clamp decided: the bounds met no saturated row"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Candidate sums of random colocations of two to four games at both
+    /// resolutions, for every predictor: the first stage's bound of each is
+    /// at or above its exact sum, as `f64`, and finishing it — in any
+    /// order — gives the exact sum's bits.
+    #[test]
+    fn first_stage_candidate_bounds_dominate_the_sums(
+        draws in proptest::collection::vec(
+            proptest::collection::vec((0usize..12, any::<bool>()), 2..=4),
+            1..=8,
+        ),
+    ) {
+        for (label, model) in predictors() {
+            let games: Vec<_> = model.profiles.sorted().iter().map(|p| p.id).collect();
+            let mut batch = ColocationBatch::new();
+            for draw in &draws {
+                let mut members: Vec<Placement> = Vec::new();
+                for &(g, hd) in draw {
+                    let res = if hd { Resolution::Hd720 } else { Resolution::Fhd1080 };
+                    if members.iter().all(|&(m, _)| m != games[g]) {
+                        members.push((games[g], res));
+                    }
+                }
+                batch.push(&members);
+            }
+            let (mut scratch, mut sums, mut bounds) =
+                (PredictScratch::new(), Vec::new(), Vec::new());
+            predictor_colocation_sums(model, &model.profiles, &batch, &mut scratch, &mut sums);
+            predictor_colocation_bounds(model, &model.profiles, &batch, &mut scratch, &mut bounds);
+            for i in (0..batch.len()).rev() {
+                let got = match bounds[i] {
+                    SumBound::Exact(sum) => sum,
+                    SumBound::AtMost(bound) => {
+                        prop_assert!(bound >= sums[i], "{}: {} below {}", label, bound, sums[i]);
+                        predictor_finish_sum(model, &model.profiles, &batch, i, &mut scratch)
+                    }
+                };
+                prop_assert_eq!(got.to_bits(), sums[i].to_bits(), "{}: colocation {}", label, i);
+            }
+        }
     }
 }
 
