@@ -155,6 +155,10 @@ impl TargetPrefixes {
         let (first, second) = bits.split_at_mut(self.head.n_trees());
         let mut sum = 0.0;
         for (table, bits) in [(&self.head, first), (&self.tail, second)] {
+            // A stage with no trees (the CM's second) adds nothing.
+            if table.n_trees() == 0 {
+                continue;
+            }
             table.apply(0, head, bits);
             table.apply(self.fixed.end, tail, bits);
             sum = table.sum_onto(sum, bits);
@@ -166,6 +170,7 @@ impl TargetPrefixes {
     /// `targets[i]` and `I_G` features `free[i * AGGREGATE_INTENSITY_WIDTH..]`,
     /// and its leaf sum continues from `sums[i]`, which it is left in.
     /// `bits` is scratch for one block of [`SplitTable::ROW_LANES`] rows.
+    /// A stage with no trees leaves the sums as they are.
     fn run_stage(
         &self,
         second: bool,
@@ -181,6 +186,9 @@ impl TargetPrefixes {
         };
         let lanes = SplitTable::ROW_LANES;
         let n = table.n_trees();
+        if n == 0 {
+            return;
+        }
         let blocks = free.chunks(lanes * AGGREGATE_INTENSITY_WIDTH);
         let sums = sums.chunks_mut(lanes);
         for ((targets, free), sums) in targets.chunks(lanes).zip(blocks).zip(sums) {

@@ -129,10 +129,10 @@ pub struct PredictScratch {
     pub features: FeatureBuffer,
     /// Per-query degradation ratios returned by the predictor.
     pub values: Vec<f64>,
-    /// General-purpose index scratch for implementations.
-    pub indices: Vec<usize>,
     /// Summed-FPS scratch for implementations.
     pub sums: Vec<f64>,
+    /// First-stage answers for implementations that finish them.
+    pub bounds: Vec<SumBound>,
     /// After a two-stage [`FpsModel::bound_colocation_sums`]: where each
     /// colocation's member queries start in `queries`, or [`NO_QUERIES`]
     /// for one the first stage did not evaluate.
@@ -175,9 +175,7 @@ pub trait FpsModel: Sync {
     fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64;
 
     /// Predicted summed FPS over every member of a colocation. The default
-    /// sums per-member predictions; serving-side implementations may
-    /// override it with a whole-colocation memo so the placement hot path
-    /// pays one lookup per candidate server instead of one per member.
+    /// sums per-member predictions.
     fn predict_colocation_sum(&self, members: &[Placement]) -> f64 {
         (0..members.len())
             .map(|i| self.predict_member_fps(members, i))

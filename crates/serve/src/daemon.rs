@@ -29,8 +29,9 @@
 //! Under the lock run the memo lookups, the score-cache reads and the
 //! decision, and two evaluations can still run there: the newcomer's own
 //! prediction at admit (`predict_with` — the RM and the CM, on a memo
-//! miss), and a `before` sum the `ScoreCache` does not hold (the RM, on a
-//! memo miss).
+//! miss), and a `before` sum the `ScoreCache` does not hold — the RM's two
+//! stages run to the end on a memo miss, and a memoized bound's members
+//! through all the RM's trees; no sum runs the CM.
 
 use crate::cluster::{shard_of_session, Shard};
 use crate::fault::{FaultAction, FaultInjector, InjectionPoint};

@@ -11,7 +11,7 @@ use crate::wire::{BatchPlaceResult, Request, Response};
 use gaugur_core::{GAugur, InterferencePredictor, Placement};
 use gaugur_sched::maxfps::MAX_PER_SERVER;
 use gaugur_sched::{member_sum, ColocationBatch, PredictScratch, SumBound, NO_QUERIES};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -357,12 +357,12 @@ fn recalled(value: f64) -> SumBound {
 }
 
 /// The summed FPS of a colocation of at most one member, which needs
-/// neither the model nor the memo: 0.0 for none, and for a lone member its
-/// solo FPS added to `-0.0` — `Iterator::sum`'s additive identity, so the
-/// bits are the member-wise sum's.
+/// neither the model nor the memo: the empty sum, and for a lone member
+/// its solo FPS added to it. The empty sum is `-0.0`, `Iterator::sum`'s
+/// additive identity, so both have the member-wise sum's bits.
 fn closed_form_sum(model: &LoadedModel, members: &[Placement]) -> Option<f64> {
     match *members {
-        [] => Some(0.0),
+        [] => Some(-0.0),
         [(game, resolution)] => {
             Some(-0.0 + model.gaugur.profiles.get(game).solo_fps_at(resolution))
         }
@@ -438,9 +438,21 @@ impl<K: std::hash::Hash + Eq + Copy, V: Copy> Generations<K, V> {
 /// force continuously: both maps keep two generations and never drop
 /// recently hit entries. The memo is a pure cache — every value is a
 /// function of its key — so what is resident changes cost, never an answer.
-/// That holds for the upper bounds the first scoring stage computes, too
-/// ([`PredictionMemo::colocation_bounds`]): the sum map keeps a
-/// colocation's bound until its exact sum replaces it.
+/// That holds for the upper bounds the first scoring stage computes, too:
+/// the sum map keeps a colocation's bound until its exact sum replaces it.
+///
+/// Each question has one entry point. A prediction is
+/// [`predict_with`](PredictionMemo::predict_with), the only one that runs
+/// the CM. A summed FPS is two stages: [`colocation_bounds`] answers a
+/// batch with sums and bounds, and [`finish_colocation_sum`] makes any
+/// bound exact; an exact sum is the two run to the end (what
+/// [`MemoizedFps`] does for `predict_colocation_sums`).
+/// [`resident_colocation_bounds`] is the first stage for a caller that
+/// must not evaluate. A memoized bound is a hit to every caller.
+///
+/// [`colocation_bounds`]: PredictionMemo::colocation_bounds
+/// [`finish_colocation_sum`]: PredictionMemo::finish_colocation_sum
+/// [`resident_colocation_bounds`]: PredictionMemo::resident_colocation_bounds
 pub struct PredictionMemo {
     map: Mutex<Generations<MemoKey, Memoized>>,
     /// [`stored`] sums and bounds.
@@ -457,8 +469,9 @@ pub struct RowCounts {
     pub first_stage: u64,
     /// Of those, rows later continued through the second stage.
     pub second_stage: u64,
-    /// Rows run through every tree in one go: exact sums, predictions,
-    /// a memoized bound's colocation finished, a model with one stage.
+    /// Rows run through every tree in one go: predictions, a memoized
+    /// bound's colocation finished, the sums of a model with one stage.
+    /// Every other exact sum runs the two stages.
     pub whole: u64,
 }
 
@@ -496,40 +509,24 @@ impl PredictionMemo {
         self.rows[which].fetch_add(rows as u64, Ordering::Relaxed);
     }
 
-    /// The exact sum memoized for `key`: a bound is not one.
-    fn exact_sum(sums: &mut Generations<SumKey, f64>, key: &SumKey) -> Option<f64> {
-        sums.get(key).and_then(|value| recalled(value).exact())
-    }
-
-    /// Memoized summed FPS of every member of `members` together; an empty
-    /// or lone colocation is answered in closed form, with no memo traffic.
-    /// Member predictions funnel through [`predict`](PredictionMemo::predict),
-    /// so the per-member entries stay shared with `Predict` requests.
-    pub fn colocation_sum(&self, model: &LoadedModel, qos: f64, members: &[Placement]) -> f64 {
+    /// What the memo knows of `members`' summed FPS without evaluating: a
+    /// closed form, or the sum or bound memoized for it — a hit, added to
+    /// `hits` — else `None`. The sum map's lock is taken at the first
+    /// colocation that needs it and kept in `sums` for the caller's pass.
+    fn recall<'m>(
+        &'m self,
+        model: &LoadedModel,
+        members: &[Placement],
+        sums: &mut Option<MutexGuard<'m, Generations<SumKey, f64>>>,
+        hits: &mut u64,
+    ) -> Option<SumBound> {
         if let Some(sum) = closed_form_sum(model, members) {
-            return sum;
+            return Some(SumBound::Exact(sum));
         }
-        let key = sum_key(model.version, members);
-        if let Some(hit) = key.and_then(|key| Self::exact_sum(&mut self.sums.lock(), &key)) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let sum: f64 = (0..members.len())
-            .map(|i| {
-                let others: Vec<Placement> = members
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(_, &p)| p)
-                    .collect();
-                self.predict(model, qos, members[i], &others).0.fps
-            })
-            .sum();
-        if let Some(key) = key {
-            self.sums.lock().insert(key, sum);
-        }
-        sum
+        let sums = sums.get_or_insert_with(|| self.sums.lock());
+        let hit = sum_key(model.version, members).and_then(|key| sums.get(&key))?;
+        *hits += 1;
+        Some(recalled(hit))
     }
 
     /// [`colocation_bounds`](PredictionMemo::colocation_bounds) only if it
@@ -546,20 +543,10 @@ impl PredictionMemo {
         out: &mut Vec<SumBound>,
     ) -> bool {
         out.clear();
-        let mut hits = 0;
-        let mut sums = None;
+        let (mut hits, mut sums) = (0, None);
         for i in 0..batch.len() {
-            let members = batch.members(i);
-            if let Some(sum) = closed_form_sum(model, members) {
-                out.push(SumBound::Exact(sum));
-                continue;
-            }
-            let sums = sums.get_or_insert_with(|| self.sums.lock());
-            match sum_key(model.version, members).and_then(|key| sums.get(&key)) {
-                Some(hit) => {
-                    hits += 1;
-                    out.push(recalled(hit));
-                }
+            match self.recall(model, batch.members(i), &mut sums, &mut hits) {
+                Some(known) => out.push(known),
                 None => return false,
             }
         }
@@ -585,33 +572,23 @@ impl PredictionMemo {
         out.clear();
         scratch.queries.clear();
         scratch.staged.clear();
-        let (mut hits, mut misses) = (0, 0);
-        {
-            let mut sums = None;
-            for i in 0..batch.len() {
-                let members = batch.members(i);
-                let known = match closed_form_sum(model, members) {
-                    Some(sum) => Some(SumBound::Exact(sum)),
-                    None => {
-                        let sums = sums.get_or_insert_with(|| self.sums.lock());
-                        let hit = sum_key(model.version, members).and_then(|key| sums.get(&key));
-                        hits += u64::from(hit.is_some());
-                        hit.map(recalled)
-                    }
-                };
-                let staged = match known {
-                    Some(_) => NO_QUERIES,
-                    None => {
-                        misses += 1;
-                        let first = scratch.queries.len();
-                        scratch.queries.push_colocation(members);
-                        first
-                    }
-                };
-                scratch.staged.push(staged);
-                out.push(known.unwrap_or(SumBound::AtMost(f64::NAN)));
-            }
+        let (mut hits, mut misses, mut sums) = (0, 0, None);
+        for i in 0..batch.len() {
+            let members = batch.members(i);
+            let known = self.recall(model, members, &mut sums, &mut hits);
+            let staged = match known {
+                Some(_) => NO_QUERIES,
+                None => {
+                    misses += 1;
+                    let first = scratch.queries.len();
+                    scratch.queries.push_colocation(members);
+                    first
+                }
+            };
+            scratch.staged.push(staged);
+            out.push(known.unwrap_or(SumBound::AtMost(f64::NAN)));
         }
+        drop(sums);
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);
         if misses == 0 {
@@ -647,7 +624,7 @@ impl PredictionMemo {
     /// whose rows ran the first stage there continues them; one whose bound
     /// came from the memo is evaluated member by member through the scalar
     /// path, which leaves `scratch` to the other candidates. Either way the
-    /// bits are [`PredictionMemo::colocation_sums`]'.
+    /// bits are the member-wise sum's, the RM's alone: no sum runs the CM.
     pub fn finish_colocation_sum(
         &self,
         model: &LoadedModel,
@@ -691,94 +668,14 @@ impl PredictionMemo {
         sum
     }
 
-    /// Batched counterpart of [`colocation_sum`]: answer every colocation in
-    /// `batch` at once, writing `batch.len()` summed-FPS values into `out`
-    /// (cleared first) in batch order. Hits are served from the sum memo;
-    /// all misses are assembled into one [`DegradationBatch`] query plan and
-    /// answered by a single fused model call through `scratch` — with no
-    /// memo lock held, so workers evaluate side by side and meet again only
-    /// to insert. Empty and lone colocations are answered in closed form,
-    /// as in the scalar path. Bit-identical to the scalar path, including
-    /// the `-0.0` sum identity.
-    ///
-    /// [`colocation_sum`]: PredictionMemo::colocation_sum
-    /// [`DegradationBatch`]: gaugur_core::DegradationBatch
-    pub fn colocation_sums(
-        &self,
-        model: &LoadedModel,
-        batch: &ColocationBatch,
-        scratch: &mut PredictScratch,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.resize(batch.len(), 0.0);
-        let mut miss_at = std::mem::take(&mut scratch.indices);
-        miss_at.clear();
-        scratch.queries.clear();
-        {
-            let mut sums = None;
-            for (i, slot) in out.iter_mut().enumerate() {
-                let members = batch.members(i);
-                if let Some(sum) = closed_form_sum(model, members) {
-                    *slot = sum;
-                    continue;
-                }
-                let sums = sums.get_or_insert_with(|| self.sums.lock());
-                match sum_key(model.version, members).and_then(|key| Self::exact_sum(sums, &key)) {
-                    Some(hit) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        *slot = hit;
-                    }
-                    None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        miss_at.push(i);
-                        scratch.queries.push_colocation(members);
-                    }
-                }
-            }
-        }
-        if !miss_at.is_empty() {
-            model.gaugur.predict_degradation_batch(
-                &scratch.queries,
-                &mut scratch.features,
-                &mut scratch.values,
-            );
-            self.count_rows(WHOLE, scratch.queries.len());
-            let mut first = 0;
-            let mut sums = self.sums.lock();
-            for &i in &miss_at {
-                let members = batch.members(i);
-                let sum = member_sum(&model.gaugur.profiles, members, &scratch.values[first..]);
-                first += members.len();
-                if let Some(key) = sum_key(model.version, members) {
-                    sums.insert(key, sum);
-                }
-                out[i] = sum;
-            }
-        }
-        scratch.indices = miss_at;
-    }
-
-    /// Predict through the memo. Returns the prediction and whether it was
-    /// served from cache (never, for a target with no co-runners: that
-    /// answer is the solo FPS, computed in closed form).
-    pub fn predict(
-        &self,
-        model: &LoadedModel,
-        qos: f64,
-        target: Placement,
-        others: &[Placement],
-    ) -> (Prediction, bool) {
-        self.predict_inner(model, qos, target, others, |gaugur| {
-            gaugur.predict_degradation(target, others)
-        })
-    }
-
-    /// [`predict`](PredictionMemo::predict) routed through the batch API: on
-    /// a miss, the degradation is computed as a one-query
+    /// Predict `target` beside `others` at floor `qos` through the memo:
+    /// the RM's degradation as a one-query
     /// [`DegradationBatch`](gaugur_core::DegradationBatch) through the
-    /// caller's scratch buffers. Memo entries are shared with the scalar
-    /// entry point (the batch evaluator is bit-identical).
+    /// caller's scratch buffers, and the CM's feasibility. Returns the
+    /// prediction and whether it was served from cache. A target with no
+    /// co-runners is answered in closed form and a co-runner set too large
+    /// for a key (only a wire `Predict` can name one) straight from the
+    /// model: neither takes an entry or a count.
     pub fn predict_with(
         &self,
         model: &LoadedModel,
@@ -786,29 +683,6 @@ impl PredictionMemo {
         target: Placement,
         others: &[Placement],
         scratch: &mut PredictScratch,
-    ) -> (Prediction, bool) {
-        self.predict_inner(model, qos, target, others, |gaugur| {
-            scratch.queries.clear();
-            scratch.queries.push(target, others);
-            gaugur.predict_degradation_batch(
-                &scratch.queries,
-                &mut scratch.features,
-                &mut scratch.values,
-            );
-            scratch.values[0]
-        })
-    }
-
-    /// A target with no co-runners is answered in closed form and a
-    /// co-runner set too large for a key (only a wire `Predict` can name
-    /// one) straight from the model: neither takes an entry or a count.
-    fn predict_inner(
-        &self,
-        model: &LoadedModel,
-        qos: f64,
-        target: Placement,
-        others: &[Placement],
-        degradation: impl FnOnce(&GAugur) -> f64,
     ) -> (Prediction, bool) {
         let solo = model.gaugur.profiles.get(target.0).solo_fps_at(target.1);
         if others.is_empty() {
@@ -830,7 +704,14 @@ impl PredictionMemo {
             };
             return (prediction, true);
         }
-        let degradation = degradation(&model.gaugur);
+        scratch.queries.clear();
+        scratch.queries.push(target, others);
+        model.gaugur.predict_degradation_batch(
+            &scratch.queries,
+            &mut scratch.features,
+            &mut scratch.values,
+        );
+        let degradation = scratch.values[0];
         self.count_rows(WHOLE, 1);
         let prediction = Prediction {
             feasible: model.gaugur.predict_qos(qos, target, others),
@@ -846,8 +727,8 @@ impl PredictionMemo {
         (prediction, false)
     }
 
-    /// `(hits, misses)` so far. A colocation's memoized bound is a hit of
-    /// the first scoring stage and no answer to the others.
+    /// `(hits, misses)` so far. A colocation's memoized bound is a hit:
+    /// [`PredictionMemo::finish_colocation_sum`] finishes it.
     pub fn counts(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -889,6 +770,8 @@ pub struct MemoizedFps<'a> {
 }
 
 impl gaugur_sched::FpsModel for MemoizedFps<'_> {
+    /// Through [`PredictionMemo::predict_with`], with a scratch of its own:
+    /// the placement hot path asks for sums, never for this.
     fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
         let others: Vec<Placement> = members
             .iter()
@@ -896,23 +779,35 @@ impl gaugur_sched::FpsModel for MemoizedFps<'_> {
             .filter(|&(j, _)| j != idx)
             .map(|(_, &p)| p)
             .collect();
+        let mut scratch = PredictScratch::new();
         self.memo
-            .predict(self.model, self.qos, members[idx], &others)
+            .predict_with(self.model, self.qos, members[idx], &others, &mut scratch)
             .0
             .fps
     }
 
-    fn predict_colocation_sum(&self, members: &[Placement]) -> f64 {
-        self.memo.colocation_sum(self.model, self.qos, members)
-    }
-
+    /// The two stages run to the end: every colocation's sum or bound from
+    /// [`PredictionMemo::colocation_bounds`], each bound finished by
+    /// [`PredictionMemo::finish_colocation_sum`].
     fn predict_colocation_sums(
         &self,
         batch: &ColocationBatch,
         scratch: &mut PredictScratch,
         out: &mut Vec<f64>,
     ) {
-        self.memo.colocation_sums(self.model, batch, scratch, out);
+        let mut bounds = std::mem::take(&mut scratch.bounds);
+        self.memo
+            .colocation_bounds(self.model, batch, scratch, &mut bounds);
+        out.clear();
+        for (i, &bound) in bounds.iter().enumerate() {
+            out.push(match bound {
+                SumBound::Exact(sum) => sum,
+                SumBound::AtMost(_) => self
+                    .memo
+                    .finish_colocation_sum(self.model, batch, i, scratch),
+            });
+        }
+        scratch.bounds = bounds;
     }
 
     fn bound_colocation_sums(
@@ -952,6 +847,7 @@ impl gaugur_sched::FpsModel for MemoizedFps<'_> {
 mod tests {
     use super::*;
     use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server};
+    use gaugur_sched::{FpsModel, GaugurRm};
 
     fn tiny_model() -> GAugur {
         let server = Server::reference(7);
@@ -966,6 +862,56 @@ mod tests {
             ..Default::default()
         };
         GAugur::build(&server, &catalog, config)
+    }
+
+    /// `model`'s sums through `memo`, as the daemon asks for them.
+    fn memoized<'a>(model: &'a LoadedModel, memo: &'a PredictionMemo) -> MemoizedFps<'a> {
+        MemoizedFps {
+            model,
+            memo,
+            qos: 60.0,
+        }
+    }
+
+    /// The bit reference for the memo's sums: the unmemoized RM member by
+    /// member ([`GaugurRm`]), summed by `Iterator::sum` — except that a
+    /// member alone on its server runs at its solo FPS, the closed form
+    /// `predict_with` answers a target with no co-runners with, where
+    /// `GaugurRm` asks the RM.
+    struct Unmemoized<'a>(GaugurRm<'a>);
+
+    impl FpsModel for Unmemoized<'_> {
+        fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
+            match *members {
+                [(game, res)] => self.0 .0.profiles.get(game).solo_fps_at(res),
+                _ => self.0.predict_member_fps(members, idx),
+            }
+        }
+
+        fn model_name(&self) -> &'static str {
+            "GAugur(RM, unmemoized)"
+        }
+    }
+
+    fn reference_sum(model: &LoadedModel, members: &[Placement]) -> u64 {
+        Unmemoized(GaugurRm(&model.gaugur))
+            .predict_colocation_sum(members)
+            .to_bits()
+    }
+
+    /// Every colocation of `batch` through `fps`'s exact batch path.
+    fn sums_of(
+        fps: &MemoizedFps<'_>,
+        batch: &ColocationBatch,
+        scratch: &mut PredictScratch,
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        fps.predict_colocation_sums(batch, scratch, &mut out);
+        out
+    }
+
+    fn bits(sums: &[f64]) -> Vec<u64> {
+        sums.iter().map(|s| s.to_bits()).collect()
     }
 
     /// The 8-byte memo values: a sum and a bound with their sign bits
@@ -1023,6 +969,7 @@ mod tests {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
         let memo = PredictionMemo::new(1024);
+        let mut scratch = PredictScratch::new();
         let t = (GameId(0), Resolution::Fhd1080);
         let others = [
             (GameId(1), Resolution::Hd720),
@@ -1030,19 +977,19 @@ mod tests {
         ];
         let reversed = [others[1], others[0]];
 
-        let (p1, cached1) = memo.predict(&model, 60.0, t, &others);
+        let (p1, cached1) = memo.predict_with(&model, 60.0, t, &others, &mut scratch);
         assert!(!cached1);
-        let (p2, cached2) = memo.predict(&model, 60.0, t, &others);
+        let (p2, cached2) = memo.predict_with(&model, 60.0, t, &others, &mut scratch);
         assert!(cached2);
         // Permutation of the co-runner multiset is the same colocation.
-        let (p3, cached3) = memo.predict(&model, 60.0, t, &reversed);
+        let (p3, cached3) = memo.predict_with(&model, 60.0, t, &reversed, &mut scratch);
         assert!(cached3);
         assert_eq!(p1, p2);
         assert_eq!(p1, p3);
         assert_eq!(memo.counts(), (2, 1));
 
         // A different QoS floor is a different question.
-        let (_, cached4) = memo.predict(&model, 30.0, t, &others);
+        let (_, cached4) = memo.predict_with(&model, 30.0, t, &others, &mut scratch);
         assert!(!cached4);
     }
 
@@ -1053,7 +1000,7 @@ mod tests {
         let memo = PredictionMemo::new(1024);
         let t = (GameId(3), Resolution::Fhd1080);
         let others = [(GameId(5), Resolution::Fhd1080)];
-        let (p, _) = memo.predict(&model, 60.0, t, &others);
+        let (p, _) = memo.predict_with(&model, 60.0, t, &others, &mut PredictScratch::new());
         assert_eq!(p.degradation, model.gaugur.predict_degradation(t, &others));
         assert_eq!(p.fps, model.gaugur.predict_fps(t, &others));
         assert_eq!(p.feasible, model.gaugur.predict_qos(60.0, t, &others));
@@ -1081,8 +1028,9 @@ mod tests {
             .find(|(t, o)| gaugur.predict_qos(floor, *t, o) && !gaugur.predict_qos(above, *t, o))
             .expect("a colocation the CM passes at 60 FPS whose RM FPS is below it");
         let memo = PredictionMemo::new(1024);
+        let mut scratch = PredictScratch::new();
         for qos in [floor, above] {
-            let (prediction, _) = memo.predict(&model, qos, target, &others);
+            let (prediction, _) = memo.predict_with(&model, qos, target, &others, &mut scratch);
             let want = gaugur.predict_qos(qos, target, &others);
             assert_eq!(prediction.feasible, want, "at {qos} FPS");
         }
@@ -1094,65 +1042,67 @@ mod tests {
         let model = handle.get();
         let memo = PredictionMemo::new(64);
         let t = (GameId(1), Resolution::Hd720);
-        let (p, _) = memo.predict(&model, 30.0, t, &[]);
+        let (p, _) = memo.predict_with(&model, 30.0, t, &[], &mut PredictScratch::new());
         assert_eq!(p.degradation, 1.0);
         let solo = model.gaugur.profiles.get(t.0).solo_fps_at(t.1);
         assert_eq!(p.fps, solo);
         assert_eq!(p.feasible, solo >= 30.0);
     }
 
-    /// Lone sums and solo predictions are closed forms: the bits the miss
-    /// path used to compute (`-0.0 + solo`; degradation 1.0, the solo FPS
-    /// and the floor judged against it) through every entry point, with
-    /// the counters and both tables left where they were.
+    /// Lone sums and solo predictions are closed forms with the member-wise
+    /// path's bits — the empty sum `-0.0` and `-0.0 + solo`; degradation
+    /// 1.0, the solo FPS and the floor judged against it — through every
+    /// entry point, with the counters and both tables left where they were.
     #[test]
     fn lone_sums_and_solo_predictions_never_touch_the_memo() {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
         let memo = PredictionMemo::new(1024);
+        let fps = memoized(&model, &memo);
         let mut scratch = PredictScratch::new();
         // Ordinary traffic first, so there is something not to move.
         let pair = [
             (GameId(0), Resolution::Fhd1080),
             (GameId(1), Resolution::Hd720),
         ];
-        let _ = memo.colocation_sum(&model, 60.0, &pair);
+        let _ = memo.predict_with(&model, 60.0, pair[0], &pair[1..], &mut scratch);
+        let mut batch = ColocationBatch::new();
+        batch.push(&pair);
+        let _ = sums_of(&fps, &batch, &mut scratch);
         let state = |memo: &PredictionMemo| (memo.counts(), memo.len(), memo.sums.lock().len());
         let before = state(&memo);
-        assert_eq!(before, ((0, 3), 2, 1));
+        assert_eq!(before, ((0, 2), 1, 1));
 
-        let mut batch = ColocationBatch::new();
-        let (mut out, mut bounds) = (Vec::new(), Vec::new());
+        let empty = (-0.0f64).to_bits();
+        assert_eq!(reference_sum(&model, &[]), empty);
+        let exact_bits = |bounds: &[SumBound]| -> Vec<u64> {
+            bounds
+                .iter()
+                .map(|b| b.exact().unwrap().to_bits())
+                .collect()
+        };
+        let mut bounds = Vec::new();
         for profile in model.gaugur.profiles.sorted() {
             for res in gaugur_gamesim::game::ALL_RESOLUTIONS {
                 let lone = (profile.id, res);
                 let solo = profile.solo_fps_at(res);
                 let sum = (-0.0 + solo).to_bits();
-                assert_eq!(memo.colocation_sum(&model, 60.0, &[lone]).to_bits(), sum);
+                assert_eq!(reference_sum(&model, &[lone]), sum);
+                assert_eq!(fps.predict_colocation_sum(&[lone]).to_bits(), sum);
                 batch.clear();
                 batch.push(&[lone]);
                 batch.push(&[]);
-                let sums = [sum, 0.0f64.to_bits()];
-                memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
-                assert_eq!(out.iter().map(|s| s.to_bits()).collect::<Vec<_>>(), sums);
-                let exact_bits = |bounds: &[SumBound]| -> Vec<u64> {
-                    bounds
-                        .iter()
-                        .map(|b| b.exact().unwrap().to_bits())
-                        .collect()
-                };
+                let sums = [sum, empty];
+                assert_eq!(bits(&sums_of(&fps, &batch, &mut scratch)), sums);
                 assert!(memo.resident_colocation_bounds(&model, &batch, &mut bounds));
                 assert_eq!(exact_bits(&bounds), sums);
                 memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
                 assert_eq!(exact_bits(&bounds), sums);
                 for qos in [0.0, 30.0, 60.0, solo, solo + 1.0] {
                     let want = (solo >= qos, 1.0f64.to_bits(), solo.to_bits(), false);
-                    let scalar = memo.predict(&model, qos, lone, &[]);
-                    let batched = memo.predict_with(&model, qos, lone, &[], &mut scratch);
-                    for (p, cached) in [scalar, batched] {
-                        let got = (p.feasible, p.degradation.to_bits(), p.fps.to_bits(), cached);
-                        assert_eq!(got, want, "{lone:?} at {qos} FPS");
-                    }
+                    let (p, cached) = memo.predict_with(&model, qos, lone, &[], &mut scratch);
+                    let got = (p.feasible, p.degradation.to_bits(), p.fps.to_bits(), cached);
+                    assert_eq!(got, want, "{lone:?} at {qos} FPS");
                 }
             }
         }
@@ -1174,14 +1124,14 @@ mod tests {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
         let memo = PredictionMemo::new(16);
+        let fps = memoized(&model, &memo);
         let mut scratch = PredictScratch::new();
         let mut batch = ColocationBatch::new();
-        let mut out = Vec::new();
         for (target, others) in pairs() {
-            let _ = memo.predict(&model, 60.0, target, &others);
+            let _ = memo.predict_with(&model, 60.0, target, &others, &mut scratch);
             batch.clear();
             batch.push_extended(&others, target);
-            memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
+            let _ = sums_of(&fps, &batch, &mut scratch);
             assert!(memo.len() <= 16, "{} prediction entries", memo.len());
             assert!(memo.sums.lock().len() <= 16);
         }
@@ -1198,18 +1148,24 @@ mod tests {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
         let memo = PredictionMemo::new(32);
+        let mut scratch = PredictScratch::new();
         let all = pairs();
         let (hot, cold) = all.split_at(4);
         for (target, others) in hot {
-            assert!(!memo.predict(&model, 60.0, *target, others).1);
+            assert!(
+                !memo
+                    .predict_with(&model, 60.0, *target, others, &mut scratch)
+                    .1
+            );
         }
         // 52 cold keys, three floors each, through 32 entries: 156 inserts.
         for qos in [30.0, 45.0, 60.0] {
             for (i, (target, others)) in cold.iter().enumerate() {
-                let _ = memo.predict(&model, qos, *target, others);
+                let _ = memo.predict_with(&model, qos, *target, others, &mut scratch);
                 if i % 4 == 3 {
                     for (target, others) in hot {
-                        let (_, cached) = memo.predict(&model, 60.0, *target, others);
+                        let (_, cached) =
+                            memo.predict_with(&model, 60.0, *target, others, &mut scratch);
                         assert!(cached, "hot entry evicted under cold traffic");
                     }
                 }
@@ -1228,22 +1184,23 @@ mod tests {
             source: PathBuf::from("<bumped>"),
         };
         let memo = PredictionMemo::new(64);
+        let mut scratch = PredictScratch::new();
         let t = (GameId(0), Resolution::Fhd1080);
         let others = [(GameId(1), Resolution::Hd720)];
-        assert!(!memo.predict(&v1, 60.0, t, &others).1);
-        assert!(memo.predict(&v1, 60.0, t, &others).1);
-        assert!(!memo.predict(&v2, 60.0, t, &others).1);
+        assert!(!memo.predict_with(&v1, 60.0, t, &others, &mut scratch).1);
+        assert!(memo.predict_with(&v1, 60.0, t, &others, &mut scratch).1);
+        assert!(!memo.predict_with(&v2, 60.0, t, &others, &mut scratch).1);
 
-        let members = [t, others[0]];
+        let mut batch = ColocationBatch::new();
+        batch.push(&[t, others[0]]);
         let (_, m0) = memo.counts();
-        let s1 = memo.colocation_sum(&v1, 60.0, &members);
-        let s2 = memo.colocation_sum(&v2, 60.0, &members);
-        assert_eq!(s1.to_bits(), s2.to_bits());
-        // Both sums missed (their member predictions are memo traffic too).
-        let (_, m1) = memo.counts();
-        assert!(m1 - m0 >= 2);
+        let s1 = sums_of(&memoized(&v1, &memo), &batch, &mut scratch);
+        let s2 = sums_of(&memoized(&v2, &memo), &batch, &mut scratch);
+        assert_eq!(bits(&s1), bits(&s2));
+        // Both sums missed, once each: a sum asks the memo no prediction.
+        assert_eq!(memo.counts().1, m0 + 2);
         let (h0, _) = memo.counts();
-        let _ = memo.colocation_sum(&v2, 60.0, &members);
+        let _ = sums_of(&memoized(&v2, &memo), &batch, &mut scratch);
         assert_eq!(memo.counts().0, h0 + 1);
     }
 
@@ -1268,18 +1225,17 @@ mod tests {
                 p.degradation.to_bits(),
                 model.gaugur.predict_degradation(t, &others).to_bits()
             );
+            assert_eq!(p.fps, model.gaugur.predict_fps(t, &others));
             assert_eq!(p.feasible, model.gaugur.predict_qos(60.0, t, &others));
         }
-        assert_eq!(memo.predict(&model, 60.0, t, &others).0.fps, {
-            model.gaugur.predict_fps(t, &others)
-        });
         assert_eq!(memo.counts(), (0, 0));
         assert!(memo.is_empty());
 
         // The largest set that does fit is memoized as usual.
-        let (_, cached) = memo.predict(&model, 60.0, t, &others[..MAX_PER_SERVER]);
+        let fit = &others[..MAX_PER_SERVER];
+        let (_, cached) = memo.predict_with(&model, 60.0, t, fit, &mut scratch);
         assert!(!cached);
-        let (_, cached) = memo.predict(&model, 60.0, t, &others[..MAX_PER_SERVER]);
+        let (_, cached) = memo.predict_with(&model, 60.0, t, fit, &mut scratch);
         assert!(cached);
 
         // Likewise for sums: an oversize colocation is computed, not kept.
@@ -1287,10 +1243,12 @@ mod tests {
         members.push(t);
         let mut batch = ColocationBatch::new();
         batch.push(&members);
-        let (mut out, mut bounds) = (Vec::new(), Vec::new());
+        let fps = memoized(&model, &memo);
+        let mut bounds = Vec::new();
         for _ in 0..2 {
             let (_, m0) = memo.counts();
-            memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
+            let sums = sums_of(&fps, &batch, &mut scratch);
+            assert_eq!(bits(&sums), [reference_sum(&model, &members)]);
             assert_eq!(memo.counts().1, m0 + 1);
             assert!(!memo.resident_colocation_bounds(&model, &batch, &mut bounds));
         }
@@ -1319,17 +1277,18 @@ mod tests {
         assert!(memo.resident_colocation_bounds(&model, &batch, &mut out));
         assert_eq!(memo.counts(), (2, 2));
         assert_eq!(out, staged);
-        assert_eq!(out[0], SumBound::Exact(0.0));
+        assert_eq!(out[0].exact().map(f64::to_bits), Some((-0.0f64).to_bits()));
         assert!(out[1..].iter().all(|b| b.exact().is_none()));
 
-        // An exact pass misses a bound, and its sums replace the bounds.
-        let mut evaluated = Vec::new();
-        memo.colocation_sums(&model, &batch, &mut scratch, &mut evaluated);
-        assert_eq!(memo.counts(), (2, 4));
+        // An exact pass hits the bounds and finishes them; its sums replace
+        // the bounds.
+        let evaluated = sums_of(&memoized(&model, &memo), &batch, &mut scratch);
+        assert_eq!(memo.counts(), (4, 2));
         assert!(memo.resident_colocation_bounds(&model, &batch, &mut out));
-        assert_eq!(memo.counts(), (4, 4));
-        for ((got, bound), want) in out.iter().zip(&staged).zip(&evaluated) {
+        assert_eq!(memo.counts(), (6, 2));
+        for (i, ((got, bound), want)) in out.iter().zip(&staged).zip(&evaluated).enumerate() {
             assert_eq!(got.exact().unwrap().to_bits(), want.to_bits());
+            assert_eq!(want.to_bits(), reference_sum(&model, batch.members(i)));
             let (SumBound::Exact(bound) | SumBound::AtMost(bound)) = *bound;
             assert!(bound >= *want, "bound {bound} below the sum {want}");
         }
@@ -1337,8 +1296,8 @@ mod tests {
 
     /// The first stage bounds each sum from above; finishing a colocation,
     /// whether its rows ran the first stage in this pass or its bound came
-    /// from the memo, gives the exact pass's bits and memoizes them; and
-    /// the row counts say how far each row went.
+    /// from the memo, gives the unmemoized RM's bits and memoizes them;
+    /// and the row counts say how far each row went.
     #[test]
     fn finished_sums_are_the_exact_passes_bits() {
         let handle = ModelHandle::from_model(tiny_model());
@@ -1349,23 +1308,26 @@ mod tests {
             batch.push(&[(GameId(g), res), (GameId(g + 1), Resolution::Hd720)]);
             batch.push(&[(GameId(g), res), (GameId(g + 1), res), (GameId(g + 2), res)]);
         }
-        let (mut scratch, mut exact, mut bounds) = (PredictScratch::new(), Vec::new(), Vec::new());
-        PredictionMemo::new(1024).colocation_sums(&model, &batch, &mut scratch, &mut exact);
+        let exact: Vec<u64> = (0..batch.len())
+            .map(|i| reference_sum(&model, batch.members(i)))
+            .collect();
+        let (mut scratch, mut bounds) = (PredictScratch::new(), Vec::new());
 
         let memo = PredictionMemo::new(1024);
         memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
         let rows = 6 * (2 + 3);
         assert_eq!(memo.row_counts().first_stage, rows);
-        for (i, (bound, want)) in bounds.iter().zip(&exact).enumerate() {
+        for (i, (bound, &want)) in bounds.iter().zip(&exact).enumerate() {
             let SumBound::AtMost(bound) = *bound else {
                 panic!("colocation {i} is exact after one stage");
             };
-            assert!(bound >= *want, "colocation {i}: bound {bound} below {want}");
+            let want = f64::from_bits(want);
+            assert!(bound >= want, "colocation {i}: bound {bound} below {want}");
         }
         // Every other colocation, from the rows of this pass.
         for i in (0..batch.len()).step_by(2) {
             let got = memo.finish_colocation_sum(&model, &batch, i, &mut scratch);
-            assert_eq!(got.to_bits(), exact[i].to_bits(), "colocation {i}");
+            assert_eq!(got.to_bits(), exact[i], "colocation {i}");
         }
         assert_eq!(memo.row_counts().second_stage, 6 * 2);
         // A fresh pass: finished sums are exact hits, the rest memoized
@@ -1376,7 +1338,7 @@ mod tests {
                 SumBound::Exact(sum) => *sum,
                 SumBound::AtMost(_) => memo.finish_colocation_sum(&model, &batch, i, &mut scratch),
             };
-            assert_eq!(got.to_bits(), exact[i].to_bits(), "colocation {i}");
+            assert_eq!(got.to_bits(), exact[i], "colocation {i}");
         }
         let counts = memo.row_counts();
         assert_eq!((counts.first_stage, counts.whole), (rows, 6 * 3));
@@ -1384,18 +1346,70 @@ mod tests {
             (counts.stopped(), counts.through_all_trees()),
             (6 * 3, 6 * 5)
         );
-        let mut sums = Vec::new();
         assert!(memo.resident_colocation_bounds(&model, &batch, &mut bounds));
-        memo.colocation_sums(&model, &batch, &mut scratch, &mut sums);
-        assert_eq!(sums, exact);
+        let sums = sums_of(&memoized(&model, &memo), &batch, &mut scratch);
+        assert_eq!(bits(&sums), exact);
         assert_eq!(memo.row_counts(), counts, "every sum is memoized exact");
     }
 
+    /// The exact batch path is the two stages run to the end. A missed
+    /// colocation's rows run stage 1 and then stage 2. A `before`
+    /// colocation whose entry is a first-stage bound — a candidate an
+    /// earlier place left unfinished — is a hit, finished member by member
+    /// to the same bits and memoized as a sum.
     #[test]
-    fn colocation_sum_memoizes_and_matches_member_predictions() {
+    fn exact_sums_finish_misses_and_memoized_bounds_alike() {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
         let memo = PredictionMemo::new(1024);
+        let fps = memoized(&model, &memo);
+        let mut scratch = PredictScratch::new();
+        let res = Resolution::Fhd1080;
+        let mut batch = ColocationBatch::new();
+        batch.push(&[]);
+        batch.push(&[(GameId(1), res), (GameId(2), Resolution::Hd720)]);
+        batch.push(&[(GameId(3), res), (GameId(4), res), (GameId(5), res)]);
+        let want: Vec<u64> = (0..batch.len())
+            .map(|i| reference_sum(&model, batch.members(i)))
+            .collect();
+        let rows = |first_stage, second_stage, whole| RowCounts {
+            first_stage,
+            second_stage,
+            whole,
+        };
+
+        // Misses: both stages, every row.
+        assert_eq!(bits(&sums_of(&fps, &batch, &mut scratch)), want);
+        assert_eq!(memo.counts(), (0, 2));
+        assert_eq!(memo.row_counts(), rows(5, 5, 0));
+
+        // Memoized bounds, as a pruned candidate leaves them.
+        let memo = PredictionMemo::new(1024);
+        let fps = memoized(&model, &memo);
+        let mut bounds = Vec::new();
+        memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
+        assert!(bounds[1..].iter().all(|b| b.exact().is_none()));
+        assert_eq!(memo.counts(), (0, 2));
+        assert_eq!(memo.row_counts(), rows(5, 0, 0));
+        // The befores: two hits, no miss, their five rows run whole.
+        assert_eq!(bits(&sums_of(&fps, &batch, &mut scratch)), want);
+        assert_eq!(memo.counts(), (2, 2));
+        assert_eq!(memo.row_counts(), rows(5, 0, 5));
+        // Now sums: hits again, and no row.
+        assert_eq!(bits(&sums_of(&fps, &batch, &mut scratch)), want);
+        assert_eq!(memo.counts(), (4, 2));
+        assert_eq!(memo.row_counts(), rows(5, 0, 5));
+        assert!(memo.resident_colocation_bounds(&model, &batch, &mut bounds));
+        assert!(bounds.iter().all(|b| b.exact().is_some()));
+    }
+
+    #[test]
+    fn colocation_sums_memoize_and_match_member_predictions() {
+        let handle = ModelHandle::from_model(tiny_model());
+        let model = handle.get();
+        let memo = PredictionMemo::new(1024);
+        let fps = memoized(&model, &memo);
+        let mut scratch = PredictScratch::new();
         let members = [
             (GameId(0), Resolution::Fhd1080),
             (GameId(1), Resolution::Hd720),
@@ -1412,27 +1426,34 @@ mod tests {
                 model.gaugur.predict_fps(members[i], &others)
             })
             .sum();
-        let sum = memo.colocation_sum(&model, 60.0, &members);
-        assert!((sum - direct).abs() < 1e-9);
+        let mut batch = ColocationBatch::new();
+        batch.push(&members);
+        let sums = sums_of(&fps, &batch, &mut scratch);
+        assert_eq!(bits(&sums), [direct.to_bits()]);
         // Repeat and permutation both hit the sum memo.
         let (h0, _) = memo.counts();
-        let _ = memo.colocation_sum(&model, 60.0, &members);
-        let permuted = [members[2], members[0], members[1]];
-        let _ = memo.colocation_sum(&model, 60.0, &permuted);
-        let (h1, _) = memo.counts();
+        let _ = sums_of(&fps, &batch, &mut scratch);
+        batch.clear();
+        batch.push(&[members[2], members[0], members[1]]);
+        let _ = sums_of(&fps, &batch, &mut scratch);
+        let (h1, m1) = memo.counts();
         assert_eq!(h1 - h0, 2);
-        // An empty colocation sums to zero without touching the model.
-        assert_eq!(memo.colocation_sum(&model, 60.0, &[]), 0.0);
+        // An empty colocation sums to `-0.0` without touching the model.
+        batch.clear();
+        batch.push(&[]);
+        assert_eq!(
+            bits(&sums_of(&fps, &batch, &mut scratch)),
+            [(-0.0f64).to_bits()]
+        );
+        assert_eq!(memo.counts(), (h1, m1));
     }
 
     #[test]
     fn batched_colocation_sums_are_bit_identical_to_scalar() {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
-        // Separate memos so the batched path computes rather than replaying
-        // values the scalar path already cached.
-        let scalar_memo = PredictionMemo::new(1024);
-        let batch_memo = PredictionMemo::new(1024);
+        let memo = PredictionMemo::new(1024);
+        let fps = memoized(&model, &memo);
 
         let mut batch = ColocationBatch::new();
         batch.push(&[]);
@@ -1448,36 +1469,37 @@ mod tests {
         ]);
 
         let mut scratch = PredictScratch::new();
-        let mut out = Vec::new();
-        batch_memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
+        let out = sums_of(&fps, &batch, &mut scratch);
         assert_eq!(out.len(), batch.len());
         for (i, &got) in out.iter().enumerate() {
-            let direct = scalar_memo.colocation_sum(&model, 60.0, batch.members(i));
+            let direct = reference_sum(&model, batch.members(i));
             assert_eq!(
                 got.to_bits(),
-                direct.to_bits(),
-                "colocation {i}: {got} vs {direct}"
+                direct,
+                "colocation {i}: {got} vs {direct:#x}"
             );
+            // `MemoizedFps`'s own scalar sum, member by member through
+            // `predict_with`, has the same bits.
+            let scalar = fps.predict_colocation_sum(batch.members(i));
+            assert_eq!(scalar.to_bits(), direct, "colocation {i}");
         }
 
         // A second pass hits the sum memo for the pair and the triple; the
         // empty and the lone colocation touch neither the memo nor the
         // counters.
-        let (h0, m0) = batch_memo.counts();
-        let mut again = Vec::new();
-        batch_memo.colocation_sums(&model, &batch, &mut scratch, &mut again);
-        let (h1, m1) = batch_memo.counts();
+        let (h0, m0) = memo.counts();
+        let again = sums_of(&fps, &batch, &mut scratch);
+        let (h1, m1) = memo.counts();
         assert_eq!(h1 - h0, 2);
         assert_eq!(m1, m0);
-        assert_eq!(out, again);
+        assert_eq!(bits(&out), bits(&again));
     }
 
     #[test]
     fn lone_members_take_no_query_row() {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
-        let scalar_memo = PredictionMemo::new(1024);
-        let batch_memo = PredictionMemo::new(1024);
+        let memo = PredictionMemo::new(1024);
         let p = |g: u32, res| (GameId(g), res);
         let colocations: [&[Placement]; 5] = [
             &[p(0, Resolution::Fhd1080)],
@@ -1492,26 +1514,31 @@ mod tests {
         }
 
         let mut scratch = PredictScratch::new();
-        let mut out = Vec::new();
-        batch_memo.colocation_sums(&model, &batch, &mut scratch, &mut out);
+        let out = sums_of(&memoized(&model, &memo), &batch, &mut scratch);
         // The query plan holds the pairs' four rows and nothing else.
         assert_eq!(scratch.queries.len(), 4);
         let targets: Vec<Placement> = (0..4).map(|i| scratch.queries.target(i)).collect();
         assert_eq!(targets, [colocations[1], colocations[4]].concat());
         for (i, &got) in out.iter().enumerate() {
-            let direct = scalar_memo.colocation_sum(&model, 60.0, colocations[i]);
-            assert_eq!(got.to_bits(), direct.to_bits(), "colocation {i}");
+            assert_eq!(
+                got.to_bits(),
+                reference_sum(&model, colocations[i]),
+                "colocation {i}"
+            );
         }
         // Only the two pairs are memo traffic; the lone members are
         // answered in closed form.
-        assert_eq!(batch_memo.counts(), (0, 2));
+        assert_eq!(memo.counts(), (0, 2));
     }
 
+    /// Member predictions go through `predict_with`: a `Predict`'s entry
+    /// answers the placement model's member prediction, and vice versa.
     #[test]
-    fn predict_with_shares_memo_entries_with_the_scalar_path() {
+    fn member_predictions_share_memo_entries_with_predict_with() {
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
         let memo = PredictionMemo::new(1024);
+        let fps = memoized(&model, &memo);
         let mut scratch = PredictScratch::new();
         let t = (GameId(2), Resolution::Fhd1080);
         let others = [
@@ -1527,18 +1554,112 @@ mod tests {
         );
         assert_eq!(p.feasible, model.gaugur.predict_qos(60.0, t, &others));
 
-        // The entry it stored serves the scalar entry point, and vice versa.
-        let (p2, cached2) = memo.predict(&model, 60.0, t, &others);
-        assert!(cached2);
-        assert_eq!(p, p2);
+        let members = [others[0], t, others[1]];
+        assert_eq!(
+            fps.predict_member_fps(&members, 1).to_bits(),
+            p.fps.to_bits()
+        );
+        assert_eq!(memo.counts(), (1, 1));
         let s = (GameId(7), Resolution::Hd900);
-        let _ = memo.predict(&model, 30.0, s, &others);
-        let (_, cached3) = memo.predict_with(&model, 30.0, s, &others, &mut scratch);
-        assert!(cached3);
+        let _ = fps.predict_member_fps(&[others[1], others[0], s], 2);
+        let (_, cached) = memo.predict_with(&model, 60.0, s, &others, &mut scratch);
+        assert!(cached);
+        assert_eq!(memo.counts(), (2, 2));
 
-        // Solo queries bypass the model in both entry points.
+        // Solo queries bypass the model.
         let (solo, _) = memo.predict_with(&model, 30.0, t, &[], &mut scratch);
         assert_eq!(solo.degradation, 1.0);
+    }
+
+    /// The daemon's selection through the memo is the unmemoized one's, bit
+    /// for bit — server, `delta`, `server_sum` and `before_sum`, and the
+    /// score cache's counts — on seeded fleets with empty servers and
+    /// departures. An empty server's `before_sum` is the empty sum, `-0.0`,
+    /// on both sides. Each selection asks a fresh memo: a memoized sum
+    /// keeps the member order it was first evaluated in, and three or more
+    /// members summed in another order can differ in the last bit, so a
+    /// memo that outlives a selection may answer a permuted colocation
+    /// with its first order's bits.
+    #[test]
+    fn memoized_selection_is_the_unmemoized_ones_bit_for_bit() {
+        use gaugur_sched::{
+            select_server_incremental_with, PlacementScratch, ScoreCache, Selection,
+        };
+        use rand::Rng;
+        let handle = ModelHandle::from_model(tiny_model());
+        let model = handle.get();
+        let reference = Unmemoized(GaugurRm(&model.gaugur));
+        let games: Vec<GameId> = model
+            .gaugur
+            .profiles
+            .sorted()
+            .iter()
+            .map(|p| p.id)
+            .collect();
+        let key = |sel: Selection| {
+            let Selection {
+                server,
+                delta,
+                server_sum,
+                before_sum,
+            } = sel;
+            (
+                server,
+                delta.to_bits(),
+                server_sum.to_bits(),
+                before_sum.to_bits(),
+            )
+        };
+        let mut onto_empty = 0;
+        for stream in 0..6u64 {
+            let mut rng = gaugur_gamesim::rng::rng_for(0xB175, &[stream]);
+            let n = rng.gen_range(2..=12);
+            let mut fleet: Vec<Vec<Placement>> = vec![Vec::new(); n];
+            let (mut memo_cache, mut rm_cache) = (ScoreCache::new(n), ScoreCache::new(n));
+            let mut scratch = [PlacementScratch::new(), PlacementScratch::new()];
+            for step in 0..60 {
+                let occupied: Vec<usize> = (0..n).filter(|&s| !fleet[s].is_empty()).collect();
+                if !occupied.is_empty() && rng.gen_bool(0.35) {
+                    let s = occupied[rng.gen_range(0..occupied.len())];
+                    let leaving = rng.gen_range(0..fleet[s].len());
+                    fleet[s].swap_remove(leaving);
+                    memo_cache.invalidate(s);
+                    rm_cache.invalidate(s);
+                    continue;
+                }
+                let res = match rng.gen_bool(0.5) {
+                    true => Resolution::Fhd1080,
+                    false => Resolution::Hd720,
+                };
+                let request = (games[rng.gen_range(0..games.len())], res);
+                let [memo_scratch, rm_scratch] = &mut scratch;
+                let (memo, version) = (PredictionMemo::new(1024), model.version);
+                let through_memo = select_server_incremental_with(
+                    &fleet,
+                    request,
+                    &memoized(&model, &memo),
+                    version,
+                    &mut memo_cache,
+                    memo_scratch,
+                );
+                let direct = select_server_incremental_with(
+                    &fleet,
+                    request,
+                    &reference,
+                    version,
+                    &mut rm_cache,
+                    rm_scratch,
+                );
+                let at = format!("stream {stream}, step {step}");
+                assert_eq!(through_memo.map(key), direct.map(key), "{at}");
+                assert_eq!(memo_cache.counts(), rm_cache.counts(), "{at}");
+                if let Some(sel) = direct {
+                    onto_empty += usize::from(fleet[sel.server].is_empty());
+                    fleet[sel.server].push(request);
+                }
+            }
+        }
+        assert!(onto_empty > 0, "no selection chose an empty server");
     }
 
     /// Regression test for the reload rollback race: two concurrent reloads
@@ -1662,11 +1783,12 @@ mod tests {
         // The old model keeps serving predictions untouched.
         let pinned = handle.get();
         let memo = PredictionMemo::new(64);
-        let (p, _) = memo.predict(
+        let (p, _) = memo.predict_with(
             &pinned,
             60.0,
             (GameId(0), Resolution::Fhd1080),
             &[(GameId(1), Resolution::Hd720)],
+            &mut PredictScratch::new(),
         );
         assert!(p.fps > 0.0 && p.degradation > 0.0);
 

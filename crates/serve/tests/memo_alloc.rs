@@ -1,5 +1,7 @@
 //! A memo lookup that hits performs no heap allocation: keys are fixed-size
-//! inline values, and a hit neither grows a table nor builds a query plan.
+//! inline values, and a hit neither grows a table nor builds a query plan —
+//! through `predict_with`, the first stage, the resident pass and the exact
+//! sums `MemoizedFps` asks for the `before` colocations alike.
 //!
 //! The allocation count comes from a counting `#[global_allocator]`, which
 //! is why this is a test binary of its own (one allocator per binary, one
@@ -7,8 +9,8 @@
 
 use gaugur_core::{GAugur, Placement};
 use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server};
-use gaugur_sched::{ColocationBatch, PredictScratch};
-use gaugur_serve::{ModelHandle, PredictionMemo};
+use gaugur_sched::{ColocationBatch, FpsModel, PredictScratch};
+use gaugur_serve::{MemoizedFps, ModelHandle, PredictionMemo};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,6 +63,11 @@ fn memo_hits_allocate_nothing() {
     let handle = ModelHandle::from_model(GAugur::build(&Server::reference(7), &catalog, config));
     let model = handle.get();
     let memo = PredictionMemo::new(1 << 16);
+    let fps = MemoizedFps {
+        model: &model,
+        memo: &memo,
+        qos: 60.0,
+    };
     let mut scratch = PredictScratch::new();
     let res = Resolution::Fhd1080;
 
@@ -79,16 +86,18 @@ fn memo_hits_allocate_nothing() {
     // Warm: entries resident, scratch and output buffers grown.
     let (first, cached) = memo.predict_with(&model, 60.0, target, &others, &mut scratch);
     assert!(!cached);
-    memo.colocation_sums(&model, &batch, &mut scratch, &mut sums);
+    fps.predict_colocation_sums(&batch, &mut scratch, &mut sums);
     let warm = sums.clone();
     assert!(memo.resident_colocation_bounds(&model, &batch, &mut bounds));
     memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
 
-    let (hits_before, misses_before) = memo.counts();
+    // The warm pass: one prediction and seven sums missed; the resident
+    // pass and the first stage hit the seven sums.
+    assert_eq!(memo.counts(), (7 + 7, 1 + 7));
     let n = allocations_during(|| {
         let (again, cached) = memo.predict_with(&model, 60.0, target, &others, &mut scratch);
         assert!(cached && again == first);
-        memo.colocation_sums(&model, &batch, &mut scratch, &mut sums);
+        fps.predict_colocation_sums(&batch, &mut scratch, &mut sums);
         assert!(memo.resident_colocation_bounds(&model, &batch, &mut bounds));
         memo.colocation_bounds(&model, &batch, &mut scratch, &mut bounds);
     });
@@ -99,6 +108,6 @@ fn memo_hits_allocate_nothing() {
         .map(|b| b.exact().expect("an exact sum"))
         .collect();
     assert_eq!(exact, warm);
-    let (hits, misses) = memo.counts();
-    assert_eq!((hits - hits_before, misses), (1 + 7 + 7 + 7, misses_before));
+    // One prediction and seven sums three times over: every lookup a hit.
+    assert_eq!(memo.counts(), (7 + 7 + 1 + 7 + 7 + 7, 1 + 7));
 }
