@@ -8,7 +8,7 @@ use gaugur_core::{GAugur, GAugurConfig};
 use gaugur_gamesim::{GameId, Resolution};
 use gaugur_sched::{
     assign_max_fps, pack_requests, random_requests, ColocationTable, FeasibilityReport, GaugurCm,
-    GaugurRm,
+    PredictorFps,
 };
 
 fn bench(c: &mut Criterion) {
@@ -29,7 +29,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("max_fps_assign_500_requests_200_servers", |b| {
         b.iter(|| {
             assign_max_fps(
-                &GaugurRm(&gaugur),
+                &PredictorFps::rm(&gaugur),
                 Resolution::Fhd1080,
                 std::hint::black_box(&stream),
                 200,

@@ -22,7 +22,7 @@ use gaugur_core::{
     ProfilingConfig, RegressionModel,
 };
 use gaugur_gamesim::{Resolution, Server, Workload, ALL_SERVER_CLASSES};
-use gaugur_sched::{simulate_dynamic, DynamicConfig, GaugurRm, Policy};
+use gaugur_sched::{simulate_dynamic, DynamicConfig, Policy, PredictorFps};
 
 /// Run all four extension experiments.
 pub fn run(ctx: &ExperimentContext) -> String {
@@ -248,7 +248,7 @@ fn dynamic_sessions(ctx: &ExperimentContext) -> String {
         seed: ctx.server.seed ^ 0xD1,
     };
 
-    let rm = GaugurRm(&gaugur);
+    let rm = PredictorFps::rm(&gaugur);
     let policies: Vec<(&str, Policy<'_>)> = vec![
         ("GAugur(RM) max-predicted-FPS", Policy::MaxPredictedFps(&rm)),
         ("VBP worst-fit", Policy::WorstFitVbp(&vbp)),

@@ -14,8 +14,7 @@ use crate::table::{f, Table};
 use gaugur_baselines::VbpPolicy;
 use gaugur_ml::metrics::Cdf;
 use gaugur_sched::{
-    assign, assign_max_fps, evaluate_cluster, random_requests, FpsModel, GaugurRm, Policy,
-    PredictorFps,
+    assign, assign_max_fps, evaluate_cluster, random_requests, FpsModel, Policy, PredictorFps,
 };
 use serde::Serialize;
 
@@ -46,7 +45,7 @@ impl Fig10 {
         let vbp = VbpPolicy::from_catalog(&ctx.catalog);
         let worst_fit = Policy::WorstFitVbp(&vbp);
 
-        let rm = GaugurRm(&gaugur);
+        let rm = PredictorFps::rm(&gaugur);
         let sig = PredictorFps {
             predictor: &sigmoid,
             profiles: &ctx.profiles,

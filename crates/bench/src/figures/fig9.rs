@@ -15,8 +15,8 @@ use gaugur_core::{GAugur, GAugurConfig};
 use gaugur_gamesim::{GameId, Resolution};
 use gaugur_ml::metrics::Confusion;
 use gaugur_sched::{
-    pack_requests, random_requests, ColocationTable, FeasibilityReport, GaugurCm, GaugurRm,
-    PredictorFps, VbpJudge,
+    pack_requests, random_requests, ColocationTable, FeasibilityReport, GaugurCm, PredictorFps,
+    VbpJudge,
 };
 use serde::Serialize;
 
@@ -61,7 +61,7 @@ impl Fig9 {
         let vbp = VbpPolicy::from_catalog(&ctx.catalog);
 
         let cm = GaugurCm(&gaugur);
-        let rm = GaugurRm(&gaugur);
+        let rm = PredictorFps::rm(&gaugur);
         let sig = PredictorFps {
             predictor: &sigmoid,
             profiles: &ctx.profiles,

@@ -142,7 +142,7 @@ pub trait InterferencePredictor: Sync {
     /// Does `target` meet `qos` FPS under the co-runner set `others`?
     fn meets_qos(&self, qos: f64, target: Placement, others: &[Placement]) -> bool;
 
-    /// Short display name ("GAugur", "Sigmoid", …) for tables and logs.
+    /// Short display name ("GAugur(RM)", "Sigmoid", …) for tables and logs.
     fn name(&self) -> &'static str;
 
     /// Answer every query in `batch`, writing `batch.len()` degradation
@@ -256,7 +256,7 @@ impl InterferencePredictor for GAugur {
     }
 
     fn name(&self) -> &'static str {
-        "GAugur"
+        "GAugur(RM)"
     }
 
     /// Fused batch path: one intensity gather per distinct colocation span
@@ -449,7 +449,7 @@ mod tests {
         let o = [(catalog[1].id, res)];
         let p: &dyn InterferencePredictor = &gaugur;
         assert_eq!(p.meets_qos(60.0, t, &o), gaugur.predict_qos(60.0, t, &o));
-        assert_eq!(p.name(), "GAugur");
+        assert_eq!(p.name(), "GAugur(RM)");
     }
 
     #[test]

@@ -28,12 +28,15 @@
 //! Every interference model enters the scheduler through
 //! [`InterferencePredictor`] (re-exported from `gaugur-core`), wrapped by
 //! [`PredictorFps`] into the [`FpsModel`] / [`FeasibilityModel`] vocabulary
-//! the greedies speak. The hot path is
-//! [`FpsModel::predict_colocation_sums`]: one call scores a whole
-//! [`ColocationBatch`] of candidate colocations, and predictors with a
-//! fused batch evaluator (GAugur) answer it with a single feature-matrix
-//! assembly and one pass over the RM's split table — bit-identical to the
-//! scalar per-member loop by contract.
+//! the greedies speak. The hot path is two stages over a whole
+//! [`ColocationBatch`] of candidate colocations:
+//! [`FpsModel::bound_colocation_sums`] answers every colocation with its
+//! summed FPS or an upper bound on it, and
+//! [`FpsModel::finish_colocation_sum`] makes one bounded colocation exact.
+//! An exact sum is the two run to the end ([`exact_colocation_sums`]). For
+//! GAugur each stage is one fused pass over the RM's split tables, and a
+//! finished sum is bit-identical to the scalar per-member loop by
+//! contract.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -131,7 +134,7 @@ pub struct PredictScratch {
     pub values: Vec<f64>,
     /// Summed-FPS scratch for implementations.
     pub sums: Vec<f64>,
-    /// First-stage answers for implementations that finish them.
+    /// First-stage answers that [`exact_colocation_sums`] finishes.
     pub bounds: Vec<SumBound>,
     /// After a two-stage [`FpsModel::bound_colocation_sums`]: where each
     /// colocation's member queries start in `queries`, or [`NO_QUERIES`]
@@ -183,11 +186,12 @@ pub trait FpsModel: Sync {
     }
 
     /// Predicted summed FPS of every colocation in `batch`, written to
-    /// `out` (cleared first) in batch order. Must agree with
-    /// [`predict_colocation_sum`](FpsModel::predict_colocation_sum) per
-    /// colocation. The default scores one colocation after another; batched
-    /// models override it with one fused evaluation through the scratch
-    /// buffers.
+    /// `out` (cleared first) in batch order: where a model with one stage
+    /// answers, asked by the default
+    /// [`bound_colocation_sums`](FpsModel::bound_colocation_sums). Callers
+    /// ask [`exact_colocation_sums`], which runs any model's stages. Must
+    /// agree with [`predict_colocation_sum`](FpsModel::predict_colocation_sum)
+    /// per colocation. The default scores one colocation after another.
     fn predict_colocation_sums(
         &self,
         batch: &ColocationBatch,
@@ -267,97 +271,28 @@ pub trait FeasibilityModel: Sync {
     fn judge_name(&self) -> &'static str;
 }
 
-/// The shared batched-scoring body behind every
-/// [`FpsModel::predict_colocation_sums`] override in the workspace: queue
-/// one degradation query per colocation member (pooling each colocation's
-/// intensity gather via
-/// [`DegradationBatch::push_colocation`]), answer them all in one
-/// [`predict_degradation_batch`](InterferencePredictor::predict_degradation_batch)
-/// call, then reduce member FPS (degradation × Eq.-2 solo) per colocation.
-/// Summation runs in member order, so the result is bit-identical to the
-/// scalar `Σ predict_member_fps` loop.
-pub fn predictor_colocation_sums<P: InterferencePredictor + ?Sized>(
-    predictor: &P,
-    profiles: &ProfileStore,
+/// Every colocation's exact summed FPS, written to `out` (cleared first)
+/// in batch order: the two scoring stages run to the end, one
+/// [`FpsModel::bound_colocation_sums`] call for the batch, then
+/// [`FpsModel::finish_colocation_sum`] for each colocation it left bounded.
+/// The bounds are kept in [`PredictScratch::bounds`], so a caller that
+/// reuses its scratch allocates nothing here.
+pub fn exact_colocation_sums<M: FpsModel + ?Sized>(
+    model: &M,
     batch: &ColocationBatch,
     scratch: &mut PredictScratch,
     out: &mut Vec<f64>,
 ) {
-    scratch.queries.clear();
-    for i in 0..batch.len() {
-        scratch.queries.push_colocation(batch.members(i));
-    }
-    predictor.predict_degradation_batch(
-        &scratch.queries,
-        &mut scratch.features,
-        &mut scratch.values,
-    );
+    let mut bounds = std::mem::take(&mut scratch.bounds);
+    model.bound_colocation_sums(batch, scratch, &mut bounds);
     out.clear();
-    let mut q = 0;
-    for i in 0..batch.len() {
-        let members = batch.members(i);
-        out.push(member_sum(profiles, members, &scratch.values[q..]));
-        q += members.len();
-    }
-}
-
-/// The two-stage counterpart of [`predictor_colocation_sums`]: one
-/// [`bound_degradation_batch`](InterferencePredictor::bound_degradation_batch)
-/// call over every member of every colocation, reduced per colocation to
-/// `Σ solo · bound` in member order. Degradation bounds are `≥` the ratios
-/// and solo frame rates are not negative, and a rounded product or sum
-/// never falls when an operand rises, so each colocation's bound is `≥` the
-/// sum [`predictor_colocation_sums`] computes from the exact ratios, bit
-/// for bit as `f64`. A predictor with one stage answers exactly.
-pub fn predictor_colocation_bounds<P: InterferencePredictor + ?Sized>(
-    predictor: &P,
-    profiles: &ProfileStore,
-    batch: &ColocationBatch,
-    scratch: &mut PredictScratch,
-    out: &mut Vec<SumBound>,
-) {
-    scratch.queries.clear();
-    scratch.staged.clear();
-    for i in 0..batch.len() {
-        scratch.staged.push(scratch.queries.len());
-        scratch.queries.push_colocation(batch.members(i));
-    }
-    let exact = predictor.bound_degradation_batch(
-        &scratch.queries,
-        &mut scratch.features,
-        &mut scratch.values,
-    );
-    out.clear();
-    for (i, &first) in scratch.staged.iter().enumerate() {
-        let sum = member_sum(profiles, batch.members(i), &scratch.values[first..]);
-        out.push(if exact {
-            SumBound::Exact(sum)
-        } else {
-            SumBound::AtMost(sum)
+    for (i, &bound) in bounds.iter().enumerate() {
+        out.push(match bound {
+            SumBound::Exact(sum) => sum,
+            SumBound::AtMost(_) => model.finish_colocation_sum(batch, i, scratch),
         });
     }
-}
-
-/// The second stage after [`predictor_colocation_bounds`]: colocation `i`'s
-/// member ratios from
-/// [`finish_degradation_batch`](InterferencePredictor::finish_degradation_batch),
-/// summed as [`predictor_colocation_sums`] sums them.
-pub fn predictor_finish_sum<P: InterferencePredictor + ?Sized>(
-    predictor: &P,
-    profiles: &ProfileStore,
-    batch: &ColocationBatch,
-    i: usize,
-    scratch: &mut PredictScratch,
-) -> f64 {
-    let members = batch.members(i);
-    let rows = scratch.staged[i]..scratch.staged[i] + members.len();
-    predictor.finish_degradation_batch(
-        &scratch.queries,
-        rows.clone(),
-        &mut scratch.features,
-        &mut scratch.values[rows.clone()],
-    );
-    member_sum(profiles, members, &scratch.values[rows])
+    scratch.bounds = bounds;
 }
 
 /// `Σ ratio · solo` over `members`, in member order, onto `-0.0` —
@@ -369,65 +304,6 @@ pub fn member_sum(profiles: &ProfileStore, members: &[Placement], ratios: &[f64]
         sum += ratio * profiles.get(id).solo_fps_at(res);
     }
     sum
-}
-
-/// GAugur's regression model as an FPS predictor.
-pub struct GaugurRm<'a>(pub &'a GAugur);
-
-impl FpsModel for GaugurRm<'_> {
-    fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
-        let others: Vec<Placement> = members
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != idx)
-            .map(|(_, &p)| p)
-            .collect();
-        self.0.predict_fps(members[idx], &others)
-    }
-
-    fn predict_colocation_sums(
-        &self,
-        batch: &ColocationBatch,
-        scratch: &mut PredictScratch,
-        out: &mut Vec<f64>,
-    ) {
-        predictor_colocation_sums(self.0, &self.0.profiles, batch, scratch, out);
-    }
-
-    fn bound_colocation_sums(
-        &self,
-        batch: &ColocationBatch,
-        scratch: &mut PredictScratch,
-        out: &mut Vec<SumBound>,
-    ) {
-        predictor_colocation_bounds(self.0, &self.0.profiles, batch, scratch, out);
-    }
-
-    fn finish_colocation_sum(
-        &self,
-        batch: &ColocationBatch,
-        i: usize,
-        scratch: &mut PredictScratch,
-    ) -> f64 {
-        predictor_finish_sum(self.0, &self.0.profiles, batch, i, scratch)
-    }
-
-    fn model_name(&self) -> &'static str {
-        "GAugur(RM)"
-    }
-}
-
-impl FeasibilityModel for GaugurRm<'_> {
-    fn feasible(&self, qos: f64, members: &[Placement]) -> bool {
-        if let [solo] = members {
-            return solo_feasible(&self.0.profiles, *solo, qos);
-        }
-        (0..members.len()).all(|i| self.predict_member_fps(members, i) >= qos)
-    }
-
-    fn judge_name(&self) -> &'static str {
-        "GAugur(RM)"
-    }
 }
 
 /// GAugur's classification model as a feasibility judge.
@@ -446,16 +322,28 @@ impl FeasibilityModel for GaugurCm<'_> {
     }
 }
 
-/// Adapter: any [`InterferencePredictor`] (Sigmoid, SMiTe, a bare RM, …)
-/// plus the profile store becomes an FPS predictor / feasibility judge.
-/// Batched scoring flows through [`predictor_colocation_sums`], so a
-/// predictor with a fused batch override gets it on the scheduling hot
+/// Adapter: any [`InterferencePredictor`] (GAugur's RM, Sigmoid, SMiTe,
+/// …) plus the profile store becomes an FPS predictor / feasibility judge.
+/// Its two scoring stages are the predictor's
+/// [`bound_degradation_batch`](InterferencePredictor::bound_degradation_batch)
+/// and [`finish_degradation_batch`](InterferencePredictor::finish_degradation_batch),
+/// so a predictor with a fused batch path gets it on the scheduling hot
 /// path for free.
 pub struct PredictorFps<'a, P: InterferencePredictor + ?Sized> {
     /// The wrapped interference predictor.
     pub predictor: &'a P,
     /// Profiles supplying Eq.-2 solo frame rates.
     pub profiles: &'a ProfileStore,
+}
+
+impl<'a> PredictorFps<'a, GAugur> {
+    /// GAugur's regression model, with the profiles it was built from.
+    pub fn rm(gaugur: &'a GAugur) -> Self {
+        PredictorFps {
+            predictor: gaugur,
+            profiles: &gaugur.profiles,
+        }
+    }
 }
 
 impl<P: InterferencePredictor + ?Sized> FpsModel for PredictorFps<'_, P> {
@@ -471,31 +359,59 @@ impl<P: InterferencePredictor + ?Sized> FpsModel for PredictorFps<'_, P> {
         self.predictor.predict_degradation(target, &others) * solo
     }
 
-    fn predict_colocation_sums(
-        &self,
-        batch: &ColocationBatch,
-        scratch: &mut PredictScratch,
-        out: &mut Vec<f64>,
-    ) {
-        predictor_colocation_sums(self.predictor, self.profiles, batch, scratch, out);
-    }
-
+    /// One [`bound_degradation_batch`](InterferencePredictor::bound_degradation_batch)
+    /// call over every member of every colocation, reduced per colocation
+    /// to `Σ solo · bound` in member order. Degradation bounds are `≥` the
+    /// ratios and solo frame rates are not negative, and a rounded product
+    /// or sum never falls when an operand rises, so each colocation's
+    /// bound is `≥` its exact sum, bit for bit as `f64`. A predictor with
+    /// one stage answers exactly.
     fn bound_colocation_sums(
         &self,
         batch: &ColocationBatch,
         scratch: &mut PredictScratch,
         out: &mut Vec<SumBound>,
     ) {
-        predictor_colocation_bounds(self.predictor, self.profiles, batch, scratch, out);
+        scratch.queries.clear();
+        scratch.staged.clear();
+        for i in 0..batch.len() {
+            scratch.staged.push(scratch.queries.len());
+            scratch.queries.push_colocation(batch.members(i));
+        }
+        let exact = self.predictor.bound_degradation_batch(
+            &scratch.queries,
+            &mut scratch.features,
+            &mut scratch.values,
+        );
+        out.clear();
+        for (i, &first) in scratch.staged.iter().enumerate() {
+            let sum = member_sum(self.profiles, batch.members(i), &scratch.values[first..]);
+            out.push(if exact {
+                SumBound::Exact(sum)
+            } else {
+                SumBound::AtMost(sum)
+            });
+        }
     }
 
+    /// Colocation `i`'s member ratios from
+    /// [`finish_degradation_batch`](InterferencePredictor::finish_degradation_batch),
+    /// summed in member order.
     fn finish_colocation_sum(
         &self,
         batch: &ColocationBatch,
         i: usize,
         scratch: &mut PredictScratch,
     ) -> f64 {
-        predictor_finish_sum(self.predictor, self.profiles, batch, i, scratch)
+        let members = batch.members(i);
+        let rows = scratch.staged[i]..scratch.staged[i] + members.len();
+        self.predictor.finish_degradation_batch(
+            &scratch.queries,
+            rows.clone(),
+            &mut scratch.features,
+            &mut scratch.values[rows.clone()],
+        );
+        member_sum(self.profiles, members, &scratch.values[rows])
     }
 
     fn model_name(&self) -> &'static str {
@@ -583,11 +499,15 @@ mod tests {
     #[test]
     fn gaugur_rm_batched_sums_are_bit_identical_to_scalar() {
         let (catalog, gaugur) = quick_build();
-        let rm = GaugurRm(&gaugur);
+        let rm = PredictorFps::rm(&gaugur);
         let batch = mixed_batch(&catalog);
         let mut scratch = PredictScratch::new();
+        // The first stage leaves colocations bounded, so the second runs.
+        let mut bounds = Vec::new();
+        rm.bound_colocation_sums(&batch, &mut scratch, &mut bounds);
+        assert!(bounds.iter().any(|b| b.exact().is_none()));
         let mut out = Vec::new();
-        rm.predict_colocation_sums(&batch, &mut scratch, &mut out);
+        exact_colocation_sums(&rm, &batch, &mut scratch, &mut out);
         assert_eq!(out.len(), batch.len());
         for (i, &got) in out.iter().enumerate() {
             let scalar = rm.predict_colocation_sum(batch.members(i));
@@ -602,26 +522,21 @@ mod tests {
     #[test]
     fn predictor_fps_batched_sums_match_the_default_loop() {
         let (catalog, gaugur) = quick_build();
-        // The bare RM through PredictorFps exercises the shared helper with
-        // an InterferencePredictor that has a fused batch override…
-        let wrapped = PredictorFps {
-            predictor: &gaugur,
-            profiles: &gaugur.profiles,
-        };
+        // The bare RM through PredictorFps: its two stages run to the end
+        // give the trait's default one-stage loop, bit for bit…
+        let wrapped = PredictorFps::rm(&gaugur);
         let batch = mixed_batch(&catalog);
         let mut scratch = PredictScratch::new();
-        let mut out = Vec::new();
-        wrapped.predict_colocation_sums(&batch, &mut scratch, &mut out);
-        for (i, &got) in out.iter().enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                wrapped.predict_colocation_sum(batch.members(i)).to_bits(),
-                "colocation {i}"
-            );
+        let (mut exact, mut looped) = (Vec::new(), Vec::new());
+        exact_colocation_sums(&wrapped, &batch, &mut scratch, &mut exact);
+        wrapped.predict_colocation_sums(&batch, &mut scratch, &mut looped);
+        assert_eq!(exact.len(), batch.len());
+        for (i, (got, want)) in exact.iter().zip(&looped).enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "colocation {i}");
         }
         // …and the wrapper inherits the predictor's display name.
-        assert_eq!(wrapped.model_name(), "GAugur");
-        assert_eq!(wrapped.judge_name(), "GAugur");
+        assert_eq!(wrapped.model_name(), "GAugur(RM)");
+        assert_eq!(wrapped.judge_name(), "GAugur(RM)");
     }
 
     #[test]

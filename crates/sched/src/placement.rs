@@ -11,23 +11,25 @@
 //! The delta-greedy objective (Section 5.2) has one scorer,
 //! [`select_server_incremental_with`]: a [`ScoreCache`] keeps each server's
 //! current predicted summed FPS (keyed by model version), so only the
-//! *extended* colocations are predicted per request — and those are
-//! assembled into **one** [`FpsModel::predict_colocation_sums`] batch call
-//! over all candidates (likewise the cache misses among the `before` sums),
-//! so a batched model pays one feature-matrix assembly and one ensemble pass
-//! per admit instead of a prediction per candidate. All buffers live in a
-//! caller-owned [`PlacementScratch`], one per worker: the hot path allocates
-//! nothing once the buffers have grown. [`select_server`] dispatches every
-//! [`Policy`] and sends `MaxPredictedFps` through it.
+//! *extended* colocations are predicted per request. A batched model is
+//! asked for all candidates at once, never one prediction per candidate.
+//! All buffers live in a caller-owned [`PlacementScratch`], one per
+//! worker: the hot path allocates nothing once the buffers have grown.
+//! [`select_server`] dispatches every [`Policy`] and sends
+//! `MaxPredictedFps` through it.
 //!
-//! The `after` sums come in two stages: one
-//! [`FpsModel::bound_colocation_sums`] call gives every candidate its sum
-//! or an upper bound on it, and only the candidates whose bound is not
-//! strictly below the best exact delta so far are finished
-//! ([`FpsModel::finish_colocation_sum`]), best bound first. A skipped
-//! candidate's delta is strictly below a finished one's, so the choice and
-//! its bits are the same as with every candidate finished. A model with
-//! one stage (the default) answers every sum exactly in the first.
+//! Every sum comes in two stages: one [`FpsModel::bound_colocation_sums`]
+//! call gives each colocation of a batch its sum or an upper bound on it,
+//! and [`FpsModel::finish_colocation_sum`] makes one bounded colocation
+//! exact. The `after` sums are one such call over every candidate, and
+//! only the candidates whose bound is not strictly below the best exact
+//! delta so far are finished, best bound first. A skipped candidate's
+//! delta is strictly below a finished one's, so the choice and its bits
+//! are the same as with every candidate finished. The `before` sums the
+//! score cache lacks must be exact: they are the two stages run to the end
+//! ([`exact_colocation_sums`]), one batch for all of them. A model with
+//! one stage (the default) answers every sum exactly in the first, from
+//! [`FpsModel::predict_colocation_sums`].
 //!
 //! [`select_server_if_resident`] is the same scorer for a caller that scores
 //! under a lock: it completes only if the model answers every candidate
@@ -46,14 +48,14 @@
 //! servers with a dozen occupied scores 13 candidates, not 64.
 //!
 //! The cached `before` sum is the member-wise sum a from-scratch scorer
-//! would recompute, and the batched sums are bit-identical to the scalar
-//! ones by the [`FpsModel::predict_colocation_sums`] contract, so the
-//! choice is the full recompute's over every eligible server (the tests
-//! keep one as the reference).
+//! would recompute, and a finished sum is bit-identical to the scalar one
+//! by the [`FpsModel::finish_colocation_sum`] contract, so the choice is
+//! the full recompute's over every eligible server (the tests keep one as
+//! the reference).
 
 use crate::dynamic::Policy;
 use crate::maxfps::MAX_PER_SERVER;
-use crate::{ColocationBatch, FpsModel, PredictScratch, SumBound};
+use crate::{exact_colocation_sums, ColocationBatch, FpsModel, PredictScratch, SumBound};
 use gaugur_core::Placement;
 use gaugur_gamesim::GameId;
 use std::cell::RefCell;
@@ -302,12 +304,12 @@ impl PlacementScratch {
     }
 
     /// Evaluate the `before` sums [`read_befores`](Self::read_befores) found
-    /// missing, in one batch call, once.
+    /// missing, as one batch through both stages, once.
     fn evaluate_befores(&mut self, model: &dyn FpsModel) {
         if self.missing_evaluated || self.miss_at.is_empty() {
             return;
         }
-        model.predict_colocation_sums(&self.missing, &mut self.predict, &mut self.sums);
+        exact_colocation_sums(model, &self.missing, &mut self.predict, &mut self.sums);
         for (&i, &sum) in self.miss_at.iter().zip(&self.sums) {
             self.befores[i] = sum;
         }
@@ -325,7 +327,7 @@ impl PlacementScratch {
     }
 
     /// Fill `befores`: in steady state these are cache reads; the misses
-    /// are gathered into one batch call and stored.
+    /// are gathered into one batch, evaluated exactly and stored.
     fn fill_befores<V: OccupancyView + ?Sized>(
         &mut self,
         occupancy: &V,
@@ -437,14 +439,14 @@ impl PlacementScratch {
 /// reading `before` sums from (and maintaining) `cache`, with all buffers
 /// supplied by the caller.
 ///
-/// Scoring is batched and staged: the cache-missing `before` sums are
-/// computed in one [`FpsModel::predict_colocation_sums`] call, and every
-/// candidate's `after` sum, or an upper bound on it, in one
-/// [`FpsModel::bound_colocation_sums`] call. Then only the candidates
-/// whose bound does not fall strictly below an exact delta are finished
-/// ([`FpsModel::finish_colocation_sum`]), best bound first. The result is
-/// bit for bit the argmax over every candidate finished: a skipped
-/// candidate's delta is below a finished one's.
+/// Scoring is batched and staged: every candidate's `after` sum, or an
+/// upper bound on it, comes from one [`FpsModel::bound_colocation_sums`]
+/// call, and only the candidates whose bound does not fall strictly below
+/// an exact delta are finished ([`FpsModel::finish_colocation_sum`]),
+/// best bound first. The cache-missing `before` sums are the same two
+/// calls run to the end, one batch for all of them. The result is bit for
+/// bit the argmax over every candidate finished: a skipped candidate's
+/// delta is below a finished one's.
 ///
 /// Contract: on `Some(selection)`, the cache is updated as if the caller
 /// admits the candidate on `selection.server` — the caller must do so
@@ -637,12 +639,14 @@ mod tests {
 
     /// The full-recompute reference the incremental scorer must agree
     /// with: a candidate's `before` and `after` sums predicted member by
-    /// member from scratch (the delta-greedy of Section 5.2).
-    fn placement_delta_with(
+    /// member from scratch (the delta-greedy of Section 5.2), as the
+    /// selection of `server`.
+    fn placement_with(
         model: &dyn FpsModel,
+        server: usize,
         members: &[Placement],
         candidate: Placement,
-    ) -> f64 {
+    ) -> Selection {
         let sum = |members: &[Placement]| -> f64 {
             (0..members.len())
                 .map(|i| model.predict_member_fps(members, i))
@@ -650,28 +654,34 @@ mod tests {
         };
         let mut extended = members.to_vec();
         extended.push(candidate);
-        sum(&extended) - sum(members)
+        let (after, before) = (sum(&extended), sum(members));
+        Selection {
+            server,
+            delta: after - before,
+            server_sum: after,
+            before_sum: before,
+        }
     }
 
     fn placement_delta(members: &[Placement], candidate: Placement) -> f64 {
-        placement_delta_with(&FakeFps, members, candidate)
+        placement_with(&FakeFps, 0, members, candidate).delta
     }
 
     /// The full recompute's argmax over every eligible server, ties to the
-    /// last index: the chosen server and its delta.
+    /// last index.
     fn full_recompute_with(
         model: &dyn FpsModel,
         occupancy: &[Vec<Placement>],
         request: Placement,
-    ) -> Option<(usize, f64)> {
+    ) -> Option<Selection> {
         eligible_servers(occupancy, request.0)
             .into_iter()
-            .map(|s| (s, placement_delta_with(model, &occupancy[s], request)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|s| placement_with(model, s, &occupancy[s], request))
+            .max_by(|a, b| a.delta.total_cmp(&b.delta))
     }
 
     fn full_recompute(occupancy: &[Vec<Placement>], request: Placement) -> Option<usize> {
-        full_recompute_with(&FakeFps, occupancy, request).map(|(s, _)| s)
+        full_recompute_with(&FakeFps, occupancy, request).map(|sel| sel.server)
     }
 
     /// A model that notes how many colocations each batch asked it for.
@@ -749,7 +759,7 @@ mod tests {
                 );
                 let got = sel.map(|sel| (sel.server, sel.delta.to_bits()));
                 let want = full_recompute_with(model, &occupancy, request);
-                prop_assert_eq!(got, want.map(|(s, delta)| (s, delta.to_bits())));
+                prop_assert_eq!(got, want.map(|sel| (sel.server, sel.delta.to_bits())));
                 prop_assert_eq!(counting.batches.into_inner().unwrap(), asked.clone());
                 if ties {
                     prop_assert_eq!(sel.map(|sel| sel.server), eligible.last().copied());
@@ -791,7 +801,7 @@ mod tests {
             scratch: &mut PredictScratch,
             out: &mut Vec<f64>,
         ) {
-            self.0.predict_colocation_sums(batch, scratch, out);
+            exact_colocation_sums(self.0, batch, scratch, out);
         }
 
         fn model_name(&self) -> &'static str {
@@ -810,15 +820,6 @@ mod tests {
     impl FpsModel for Staged<'_> {
         fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
             self.inner.predict_member_fps(members, idx)
-        }
-
-        fn predict_colocation_sums(
-            &self,
-            batch: &ColocationBatch,
-            scratch: &mut PredictScratch,
-            out: &mut Vec<f64>,
-        ) {
-            self.inner.predict_colocation_sums(batch, scratch, out);
         }
 
         fn bound_colocation_sums(
@@ -859,7 +860,7 @@ mod tests {
     fn pruned_selection_with_the_real_model_is_the_full_recomputes() {
         use rand::Rng;
         let gaugur = real_model();
-        let rm = crate::GaugurRm(gaugur);
+        let rm = crate::PredictorFps::rm(gaugur);
         let staged = Staged {
             inner: &rm,
             bounded: Default::default(),
@@ -931,7 +932,7 @@ mod tests {
                 let got = pruned.map(|sel| (sel.server, sel.delta.to_bits()));
                 assert_eq!(
                     got,
-                    reference.map(|(s, delta)| (s, delta.to_bits())),
+                    reference.map(|sel| (sel.server, sel.delta.to_bits())),
                     "{at}"
                 );
                 assert_eq!(sums(&pruned_cache), sums(&full_cache), "{at}");
@@ -947,6 +948,138 @@ mod tests {
             finished < bounded,
             "{finished} of {bounded} bounded candidates finished: nothing pruned"
         );
+    }
+
+    /// The real RM's two stages with its one-stage batch path taken away:
+    /// a scorer that asks [`FpsModel::predict_colocation_sums`] panics.
+    struct TwoStagesOnly<'a>(&'a dyn FpsModel);
+
+    impl FpsModel for TwoStagesOnly<'_> {
+        fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
+            self.0.predict_member_fps(members, idx)
+        }
+
+        fn predict_colocation_sums(
+            &self,
+            _batch: &ColocationBatch,
+            _scratch: &mut PredictScratch,
+            _out: &mut Vec<f64>,
+        ) {
+            panic!("an exact sum asked for outside the two stages");
+        }
+
+        fn bound_colocation_sums(
+            &self,
+            batch: &ColocationBatch,
+            scratch: &mut PredictScratch,
+            out: &mut Vec<SumBound>,
+        ) {
+            self.0.bound_colocation_sums(batch, scratch, out);
+        }
+
+        fn finish_colocation_sum(
+            &self,
+            batch: &ColocationBatch,
+            i: usize,
+            scratch: &mut PredictScratch,
+        ) -> f64 {
+            self.0.finish_colocation_sum(batch, i, scratch)
+        }
+
+        fn model_name(&self) -> &'static str {
+            "two stages only"
+        }
+    }
+
+    /// Cache-missing `before` sums — every server's on a cold cache, a
+    /// server's after a departure — take the candidates' two stages on
+    /// both the ordinary path and the resident / evaluate / select
+    /// sequence, never a one-stage batch, with the full recompute's bits.
+    #[test]
+    fn before_sums_take_the_two_stages() {
+        use rand::Rng;
+        let rm = crate::PredictorFps::rm(real_model());
+        let model = TwoStagesOnly(&rm);
+        let games: Vec<GameId> = real_model()
+            .profiles
+            .sorted()
+            .iter()
+            .map(|p| p.id)
+            .collect();
+        let bits = |sel: Selection| {
+            (
+                sel.server,
+                sel.delta.to_bits(),
+                sel.server_sum.to_bits(),
+                sel.before_sum.to_bits(),
+            )
+        };
+        let (mut scratch, mut resident_scratch) =
+            (PlacementScratch::new(), PlacementScratch::new());
+        let (mut departures, mut resident_bailouts) = (0, 0);
+        for stream in 0..4u64 {
+            let mut rng = gaugur_gamesim::rng::rng_for(0xBEF0, &[stream]);
+            let n = rng.gen_range(3..=12);
+            let mut fleet: Vec<Vec<Placement>> = vec![Vec::new(); n];
+            let (mut cache, mut resident_cache) = (ScoreCache::new(n), ScoreCache::new(n));
+            for step in 0..40 {
+                let occupied: Vec<usize> = (0..n).filter(|&s| !fleet[s].is_empty()).collect();
+                if !occupied.is_empty() && rng.gen_bool(0.3) {
+                    let s = occupied[rng.gen_range(0..occupied.len())];
+                    let leaving = rng.gen_range(0..fleet[s].len());
+                    fleet[s].swap_remove(leaving);
+                    cache.invalidate(s);
+                    resident_cache.invalidate(s);
+                    departures += 1;
+                    continue;
+                }
+                let res = if rng.gen_bool(0.5) {
+                    R
+                } else {
+                    Resolution::Hd720
+                };
+                let request = (games[rng.gen_range(0..games.len())], res);
+                let ordinary = select_server_incremental_with(
+                    &fleet,
+                    request,
+                    &model,
+                    1,
+                    &mut cache,
+                    &mut scratch,
+                );
+                let resident = match select_server_if_resident(
+                    &fleet,
+                    request,
+                    &model,
+                    1,
+                    &mut resident_cache,
+                    &mut resident_scratch,
+                ) {
+                    Ok(sel) => sel,
+                    Err(NotResident) => {
+                        resident_bailouts += 1;
+                        resident_scratch.evaluate_candidates(&model);
+                        select_server_incremental_with(
+                            &fleet,
+                            request,
+                            &model,
+                            1,
+                            &mut resident_cache,
+                            &mut resident_scratch,
+                        )
+                    }
+                };
+                let at = format!("stream {stream}, step {step}");
+                let want = full_recompute_with(&rm, &fleet, request).map(bits);
+                assert_eq!(ordinary.map(bits), want, "{at}");
+                assert_eq!(resident.map(bits), want, "{at}");
+                assert_eq!(cache.counts(), resident_cache.counts(), "{at}");
+                if let Some(sel) = ordinary {
+                    fleet[sel.server].push(request);
+                }
+            }
+        }
+        assert!(departures > 0 && resident_bailouts > 0);
     }
 
     #[test]

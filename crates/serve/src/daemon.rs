@@ -320,11 +320,6 @@ impl DaemonHandle {
         self.addr
     }
 
-    /// Whether a shutdown has been requested (by handle or wire).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Assert the cluster-state invariants (session index, per-server caps,
     /// id/member lockstep, id-stream membership) on every shard. Intended
     /// for tests; panics on violation.

@@ -445,8 +445,8 @@ impl<K: std::hash::Hash + Eq + Copy, V: Copy> Generations<K, V> {
 /// [`predict_with`](PredictionMemo::predict_with), the only one that runs
 /// the CM. A summed FPS is two stages: [`colocation_bounds`] answers a
 /// batch with sums and bounds, and [`finish_colocation_sum`] makes any
-/// bound exact; an exact sum is the two run to the end (what
-/// [`MemoizedFps`] does for `predict_colocation_sums`).
+/// bound exact; an exact sum is the two run to the end
+/// ([`gaugur_sched::exact_colocation_sums`] through [`MemoizedFps`]).
 /// [`resident_colocation_bounds`] is the first stage for a caller that
 /// must not evaluate. A memoized bound is a hit to every caller.
 ///
@@ -786,28 +786,15 @@ impl gaugur_sched::FpsModel for MemoizedFps<'_> {
             .fps
     }
 
-    /// The two stages run to the end: every colocation's sum or bound from
-    /// [`PredictionMemo::colocation_bounds`], each bound finished by
-    /// [`PredictionMemo::finish_colocation_sum`].
+    /// The two stages run to the end
+    /// ([`exact_colocation_sums`](gaugur_sched::exact_colocation_sums)).
     fn predict_colocation_sums(
         &self,
         batch: &ColocationBatch,
         scratch: &mut PredictScratch,
         out: &mut Vec<f64>,
     ) {
-        let mut bounds = std::mem::take(&mut scratch.bounds);
-        self.memo
-            .colocation_bounds(self.model, batch, scratch, &mut bounds);
-        out.clear();
-        for (i, &bound) in bounds.iter().enumerate() {
-            out.push(match bound {
-                SumBound::Exact(sum) => sum,
-                SumBound::AtMost(_) => self
-                    .memo
-                    .finish_colocation_sum(self.model, batch, i, scratch),
-            });
-        }
-        scratch.bounds = bounds;
+        gaugur_sched::exact_colocation_sums(self, batch, scratch, out);
     }
 
     fn bound_colocation_sums(
@@ -847,7 +834,7 @@ impl gaugur_sched::FpsModel for MemoizedFps<'_> {
 mod tests {
     use super::*;
     use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server};
-    use gaugur_sched::{FpsModel, GaugurRm};
+    use gaugur_sched::{FpsModel, PredictorFps};
 
     fn tiny_model() -> GAugur {
         let server = Server::reference(7);
@@ -874,16 +861,16 @@ mod tests {
     }
 
     /// The bit reference for the memo's sums: the unmemoized RM member by
-    /// member ([`GaugurRm`]), summed by `Iterator::sum` — except that a
+    /// member ([`PredictorFps`]), summed by `Iterator::sum` — except that a
     /// member alone on its server runs at its solo FPS, the closed form
     /// `predict_with` answers a target with no co-runners with, where
-    /// `GaugurRm` asks the RM.
-    struct Unmemoized<'a>(GaugurRm<'a>);
+    /// `PredictorFps` asks the RM.
+    struct Unmemoized<'a>(PredictorFps<'a, GAugur>);
 
     impl FpsModel for Unmemoized<'_> {
         fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
             match *members {
-                [(game, res)] => self.0 .0.profiles.get(game).solo_fps_at(res),
+                [(game, res)] => self.0.profiles.get(game).solo_fps_at(res),
                 _ => self.0.predict_member_fps(members, idx),
             }
         }
@@ -894,7 +881,7 @@ mod tests {
     }
 
     fn reference_sum(model: &LoadedModel, members: &[Placement]) -> u64 {
-        Unmemoized(GaugurRm(&model.gaugur))
+        Unmemoized(PredictorFps::rm(&model.gaugur))
             .predict_colocation_sum(members)
             .to_bits()
     }
@@ -1588,7 +1575,7 @@ mod tests {
         use rand::Rng;
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
-        let reference = Unmemoized(GaugurRm(&model.gaugur));
+        let reference = Unmemoized(PredictorFps::rm(&model.gaugur));
         let games: Vec<GameId> = model
             .gaugur
             .profiles

@@ -84,12 +84,6 @@ impl ManualClock {
         }
     }
 
-    /// Set the absolute time (may move backwards; stale future-stamped
-    /// slots are then ignored by readers until overwritten).
-    pub fn set_us(&self, us: u64) {
-        self.us.store(us, Ordering::Relaxed);
-    }
-
     /// Advance by `us` microseconds.
     pub fn advance_us(&self, us: u64) {
         self.us.fetch_add(us, Ordering::Relaxed);

@@ -31,7 +31,7 @@ fn main() {
 
     for n_servers in [200usize, 300, 400] {
         // Interference-aware greedy (GAugur RM predictions).
-        let smart = assign_max_fps(&GaugurRm(&gaugur), res, &stream, n_servers);
+        let smart = assign_max_fps(&PredictorFps::rm(&gaugur), res, &stream, n_servers);
         let smart_eval = evaluate_cluster(&server, &catalog, &smart.servers, res);
 
         // Interference-blind worst-fit (VBP).

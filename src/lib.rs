@@ -66,7 +66,7 @@ pub mod prelude {
     };
     pub use gaugur_sched::{
         assign, assign_max_fps, evaluate_cluster, pack_requests, random_requests, ColocationTable,
-        FeasibilityReport, GaugurCm, GaugurRm, Policy,
+        FeasibilityReport, GaugurCm, Policy, PredictorFps,
     };
     pub use gaugur_serve::{Client, DaemonConfig, LoadConfig, ModelHandle, StatsSnapshot};
 }

@@ -59,7 +59,7 @@ fn interference_aware_assignment_beats_blind_worst_fit() {
     let ids = servable_games(8);
     let stream = random_requests(&ids, 400, 6).as_request_stream(7);
 
-    let smart = assign_max_fps(&GaugurRm(g), Resolution::Fhd1080, &stream, 150);
+    let smart = assign_max_fps(&PredictorFps::rm(g), Resolution::Fhd1080, &stream, 150);
     let blind = assign(
         &Policy::WorstFitVbp(&vbp),
         Resolution::Fhd1080,
@@ -123,7 +123,7 @@ fn content_multiset(servers: impl IntoIterator<Item = Vec<GameId>>) -> Vec<Vec<G
 fn assignment_is_the_papers_greedy_for_every_policy() {
     use gaugur::sched::FpsModel;
     let f = fixture();
-    let rm = GaugurRm(gaugur());
+    let rm = PredictorFps::rm(gaugur());
     let vbp = VbpPolicy::from_catalog(&f.catalog);
     let stream = random_requests(&servable_games(8), 200, 6).as_request_stream(7);
     let (res, n) = (Resolution::Fhd1080, 70);
@@ -200,7 +200,7 @@ fn dynamic_stream_interference_aware_policy_is_competitive() {
         qos: 60.0,
         seed: 12,
     };
-    let rm = GaugurRm(g);
+    let rm = PredictorFps::rm(g);
     let smart = simulate_dynamic(
         &f.server,
         &f.catalog,

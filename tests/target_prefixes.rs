@@ -19,10 +19,7 @@ use gaugur::core::{
     SessionOutcome,
 };
 use gaugur::gamesim::{GameCatalog, Resolution, Resource, Server, Workload};
-use gaugur::sched::{
-    predictor_colocation_bounds, predictor_colocation_sums, predictor_finish_sum, ColocationBatch,
-    PredictScratch, SumBound,
-};
+use gaugur::sched::{ColocationBatch, FpsModel, PredictScratch, PredictorFps, SumBound};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -310,16 +307,17 @@ proptest! {
                 }
                 batch.push(&members);
             }
-            let (mut scratch, mut sums, mut bounds) =
-                (PredictScratch::new(), Vec::new(), Vec::new());
-            predictor_colocation_sums(model, &model.profiles, &batch, &mut scratch, &mut sums);
-            predictor_colocation_bounds(model, &model.profiles, &batch, &mut scratch, &mut bounds);
+            let fps = PredictorFps::rm(model);
+            let sums: Vec<f64> =
+                (0..batch.len()).map(|i| fps.predict_colocation_sum(batch.members(i))).collect();
+            let (mut scratch, mut bounds) = (PredictScratch::new(), Vec::new());
+            fps.bound_colocation_sums(&batch, &mut scratch, &mut bounds);
             for i in (0..batch.len()).rev() {
                 let got = match bounds[i] {
                     SumBound::Exact(sum) => sum,
                     SumBound::AtMost(bound) => {
                         prop_assert!(bound >= sums[i], "{}: {} below {}", label, bound, sums[i]);
-                        predictor_finish_sum(model, &model.profiles, &batch, i, &mut scratch)
+                        fps.finish_colocation_sum(&batch, i, &mut scratch)
                     }
                 };
                 prop_assert_eq!(got.to_bits(), sums[i].to_bits(), "{}: colocation {}", label, i);
