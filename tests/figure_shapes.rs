@@ -1,11 +1,19 @@
 //! Shape tests: the paper's qualitative findings must hold on a reduced
 //! experiment context. These are the guardrails that keep future changes to
 //! the simulator or the models from silently breaking the reproduction.
+//!
+//! The reports themselves are pinned to the byte: the FNV-1a-64 digest of
+//! each figure's `report()` must match `tests/fixtures/figure_digests.txt`.
+//! A change that moves a report on purpose regenerates the file — the
+//! failure message prints the replacement — and names the figures it
+//! re-baselines. Each figure is computed once and shared by every test.
 
 use gaugur_bench::figures::{fig10::Fig10, fig7::Fig7, fig8::Fig8, fig9::Fig9};
 use gaugur_bench::ExperimentContext;
 use gaugur_core::Algorithm;
 use std::sync::OnceLock;
+
+const GOLDEN: &str = include_str!("fixtures/figure_digests.txt");
 
 /// A mid-size context: big enough for stable orderings, small enough for CI.
 fn ctx() -> &'static ExperimentContext {
@@ -13,9 +21,54 @@ fn ctx() -> &'static ExperimentContext {
     CTX.get_or_init(|| ExperimentContext::with_scale(7, 60, 250, 60, 60, 240))
 }
 
+fn fig7() -> &'static Fig7 {
+    static FIG: OnceLock<Fig7> = OnceLock::new();
+    FIG.get_or_init(|| Fig7::run(ctx()))
+}
+
+fn fig8() -> &'static Fig8 {
+    static FIG: OnceLock<Fig8> = OnceLock::new();
+    FIG.get_or_init(|| Fig8::run(ctx()))
+}
+
+fn fig9() -> &'static Fig9 {
+    static FIG: OnceLock<Fig9> = OnceLock::new();
+    FIG.get_or_init(|| Fig9::run(ctx()))
+}
+
+fn fig10() -> &'static Fig10 {
+    static FIG: OnceLock<Fig10> = OnceLock::new();
+    FIG.get_or_init(|| Fig10::run(ctx()))
+}
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn figure_reports_match_the_pinned_digests() {
+    let reports = [
+        ("fig7", fig7().report()),
+        ("fig8", fig8().report()),
+        ("fig9", fig9().report()),
+        ("fig10", fig10().report()),
+    ];
+    let computed: String = reports
+        .iter()
+        .map(|(name, report)| format!("{name}: {:016x}\n", fnv1a64(report.as_bytes())))
+        .collect();
+    assert_eq!(
+        computed, GOLDEN,
+        "a figure report changed bytes; if that is intended, replace \
+         tests/fixtures/figure_digests.txt with:\n{computed}"
+    );
+}
+
 #[test]
 fn fig7_gaugur_beats_both_baselines_and_data_helps() {
-    let fig = Fig7::run(ctx());
+    let fig = fig7();
 
     // The paper's headline ordering: GAugur(RM) ≪ Sigmoid and SMiTe.
     let gaugur = fig.overall_error("GAugur(RM)");
@@ -47,7 +100,7 @@ fn fig7_gaugur_beats_both_baselines_and_data_helps() {
 
 #[test]
 fn fig8_classification_shapes_hold() {
-    let fig = Fig8::run(ctx());
+    let fig = fig8();
 
     // GBDT is the best family at full data, at both QoS levels.
     for qos in [60.0, 50.0] {
@@ -71,7 +124,7 @@ fn fig8_classification_shapes_hold() {
 
 #[test]
 fn fig9_gaugur_identifies_feasible_colocations_better() {
-    let fig = Fig9::run(ctx());
+    let fig = fig9();
 
     let cm = fig.confusion("GAugur(CM)");
     let sigmoid = fig.confusion("Sigmoid");
@@ -95,7 +148,7 @@ fn fig9_gaugur_identifies_feasible_colocations_better() {
 
 #[test]
 fn fig10_gaugur_wins_at_every_fleet_size() {
-    let fig = Fig10::run(ctx());
+    let fig = fig10();
     for &n in &gaugur_bench::figures::fig10::FLEET_SWEEP {
         let g = fig.avg_fps(n, "GAugur(RM)");
         let v = fig.avg_fps(n, "VBP");
