@@ -349,12 +349,6 @@ impl GAugur {
         })
     }
 
-    /// QoS judgement via the regression model (the paper's GAugur(RM)
-    /// classification comparator: predict FPS, threshold at the QoS).
-    pub fn predict_qos_via_rm(&self, qos: f64, target: Placement, others: &[Placement]) -> bool {
-        self.predict_fps(target, others) >= qos
-    }
-
     /// Persist the whole trained predictor (profiles + both models) as a
     /// versioned JSON artifact: `{"schema": N, "model": {…}}`.
     ///
@@ -862,7 +856,7 @@ mod tests {
         for i in 0..ids.len() {
             for j in (i + 1)..ids.len() {
                 let cm = gaugur.predict_qos(60.0, (ids[i], res), &[(ids[j], res)]);
-                let rm = gaugur.predict_qos_via_rm(60.0, (ids[i], res), &[(ids[j], res)]);
+                let rm = gaugur.predict_fps((ids[i], res), &[(ids[j], res)]) >= 60.0;
                 agree += usize::from(cm == rm);
                 total += 1;
             }

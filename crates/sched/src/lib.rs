@@ -136,14 +136,25 @@ pub struct PredictScratch {
     pub sums: Vec<f64>,
     /// First-stage answers that [`exact_colocation_sums`] finishes.
     pub bounds: Vec<SumBound>,
-    /// After a two-stage [`FpsModel::bound_colocation_sums`]: where each
-    /// colocation's member queries start in `queries`, or [`NO_QUERIES`]
-    /// for one the first stage did not evaluate.
-    pub staged: Vec<usize>,
+    /// What a cache in front of [`PredictorFps`] passes on to it.
+    pub misses: CacheMisses,
+    /// After [`PredictorFps`]'s first stage: where each colocation's member
+    /// queries start in `queries` (a closed form has none).
+    staged: Vec<usize>,
 }
 
-/// A colocation with no queries in [`PredictScratch::queries`].
-pub const NO_QUERIES: usize = usize::MAX;
+/// The colocations of a batch that a cache in front of [`PredictorFps`]
+/// (the serving daemon's memo) does not hold, as a batch of their own for
+/// `PredictorFps`'s two stages.
+#[derive(Debug, Default)]
+pub struct CacheMisses {
+    /// The missed colocations, in the order of the batch they came from.
+    pub batch: ColocationBatch,
+    /// Each one's index in that batch, ascending.
+    pub at: Vec<usize>,
+    /// [`FpsModel::bound_colocation_sums`] of `batch`.
+    pub bounds: Vec<SumBound>,
+}
 
 /// What the first scoring stage knows of one colocation's summed FPS.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -298,7 +309,7 @@ pub fn exact_colocation_sums<M: FpsModel + ?Sized>(
 /// `Σ ratio · solo` over `members`, in member order, onto `-0.0` —
 /// `Iterator::sum`'s additive identity, so even the empty colocation's sum
 /// has the scalar `Σ predict_member_fps` path's bits.
-pub fn member_sum(profiles: &ProfileStore, members: &[Placement], ratios: &[f64]) -> f64 {
+fn member_sum(profiles: &ProfileStore, members: &[Placement], ratios: &[f64]) -> f64 {
     let mut sum = -0.0;
     for (&(id, res), ratio) in members.iter().zip(ratios) {
         sum += ratio * profiles.get(id).solo_fps_at(res);
@@ -306,13 +317,25 @@ pub fn member_sum(profiles: &ProfileStore, members: &[Placement], ratios: &[f64]
     sum
 }
 
+/// The summed FPS of a colocation of at most one member, which takes no
+/// model: the empty sum `-0.0` (`Iterator::sum`'s additive identity), and
+/// a lone member's solo FPS added to it. `None` for two or more members.
+pub fn closed_form_sum(profiles: &ProfileStore, members: &[Placement]) -> Option<f64> {
+    match *members {
+        [] => Some(-0.0),
+        [(game, res)] => Some(-0.0 + profiles.get(game).solo_fps_at(res)),
+        _ => None,
+    }
+}
+
 /// GAugur's classification model as a feasibility judge.
 pub struct GaugurCm<'a>(pub &'a GAugur);
 
 impl FeasibilityModel for GaugurCm<'_> {
+    /// A game alone is judged by its solo FPS: the CM knows colocations.
     fn feasible(&self, qos: f64, members: &[Placement]) -> bool {
-        if let [solo] = members {
-            return solo_feasible(&self.0.profiles, *solo, qos);
+        if let [(game, res)] = *members {
+            return self.0.profiles.get(game).solo_fps_at(res) >= qos;
         }
         self.0.colocation_feasible(qos, members)
     }
@@ -328,7 +351,9 @@ impl FeasibilityModel for GaugurCm<'_> {
 /// [`bound_degradation_batch`](InterferencePredictor::bound_degradation_batch)
 /// and [`finish_degradation_batch`](InterferencePredictor::finish_degradation_batch),
 /// so a predictor with a fused batch path gets it on the scheduling hot
-/// path for free.
+/// path for free. A member alone runs at its solo FPS ([`closed_form_sum`]).
+/// The serving daemon's memo caches `PredictorFps::rm`: one scorer online
+/// and offline.
 pub struct PredictorFps<'a, P: InterferencePredictor + ?Sized> {
     /// The wrapped interference predictor.
     pub predictor: &'a P,
@@ -347,21 +372,32 @@ impl<'a> PredictorFps<'a, GAugur> {
 }
 
 impl<P: InterferencePredictor + ?Sized> FpsModel for PredictorFps<'_, P> {
+    /// The co-runners are gathered on the stack for any colocation a
+    /// server can hold, so a scalar sum allocates nothing.
     fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
         let target = members[idx];
-        let others: Vec<Placement> = members
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != idx)
-            .map(|(_, &p)| p)
-            .collect();
         let solo = self.profiles.get(target.0).solo_fps_at(target.1);
-        self.predictor.predict_degradation(target, &others) * solo
+        if members.len() == 1 {
+            return solo;
+        }
+        let (mut inline, mut spilled) = ([target; maxfps::MAX_PER_SERVER], Vec::new());
+        let others = match inline.get_mut(..members.len() - 1) {
+            Some(others) => others,
+            None => {
+                spilled.resize(members.len() - 1, target);
+                &mut spilled[..]
+            }
+        };
+        others[..idx].copy_from_slice(&members[..idx]);
+        others[idx..].copy_from_slice(&members[idx + 1..]);
+        self.predictor.predict_degradation(target, others) * solo
     }
 
-    /// One [`bound_degradation_batch`](InterferencePredictor::bound_degradation_batch)
-    /// call over every member of every colocation, reduced per colocation
-    /// to `Σ solo · bound` in member order. Degradation bounds are `≥` the
+    /// Colocations of at most one member in closed form, exact and with no
+    /// query row; one
+    /// [`bound_degradation_batch`](InterferencePredictor::bound_degradation_batch)
+    /// call over every member of the others, reduced per colocation to
+    /// `Σ solo · bound` in member order. Degradation bounds are `≥` the
     /// ratios and solo frame rates are not negative, and a rounded product
     /// or sum never falls when an operand rises, so each colocation's
     /// bound is `≥` its exact sum, bit for bit as `f64`. A predictor with
@@ -372,25 +408,31 @@ impl<P: InterferencePredictor + ?Sized> FpsModel for PredictorFps<'_, P> {
         scratch: &mut PredictScratch,
         out: &mut Vec<SumBound>,
     ) {
+        out.clear();
         scratch.queries.clear();
         scratch.staged.clear();
         for i in 0..batch.len() {
+            let members = batch.members(i);
             scratch.staged.push(scratch.queries.len());
-            scratch.queries.push_colocation(batch.members(i));
+            let closed = closed_form_sum(self.profiles, members);
+            if closed.is_none() {
+                scratch.queries.push_colocation(members);
+            }
+            out.push(closed.map_or(SumBound::AtMost(f64::NAN), SumBound::Exact));
         }
         let exact = self.predictor.bound_degradation_batch(
             &scratch.queries,
             &mut scratch.features,
             &mut scratch.values,
         );
-        out.clear();
         for (i, &first) in scratch.staged.iter().enumerate() {
-            let sum = member_sum(self.profiles, batch.members(i), &scratch.values[first..]);
-            out.push(if exact {
-                SumBound::Exact(sum)
-            } else {
-                SumBound::AtMost(sum)
-            });
+            if out[i].exact().is_none() {
+                let sum = member_sum(self.profiles, batch.members(i), &scratch.values[first..]);
+                out[i] = match exact {
+                    true => SumBound::Exact(sum),
+                    false => SumBound::AtMost(sum),
+                };
+            }
         }
     }
 
@@ -421,23 +463,12 @@ impl<P: InterferencePredictor + ?Sized> FpsModel for PredictorFps<'_, P> {
 
 impl<P: InterferencePredictor + ?Sized> FeasibilityModel for PredictorFps<'_, P> {
     fn feasible(&self, qos: f64, members: &[Placement]) -> bool {
-        if let [solo] = members {
-            return solo_feasible(self.profiles, *solo, qos);
-        }
         (0..members.len()).all(|i| self.predict_member_fps(members, i) >= qos)
     }
 
     fn judge_name(&self) -> &'static str {
         self.predictor.name()
     }
-}
-
-/// A single game running alone suffers no interference, so its feasibility
-/// is simply whether its profiled solo frame rate clears the bar — no
-/// interference model is involved (they are trained on colocations of two
-/// or more games and are undefined for an empty co-runner set).
-fn solo_feasible(profiles: &ProfileStore, p: Placement, qos: f64) -> bool {
-    profiles.get(p.0).solo_fps_at(p.1) >= qos
 }
 
 /// VBP as a feasibility judge (QoS-oblivious by construction).
@@ -537,6 +568,66 @@ mod tests {
         // …and the wrapper inherits the predictor's display name.
         assert_eq!(wrapped.model_name(), "GAugur(RM)");
         assert_eq!(wrapped.judge_name(), "GAugur(RM)");
+    }
+
+    /// A colocation of at most one member is a closed form for every
+    /// predictor: the empty sum `-0.0`, and a lone member's solo FPS added
+    /// to it. The scalar member and sum paths give those bits, and the
+    /// first stage answers them exactly with no query row.
+    #[test]
+    fn lone_and_empty_colocations_are_closed_forms_for_every_predictor() {
+        use gaugur_baselines::{SigmoidPredictor, SmitePredictor};
+        use gaugur_core::{measure_colocations, plan_colocations, Profiler};
+        use gaugur_gamesim::game::ALL_RESOLUTIONS;
+
+        let server = Server::reference(19);
+        let catalog = GameCatalog::generate(42, 10);
+        let config = GAugurConfig {
+            plan: ColocationPlan {
+                pairs: 25,
+                triples: 8,
+                quads: 0,
+                seed: 5,
+            },
+            ..GAugurConfig::default()
+        };
+        let profiles =
+            ProfileStore::new(Profiler::new(config.profiling).profile_catalog(&server, &catalog));
+        let measured =
+            measure_colocations(&server, &catalog, &plan_colocations(&catalog, &config.plan));
+        let gaugur = GAugur::from_measurements(profiles.clone(), &measured, config);
+        let sigmoid = SigmoidPredictor::train(profiles.clone(), &measured);
+        let smite = SmitePredictor::train(profiles.clone(), &measured);
+        let predictors: [&dyn InterferencePredictor; 3] = [&gaugur, &sigmoid, &smite];
+        for predictor in predictors {
+            let fps = PredictorFps {
+                predictor,
+                profiles: &profiles,
+            };
+            let name = predictor.name();
+            let empty = (-0.0f64).to_bits();
+            assert_eq!(fps.predict_colocation_sum(&[]).to_bits(), empty, "{name}");
+            let mut batch = ColocationBatch::new();
+            let mut want = vec![Some(empty)];
+            batch.push(&[]);
+            for game in catalog.games() {
+                for res in ALL_RESOLUTIONS {
+                    let lone = [(game.id, res)];
+                    let solo = profiles.get(game.id).solo_fps_at(res);
+                    let sum = (-0.0 + solo).to_bits();
+                    let member = fps.predict_member_fps(&lone, 0).to_bits();
+                    assert_eq!(member, solo.to_bits(), "{name}: {lone:?}");
+                    assert_eq!(fps.predict_colocation_sum(&lone).to_bits(), sum);
+                    batch.push(&lone);
+                    want.push(Some(sum));
+                }
+            }
+            let (mut scratch, mut bounds) = (PredictScratch::new(), Vec::new());
+            fps.bound_colocation_sums(&batch, &mut scratch, &mut bounds);
+            assert_eq!(scratch.queries.len(), 0, "{name}: a closed form took a row");
+            let got: Vec<_> = bounds.iter().map(|b| b.exact().map(f64::to_bits)).collect();
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //! candidate's upper bound from the RM's first trees, then the rest of the
 //! trees only for the candidates whose bound does not fall below an exact
 //! delta — and both stages run with the lock released (`score_shard`).
-//! Under the lock run the memo lookups, the score-cache reads and the
-//! decision, and two evaluations can still run there: the newcomer's own
-//! prediction at admit (`predict_with` — the RM and the CM, on a memo
-//! miss), and a `before` sum the `ScoreCache` does not hold — the RM's two
-//! stages run to the end on a memo miss, and a memoized bound's members
-//! through all the RM's trees; no sum runs the CM.
+//! Every sum is the offline scorer's, `gaugur_sched::PredictorFps::rm`,
+//! through the [`PredictionMemo`] that caches it. Under the lock run the
+//! memo lookups, the score-cache reads and the decision, and two
+//! evaluations can still run there: the newcomer's prediction at admit
+//! (`predict_with`, the RM and the CM) and a `before` sum the `ScoreCache`
+//! does not hold (the RM only), on a memo miss or a memoized bound.
 
 use crate::cluster::{shard_of_session, Shard};
 use crate::fault::{FaultAction, FaultInjector, InjectionPoint};

@@ -10,7 +10,9 @@ use crate::trace::{elapsed_us, RequestTrace, Stage};
 use crate::wire::{BatchPlaceResult, Request, Response};
 use gaugur_core::{GAugur, InterferencePredictor, Placement};
 use gaugur_sched::maxfps::MAX_PER_SERVER;
-use gaugur_sched::{member_sum, ColocationBatch, PredictScratch, SumBound, NO_QUERIES};
+use gaugur_sched::{
+    closed_form_sum, ColocationBatch, FpsModel, PredictScratch, PredictorFps, SumBound,
+};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::HashMap;
 use std::io;
@@ -356,20 +358,6 @@ fn recalled(value: f64) -> SumBound {
     }
 }
 
-/// The summed FPS of a colocation of at most one member, which needs
-/// neither the model nor the memo: the empty sum, and for a lone member
-/// its solo FPS added to it. The empty sum is `-0.0`, `Iterator::sum`'s
-/// additive identity, so both have the member-wise sum's bits.
-fn closed_form_sum(model: &LoadedModel, members: &[Placement]) -> Option<f64> {
-    match *members {
-        [] => Some(-0.0),
-        [(game, resolution)] => {
-            Some(-0.0 + model.gaugur.profiles.get(game).solo_fps_at(resolution))
-        }
-        _ => None,
-    }
-}
-
 /// A bounded map that forgets by generation instead of all at once.
 ///
 /// Inserts go to the young generation; once it holds half the capacity the
@@ -443,12 +431,13 @@ impl<K: std::hash::Hash + Eq + Copy, V: Copy> Generations<K, V> {
 ///
 /// Each question has one entry point. A prediction is
 /// [`predict_with`](PredictionMemo::predict_with), the only one that runs
-/// the CM. A summed FPS is two stages: [`colocation_bounds`] answers a
-/// batch with sums and bounds, and [`finish_colocation_sum`] makes any
-/// bound exact; an exact sum is the two run to the end
-/// ([`gaugur_sched::exact_colocation_sums`] through [`MemoizedFps`]).
-/// [`resident_colocation_bounds`] is the first stage for a caller that
-/// must not evaluate. A memoized bound is a hit to every caller.
+/// the CM. A summed FPS is the two stages of [`PredictorFps::rm`], cached:
+/// [`colocation_bounds`] answers a batch with sums and bounds, and
+/// [`finish_colocation_sum`] makes any bound exact; an exact sum is the two
+/// run to the end ([`gaugur_sched::exact_colocation_sums`] through
+/// [`MemoizedFps`]). [`resident_colocation_bounds`] is the first stage for
+/// a caller that must not evaluate. A memoized bound is a hit to every
+/// caller.
 ///
 /// [`colocation_bounds`]: PredictionMemo::colocation_bounds
 /// [`finish_colocation_sum`]: PredictionMemo::finish_colocation_sum
@@ -520,7 +509,7 @@ impl PredictionMemo {
         sums: &mut Option<MutexGuard<'m, Generations<SumKey, f64>>>,
         hits: &mut u64,
     ) -> Option<SumBound> {
-        if let Some(sum) = closed_form_sum(model, members) {
+        if let Some(sum) = closed_form_sum(&model.gaugur.profiles, members) {
             return Some(SumBound::Exact(sum));
         }
         let sums = sums.get_or_insert_with(|| self.sums.lock());
@@ -557,11 +546,11 @@ impl PredictionMemo {
     /// The first scoring stage over `batch`, through the memo: each
     /// colocation's exact sum or an upper bound on it into `out` (cleared
     /// first), in batch order. Empty and lone colocations are closed forms;
-    /// a memoized sum or bound is a hit; the misses' member rows run
-    /// through the RM's first stage in one batch, with no memo lock held,
-    /// and their bounds are memoized — a model with one stage gives exact
-    /// sums here, memoized as such. [`PredictionMemo::finish_colocation_sum`]
-    /// finishes any bounded colocation.
+    /// a memoized sum or bound is a hit; the misses go, as a batch of their
+    /// own ([`PredictScratch::misses`]) and with no memo lock held, to
+    /// [`PredictorFps::rm`]'s first stage, whose answers are memoized — a
+    /// model with one stage gives exact sums there, memoized as such.
+    /// [`PredictionMemo::finish_colocation_sum`] finishes any bounded one.
     pub fn colocation_bounds(
         &self,
         model: &LoadedModel,
@@ -570,61 +559,52 @@ impl PredictionMemo {
         out: &mut Vec<SumBound>,
     ) {
         out.clear();
-        scratch.queries.clear();
-        scratch.staged.clear();
-        let (mut hits, mut misses, mut sums) = (0, 0, None);
+        let mut misses = std::mem::take(&mut scratch.misses);
+        misses.batch.clear();
+        misses.at.clear();
+        let (mut hits, mut rows, mut sums) = (0, 0, None);
         for i in 0..batch.len() {
             let members = batch.members(i);
             let known = self.recall(model, members, &mut sums, &mut hits);
-            let staged = match known {
-                Some(_) => NO_QUERIES,
-                None => {
-                    misses += 1;
-                    let first = scratch.queries.len();
-                    scratch.queries.push_colocation(members);
-                    first
-                }
-            };
-            scratch.staged.push(staged);
+            if known.is_none() {
+                misses.batch.push(members);
+                misses.at.push(i);
+                rows += members.len();
+            }
             out.push(known.unwrap_or(SumBound::AtMost(f64::NAN)));
         }
         drop(sums);
         self.hits.fetch_add(hits, Ordering::Relaxed);
-        self.misses.fetch_add(misses, Ordering::Relaxed);
-        if misses == 0 {
-            return;
-        }
-        let exact = model.gaugur.bound_degradation_batch(
-            &scratch.queries,
-            &mut scratch.features,
-            &mut scratch.values,
-        );
-        let rows = scratch.queries.len();
-        self.count_rows(if exact { WHOLE } else { FIRST_STAGE }, rows);
-        let mut sums = self.sums.lock();
-        for (i, &first) in scratch.staged.iter().enumerate() {
-            if first == NO_QUERIES {
-                continue;
-            }
-            let members = batch.members(i);
-            let sum = member_sum(&model.gaugur.profiles, members, &scratch.values[first..]);
-            out[i] = match exact {
-                true => SumBound::Exact(sum),
-                false => SumBound::AtMost(sum),
-            };
-            if let Some(key) = sum_key(model.version, members) {
-                sums.insert(key, stored(out[i]));
+        self.misses
+            .fetch_add(misses.at.len() as u64, Ordering::Relaxed);
+        if !misses.at.is_empty() {
+            PredictorFps::rm(&model.gaugur).bound_colocation_sums(
+                &misses.batch,
+                scratch,
+                &mut misses.bounds,
+            );
+            // A model with one stage answers every miss exactly.
+            let exact = misses.bounds[0].exact().is_some();
+            self.count_rows(if exact { WHOLE } else { FIRST_STAGE }, rows);
+            let mut sums = self.sums.lock();
+            for (&i, &bound) in misses.at.iter().zip(&misses.bounds) {
+                let members = batch.members(i);
+                out[i] = bound;
+                if let Some(key) = sum_key(model.version, members) {
+                    sums.insert(key, stored(bound));
+                }
             }
         }
+        scratch.misses = misses;
     }
 
     /// The second stage: the exact sum of colocation `i` of `batch`, which
     /// the last [`PredictionMemo::colocation_bounds`] of it through
-    /// `scratch` left bounded, memoized in place of the bound. A colocation
-    /// whose rows ran the first stage there continues them; one whose bound
-    /// came from the memo is evaluated member by member through the scalar
-    /// path, which leaves `scratch` to the other candidates. Either way the
-    /// bits are the member-wise sum's, the RM's alone: no sum runs the CM.
+    /// `scratch` left bounded, memoized in place of the bound. A missed
+    /// colocation continues through [`PredictorFps::rm`]'s second stage;
+    /// one whose bound came from the memo is `PredictorFps`'s scalar sum,
+    /// which leaves `scratch` to the other candidates. Either way the bits
+    /// are the member-wise sum's, the RM's alone: no sum runs the CM.
     pub fn finish_colocation_sum(
         &self,
         model: &LoadedModel,
@@ -633,34 +613,19 @@ impl PredictionMemo {
         scratch: &mut PredictScratch,
     ) -> f64 {
         let members = batch.members(i);
-        let first = scratch.staged[i];
-        let sum = if first == NO_QUERIES {
-            self.count_rows(WHOLE, members.len());
-            let mut sum = -0.0;
-            // A memoized bound has a key: at most `MAX_PER_SERVER` members.
-            let mut others = [members[0]; MAX_PER_SERVER];
-            for (m, &target) in members.iter().enumerate() {
-                let mut n = 0;
-                for (j, &other) in members.iter().enumerate() {
-                    if j != m {
-                        others[n] = other;
-                        n += 1;
-                    }
-                }
-                let solo = model.gaugur.profiles.get(target.0).solo_fps_at(target.1);
-                sum += model.gaugur.predict_degradation(target, &others[..n]) * solo;
+        let rm = PredictorFps::rm(&model.gaugur);
+        let sum = match scratch.misses.at.binary_search(&i) {
+            Ok(miss) => {
+                self.count_rows(SECOND_STAGE, members.len());
+                let misses = std::mem::take(&mut scratch.misses);
+                let sum = rm.finish_colocation_sum(&misses.batch, miss, scratch);
+                scratch.misses = misses;
+                sum
             }
-            sum
-        } else {
-            let rows = first..first + members.len();
-            self.count_rows(SECOND_STAGE, members.len());
-            model.gaugur.finish_degradation_batch(
-                &scratch.queries,
-                rows.clone(),
-                &mut scratch.features,
-                &mut scratch.values[rows.clone()],
-            );
-            member_sum(&model.gaugur.profiles, members, &scratch.values[rows])
+            Err(_) => {
+                self.count_rows(WHOLE, members.len());
+                rm.predict_colocation_sum(members)
+            }
         };
         if let Some(key) = sum_key(model.version, members) {
             self.sums.lock().insert(key, sum);
@@ -758,8 +723,8 @@ impl PredictionMemo {
     }
 }
 
-/// [`gaugur_sched::FpsModel`] adapter that routes every member-FPS query
-/// through the memo, so the placement greedy benefits from caching too.
+/// [`FpsModel`] adapter that routes every query through the memo, so the
+/// placement greedy benefits from caching too.
 pub struct MemoizedFps<'a> {
     /// The model snapshot this request is pinned to.
     pub model: &'a LoadedModel,
@@ -769,7 +734,7 @@ pub struct MemoizedFps<'a> {
     pub qos: f64,
 }
 
-impl gaugur_sched::FpsModel for MemoizedFps<'_> {
+impl FpsModel for MemoizedFps<'_> {
     /// Through [`PredictionMemo::predict_with`], with a scratch of its own:
     /// the placement hot path asks for sums, never for this.
     fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
@@ -834,7 +799,6 @@ impl gaugur_sched::FpsModel for MemoizedFps<'_> {
 mod tests {
     use super::*;
     use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server};
-    use gaugur_sched::{FpsModel, PredictorFps};
 
     fn tiny_model() -> GAugur {
         let server = Server::reference(7);
@@ -861,27 +825,9 @@ mod tests {
     }
 
     /// The bit reference for the memo's sums: the unmemoized RM member by
-    /// member ([`PredictorFps`]), summed by `Iterator::sum` — except that a
-    /// member alone on its server runs at its solo FPS, the closed form
-    /// `predict_with` answers a target with no co-runners with, where
-    /// `PredictorFps` asks the RM.
-    struct Unmemoized<'a>(PredictorFps<'a, GAugur>);
-
-    impl FpsModel for Unmemoized<'_> {
-        fn predict_member_fps(&self, members: &[Placement], idx: usize) -> f64 {
-            match *members {
-                [(game, res)] => self.0.profiles.get(game).solo_fps_at(res),
-                _ => self.0.predict_member_fps(members, idx),
-            }
-        }
-
-        fn model_name(&self) -> &'static str {
-            "GAugur(RM, unmemoized)"
-        }
-    }
-
+    /// member ([`PredictorFps`]), summed by `Iterator::sum`.
     fn reference_sum(model: &LoadedModel, members: &[Placement]) -> u64 {
-        Unmemoized(PredictorFps::rm(&model.gaugur))
+        PredictorFps::rm(&model.gaugur)
             .predict_colocation_sum(members)
             .to_bits()
     }
@@ -1575,7 +1521,7 @@ mod tests {
         use rand::Rng;
         let handle = ModelHandle::from_model(tiny_model());
         let model = handle.get();
-        let reference = Unmemoized(PredictorFps::rm(&model.gaugur));
+        let reference = PredictorFps::rm(&model.gaugur);
         let games: Vec<GameId> = model
             .gaugur
             .profiles

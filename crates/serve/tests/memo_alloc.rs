@@ -1,7 +1,8 @@
 //! A memo lookup that hits performs no heap allocation: keys are fixed-size
 //! inline values, and a hit neither grows a table nor builds a query plan —
 //! through `predict_with`, the first stage, the resident pass and the exact
-//! sums `MemoizedFps` asks for the `before` colocations alike.
+//! sums `MemoizedFps` asks for the `before` colocations alike. Finishing a
+//! memoized bound, `PredictorFps`'s scalar sum, allocates nothing either.
 //!
 //! The allocation count comes from a counting `#[global_allocator]`, which
 //! is why this is a test binary of its own (one allocator per binary, one
@@ -9,7 +10,7 @@
 
 use gaugur_core::{GAugur, Placement};
 use gaugur_gamesim::{GameCatalog, GameId, Resolution, Server};
-use gaugur_sched::{ColocationBatch, FpsModel, PredictScratch};
+use gaugur_sched::{ColocationBatch, FpsModel, PredictScratch, PredictorFps};
 use gaugur_serve::{MemoizedFps, ModelHandle, PredictionMemo};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,4 +111,30 @@ fn memo_hits_allocate_nothing() {
     assert_eq!(exact, warm);
     // One prediction and seven sums three times over: every lookup a hit.
     assert_eq!(memo.counts(), (7 + 7 + 1 + 7 + 7 + 7, 1 + 7));
+
+    // Bounds a first stage memoized and nobody finished, as a pruned
+    // candidate leaves them; a later pass hits them and finishes one member
+    // by member. The first finish grows the scalar path's feature buffer.
+    let mut bounded = ColocationBatch::new();
+    for g in 1..3u32 {
+        bounded.push_extended(
+            &[(GameId(g), Resolution::Hd720), (GameId(g + 4), res)],
+            target,
+        );
+    }
+    memo.colocation_bounds(&model, &bounded, &mut scratch, &mut bounds);
+    memo.colocation_bounds(&model, &bounded, &mut scratch, &mut bounds);
+    let warm = memo.finish_colocation_sum(&model, &bounded, 0, &mut scratch);
+    let mut finished = f64::NAN;
+    let n = allocations_during(|| {
+        memo.colocation_bounds(&model, &bounded, &mut scratch, &mut bounds);
+        assert!(bounds[1].exact().is_none(), "a memoized bound");
+        finished = memo.finish_colocation_sum(&model, &bounded, 1, &mut scratch);
+    });
+    assert_eq!(n, 0, "finishing a memoized bound allocated {n} times");
+    let reference = PredictorFps::rm(&model.gaugur);
+    for (i, got) in [warm, finished].into_iter().enumerate() {
+        let want = reference.predict_colocation_sum(bounded.members(i));
+        assert_eq!(got.to_bits(), want.to_bits(), "colocation {i}");
+    }
 }
