@@ -125,6 +125,7 @@ fn heterogeneity(ctx: &ExperimentContext) -> String {
         "transfer (ref-trained, ref profiles)",
         "retrained on class",
     ]);
+    let mut errors = Vec::new();
     for class in ALL_SERVER_CLASSES {
         let server = Server::of_class(ctx.server.seed ^ 0xC1A5, class);
         let colocs = plan_colocations(&ctx.catalog, &plan);
@@ -170,14 +171,40 @@ fn heterogeneity(ctx: &ExperimentContext) -> String {
         let retrain_err = err_with(&retrained, &class_profiles);
 
         t.row([class.to_string(), pct(transfer), pct(retrain_err)]);
+        errors.push((class.to_string(), transfer, retrain_err));
     }
     format!(
-        "== Extension 2: server heterogeneity (future work #1) ==\n{}\
-         Transfer error grows with hardware distance from the training class;\n\
-         the retrained column uses a smaller per-class campaign (~110\n\
-         colocations), so it only overtakes transfer once the classes diverge\n\
-         enough — on the flagship, retraining wins despite the smaller data.\n",
-        t.render()
+        "== Extension 2: server heterogeneity (future work #1) ==\n{}{}",
+        t.render(),
+        heterogeneity_reading(&errors)
+    )
+}
+
+/// What the heterogeneity table says, read from its rows: `(class,
+/// transfer error, retrained error)`, the training class first and then by
+/// hardware distance from it.
+fn heterogeneity_reading(errors: &[(String, f64, f64)]) -> String {
+    let transfer: Vec<f64> = errors.iter().map(|e| e.1).collect();
+    let trend = if transfer.windows(2).all(|w| w[1] > w[0]) {
+        "grows with"
+    } else if transfer.windows(2).all(|w| w[1] < w[0]) {
+        "falls with"
+    } else {
+        "does not grow steadily with"
+    };
+    let wins: Vec<&str> = errors
+        .iter()
+        .filter(|e| e.2 < e.1)
+        .map(|e| e.0.as_str())
+        .collect();
+    let wins = match wins.as_slice() {
+        [] => "no class".to_string(),
+        wins => format!("the {}", wins.join(" and the ")),
+    };
+    format!(
+        "Transfer error {trend} hardware distance from the training class.\n\
+         Retrained on each class's smaller campaign (~110 colocations), the\n\
+         model beats transfer on {wins}.\n"
     )
 }
 
@@ -286,4 +313,31 @@ fn dynamic_sessions(ctx: &ExperimentContext) -> String {
         config.duration_seconds,
         t.render()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::heterogeneity_reading;
+
+    fn rows(errors: &[(f64, f64)]) -> Vec<(String, f64, f64)> {
+        let names = ["home", "near", "far"];
+        let rows = names.iter().zip(errors);
+        rows.map(|(n, &(t, r))| (n.to_string(), t, r)).collect()
+    }
+
+    #[test]
+    fn the_heterogeneity_reading_follows_the_table() {
+        let reading = heterogeneity_reading(&rows(&[(0.147, 0.207), (0.142, 0.21), (0.177, 0.17)]));
+        assert!(reading.starts_with("Transfer error does not grow steadily with"));
+        assert!(
+            reading.ends_with("model beats transfer on the far.\n"),
+            "{reading}"
+        );
+        let reading = heterogeneity_reading(&rows(&[(0.1, 0.2), (0.12, 0.11), (0.2, 0.15)]));
+        assert!(reading.starts_with("Transfer error grows with"));
+        assert!(reading.ends_with("on the near and the far.\n"), "{reading}");
+        let reading = heterogeneity_reading(&rows(&[(0.3, 0.4), (0.2, 0.3), (0.1, 0.2)]));
+        assert!(reading.starts_with("Transfer error falls with"));
+        assert!(reading.ends_with("on no class.\n"), "{reading}");
+    }
 }

@@ -14,6 +14,7 @@
 use crate::profile::GameProfile;
 use crate::train::Placement;
 use gaugur_gamesim::{ResourceVec, ALL_RESOURCES, NUM_RESOURCES};
+use gaugur_ml::splits::LANES;
 
 /// Number of features of the aggregate-intensity transform (`2R + 1`).
 pub const AGGREGATE_INTENSITY_WIDTH: usize = 2 * NUM_RESOURCES + 1;
@@ -181,9 +182,10 @@ pub struct FeatureBuffer {
     /// Packed feature rows (row-major): all RM features, or only the `I_G`
     /// ones when the RM scores rows from target prefixes.
     pub(crate) rows: Vec<f64>,
-    /// Leaf bitvectors of one block of rows, started from their targets'
-    /// prefixes.
+    /// Leaf bitvectors of one row, started from its target's prefix.
     pub(crate) bits: Vec<u32>,
+    /// The same for one block of [`LANES`] rows, tree-major.
+    pub(crate) block: Vec<[u32; LANES]>,
     /// Each row's leaf sum after the RM's first stage, which its second
     /// stage continues.
     pub(crate) partials: Vec<f64>,

@@ -47,6 +47,7 @@ pub mod cf;
 pub mod delay;
 pub mod features;
 pub mod gaugur;
+pub mod hash;
 pub mod importance;
 pub mod model;
 pub mod predictor;

@@ -261,8 +261,8 @@ impl InterferencePredictor for GAugur {
 
     /// Fused batch path: one intensity gather per distinct colocation span
     /// and one model call for every row. With target prefixes, a row is its
-    /// 15 `I_G` features, applied to its target's prefix, and four rows
-    /// have their exit leaves summed side by side; otherwise it is all 92
+    /// 15 `I_G` features, applied to its target's prefix with three other
+    /// rows in the lanes of one block; otherwise it is all 92
     /// RM features, and each row walks the RM's trees. Bit-identical to the
     /// scalar path either way: features come from the same aggregation
     /// code, the prefix path reaches the same exit leaves, and every path
@@ -279,11 +279,14 @@ impl InterferencePredictor for GAugur {
         }
         self.gather_rows(batch, scratch);
         let FeatureBuffer {
-            rows, scaled, bits, ..
+            rows,
+            scaled,
+            block,
+            ..
         } = scratch;
         match &self.rm_prefixes {
             Some(prefixes) => {
-                prefixes.predict_rows(&batch.targets, rows, bits, out);
+                prefixes.predict_rows(&batch.targets, rows, block, out);
                 for v in out.iter_mut() {
                     *v = self.rm.clamp(*v);
                 }
@@ -314,12 +317,12 @@ impl InterferencePredictor for GAugur {
         self.gather_rows(batch, scratch);
         let FeatureBuffer {
             rows,
-            bits,
+            block,
             partials,
             ..
         } = scratch;
         partials.clear();
-        prefixes.bound_rows(&batch.targets, rows, bits, partials, out);
+        prefixes.bound_rows(&batch.targets, rows, block, partials, out);
         for v in out.iter_mut() {
             *v = self.rm.clamp(*v);
         }
@@ -341,14 +344,14 @@ impl InterferencePredictor for GAugur {
             .expect("a two-stage answer comes from target prefixes");
         let FeatureBuffer {
             rows,
-            bits,
+            block,
             partials,
             ..
         } = scratch;
         let free = &rows
             [queries.start * AGGREGATE_INTENSITY_WIDTH..queries.end * AGGREGATE_INTENSITY_WIDTH];
         let (targets, partials) = (&batch.targets[queries.clone()], &partials[queries]);
-        prefixes.finish_rows(targets, free, partials, bits, out);
+        prefixes.finish_rows(targets, free, partials, block, out);
         for v in out.iter_mut() {
             *v = self.rm.clamp(*v);
         }

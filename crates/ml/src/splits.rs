@@ -30,6 +30,19 @@
 //! node walk computes, and what [`crate::GbdtClassifier`]'s score is the
 //! [`crate::gbdt::sigmoid`] of.
 //!
+//! Rows in lanes (v-QuickScorer, Lucchese et al., SIGIR 2016): a block
+//! holds [`LANES`] rows side by side, tree-major, one `[u32; LANES]` per
+//! tree. [`SplitTable::apply_lanes`] walks each feature's sorted splits
+//! once for all lanes, clearing a lane's leaves where `!(x <= t)`, and
+//! stops at the first split every lane passes. Each lane's failing splits
+//! are a prefix of the list, so the walk applies to every lane exactly the
+//! clears the `partition_point` count above gives it, with no binary
+//! search. A lane that holds no row takes `-∞`, which passes every split
+//! and so never lengthens a walk; a NaN lane fails every split, and the
+//! walk then runs the feature's whole list. [`SplitTable::sum_lanes_onto`]
+//! adds each lane's exit leaves in tree order, the bits of
+//! [`SplitTable::sum_onto`].
+//!
 //! Staged evaluation: [`SplitTable::split_at`] cuts a table into its first
 //! trees and the rest. Summing the first table's exit leaves and then
 //! continuing the same running sum through the second is the whole sum,
@@ -42,6 +55,10 @@ use crate::tree::{Node, Tree};
 
 /// Leaves a tree may have to be kept in one `u32` bitvector.
 const MAX_LEAVES: usize = 32;
+
+/// Rows a lane block holds side by side: independent split tests and
+/// leaf sums in flight instead of one row's chain of dependent ones.
+pub const LANES: usize = 4;
 
 /// The clearing one split applies to a row whose test fails.
 #[derive(Debug, Clone, Copy)]
@@ -70,11 +87,6 @@ pub struct SplitTable {
 }
 
 impl SplitTable {
-    /// Rows whose exit leaves [`SplitTable::sum_rows`] adds up side by
-    /// side: independent sums in flight instead of one chain of dependent
-    /// adds.
-    pub const ROW_LANES: usize = 4;
-
     /// The table of `init + learning_rate · Σ trees`, or `None` when a tree
     /// has more than [`MAX_LEAVES`] leaves or a NaN threshold (a split that
     /// no row passes has no place in a sorted list).
@@ -199,28 +211,62 @@ impl SplitTable {
         self.init + self.learning_rate * sum
     }
 
-    /// [`SplitTable::sum_onto`] of each row whose state lies back to back
-    /// in `bits`, onto and into its entry of `sums`. Blocks of
-    /// [`Self::ROW_LANES`] rows are summed side by side, each row still in
-    /// tree order.
-    pub fn sum_rows(&self, bits: &[u32], sums: &mut [f64]) {
-        let n = self.n_trees();
-        debug_assert_eq!(bits.len(), sums.len() * n);
-        let done = sums.len() / Self::ROW_LANES * Self::ROW_LANES;
-        let mut blocks = sums.chunks_exact_mut(Self::ROW_LANES);
-        for (b, block) in blocks.by_ref().enumerate() {
-            let bits = &bits[b * Self::ROW_LANES * n..];
-            let mut lanes = [0.0; Self::ROW_LANES];
-            lanes.copy_from_slice(block);
-            for (t, leaves) in self.leaf_values.chunks_exact(MAX_LEAVES).enumerate() {
-                for (l, sum) in lanes.iter_mut().enumerate() {
-                    *sum += leaves[bits[l * n + t].trailing_zeros() as usize % MAX_LEAVES];
+    /// Start a block of [`LANES`] rows, tree-major in `block`: lane `l`
+    /// from the state `rows[l]`, and every lane past `rows.len()` — a
+    /// padding lane, whose features must be `-∞` — with every leaf live.
+    pub fn start_lanes(&self, rows: &[&[u32]], block: &mut Vec<[u32; LANES]>) {
+        debug_assert!(rows.len() <= LANES);
+        block.clear();
+        block.extend(self.leaf_bits.iter().map(|&all| [all; LANES]));
+        for (l, row) in rows.iter().enumerate() {
+            debug_assert_eq!(row.len(), self.n_trees());
+            for (lanes, &bits) in block.iter_mut().zip(*row) {
+                lanes[l] = bits;
+            }
+        }
+    }
+
+    /// [`SplitTable::apply`] for every lane of `block` at once: lane `l`'s
+    /// feature `first + k` is `values[k][l]`. A feature's splits are walked
+    /// once, up to the first that every lane passes.
+    pub fn apply_lanes(&self, first: usize, values: &[[f64; LANES]], block: &mut [[u32; LANES]]) {
+        debug_assert_eq!(block.len(), self.n_trees());
+        for (f, x) in (first..self.starts.len().saturating_sub(1)).zip(values) {
+            // Every lane passes a split at or above its largest value, and
+            // no split with a NaN lane: the largest of a NaN is NaN, which
+            // is at or below no threshold.
+            let top = x
+                .iter()
+                .fold(f64::NEG_INFINITY, |top, &v| match v > top || v.is_nan() {
+                    true => v,
+                    false => top,
+                });
+            let splits = self.starts[f] as usize..self.starts[f + 1] as usize;
+            for (&t, clear) in self.thresholds[splits.clone()]
+                .iter()
+                .zip(&self.clears[splits])
+            {
+                if top <= t {
+                    break;
+                }
+                let lanes = &mut block[clear.tree as usize];
+                for (bits, &x) in lanes.iter_mut().zip(x) {
+                    // A lane that passes (`x <= t`) keeps every bit.
+                    *bits &= clear.keep | u32::from(x <= t).wrapping_neg();
                 }
             }
-            block.copy_from_slice(&lanes);
         }
-        for (r, sum) in blocks.into_remainder().iter_mut().enumerate() {
-            *sum = self.sum_onto(*sum, &bits[(done + r) * n..(done + r + 1) * n]);
+    }
+
+    /// [`SplitTable::sum_onto`] for every lane of `block`: lane `l`'s exit
+    /// leaves added onto `sums[l]`, in tree order.
+    pub fn sum_lanes_onto(&self, sums: &mut [f64; LANES], block: &[[u32; LANES]]) {
+        debug_assert_eq!(block.len(), self.n_trees());
+        for (leaves, lanes) in self.leaf_values.chunks_exact(MAX_LEAVES).zip(block) {
+            for (sum, &live) in sums.iter_mut().zip(lanes) {
+                debug_assert!(live != 0, "a row's exit leaf is never cleared");
+                *sum += leaves[live.trailing_zeros() as usize % MAX_LEAVES];
+            }
         }
     }
 
@@ -450,27 +496,14 @@ mod tests {
             let gbrt = fit(&ys, &features(ys.len()), seed, max_depth);
             let table = gbrt.split_table().expect("depth ≤ 5 fits 32 leaves");
             prop_assert_eq!(table.n_trees(), gbrt.n_trees());
-            let (mut bits, mut all, mut want) = (Vec::new(), Vec::new(), Vec::new());
             for row in &raw {
                 let x = probe_row(row, &table.thresholds);
-                want.push(gbrt.predict(&x));
-                assert_every_prefix_matches(&table, &x, |v| v, want[want.len() - 1])?;
-                table.start(&mut bits);
-                table.apply(0, &x, &mut bits);
-                all.extend_from_slice(&bits);
-            }
-            // Every row count: full blocks of lanes and every remainder.
-            let bits_of = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
-            for rows in 0..=raw.len() {
-                let mut sums = vec![0.0; rows];
-                table.sum_rows(&all[..rows * table.n_trees()], &mut sums);
-                let got: Vec<f64> = sums.iter().map(|&s| table.output(s)).collect();
-                prop_assert_eq!(bits_of(&got), bits_of(&want[..rows]), "{} rows", rows);
+                assert_every_prefix_matches(&table, &x, |v| v, gbrt.predict(&x))?;
             }
         }
 
         /// At every cut, the first table's sum continued through the second
-        /// is the whole table's, row by row and in lanes; and after the
+        /// is the whole table's; and after the
         /// first stage and any prefix of the second's features, the
         /// ceiling bounds what the second stage adds, whatever the row's
         /// remaining features are.
@@ -488,32 +521,92 @@ mod tests {
             let (head, tail) = table.split_at(at);
             prop_assert_eq!(head.n_trees() + tail.n_trees(), table.n_trees());
             prop_assert_eq!(head.n_splits() + tail.n_splits(), table.n_splits());
-            let (mut bits, mut all_head, mut all_tail, mut want) =
-                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let mut bits = Vec::new();
             for row in &raw {
                 let x = probe_row(row, &table.thresholds);
                 head.start(&mut bits);
                 head.apply(0, &x, &mut bits);
                 let partial = head.sum_onto(0.0, &bits);
-                all_head.extend_from_slice(&bits);
                 // The second stage's ceiling from the features rows share.
                 tail.start(&mut bits);
                 tail.apply(0, &x[..shared], &mut bits);
                 let ceiling = tail.ceiling(&bits);
                 tail.apply(shared, &x[shared..], &mut bits);
-                all_tail.extend_from_slice(&bits);
-                let sum = tail.sum_onto(partial, &bits);
-                let got = table.output(sum);
+                let got = table.output(tail.sum_onto(partial, &bits));
                 prop_assert_eq!(got.to_bits(), gbrt.predict(&x).to_bits());
                 let bound = tail.bound(partial, ceiling);
                 prop_assert!(got <= bound, "{} above its bound {}", got, bound);
-                want.push(sum);
             }
-            let mut sums = vec![0.0; raw.len()];
-            head.sum_rows(&all_head, &mut sums);
-            tail.sum_rows(&all_tail, &mut sums);
-            let bits_of = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits_of(&sums), bits_of(&want));
+        }
+
+        /// Blocks of one to four rows, padding lanes included, in the whole
+        /// table and in both halves of a cut: each lane's state after
+        /// `start_lanes` from a shared-feature prefix and `apply_lanes` of
+        /// the rest, and its sum onto a running start, are the row's own
+        /// `apply` and `sum_onto` bits; a padding lane keeps every leaf.
+        #[test]
+        fn lane_blocks_match_rows_applied_one_by_one(
+            ys in proptest::collection::vec(-5.0f64..5.0, 12..40),
+            raw in probe_rows(),
+            widths in proptest::collection::vec(1usize..=LANES, 24),
+            starts in proptest::collection::vec((0u8..10, -50.0f64..50.0), 24),
+            seed in 0u64..1000,
+            max_depth in 0usize..6,
+            at in 0usize..20,
+            shared in 0usize..=WIDTH,
+        ) {
+            let gbrt = fit(&ys, &features(ys.len()), seed, max_depth);
+            let table = gbrt.split_table().expect("depth ≤ 5 fits 32 leaves");
+            let (head, tail) = table.split_at(at);
+            let rows: Vec<Vec<f64>> =
+                raw.iter().map(|row| probe_row(row, &table.thresholds)).collect();
+            let starts: Vec<f64> =
+                starts.iter().map(|&(kind, v)| probe(kind, v, 0, &[])).collect();
+            let (mut one, mut prefixes, mut block) = (Vec::new(), Vec::new(), Vec::new());
+            for table in [&table, &head, &tail] {
+                let mut all = Vec::new();
+                table.start(&mut all);
+                let mut first = 0;
+                for &width in &widths {
+                    let block_rows = first..(first + width).min(rows.len());
+                    if block_rows.is_empty() {
+                        break;
+                    }
+                    let n = block_rows.len();
+                    // Each row's prefix: its shared features, applied alone.
+                    prefixes.clear();
+                    for x in &rows[block_rows.clone()] {
+                        table.start(&mut one);
+                        table.apply(0, &x[..shared], &mut one);
+                        prefixes.push(one.clone());
+                    }
+                    let states: Vec<&[u32]> = prefixes.iter().map(Vec::as_slice).collect();
+                    table.start_lanes(&states, &mut block);
+                    let mut values = [[f64::NEG_INFINITY; LANES]; WIDTH];
+                    for (l, x) in rows[block_rows.clone()].iter().enumerate() {
+                        for (k, &v) in x[shared..].iter().enumerate() {
+                            values[k][l] = v;
+                        }
+                    }
+                    table.apply_lanes(shared, &values[..WIDTH - shared], &mut block);
+                    let mut sums = [f64::NAN; LANES];
+                    sums[..n].copy_from_slice(&starts[block_rows.clone()]);
+                    table.sum_lanes_onto(&mut sums, &block);
+                    for (l, x) in rows[block_rows.clone()].iter().enumerate() {
+                        table.start(&mut one);
+                        table.apply(0, x, &mut one);
+                        let lane: Vec<u32> = block.iter().map(|lanes| lanes[l]).collect();
+                        prop_assert_eq!(&lane, &one, "lane {} of {:?}", l, x);
+                        let want = table.sum_onto(starts[first + l], &one);
+                        prop_assert_eq!(sums[l].to_bits(), want.to_bits(), "sum of {:?}", x);
+                    }
+                    for l in n..LANES {
+                        let lane: Vec<u32> = block.iter().map(|lanes| lanes[l]).collect();
+                        prop_assert_eq!(&lane, &all, "padding lane {}", l);
+                    }
+                    first = block_rows.end;
+                }
+            }
         }
 
         #[test]

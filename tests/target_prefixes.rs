@@ -197,23 +197,27 @@ fn targets_and_sets(model: &GAugur) -> impl Iterator<Item = (Placement, Vec<Vec<
 /// Every target against every co-runner set, as explicit-others queries;
 /// and every colocation of the target and one or two others, as one
 /// shared-colocation query per member. The staged answer too: each first-
-/// stage bound at or above the row, and the second stage, asked one
-/// colocation's worth of queries at a time, on it. Returns how many rows
-/// the RM's clamp decided.
+/// stage bound at or above the row, and the second stage, asked for one to
+/// nine queries at a time, on it. Batches of one to nine rows, whose last
+/// block of lanes is part padding, give the same bits. Returns how many
+/// rows the RM's clamp decided.
 fn assert_batch_equals_full_rows(model: &GAugur, label: &str) -> usize {
-    let mut batch = DegradationBatch::new();
+    let (mut batch, mut small) = (DegradationBatch::new(), DegradationBatch::new());
     let mut scratch = FeatureBuffer::new();
     let (mut out, mut bounds, mut finished) = (Vec::new(), Vec::new(), Vec::new());
+    let mut small_out = Vec::new();
     let mut want = Vec::new();
     let mut clamped = 0;
     for (target, sets) in targets_and_sets(model) {
         batch.clear();
         want.clear();
-        for others in sets {
-            batch.push(target, &others);
-            want.push(reference(model, target, &others));
+        for others in &sets {
+            batch.push(target, others);
+            want.push(reference(model, target, others));
             if others.len() <= 2 {
-                let members: Vec<Placement> = std::iter::once(target).chain(others).collect();
+                let members: Vec<Placement> = std::iter::once(target)
+                    .chain(others.iter().copied())
+                    .collect();
                 batch.push_colocation(&members);
                 for (m, &member) in members.iter().enumerate() {
                     let rest: Vec<Placement> = members
@@ -234,6 +238,21 @@ fn assert_batch_equals_full_rows(model: &GAugur, label: &str) -> usize {
                 "{label}: target {target:?}, query {q}: batch {got} vs row {want}"
             );
         }
+        for rows in 1..=9 {
+            small.clear();
+            for others in &sets[..rows] {
+                small.push(target, others);
+            }
+            model.predict_degradation_batch(&small, &mut scratch, &mut small_out);
+            assert_eq!(small_out.len(), rows);
+            for (others, got) in sets.iter().zip(&small_out) {
+                let want = reference(model, target, others);
+                assert!(
+                    got.to_bits() == want.to_bits(),
+                    "{label}: target {target:?} beside {others:?} in {rows} rows: {got} vs {want}"
+                );
+            }
+        }
         clamped += want.iter().filter(|&&w| w == 0.01 || w == 1.05).count();
         if model.bound_degradation_batch(&batch, &mut scratch, &mut bounds) {
             assert_eq!(bounds, out, "{label}: a one-stage answer is exact");
@@ -247,16 +266,16 @@ fn assert_batch_equals_full_rows(model: &GAugur, label: &str) -> usize {
         }
         finished.clear();
         finished.resize(want.len(), f64::NAN);
-        for (start, end) in (0..want.len())
-            .step_by(3)
-            .map(|q| (q, (q + 3).min(want.len())))
-        {
+        let (mut start, mut width) = (0, 1);
+        while start < want.len() {
+            let end = (start + width).min(want.len());
             model.finish_degradation_batch(
                 &batch,
                 start..end,
                 &mut scratch,
                 &mut finished[start..end],
             );
+            (start, width) = (end, width % 9 + 1);
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(
