@@ -124,28 +124,79 @@ thread_local! {
 
 /// The artifact is the four public fields, in declaration order.
 impl Serialize for GAugur {
-    fn serialize(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("profiles".to_string(), self.profiles.serialize()),
-            ("cm".to_string(), self.cm.serialize()),
-            ("rm".to_string(), self.rm.serialize()),
-            ("config".to_string(), self.config.serialize()),
-        ])
+    fn serialize(&self, out: &mut serde::Serializer<'_>) {
+        out.begin_map();
+        out.key("profiles");
+        self.profiles.serialize(out);
+        out.key("cm");
+        self.cm.serialize(out);
+        out.key("rm");
+        self.rm.serialize(out);
+        out.key("config");
+        self.config.serialize(out);
+        out.end_map();
     }
 }
 
+/// The artifact as stored: what [`GAugur::new`] derives the prefixes from.
+#[derive(Deserialize)]
+struct GAugurArtifact {
+    profiles: ProfileStore,
+    cm: ClassificationModel,
+    rm: RegressionModel,
+    config: GAugurConfig,
+}
+
 impl Deserialize for GAugur {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        if v.as_map().is_none() {
-            return Err(serde::Error::expected("map", v, "GAugur"));
-        }
+    fn deserialize(de: &mut serde::Deserializer<'_>) -> Result<Self, serde::Error> {
+        let a = GAugurArtifact::deserialize(de)?;
         Ok(GAugur::new(
-            Arc::new(serde::field(v, "profiles", "GAugur")?),
-            Arc::new(serde::field(v, "cm", "GAugur")?),
-            Arc::new(serde::field(v, "rm", "GAugur")?),
-            serde::field(v, "config", "GAugur")?,
+            Arc::new(a.profiles),
+            Arc::new(a.cm),
+            Arc::new(a.rm),
+            a.config,
         ))
     }
+}
+
+/// `{"schema": N, "model": {…}}`: the versioned artifact [`GAugur::save_json`]
+/// writes.
+struct Envelope<'a>(&'a GAugur);
+
+impl Serialize for Envelope<'_> {
+    fn serialize(&self, out: &mut serde::Serializer<'_>) {
+        out.begin_map();
+        out.key("schema");
+        ARTIFACT_SCHEMA.serialize(out);
+        out.key("model");
+        self.0.serialize(out);
+        out.end_map();
+    }
+}
+
+/// Check that `text` is one JSON document and find the envelope's first
+/// `schema` value and the byte range of its first `model` value (either
+/// absent when the document is not an object or lacks the key).
+fn read_envelope(
+    text: &str,
+) -> Result<(Option<serde::Value>, Option<std::ops::Range<usize>>), serde::Error> {
+    let mut de = serde::Deserializer::new(text);
+    let (mut schema, mut model) = (None, None);
+    if de.map_or_skip()? {
+        while let Some(key) = de.next_key()? {
+            match &*key {
+                "schema" if schema.is_none() => schema = Some(serde::Value::deserialize(&mut de)?),
+                "model" if model.is_none() => {
+                    let start = de.offset();
+                    de.skip()?;
+                    model = Some(start..de.offset());
+                }
+                _ => de.skip()?,
+            }
+        }
+    }
+    de.end()?;
+    Ok((schema, model))
 }
 
 impl GAugur {
@@ -355,15 +406,8 @@ impl GAugur {
     /// The offline pipeline runs once per catalog; production front-ends load
     /// the artifact instead of re-profiling.
     pub fn save_json(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let envelope = serde::Value::Map(vec![
-            (
-                "schema".to_string(),
-                serde::Value::Int(i64::from(ARTIFACT_SCHEMA)),
-            ),
-            ("model".to_string(), self.serialize()),
-        ]);
         let file = std::fs::File::create(path)?;
-        serde_json::to_writer(std::io::BufWriter::new(file), &envelope)
+        serde_json::to_writer(std::io::BufWriter::new(file), &Envelope(self))
             .map_err(std::io::Error::other)
     }
 
@@ -376,9 +420,9 @@ impl GAugur {
         let path = path.as_ref();
         let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
         let text = std::fs::read_to_string(path)?;
-        let value = serde_json::parse_value_str(&text)
+        let (schema, model) = read_envelope(&text)
             .map_err(|e| invalid(format!("artifact {}: not valid JSON: {e}", path.display())))?;
-        let schema = value.get("schema").ok_or_else(|| {
+        let schema = schema.ok_or_else(|| {
             invalid(format!(
                 "artifact {}: missing `schema` field — this artifact predates \
                  versioning (expected schema {ARTIFACT_SCHEMA}); re-export it \
@@ -400,13 +444,13 @@ impl GAugur {
                 path.display()
             )));
         }
-        let model = value.get("model").ok_or_else(|| {
+        let model = model.ok_or_else(|| {
             invalid(format!(
                 "artifact {}: missing `model` field",
                 path.display()
             ))
         })?;
-        GAugur::deserialize(model)
+        serde_json::from_str(&text[model])
             .map_err(|e| invalid(format!("artifact {}: malformed model: {e}", path.display())))
     }
 
@@ -588,8 +632,8 @@ mod tests {
         );
         let side_by_side = GAugur::from_measurements(profiles, &measured, config);
         assert!(
-            serde_json::to_string(&side_by_side.serialize()).unwrap()
-                == serde_json::to_string(&in_turn.serialize()).unwrap()
+            serde_json::to_string(&side_by_side).unwrap()
+                == serde_json::to_string(&in_turn).unwrap()
         );
     }
 

@@ -434,10 +434,7 @@ mod tests {
         );
         let same = m.continue_fit(&sine_data(60), 0);
         assert_eq!(same.n_trees(), m.n_trees());
-        assert!(
-            serde_json::to_string(&same.serialize()).unwrap()
-                == serde_json::to_string(&m.serialize()).unwrap()
-        );
+        assert!(serde_json::to_string(&same).unwrap() == serde_json::to_string(&m).unwrap());
         for i in 0..50 {
             let x = [i as f64 / 50.0];
             assert_eq!(

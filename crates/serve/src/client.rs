@@ -4,8 +4,8 @@
 
 use crate::stats::StatsSnapshot;
 use crate::wire::{
-    read_frame, write_frame, BatchPlaceResult, FrameError, OutcomeReport, Request, Response,
-    WirePlacement,
+    decode_payload, read_frame_into, write_frame, BatchPlaceResult, FrameError, OutcomeReport,
+    Request, Response, WirePlacement, MAX_FRAME_LEN,
 };
 use gaugur_gamesim::{GameId, Resolution};
 use std::io;
@@ -180,10 +180,13 @@ impl RetryPolicy {
     }
 }
 
-/// Blocking client over one TCP connection.
+/// Blocking client over one TCP connection. Each request leaves in one
+/// `write`, and replies are read into a buffer the client reuses.
 pub struct Client {
     stream: TcpStream,
     peer: SocketAddr,
+    /// The payload of the last reply.
+    payload: Vec<u8>,
 }
 
 impl Client {
@@ -192,7 +195,11 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         let peer = stream.peer_addr()?;
-        Ok(Client { stream, peer })
+        Ok(Client {
+            stream,
+            peer,
+            payload: Vec::new(),
+        })
     }
 
     /// The daemon address this client is connected to.
@@ -255,7 +262,8 @@ impl Client {
     /// typed helpers below are built on it.
     pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.stream, request)?;
-        Ok(read_frame(&mut self.stream)?)
+        read_frame_into(&mut self.stream, MAX_FRAME_LEN, &mut self.payload)?;
+        Ok(decode_payload(&self.payload)?)
     }
 
     fn unexpected(response: Response) -> ClientError {
@@ -473,6 +481,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::read_frame;
     use std::io::Write as _;
     use std::net::TcpListener;
 

@@ -43,15 +43,15 @@ use crate::slo::{AlertState, Clock, MonotonicClock, SloConfig, SloEngine, SloRep
 use crate::stats::{Counter, StatsSnapshot, Telemetry, Writer};
 use crate::trace::{elapsed_us, RequestTrace, SlowMeta, Stage};
 use crate::wire::{
-    self, read_frame_bytes_capped, request_kind_index, write_frame, FrameError, OutcomeReport,
-    Request, Response,
+    self, encode_frame_into, read_frame_into, request_kind_index, write_frame, FrameError,
+    OutcomeReport, Request, Response,
 };
 use gaugur_core::Placement;
 use gaugur_sched::{
     rank_shard_selections, select_server_if_resident, NotResident, PlacementScratch, Selection,
 };
 use parking_lot::{Mutex, MutexGuard};
-use std::io::{self, Write as _};
+use std::io::{self, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -632,14 +632,19 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
 }
 
 /// What a worker owns and reuses across every request it serves: the
-/// placement scratch (colocation batches, degradation query plans, feature
-/// buffers), the per-shard buffers of the admit path, and the admissions of
-/// the request in hand. `worker_loop` builds one and lends it down by
-/// `&mut`; the buffers grow on the first requests and are reused for the
-/// worker's lifetime, so the steady-state `Place`/`PlaceBatch`/`Predict`
-/// path allocates nothing.
+/// request payload and reply frame buffers, the placement scratch
+/// (colocation batches, degradation query plans, feature buffers), the
+/// per-shard buffers of the admit path, and the admissions of the request
+/// in hand. `worker_loop` builds one and lends it down by `&mut`; the
+/// buffers grow on the first requests and are reused for the worker's
+/// lifetime, so the steady-state `Place`/`PlaceBatch`/`Predict` path
+/// allocates nothing of its own.
 #[derive(Default)]
 struct WorkerState {
+    /// The payload of the frame in hand.
+    payload: Vec<u8>,
+    /// The reply frame, header and payload, as it is written.
+    frame: Vec<u8>,
     scratch: PlacementScratch,
     /// Per shard scored so far in this pass: its candidate and the epoch it
     /// was scored at.
@@ -734,10 +739,12 @@ fn rollback_admissions(shared: &Shared, admitted: &[Admitted]) -> u64 {
 /// request is a placement (`faultable`). Restricting injection to placement
 /// replies keeps control-plane round-trips (stats polling in particular)
 /// from drawing on the injector's stream, which the chaos harness's
-/// determinism depends on.
+/// determinism depends on. The frame is encoded into the worker's reused
+/// `frame` buffer and leaves in one `write`.
 fn write_reply(
     shared: &Shared,
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
+    frame: &mut Vec<u8>,
     response: &Response,
     faultable: bool,
     now_us: u64,
@@ -763,7 +770,7 @@ fn write_reply(
                 FaultAction::TornFrame => {
                     fired(1);
                     let encode_started = Instant::now();
-                    let frame = wire::encode_frame(response)?;
+                    encode_frame_into(frame, response);
                     trace.add(Stage::Encode, elapsed_us(encode_started));
                     let cut = frame.len() / 2;
                     let write_started = Instant::now();
@@ -789,27 +796,19 @@ fn write_reply(
         }
     }
     let encode_started = Instant::now();
-    let payload = serde_json::to_string(response)
-        .map_err(io::Error::other)?
-        .into_bytes();
+    encode_frame_into(frame, response);
     trace.add(Stage::Encode, elapsed_us(encode_started));
-    debug_assert!(payload.len() <= wire::MAX_FRAME_LEN);
     let write_started = Instant::now();
-    let result = stream
-        .write_all(&(payload.len() as u32).to_be_bytes())
-        .and_then(|()| stream.write_all(&payload))
-        .and_then(|()| stream.flush());
+    let result = stream.write_all(frame).and_then(|()| stream.flush());
     trace.add(Stage::WriteReply, elapsed_us(write_started));
     result
 }
 
-fn serve_connection(
-    shared: &Shared,
-    worker: usize,
-    state: &mut WorkerState,
-    mut stream: TcpStream,
-) {
+fn serve_connection(shared: &Shared, worker: usize, state: &mut WorkerState, stream: TcpStream) {
     let draining_timeout = Duration::from_millis(100);
+    // Buffered: a frame whose header and payload arrived together is read
+    // with one `read`.
+    let mut reader = BufReader::new(&stream);
     loop {
         let draining = shared.shutdown.load(Ordering::SeqCst);
         if draining {
@@ -817,14 +816,14 @@ fn serve_connection(
             // wait long for new ones.
             let _ = stream.set_read_timeout(Some(draining_timeout));
         }
-        let payload = match read_frame_bytes_capped(&mut stream, shared.config.max_frame_len) {
-            Ok(p) => p,
+        match read_frame_into(&mut reader, shared.config.max_frame_len, &mut state.payload) {
+            Ok(()) => {}
             Err(FrameError::Eof) | Err(FrameError::Io(_)) => return,
             Err(e @ FrameError::TooLarge { .. }) => {
                 // Cannot resync after a length violation: error then close.
                 shared.telemetry.note(worker, Counter::Malformed, 1);
                 let _ = write_frame(
-                    &mut stream,
+                    &mut &stream,
                     &Response::Error {
                         message: e.to_string(),
                     },
@@ -832,12 +831,12 @@ fn serve_connection(
                 return;
             }
             Err(FrameError::Malformed(_)) => unreachable!("raw read does not parse"),
-        };
+        }
         // The frame's one clock read: its window second, its recorder
         // timestamps, the SLO tick and anything it reports as "now".
         let tel = shared.telemetry.writer(worker, shared.clock.now_us());
         let decode_started = Instant::now();
-        let decoded: Result<Request, FrameError> = wire::decode_payload(&payload);
+        let decoded: Result<Request, FrameError> = wire::decode_payload(&state.payload);
         let decode_us = elapsed_us(decode_started);
         let request: Request = match decoded {
             Ok(r) => r,
@@ -847,7 +846,7 @@ fn serve_connection(
                 // frames have no request kind and are not traced.
                 tel.note(Counter::Malformed, 1);
                 let _ = write_frame(
-                    &mut stream,
+                    &mut &stream,
                     &Response::Error {
                         message: e.to_string(),
                     },
@@ -871,7 +870,8 @@ fn serve_connection(
         let faultable = matches!(request, Request::Place { .. } | Request::PlaceBatch { .. });
         let delivered = write_reply(
             shared,
-            &mut stream,
+            &stream,
+            &mut state.frame,
             &response,
             faultable,
             tel.now_us,
@@ -929,7 +929,6 @@ fn serve_connection(
             return;
         }
         if matches!(request, Request::Shutdown) {
-            let _ = stream.flush();
             return;
         }
     }
