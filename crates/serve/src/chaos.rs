@@ -495,7 +495,7 @@ impl Runner {
         request: &Request,
         run: &mut ScenarioReport,
     ) -> Result<Option<Response>, String> {
-        let frame = || encode_frame(request).expect("requests serialize");
+        let frame = || encode_frame(request);
         let action = self.injector.decide(InjectionPoint::Request);
         match action {
             FaultAction::DropConnection | FaultAction::TornFrame => {

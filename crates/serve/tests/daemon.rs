@@ -1206,8 +1206,7 @@ fn shutdown_wakes_workers_parked_on_idle_connections() {
         let mut idle = Client::connect(addr).unwrap();
         idle.place(GameId(0), Resolution::Fhd1080).unwrap();
         let mut busy = TcpStream::connect(addr).unwrap();
-        // (`write_frame` is two writes; without this the second would wait
-        // in Nagle's buffer for an ACK and the frame be half sent.)
+        // (As `Client` does: no frame waits in Nagle's buffer for an ACK.)
         busy.set_nodelay(true).unwrap();
         write_frame(&mut busy, &Request::Stats).unwrap();
         let _: Response = read_frame(&mut busy).unwrap();
