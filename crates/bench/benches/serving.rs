@@ -20,12 +20,13 @@ use std::time::Instant;
 /// the frame's clock read, positioning on the current second, the place
 /// attempt (windowed + per game), the admission count, the per-kind outcome
 /// and latency before the reply, and after it the six stage samples (since
-/// boot and windowed), the whole-place latency and the slow-ring offer. The
-/// budget is 100 ns; the assertion is looser because shared hosts are noisy.
+/// boot only), the windowed outcome and whole-place latency and the
+/// slow-ring offer. The budget is 100 ns; the assertion is looser because
+/// shared hosts are noisy.
 fn telemetry_record_ns() -> f64 {
     const REPS: u64 = 1_000_000;
     let clock = MonotonicClock::new();
-    let telemetry = Telemetry::new(4, 2, 16, clock.now_us());
+    let telemetry = Telemetry::new(4, 16, clock.now_us());
     let t0 = Instant::now();
     for i in 0..REPS {
         let mut trace = RequestTrace::new();
@@ -35,7 +36,7 @@ fn telemetry_record_ns() -> f64 {
         trace.add(Stage::Encode, 5);
         trace.add(Stage::WriteReply, 7 + (i & 63));
         let writer = telemetry.writer((i % 4) as usize, clock.now_us());
-        writer.place_attempt((i % 20) as u32, Some((i % 2) as usize));
+        writer.place_attempt((i % 20) as u32, true);
         writer.note(Counter::Admitted, 1);
         writer.record(0, true, 110 + (i & 63));
         let meta = SlowMeta {

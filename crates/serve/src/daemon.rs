@@ -421,7 +421,6 @@ fn start_with(
         .into_iter()
         .map(Mutex::new)
         .collect();
-    let n_shards = shards.len();
     let listener = TcpListener::bind(&config.bind)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
@@ -435,7 +434,7 @@ fn start_with(
     let shared = Arc::new(Shared {
         memo: PredictionMemo::new(config.memo_capacity),
         shards,
-        telemetry: Telemetry::new(workers_n, n_shards, SLOW_LOG_CAPACITY, clock.now_us()),
+        telemetry: Telemetry::new(workers_n, SLOW_LOG_CAPACITY, clock.now_us()),
         queue: WorkQueue::new(config.queue_capacity),
         shutdown: AtomicBool::new(false),
         serving: (0..workers_n).map(|_| Mutex::new(None)).collect(),
@@ -1151,9 +1150,9 @@ fn place<'a>(
         let s = state.order[i];
         let mut shard = lock_shard(shared, s, trace);
         if let Some(sel) = shard.select(&shared.fps(model), &mut state.scratch, placement, trace) {
-            let placed = admit_selected(shared, model, &mut shard, state, placement, sel, trace);
-            tel.fallback(s);
-            return Some(placed);
+            return Some(admit_selected(
+                shared, model, &mut shard, state, placement, sel, trace,
+            ));
         }
     }
     None
@@ -1274,7 +1273,7 @@ fn handle_request(
                 // this path; the `admit_qos` objective burns on these
                 // rejections all the same.
                 let shard = placed.map(|(session, ..)| shared.shard_of_session(session));
-                tel.place_attempt(placement.0 .0, shard);
+                tel.place_attempt(placement.0 .0, placed.is_some());
                 // The ring entry points at the first admitted session — one
                 // concrete session to start debugging a slow burst from.
                 if effects.meta.session.is_none() {

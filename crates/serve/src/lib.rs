@@ -98,9 +98,8 @@ pub use reference::Reference;
 pub use slo::{
     AlertState, Clock, ManualClock, MonotonicClock, SloConfig, SloEngine, SloReport, WindowView,
 };
-pub use stats::{Counter, RequestStats, StatsSnapshot, Telemetry};
+pub use stats::{Counter, RequestStats, StageStats, StatsSnapshot, Telemetry};
 pub use trace::{
     render_prometheus, verify_stage_accounting, RequestTrace, SlowMeta, SlowRequest, Stage,
-    StageStats,
 };
 pub use wire::{BatchPlaceResult, OutcomeReport, Request, Response, WirePlacement};

@@ -2,12 +2,13 @@
 //!
 //! The since-boot counters answer "what happened since boot"; the windows
 //! answer "what is happening *right now*". Every worker's block of
-//! [`crate::stats::Telemetry`] ends in a ring of per-second slots (request
-//! counts, per-stage latency histograms, per-shard admits/fallbacks,
-//! saturation rejections, outcome-feedback error sums), merged on demand
-//! into 10 s / 1 m / 5 m rolling [`WindowView`]s. Time comes from an
-//! injectable [`Clock`], so every window boundary is testable with a
-//! [`ManualClock`].
+//! [`crate::stats::Telemetry`] ends in a ring of per-second slots holding
+//! what the objectives below and the `gaugur_window_*` gauges read: request
+//! ok/error counts, the whole-place service-time histogram, place attempts
+//! and saturation rejections, and outcome counts and error sums. They are
+//! merged on demand into 10 s / 1 m / 5 m rolling [`WindowView`]s. Stage
+//! timings are kept since boot only. Time comes from an injectable
+//! [`Clock`], so every window boundary is testable with a [`ManualClock`].
 //!
 //! On top of the windows sits the [`SloEngine`]: three fleet-wide QoS
 //! objectives (rejections at admit, observed-FPS violations from
@@ -25,8 +26,7 @@
 //! (the upper bound of the highest non-empty bucket, with the overflow
 //! bucket reported as the largest finite bound, Prometheus-style).
 
-use crate::stats::LATENCY_BUCKETS_US;
-use crate::trace::StageStats;
+use crate::stats::{StageStats, LATENCY_BUCKETS_US};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -148,23 +148,16 @@ pub struct WindowView {
     pub requests_ok: u64,
     /// Requests answered with an error response inside the window.
     pub requests_err: u64,
-    /// Per-stage latency histograms over the window, keyed like
-    /// [`crate::trace::STAGES`]. `count` is the bucket sum; `max_us` is
-    /// bucket-bounded (see the module docs).
-    pub per_stage: BTreeMap<String, StageStats>,
     /// Whole-request service-time histogram of `place`/`place_batch`
     /// requests over the window; feeds the p99 place-latency objective.
+    /// `count` is the bucket sum; `max_us` is bucket-bounded (see the
+    /// module docs).
     pub place_latency: StageStats,
     /// Placement attempts (batch items count individually).
     pub place_attempts: u64,
     /// Attempts rejected on saturation (every server at its session cap or
     /// already running the game; no QoS floor is consulted).
     pub place_qos_rejected: u64,
-    /// Admitted placements per shard.
-    pub shard_admits: Vec<u64>,
-    /// Two-phase admits that fell back to a next-best shard, per winning
-    /// shard.
-    pub shard_fallbacks: Vec<u64>,
     /// Outcome reports ingested inside the window.
     pub outcomes_total: u64,
     /// Outcome reports whose observed FPS fell below the QoS floor.
@@ -530,7 +523,7 @@ mod tests {
 
     #[test]
     fn an_empty_fleet_evaluates_to_ok_with_zero_burn() {
-        let t = Telemetry::new(4, 2, 0, 0);
+        let t = Telemetry::new(4, 0, 0);
         let engine = SloEngine::new(SloConfig::default());
         let (report, transitions) = evaluate(&engine, &t, 0);
         assert_eq!(report.state, AlertState::Ok);
@@ -540,7 +533,7 @@ mod tests {
 
     #[test]
     fn burn_rates_drive_the_alert_state_machine_both_windows_required() {
-        let t = Telemetry::new(1, 1, 0, 0);
+        let t = Telemetry::new(1, 0, 0);
         let engine = SloEngine::new(SloConfig {
             fps_error_budget: 0.05,
             ..SloConfig::default()
@@ -549,7 +542,7 @@ mod tests {
         // 10 rejected of 10 attempts: ratio 1.0, burn 20 in *both* windows
         // (the slow window holds the same seconds early in the run).
         for _ in 0..10 {
-            t.writer(0, SEC).place_attempt(1, None);
+            t.writer(0, SEC).place_attempt(1, false);
         }
         let (report, transitions) = evaluate(&engine, &t, SEC);
         assert_eq!(report.state, AlertState::Critical);
@@ -580,13 +573,12 @@ mod tests {
 
     #[test]
     fn warn_fires_between_the_thresholds() {
-        let t = Telemetry::new(1, 1, 0, 0);
+        let t = Telemetry::new(1, 0, 0);
         // Budget 0.05: 1 rejection in 10 attempts is ratio 0.1, burn 2.0 —
         // past warn (1.0), short of critical (10.0).
         let engine = SloEngine::new(SloConfig::default());
         for i in 0..10 {
-            t.writer(0, SEC)
-                .place_attempt(1, if i == 0 { None } else { Some(0) });
+            t.writer(0, SEC).place_attempt(1, i != 0);
         }
         let (report, _) = evaluate(&engine, &t, SEC);
         assert_eq!(report.objectives[0].state, AlertState::Warn);
@@ -595,7 +587,7 @@ mod tests {
 
     #[test]
     fn place_latency_objective_burns_on_p99() {
-        let t = Telemetry::new(1, 1, 0, 0);
+        let t = Telemetry::new(1, 0, 0);
         let engine = SloEngine::new(SloConfig {
             place_p99_target_us: 100,
             ..SloConfig::default()
@@ -626,8 +618,8 @@ mod tests {
 
     #[test]
     fn report_display_renders_every_section() {
-        let t = Telemetry::new(1, 1, 0, 0);
-        t.writer(0, SEC).place_attempt(2, None);
+        let t = Telemetry::new(1, 0, 0);
+        t.writer(0, SEC).place_attempt(2, false);
         t.writer(0, SEC).outcome(2, true, 0.5);
         let engine = SloEngine::new(SloConfig::default());
         let (report, _) = evaluate(&engine, &t, SEC);
@@ -641,12 +633,12 @@ mod tests {
 
     #[test]
     fn report_roundtrips_through_json() {
-        let t = Telemetry::new(2, 2, 0, 0);
+        let t = Telemetry::new(2, 0, 0);
         let mut trace = RequestTrace::new();
         trace.add(Stage::Place, 42);
         t.writer(0, SEC)
             .flush(0, true, true, &trace, SlowMeta::default());
-        t.writer(1, SEC).place_attempt(7, Some(1));
+        t.writer(1, SEC).place_attempt(7, true);
         t.writer(0, SEC).outcome(7, false, 0.1);
         let engine = SloEngine::new(SloConfig::default());
         let (report, _) = evaluate(&engine, &t, SEC);

@@ -19,9 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::slo::{bucket_bounded_max, GameSlo, SloReport, WindowView, WINDOWS_SECS};
-use crate::trace::{
-    RequestTrace, SlowLog, SlowMeta, SlowRequest, Stage, StageStats, N_STAGES, REQUEST_STAGES,
-};
+use crate::trace::{RequestTrace, SlowLog, SlowMeta, SlowRequest, Stage, N_STAGES, REQUEST_STAGES};
 use crate::wire::REQUEST_KINDS;
 
 /// Upper bounds (µs) of the latency histogram buckets; the final implicit
@@ -42,26 +40,51 @@ pub fn bucket_index(us: u64) -> usize {
         .unwrap_or(N_BUCKETS - 1)
 }
 
-/// Approximate percentile (0..=100) over a fixed-bucket histogram laid out
-/// like [`LATENCY_BUCKETS_US`] (+ overflow): the upper bound of the bucket
-/// holding the p-th sample, or `max_us` when the rank falls in the
-/// open-ended overflow bucket (reporting `u64::MAX` there used to poison
-/// downstream aggregation). Returns 0 with no samples. Shared by the per-op
-/// and per-stage snapshot types so their semantics cannot drift apart.
-pub fn histogram_percentile_us(buckets: &[u64], max_us: u64, p: f64) -> u64 {
-    let n: u64 = buckets.iter().sum();
-    if n == 0 {
-        return 0;
-    }
-    let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as u64;
-    let mut seen = 0u64;
-    for (i, &count) in buckets.iter().enumerate() {
-        seen += count;
-        if seen >= rank {
-            return LATENCY_BUCKETS_US.get(i).copied().unwrap_or(max_us);
+/// The one histogram wire type: a latency distribution merged across
+/// writers, per request kind, per stage, and per window for the
+/// whole-place service time.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct StageStats {
+    /// Samples recorded (the sum of `buckets`).
+    pub count: u64,
+    /// Sum of all sample durations (µs); feeds the exposition's `_sum`.
+    pub total_us: u64,
+    /// Largest observed sample (µs); bucket-bounded in a window (see
+    /// [`crate::slo`]).
+    pub max_us: u64,
+    /// Histogram counts per bucket of [`LATENCY_BUCKETS_US`] (+ overflow).
+    pub buckets: Vec<u64>,
+}
+
+impl StageStats {
+    /// Mean sample duration (µs); 0 with no samples.
+    pub fn mean_us(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.total_us as f64 / self.count as f64
         }
     }
-    max_us
+
+    /// Approximate percentile (0..=100): the upper bound of the bucket
+    /// holding the p-th sample, or `max_us` when the rank falls in the
+    /// open-ended overflow bucket (reporting `u64::MAX` there used to poison
+    /// downstream aggregation). Returns 0 with no samples.
+    pub fn percentile_us(&self, p: f64) -> u64 {
+        let n: u64 = self.buckets.iter().sum();
+        if n == 0 {
+            return 0;
+        }
+        let rank = ((p / 100.0) * n as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, &count) in self.buckets.iter().enumerate() {
+            seen += count;
+            if seen >= rank {
+                return LATENCY_BUCKETS_US.get(i).copied().unwrap_or(self.max_us);
+            }
+        }
+        self.max_us
+    }
 }
 
 /// Per-request-kind counters in snapshot (wire) form.
@@ -71,32 +94,15 @@ pub struct RequestStats {
     pub ok: u64,
     /// Requests answered with an error response.
     pub errors: u64,
-    /// Histogram counts per bucket of [`LATENCY_BUCKETS_US`] (+ overflow).
-    pub latency_us: Vec<u64>,
-    /// Largest observed latency (µs); bounds percentile reports when the
-    /// rank falls in the open-ended overflow bucket.
-    #[serde(default)]
-    pub max_us: u64,
-    /// Sum of all observed latencies (µs); feeds the Prometheus histogram
-    /// `_sum` series.
-    #[serde(default)]
-    pub sum_us: u64,
+    /// Handler latency of every request of this kind; its `count` is
+    /// `ok + errors`.
+    pub latency: StageStats,
 }
 
 impl RequestStats {
     /// Total requests of this kind.
     pub fn total(&self) -> u64 {
         self.ok + self.errors
-    }
-
-    /// Approximate latency percentile (0..=100) from the histogram: the
-    /// upper bound of the bucket holding the p-th sample, or the observed
-    /// maximum when the rank falls in the open-ended overflow bucket (the
-    /// overflow bucket has no upper bound of its own; reporting `u64::MAX`
-    /// there used to poison downstream percentile aggregation). Returns 0
-    /// with no samples.
-    pub fn percentile_us(&self, p: f64) -> u64 {
-        histogram_percentile_us(&self.latency_us, self.max_us, p)
     }
 }
 
@@ -116,48 +122,38 @@ pub struct StatsSnapshot {
     /// Connections fully disposed of — served to EOF/error, or shed with a
     /// terminal reply. After a quiesced shutdown this reconciles with
     /// `connections_accepted`.
-    #[serde(default)]
     pub connections_closed: u64,
     /// Connections turned away with `Overloaded`.
     pub overloaded_rejections: u64,
     /// Connections turned away with `ShuttingDown` (queue closed for drain).
-    #[serde(default)]
     pub shutdown_rejections: u64,
     /// Frames that failed to decode.
     pub malformed_frames: u64,
     /// Sessions admitted into the fleet (`Place` and `PlaceBatch` items).
     /// Conservation invariant: `placements_admitted` = placements confirmed
     /// to clients + `placements_rolled_back`.
-    #[serde(default)]
     pub placements_admitted: u64,
     /// Admitted sessions departed again by the daemon itself because the
     /// reply carrying them could not be delivered (dead client); these never
     /// leak into `active_sessions`.
-    #[serde(default)]
     pub placements_rolled_back: u64,
     /// Placement shards the fleet is partitioned into (1 = the classic
     /// single-lock fleet).
-    #[serde(default)]
     pub shards: usize,
     /// Sessions currently placed, per shard (indexed by shard id).
     /// Conservation invariant: sums to `active_sessions` at any quiesced
     /// snapshot.
-    #[serde(default)]
     pub shard_active_sessions: Vec<u64>,
     /// Sessions whose id did not route back to the shard that owns them
     /// (must stay 0; anything else is an id-scheme bug).
-    #[serde(default)]
     pub shard_misrouted_sessions: u64,
     /// Two-phase admits that lost the re-validation race and re-scored.
-    #[serde(default)]
     pub place_admit_retries: u64,
     /// Two-phase admits that exhausted their retries and fell back to the
     /// next-best shard's candidate.
-    #[serde(default)]
     pub place_admit_fallbacks: u64,
     /// `Depart` requests naming a session id that was not placed (already
     /// departed, rolled back, or never existed).
-    #[serde(default)]
     pub depart_unknown_sessions: u64,
     /// Prediction-memo hits.
     pub cache_hits: u64,
@@ -165,67 +161,49 @@ pub struct StatsSnapshot {
     pub cache_misses: u64,
     /// Per-server score-cache hits (placement `before` sums served from
     /// cache instead of recomputed).
-    #[serde(default)]
     pub score_hits: u64,
     /// Per-server score-cache misses (full server-sum recomputations).
-    #[serde(default)]
     pub score_misses: u64,
     /// Outcome reports accepted into the feedback buffer (fresh or stale).
-    #[serde(default)]
     pub feedback_accepted: u64,
     /// Accepted reports whose `model_version` predated the current model;
     /// buffered as training data but excluded from drift statistics.
-    #[serde(default)]
     pub feedback_stale: u64,
     /// Outcome reports rejected (unknown session or non-finite FPS).
-    #[serde(default)]
     pub feedback_dropped: u64,
     /// Outcome records currently buffered for the next retrain.
-    #[serde(default)]
     pub feedback_buffered: u64,
     /// Outcome records evicted from full ring shards. Conservation
     /// invariant: `feedback_accepted` = `feedback_buffered` +
     /// `feedback_evicted` + records consumed by snapshots (snapshots do not
     /// drain, so accepted = buffered + evicted at all times).
-    #[serde(default)]
     pub feedback_evicted: u64,
     /// Distinct (game, game) colocation pairs with outcome aggregates.
-    #[serde(default)]
     pub feedback_pairs: u64,
     /// Current overall Page–Hinkley drift score (0 when quiescent).
-    #[serde(default)]
     pub drift_score: f64,
     /// Mean absolute relative FPS error over the sliding feedback window.
-    #[serde(default)]
     pub windowed_mae: f64,
     /// Times the drift detector tripped since startup.
-    #[serde(default)]
     pub drift_trips: u64,
     /// Background retrains that completed and published a new model version.
-    #[serde(default)]
     pub retrains_ok: u64,
     /// Background retrains that failed (too few samples, unusable data, or
     /// injected faults); these never bump the model version.
-    #[serde(default)]
     pub retrains_failed: u64,
     /// Wall-clock duration of the most recent successful retrain (ms).
-    #[serde(default)]
     pub last_retrain_ms: u64,
     /// Outcome samples used by the most recent successful retrain.
-    #[serde(default)]
     pub last_retrain_samples: u64,
     /// Counters per request kind.
     pub per_request: BTreeMap<String, RequestStats>,
     /// Merged per-stage pipeline timings (see [`crate::trace`]); keyed by
     /// [`crate::trace::STAGES`] names.
-    #[serde(default)]
     pub per_stage: BTreeMap<String, StageStats>,
     /// Worst-N slowest requests with per-stage breakdowns, slowest first.
-    #[serde(default)]
     pub slow_requests: Vec<SlowRequest>,
     /// Windowed SLO evaluation (burn rates, alert states, rolling views);
     /// `None` from stats sources that predate the SLO engine.
-    #[serde(default)]
     pub slo: Option<SloReport>,
 }
 
@@ -355,9 +333,9 @@ impl std::fmt::Display for StatsSnapshot {
                 kind,
                 rs.ok,
                 rs.errors,
-                rs.percentile_us(50.0),
-                rs.percentile_us(95.0),
-                rs.percentile_us(99.0)
+                rs.latency.percentile_us(50.0),
+                rs.latency.percentile_us(95.0),
+                rs.latency.percentile_us(99.0)
             )?;
         }
         if self.per_stage.values().any(|st| st.count > 0) {
@@ -464,7 +442,8 @@ impl Histogram {
     }
 }
 
-/// One second of one worker's telemetry. (Its histograms' `max_us` is kept
+/// One second of one worker's telemetry: what the SLO engine and the
+/// window gauges read, nothing more. (The place histogram's `max_us` is kept
 /// up like any other and never reported: a window's maximum is
 /// bucket-bounded, as its wire format always was.)
 #[derive(Default)]
@@ -475,7 +454,6 @@ struct Second {
     stamp: AtomicU64,
     requests_ok: AtomicU64,
     requests_err: AtomicU64,
-    stages: [Histogram; N_STAGES],
     /// Whole-request service time of `place`/`place_batch` requests.
     place: Histogram,
     place_attempts: AtomicU64,
@@ -484,14 +462,11 @@ struct Second {
     outcomes_below_floor: AtomicU64,
     err_sum_micros: AtomicU64,
     err_count: AtomicU64,
-    /// `[admits, fallbacks]` per shard.
-    per_shard: Box<[[AtomicU64; 2]]>,
 }
 
 impl Second {
     /// Zero every counter (rollover; only the owning worker calls this).
     fn clear(&self) {
-        self.stages.iter().for_each(Histogram::clear);
         self.place.clear();
         let scalars = [
             &self.requests_ok,
@@ -503,7 +478,7 @@ impl Second {
             &self.err_sum_micros,
             &self.err_count,
         ];
-        for counter in scalars.into_iter().chain(self.per_shard.iter().flatten()) {
+        for counter in scalars {
             counter.store(0, Ordering::Relaxed);
         }
     }
@@ -614,9 +589,10 @@ struct KindTotals {
 
 /// Everything one thread writes: a since-boot part (per request kind, per
 /// stage, lifecycle, per game) and a ring of per-second windows. The ring is
-/// allocated whole up front and is nearly all of the block's size, which is
-/// why per-kind histograms and lifecycle counters exist only since boot. The
-/// acceptor records nothing windowed, so its ring is empty. Aligned so that
+/// allocated whole up front and is most of the block's size, which is why
+/// it holds only what the SLO engine reads: per-kind and per-stage
+/// histograms and lifecycle counters exist only since boot. The acceptor
+/// records nothing windowed, so its ring is empty. Aligned so that
 /// neighbouring blocks share no cache line.
 #[repr(align(64))]
 struct Block {
@@ -636,32 +612,28 @@ struct Block {
 /// so a scrape from another connection right after the reply finds it
 /// counted, and [`Writer::flush`] after the write attempt, which is what the
 /// stages time; a `Stats` request's own snapshot, taken before both, holds
-/// neither. Each point writes the since-boot part and the current second
-/// with two plain stores. Folding expired seconds into the totals instead
-/// would need a reader/writer protocol to keep concurrent scrapes monotone.
+/// neither. The first point writes only the since-boot part; the second
+/// writes the stage samples there and the outcome count and whole-place
+/// latency into the current second. Folding expired seconds into the
+/// totals instead would need a reader/writer protocol to keep concurrent
+/// scrapes monotone.
 pub struct Telemetry {
     blocks: Vec<Block>,
     slow: SlowLog,
-    shards: usize,
     started_us: u64,
 }
 
 impl Telemetry {
-    /// A collector for `workers` worker threads plus the acceptor, windowed
-    /// per-shard counters for `shards` shards, a worst-`slow_capacity`
-    /// slow-request ring, and uptime counted from `started_us`.
-    pub fn new(workers: usize, shards: usize, slow_capacity: usize, started_us: u64) -> Telemetry {
+    /// A collector for `workers` worker threads plus the acceptor, a
+    /// worst-`slow_capacity` slow-request ring, and uptime counted from
+    /// `started_us`.
+    pub fn new(workers: usize, slow_capacity: usize, started_us: u64) -> Telemetry {
         let block = |ring_slots: usize| Block {
             kinds: Default::default(),
             stages: Default::default(),
             lifecycle: Default::default(),
             games: GameTable::new(GameTable::SLOTS),
-            ring: (0..ring_slots)
-                .map(|_| Second {
-                    per_shard: (0..shards).map(|_| Default::default()).collect(),
-                    ..Second::default()
-                })
-                .collect(),
+            ring: (0..ring_slots).map(|_| Second::default()).collect(),
         };
         Telemetry {
             blocks: (0..workers.max(1))
@@ -669,7 +641,6 @@ impl Telemetry {
                 .chain([block(0)])
                 .collect(),
             slow: SlowLog::new(slow_capacity),
-            shards,
             started_us,
         }
     }
@@ -715,13 +686,10 @@ impl Telemetry {
         };
         let total = |counter: Counter| sum(&|b| &b.lifecycle[counter as usize]);
         let per_request = REQUEST_KINDS.iter().enumerate().map(|(k, kind)| {
-            let latency = Histogram::merged(self.blocks.iter().map(|b| &b.kinds[k].latency));
             let stats = RequestStats {
                 ok: sum(&|b| &b.kinds[k].ok),
                 errors: sum(&|b| &b.kinds[k].errors),
-                latency_us: latency.buckets,
-                max_us: latency.max_us,
-                sum_us: latency.total_us,
+                latency: Histogram::merged(self.blocks.iter().map(|b| &b.kinds[k].latency)),
             };
             (kind.to_string(), stats)
         });
@@ -772,15 +740,8 @@ impl Telemetry {
             let load = |(_, second): &(u64, &Second)| of(second).load(Ordering::Relaxed);
             live.iter().map(load).sum()
         };
-        let merged = |of: &dyn Fn(&Second) -> &Histogram| {
-            let mut merged = Histogram::merged(live.iter().map(|(_, second)| of(second)));
-            merged.max_us = bucket_bounded_max(&merged.buckets);
-            merged
-        };
-        let per_stage = |&stage: &Stage| {
-            let merged = merged(&|second| &second.stages[stage as usize]);
-            (stage.name().to_string(), merged)
-        };
+        let mut place_latency = Histogram::merged(live.iter().map(|(_, second)| &second.place));
+        place_latency.max_us = bucket_bounded_max(&place_latency.buckets);
         let mut active: Vec<u64> = live.iter().map(|&(stamp, _)| stamp).collect();
         active.sort_unstable();
         active.dedup();
@@ -789,16 +750,9 @@ impl Telemetry {
             active_secs: active.len() as u64,
             requests_ok: sum(&|s| &s.requests_ok),
             requests_err: sum(&|s| &s.requests_err),
-            per_stage: Stage::ALL.iter().map(per_stage).collect(),
-            place_latency: merged(&|s| &s.place),
+            place_latency,
             place_attempts: sum(&|s| &s.place_attempts),
             place_qos_rejected: sum(&|s| &s.place_qos_rejected),
-            shard_admits: (0..self.shards)
-                .map(|i| sum(&|s| &s.per_shard[i][0]))
-                .collect(),
-            shard_fallbacks: (0..self.shards)
-                .map(|i| sum(&|s| &s.per_shard[i][1]))
-                .collect(),
             outcomes_total: sum(&|s| &s.outcomes_total),
             outcomes_below_floor: sum(&|s| &s.outcomes_below_floor),
             err_sum_micros: sum(&|s| &s.err_sum_micros),
@@ -817,8 +771,9 @@ impl Telemetry {
 }
 
 /// One worker's handle on its block for one clock reading: what is written
-/// through it lands in the since-boot part and in the second `now_us` falls
-/// in. The daemon makes one per frame, from the frame's one clock read.
+/// through it lands in the since-boot part and, where the SLO engine reads
+/// it, in the second `now_us` falls in. The daemon makes one per frame, from
+/// the frame's one clock read.
 pub struct Writer<'a> {
     slow: &'a SlowLog,
     block: &'a Block,
@@ -836,7 +791,6 @@ impl Writer<'_> {
     /// Record a queue-wait sample (one per connection, at dequeue).
     pub fn queue_wait(&self, us: u64) {
         self.block.stages[Stage::QueueWait as usize].record(us);
-        self.second.stages[Stage::QueueWait as usize].record(us);
     }
 
     /// First flush point, before the reply is written: the outcome and
@@ -848,12 +802,12 @@ impl Writer<'_> {
         totals.latency.record(latency_us);
     }
 
-    /// Second flush point, after the write attempt: one sample for each of
-    /// the six request stages (a stage that did not run contributes a
-    /// zero-duration sample, so every request stage's count equals the
-    /// number of handled requests), the windowed outcome count, the
-    /// whole-request latency of a placement (`is_place`), and an offer to
-    /// the slow-request ring carrying the request's identity.
+    /// Second flush point, after the write attempt: one since-boot sample
+    /// for each of the six request stages (a stage that did not run
+    /// contributes a zero-duration sample, so every request stage's count
+    /// equals the number of handled requests), the windowed outcome count,
+    /// the windowed whole-request latency of a placement (`is_place`), and
+    /// an offer to the slow-request ring carrying the request's identity.
     pub fn flush(
         &self,
         kind: usize,
@@ -873,7 +827,6 @@ impl Writer<'_> {
         );
         for &stage in REQUEST_STAGES.iter() {
             self.block.stages[stage as usize].record(trace.get(stage));
-            second.stages[stage as usize].record(trace.get(stage));
         }
         if is_place {
             second.place.record(trace.total_us());
@@ -881,24 +834,16 @@ impl Writer<'_> {
         self.slow.offer(REQUEST_KINDS[kind], trace, meta);
     }
 
-    /// Record one placement attempt for `game`: admitted into a shard, or
-    /// rejected on saturation (`admitted_shard == None`).
-    pub fn place_attempt(&self, game: u32, admitted_shard: Option<usize>) {
+    /// Record one placement attempt for `game`: admitted, or rejected on
+    /// saturation.
+    pub fn place_attempt(&self, game: u32, admitted: bool) {
         let [attempts, rejected, ..] = self.block.games.entry(game);
         bump(&self.second.place_attempts, 1);
         bump(attempts, 1);
-        match admitted_shard {
-            Some(shard) => bump(&self.second.per_shard[shard][0], 1),
-            None => {
-                bump(&self.second.place_qos_rejected, 1);
-                bump(rejected, 1);
-            }
+        if !admitted {
+            bump(&self.second.place_qos_rejected, 1);
+            bump(rejected, 1);
         }
-    }
-
-    /// Record a two-phase admit that fell back to next-best `shard`.
-    pub fn fallback(&self, shard: usize) {
-        bump(&self.second.per_shard[shard][1], 1);
     }
 
     /// Record one ingested outcome report for `game`: whether observed FPS
@@ -928,16 +873,16 @@ mod tests {
     const PREDICT: usize = 3;
 
     fn one_worker() -> Telemetry {
-        Telemetry::new(1, 1, 0, 0)
+        Telemetry::new(1, 0, 0)
     }
 
-    /// Per-kind latencies of `place` after recording `samples` at time 0.
-    fn place_stats(samples: &[(bool, u64)]) -> RequestStats {
+    /// Per-kind latency of `place` after recording `samples` at time 0.
+    fn place_latency(samples: &[(bool, u64)]) -> StageStats {
         let t = one_worker();
         for &(ok, us) in samples {
             t.writer(0, 0).record(PLACE, ok, us);
         }
-        t.snapshot(0).per_request["place"].clone()
+        t.snapshot(0).per_request["place"].latency.clone()
     }
 
     fn place_trace(total_us: u64) -> RequestTrace {
@@ -963,17 +908,18 @@ mod tests {
         }
         t.writer(0, 0).record(PREDICT, true, 900); // one slow outlier (≤1000 bucket)
         let rs = t.snapshot(0).per_request["predict"].clone();
-        assert_eq!(rs.percentile_us(50.0), 5);
-        assert_eq!(rs.percentile_us(99.0), 5);
-        assert_eq!(rs.percentile_us(100.0), 1_000);
-        assert_eq!(RequestStats::default().percentile_us(50.0), 0);
+        assert_eq!(rs.latency.count, rs.total());
+        assert_eq!(rs.latency.percentile_us(50.0), 5);
+        assert_eq!(rs.latency.percentile_us(99.0), 5);
+        assert_eq!(rs.latency.percentile_us(100.0), 1_000);
+        assert_eq!(StageStats::default().percentile_us(50.0), 0);
     }
 
     #[test]
     fn overflow_bucket_reports_observed_max_not_u64_max() {
         // A latency beyond the last bucket bound used to make percentile_us
         // return u64::MAX, which poisoned the load driver's aggregates.
-        let rs = place_stats(&[(true, 3_456_789)]); // overflow (> 1s)
+        let rs = place_latency(&[(true, 3_456_789)]); // overflow (> 1s)
         assert_eq!(rs.max_us, 3_456_789);
         assert_eq!(rs.percentile_us(50.0), 3_456_789);
         assert_eq!(rs.percentile_us(100.0), 3_456_789);
@@ -982,16 +928,16 @@ mod tests {
         // in the overflow bucket use the observed max.
         let mut samples = vec![(true, 4); 9];
         samples.push((true, 2_000_000));
-        let rs = place_stats(&samples);
+        let rs = place_latency(&samples);
         assert_eq!(rs.percentile_us(50.0), 5);
         assert_eq!(rs.percentile_us(90.0), 5);
         assert_eq!(rs.percentile_us(100.0), 2_000_000);
         assert_eq!(rs.max_us, 2_000_000);
     }
 
-    // The one histogram's bucket-boundary behaviour, seen through both wire
-    // forms it merges into: a per-kind `RequestStats` and a per-stage
-    // `StageStats`.
+    // The one histogram's bucket-boundary behaviour. The same samples
+    // recorded as a kind's latency and as a stage's durations merge into
+    // equal values of the one wire type.
     #[test]
     fn percentile_bucket_boundaries() {
         let both = |samples: &[u64]| {
@@ -1006,12 +952,8 @@ mod tests {
             let snap = t.snapshot(0);
             let rs = snap.per_request["place"].clone();
             let st = snap.per_stage["decode"].clone();
-            assert_eq!(rs.latency_us, st.buckets);
-            assert_eq!((rs.sum_us, rs.max_us), (st.total_us, st.max_us));
+            assert_eq!(rs.latency, st);
             assert_eq!(rs.total(), st.count);
-            for p in [0.0, 50.0, 50.1, 100.0] {
-                assert_eq!(rs.percentile_us(p), st.percentile_us(p), "p={p}");
-            }
             st
         };
         // 10 samples exactly on bucket 0's upper bound (≤5µs), 10 in the
@@ -1043,21 +985,27 @@ mod tests {
     #[test]
     fn every_kind_and_stage_is_preregistered() {
         let snap = one_worker().snapshot(0);
+        let empty = StageStats {
+            buckets: vec![0; N_BUCKETS],
+            ..StageStats::default()
+        };
         for kind in REQUEST_KINDS {
-            assert_eq!(
-                snap.per_request[kind].latency_us,
-                vec![0; N_BUCKETS],
-                "{kind}"
-            );
+            assert_eq!(snap.per_request[kind].latency, empty, "{kind}");
         }
         for stage in Stage::ALL {
-            assert_eq!(snap.per_stage[stage.name()].buckets, vec![0; N_BUCKETS]);
+            assert_eq!(snap.per_stage[stage.name()], empty, "{}", stage.name());
         }
+    }
+
+    // The ring is allocated whole per worker: 308 of these.
+    #[test]
+    fn a_second_holds_only_what_the_windows_read() {
+        assert_eq!(std::mem::size_of::<Second>(), 192);
     }
 
     #[test]
     fn uptime_counts_from_the_start_reading() {
-        let t = Telemetry::new(1, 1, 0, 5 * SEC);
+        let t = Telemetry::new(1, 0, 5 * SEC);
         assert_eq!(t.snapshot(5 * SEC).uptime_ms, 0);
         assert_eq!(t.snapshot(5 * SEC + 2_500_000).uptime_ms, 2_500);
         // A clock that jumps backwards must not underflow.
@@ -1066,7 +1014,7 @@ mod tests {
 
     #[test]
     fn every_request_stage_gets_one_sample_per_request() {
-        let t = Telemetry::new(3, 1, 4, 0);
+        let t = Telemetry::new(3, 4, 0);
         let stages = |us: [u64; 6]| {
             let mut trace = RequestTrace::new();
             for (stage, us) in REQUEST_STAGES.iter().zip(us) {
@@ -1101,14 +1049,14 @@ mod tests {
 
     #[test]
     fn queue_wait_is_per_connection() {
-        let t = Telemetry::new(2, 1, 4, 0);
+        let t = Telemetry::new(2, 4, 0);
         t.writer(0, 0).queue_wait(11);
         t.writer(1, 0).queue_wait(3);
         let snap = t.snapshot(0).per_stage;
         assert_eq!(snap["queue_wait"].count, 2);
         assert_eq!(snap["queue_wait"].total_us, 14);
         assert_eq!(snap["queue_wait"].max_us, 11);
-        assert_eq!(t.views(0)[0].per_stage["queue_wait"].count, 2);
+        assert_eq!(t.views(0)[0].request_rate(), 0.0, "no request was handled");
     }
 
     #[test]
@@ -1146,7 +1094,7 @@ mod tests {
 
     #[test]
     fn empty_windows_read_as_zero_everywhere() {
-        let t = Telemetry::new(4, 2, 0, 0);
+        let t = Telemetry::new(4, 0, 0);
         for v in t.views(0) {
             assert_eq!(v.active_secs, 0);
             assert_eq!(v.request_rate(), 0.0);
@@ -1154,9 +1102,9 @@ mod tests {
             assert_eq!(v.outcome_below_floor_ratio(), 0.0);
             assert_eq!(v.windowed_mae(), 0.0);
             assert_eq!(v.place_p99_us(), 0);
-            assert_eq!(v.shard_admits, vec![0, 0]);
-            assert_eq!(v.per_stage["place"].count, 0);
-            assert_eq!(v.per_stage["place"].buckets, vec![0; N_BUCKETS]);
+            assert_eq!(v.place_attempts, 0);
+            assert_eq!(v.place_latency.count, 0);
+            assert_eq!(v.place_latency.buckets, vec![0; N_BUCKETS]);
         }
         assert!(t.per_game().is_empty());
     }
@@ -1208,7 +1156,7 @@ mod tests {
         for _ in 0..9 {
             handle(&t, 0, 3 * SEC, true, true, 2_000_000);
         }
-        t.writer(0, 3 * SEC).place_attempt(1, Some(0));
+        t.writer(0, 3 * SEC).place_attempt(1, true);
         // One full ring later the same slot index holds a different second;
         // the writer must zero it before reusing it.
         let later = (3 + RING_SLOTS as u64) * SEC;
@@ -1218,7 +1166,7 @@ mod tests {
         assert_eq!(v[2].requests_ok, 1);
         assert_eq!(v[2].place_latency.total_us, 1);
         assert_eq!(v[2].place_latency.max_us, 5);
-        assert_eq!(v[2].shard_admits, vec![0]);
+        assert_eq!(v[2].place_attempts, 0);
         // The since-boot part is not windowed.
         assert_eq!(t.snapshot(later).per_stage["place"].count, 10);
     }
@@ -1236,7 +1184,7 @@ mod tests {
             .collect();
         for (n, &game) in games.iter().enumerate() {
             for _ in 0..=n {
-                w.place_attempt(game, None);
+                w.place_attempt(game, false);
             }
             w.outcome(game, true, 0.0);
         }
@@ -1269,7 +1217,7 @@ mod tests {
             let w = t.writer(worker, 0);
             let us = (i % 7) * 40 + worker as u64;
             w.queue_wait(us);
-            w.place_attempt((i % 5) as u32, (!i.is_multiple_of(3)).then_some(worker));
+            w.place_attempt((i % 5) as u32, !i.is_multiple_of(3));
             w.outcome((i % 5) as u32, i.is_multiple_of(2), 0.5);
             w.note(Counter::Admitted, 1);
             w.record(worker, !i.is_multiple_of(4), us);
@@ -1280,7 +1228,7 @@ mod tests {
         // The writers run for as long as the scraper scrapes: the overlap is
         // forced by the flag, not hoped for from timing. Each touches every
         // game before the first scrape, so the series keep their layout.
-        let t = Telemetry::new(2, 2, 0, 0);
+        let t = Telemetry::new(2, 0, 0);
         let warmed = std::sync::Barrier::new(3);
         let stop = AtomicBool::new(false);
         let done: Vec<u64> = std::thread::scope(|scope| {
@@ -1316,7 +1264,7 @@ mod tests {
             "the writers ran beside the scrapes"
         );
         // Exact: the same writes replayed on one thread read the same.
-        let replay = Telemetry::new(2, 2, 0, 0);
+        let replay = Telemetry::new(2, 0, 0);
         for (worker, &n) in done.iter().enumerate() {
             (0..n).for_each(|i| write(&replay, worker, i));
         }
@@ -1327,7 +1275,9 @@ mod tests {
     proptest! {
         // Merged windows equal the field-wise sum of the same samples
         // recorded into one single-worker collector per worker at the same
-        // times.
+        // times. Each sample is a request; a placement also counts an
+        // attempt (admitted when ok) and any other request an outcome, so
+        // every scalar a window holds is exercised.
         #[test]
         fn merged_views_equal_per_worker_sums(
             samples in proptest::collection::vec(
@@ -1337,14 +1287,22 @@ mod tests {
             start_sec in 0u64..400,
             spread_secs in 0u64..8,
         ) {
-            let merged = Telemetry::new(4, 1, 0, 0);
+            let merged = Telemetry::new(4, 0, 0);
             let singles: Vec<Telemetry> = (0..4).map(|_| one_worker()).collect();
+            let second = |i: usize| start_sec + (i as u64) % (spread_secs + 1);
             for (i, &(worker, us, ok, is_place)) in samples.iter().enumerate() {
-                let now_us = (start_sec + (i as u64) % (spread_secs + 1)) * SEC;
-                handle(&merged, worker, now_us, ok, is_place, us);
-                handle(&singles[worker], 0, now_us, ok, is_place, us);
+                let now_us = second(i) * SEC;
+                for (t, worker) in [(&merged, worker), (&singles[worker], 0)] {
+                    handle(t, worker, now_us, ok, is_place, us);
+                    let w = t.writer(worker, now_us);
+                    if is_place {
+                        w.place_attempt(worker as u32, ok);
+                    } else {
+                        w.outcome(worker as u32, !ok, us as f64 / 1e6);
+                    }
+                }
             }
-            let now_us = (start_sec + spread_secs) * SEC;
+            let now_sec = start_sec + spread_secs;
             let sum_of = |parts: Vec<&StageStats>| {
                 let mut sum = StageStats {
                     buckets: vec![0; N_BUCKETS],
@@ -1360,20 +1318,33 @@ mod tests {
                 sum.max_us = bucket_bounded_max(&sum.buckets);
                 sum
             };
-            let got = merged.views(now_us);
-            let parts: Vec<Vec<WindowView>> = singles.iter().map(|t| t.views(now_us)).collect();
+            let got = merged.views(now_sec * SEC);
+            let parts: Vec<Vec<WindowView>> =
+                singles.iter().map(|t| t.views(now_sec * SEC)).collect();
             for (wi, view) in got.iter().enumerate() {
                 let parts: Vec<&WindowView> = parts.iter().map(|p| &p[wi]).collect();
-                prop_assert_eq!(view.requests_ok, parts.iter().map(|p| p.requests_ok).sum::<u64>());
-                prop_assert_eq!(view.requests_err, parts.iter().map(|p| p.requests_err).sum::<u64>());
-                for stage in Stage::ALL {
-                    let name = stage.name();
-                    let want = sum_of(parts.iter().map(|p| &p.per_stage[name]).collect());
-                    prop_assert_eq!(&view.per_stage[name], &want, "stage {} window {}", name, wi);
-                    prop_assert_eq!(want.count, want.buckets.iter().sum::<u64>());
-                }
-                let want = sum_of(parts.iter().map(|p| &p.place_latency).collect());
-                prop_assert_eq!(&view.place_latency, &want);
+                let total = |of: fn(&WindowView) -> u64| parts.iter().map(|p| of(p)).sum::<u64>();
+                // Active seconds are the distinct seconds written inside the
+                // window, not a sum over workers.
+                let active: std::collections::BTreeSet<u64> = (0..samples.len())
+                    .map(second)
+                    .filter(|&sec| now_sec - sec < view.window_secs)
+                    .collect();
+                let want = WindowView {
+                    window_secs: view.window_secs,
+                    active_secs: active.len() as u64,
+                    requests_ok: total(|p| p.requests_ok),
+                    requests_err: total(|p| p.requests_err),
+                    place_latency: sum_of(parts.iter().map(|p| &p.place_latency).collect()),
+                    place_attempts: total(|p| p.place_attempts),
+                    place_qos_rejected: total(|p| p.place_qos_rejected),
+                    outcomes_total: total(|p| p.outcomes_total),
+                    outcomes_below_floor: total(|p| p.outcomes_below_floor),
+                    err_sum_micros: total(|p| p.err_sum_micros),
+                    err_count: total(|p| p.err_count),
+                };
+                prop_assert_eq!(view, &want, "window {}", wi);
+                prop_assert_eq!(want.place_latency.count, want.place_latency.buckets.iter().sum::<u64>());
             }
         }
     }

@@ -25,7 +25,8 @@
 //! the current floor; entries are ordered by a monotone admission sequence,
 //! never wall-clock identity.
 
-use crate::stats::{histogram_percentile_us, StatsSnapshot};
+use crate::slo::{ObjectiveStatus, WindowView};
+use crate::stats::{StageStats, StatsSnapshot, LATENCY_BUCKETS_US};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,39 +98,6 @@ pub const REQUEST_STAGES: [Stage; 6] = [
 /// Microseconds elapsed since `t` (saturating; u64 µs is ~584k years).
 pub fn elapsed_us(t: Instant) -> u64 {
     t.elapsed().as_micros() as u64
-}
-
-/// Merged per-stage timing statistics in snapshot (wire) form.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StageStats {
-    /// Samples recorded for this stage.
-    pub count: u64,
-    /// Sum of all sample durations (µs).
-    pub total_us: u64,
-    /// Largest observed sample (µs).
-    pub max_us: u64,
-    /// Histogram counts per bucket of
-    /// [`crate::stats::LATENCY_BUCKETS_US`] (+ overflow).
-    pub buckets: Vec<u64>,
-}
-
-impl StageStats {
-    /// Mean sample duration (µs); 0 with no samples.
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_us as f64 / self.count as f64
-        }
-    }
-
-    /// Approximate duration percentile (0..=100) — same semantics as
-    /// [`crate::RequestStats::percentile_us`]: the upper bound of the bucket
-    /// holding the p-th sample, the observed max in the overflow bucket, 0
-    /// with no samples.
-    pub fn percentile_us(&self, p: f64) -> u64 {
-        histogram_percentile_us(&self.buckets, self.max_us, p)
-    }
 }
 
 /// One entry of the slow-request ring: a whole-request trace with its
@@ -330,323 +298,412 @@ pub fn verify_stage_accounting(s: &StatsSnapshot) -> Result<(), String> {
     Ok(())
 }
 
-fn write_metric(out: &mut String, name: &str, labels: &str, value: impl std::fmt::Display) {
-    use std::fmt::Write as _;
-    if labels.is_empty() {
-        let _ = writeln!(out, "{name} {value}");
+/// A sample's value: counters and integer gauges print exactly, the rest
+/// through `f64`'s `Display`.
+#[derive(Clone, Copy)]
+enum Value {
+    Int(u64),
+    Real(f64),
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Int(v) => v.fmt(f),
+            Value::Real(v) => v.fmt(f),
+        }
+    }
+}
+
+/// A metric family's type and samples, each sample under its own label set
+/// (`""` for none).
+enum Samples<'a> {
+    Counter(Vec<(String, Value)>),
+    Gauge(Vec<(String, Value)>),
+    /// One histogram per label set: cumulative `_bucket` series over
+    /// [`LATENCY_BUCKETS_US`] and `+Inf`, then `_sum` and `_count`.
+    Histogram(Vec<(String, &'a StageStats)>),
+}
+
+/// One metric family of the exposition: its name, help and samples. Text
+/// format 0.0.4 wants each family's samples in one group under its own
+/// `TYPE` line, which rendering from a list of these guarantees.
+type Family<'a> = (&'static str, &'static str, Samples<'a>);
+
+/// One unlabelled sample.
+fn one(value: Value) -> Vec<(String, Value)> {
+    vec![(String::new(), value)]
+}
+
+/// `result="…"` samples.
+fn by_result(results: &[(&str, u64)]) -> Vec<(String, Value)> {
+    let sample = |&(result, v): &(&str, u64)| (format!("result=\"{result}\""), Value::Int(v));
+    results.iter().map(sample).collect()
+}
+
+/// Every family of the exposition, in rendering order: process gauges,
+/// lifecycle counters, by-result counters, feedback gauges, shards, per-kind
+/// and per-stage series, then — when the snapshot carries an evaluated
+/// [`crate::SloReport`] — the `gaugur_slo_*` and `gaugur_window_*` gauges.
+fn families(s: &StatsSnapshot) -> Vec<Family<'_>> {
+    use Samples::{Counter, Gauge, Histogram};
+    use Value::{Int, Real};
+    let profile = if cfg!(debug_assertions) {
+        "debug"
     } else {
-        let _ = writeln!(out, "{name}{{{labels}}} {value}");
-    }
-}
-
-fn write_header(out: &mut String, name: &str, kind: &str, help: &str) {
-    use std::fmt::Write as _;
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-}
-
-fn write_histogram(
-    out: &mut String,
-    name: &str,
-    label: &str,
-    buckets: &[u64],
-    sum_us: u64,
-    count: u64,
-) {
-    use std::fmt::Write as _;
-    let mut cumulative = 0u64;
-    for (i, &c) in buckets.iter().enumerate() {
-        cumulative += c;
-        let le = crate::stats::LATENCY_BUCKETS_US
-            .get(i)
-            .map(|b| b.to_string())
-            .unwrap_or_else(|| "+Inf".to_string());
-        let _ = writeln!(out, "{name}_bucket{{{label},le=\"{le}\"}} {cumulative}");
-    }
-    write_metric(out, &format!("{name}_sum"), label, sum_us);
-    write_metric(out, &format!("{name}_count"), label, count);
-}
-
-/// Render a snapshot in Prometheus text-exposition format (version 0.0.4):
-/// counters, per-op and per-stage histograms, feedback/drift gauges,
-/// score-cache and retrain counters. Served by the `Metrics` wire op.
-pub fn render_prometheus(s: &StatsSnapshot) -> String {
-    let mut out = String::with_capacity(16 * 1024);
-
-    write_header(
-        &mut out,
-        "gaugur_build_info",
-        "gauge",
-        "Build metadata of the running daemon; value is always 1.",
+        "release"
+    };
+    let build = format!(
+        "version=\"{}\",profile=\"{profile}\"",
+        env!("CARGO_PKG_VERSION")
     );
-    write_metric(
-        &mut out,
-        "gaugur_build_info",
-        &format!(
-            "version=\"{}\",profile=\"{}\"",
-            env!("CARGO_PKG_VERSION"),
-            if cfg!(debug_assertions) {
-                "debug"
-            } else {
-                "release"
-            }
+    let mut families = vec![
+        (
+            "gaugur_build_info",
+            "Build metadata of the running daemon; value is always 1.",
+            Gauge(vec![(build, Int(1))]),
         ),
-        1,
-    );
-    write_header(
-        &mut out,
-        "gaugur_uptime_seconds",
-        "gauge",
-        "Seconds since the daemon started.",
-    );
-    write_metric(
-        &mut out,
-        "gaugur_uptime_seconds",
-        "",
-        s.uptime_ms as f64 / 1e3,
-    );
-    write_header(
-        &mut out,
-        "gaugur_model_version",
-        "gauge",
-        "Version of the currently loaded model.",
-    );
-    write_metric(&mut out, "gaugur_model_version", "", s.model_version);
-    write_header(
-        &mut out,
-        "gaugur_active_sessions",
-        "gauge",
-        "Sessions currently placed on the fleet.",
-    );
-    write_metric(&mut out, "gaugur_active_sessions", "", s.active_sessions);
-    write_header(
-        &mut out,
-        "gaugur_servers",
-        "gauge",
-        "Configured fleet size.",
-    );
-    write_metric(&mut out, "gaugur_servers", "", s.servers);
-
-    let counters: [(&str, &str, u64); 13] = [
+        (
+            "gaugur_uptime_seconds",
+            "Seconds since the daemon started.",
+            Gauge(one(Real(s.uptime_ms as f64 / 1e3))),
+        ),
+        (
+            "gaugur_model_version",
+            "Version of the currently loaded model.",
+            Gauge(one(Int(s.model_version))),
+        ),
+        (
+            "gaugur_active_sessions",
+            "Sessions currently placed on the fleet.",
+            Gauge(one(Int(s.active_sessions))),
+        ),
+        (
+            "gaugur_servers",
+            "Configured fleet size.",
+            Gauge(one(Int(s.servers as u64))),
+        ),
         (
             "gaugur_connections_accepted_total",
             "Connections the acceptor admitted.",
-            s.connections_accepted,
+            Counter(one(Int(s.connections_accepted))),
         ),
         (
             "gaugur_connections_closed_total",
             "Connections fully disposed of.",
-            s.connections_closed,
+            Counter(one(Int(s.connections_closed))),
         ),
         (
             "gaugur_overloaded_rejections_total",
             "Connections turned away with Overloaded.",
-            s.overloaded_rejections,
+            Counter(one(Int(s.overloaded_rejections))),
         ),
         (
             "gaugur_shutdown_rejections_total",
             "Connections turned away during drain.",
-            s.shutdown_rejections,
+            Counter(one(Int(s.shutdown_rejections))),
         ),
         (
             "gaugur_malformed_frames_total",
             "Frames that failed to decode.",
-            s.malformed_frames,
+            Counter(one(Int(s.malformed_frames))),
         ),
         (
             "gaugur_placements_admitted_total",
             "Sessions admitted into the fleet.",
-            s.placements_admitted,
+            Counter(one(Int(s.placements_admitted))),
         ),
         (
             "gaugur_placements_rolled_back_total",
             "Admissions undone after undeliverable replies.",
-            s.placements_rolled_back,
+            Counter(one(Int(s.placements_rolled_back))),
         ),
         (
             "gaugur_place_admit_retries_total",
             "Two-phase admits that lost the re-validation race and re-scored.",
-            s.place_admit_retries,
+            Counter(one(Int(s.place_admit_retries))),
         ),
         (
             "gaugur_place_admit_fallbacks_total",
             "Two-phase admits that fell back to a next-best shard.",
-            s.place_admit_fallbacks,
+            Counter(one(Int(s.place_admit_fallbacks))),
         ),
         (
             "gaugur_depart_unknown_sessions_total",
             "Depart requests naming an unknown session id.",
-            s.depart_unknown_sessions,
+            Counter(one(Int(s.depart_unknown_sessions))),
         ),
         (
             "gaugur_shard_misrouted_sessions_total",
             "Sessions whose id routed to the wrong shard (must be 0).",
-            s.shard_misrouted_sessions,
+            Counter(one(Int(s.shard_misrouted_sessions))),
         ),
         (
             "gaugur_feedback_evicted_total",
             "Outcome records evicted from full ring shards.",
-            s.feedback_evicted,
+            Counter(one(Int(s.feedback_evicted))),
         ),
         (
             "gaugur_drift_trips_total",
             "Times the drift detector tripped.",
-            s.drift_trips,
+            Counter(one(Int(s.drift_trips))),
         ),
-    ];
-    for (name, help, v) in counters {
-        write_header(&mut out, name, "counter", help);
-        write_metric(&mut out, name, "", v);
-    }
-
-    type ByResult<'a> = (&'a str, &'a str, &'a [(&'a str, u64)]);
-    let by_result: [ByResult<'_>; 4] = [
         (
             "gaugur_prediction_memo_total",
             "Prediction-memo lookups by result.",
-            &[("hit", s.cache_hits), ("miss", s.cache_misses)],
+            Counter(by_result(&[
+                ("hit", s.cache_hits),
+                ("miss", s.cache_misses),
+            ])),
         ),
         (
             "gaugur_score_cache_total",
             "Per-server score-cache lookups by result.",
-            &[("hit", s.score_hits), ("miss", s.score_misses)],
+            Counter(by_result(&[
+                ("hit", s.score_hits),
+                ("miss", s.score_misses),
+            ])),
         ),
         (
             "gaugur_feedback_reports_total",
             "Outcome reports by disposition (fresh+stale are buffered).",
-            &[
+            Counter(by_result(&[
                 (
                     "fresh",
                     s.feedback_accepted.saturating_sub(s.feedback_stale),
                 ),
                 ("stale", s.feedback_stale),
                 ("dropped", s.feedback_dropped),
-            ],
+            ])),
         ),
         (
             "gaugur_retrains_total",
             "Background retrains by outcome.",
-            &[("ok", s.retrains_ok), ("failed", s.retrains_failed)],
+            Counter(by_result(&[
+                ("ok", s.retrains_ok),
+                ("failed", s.retrains_failed),
+            ])),
         ),
-    ];
-    for (name, help, results) in by_result {
-        write_header(&mut out, name, "counter", help);
-        for (result, v) in results {
-            write_metric(&mut out, name, &format!("result=\"{result}\""), v);
-        }
-    }
-
-    let gauges: [(&str, &str, f64); 5] = [
         (
             "gaugur_feedback_buffered",
             "Outcome records buffered for the next retrain.",
-            s.feedback_buffered as f64,
+            Gauge(one(Real(s.feedback_buffered as f64))),
         ),
         (
             "gaugur_feedback_pairs",
             "Distinct colocation pairs with outcome aggregates.",
-            s.feedback_pairs as f64,
+            Gauge(one(Real(s.feedback_pairs as f64))),
         ),
         (
             "gaugur_drift_score",
             "Current overall Page-Hinkley drift score.",
-            s.drift_score,
+            Gauge(one(Real(s.drift_score))),
         ),
         (
             "gaugur_drift_windowed_mae",
             "Mean absolute relative FPS error over the sliding window.",
-            s.windowed_mae,
+            Gauge(one(Real(s.windowed_mae))),
         ),
         (
             "gaugur_last_retrain_ms",
             "Duration of the most recent successful retrain.",
-            s.last_retrain_ms as f64,
+            Gauge(one(Real(s.last_retrain_ms as f64))),
+        ),
+        (
+            "gaugur_placement_shards",
+            "Placement shards the fleet is partitioned into.",
+            Gauge(one(Int(s.shards as u64))),
+        ),
+        (
+            "gaugur_shard_active_sessions",
+            "Sessions currently placed, per placement shard.",
+            Gauge(
+                s.shard_active_sessions
+                    .iter()
+                    .enumerate()
+                    .map(|(shard, &n)| (format!("shard=\"{shard}\""), Int(n)))
+                    .collect::<Vec<_>>(),
+            ),
+        ),
+        (
+            "gaugur_requests_total",
+            "Handled requests by kind and outcome.",
+            Counter(
+                s.per_request
+                    .iter()
+                    .flat_map(|(kind, rs)| {
+                        [
+                            (format!("kind=\"{kind}\",outcome=\"ok\""), Int(rs.ok)),
+                            (format!("kind=\"{kind}\",outcome=\"error\""), Int(rs.errors)),
+                        ]
+                    })
+                    .collect::<Vec<_>>(),
+            ),
+        ),
+        (
+            "gaugur_request_latency_us",
+            "Whole-request handler latency by kind (microseconds).",
+            Histogram(
+                s.per_request
+                    .iter()
+                    .map(|(kind, rs)| (format!("kind=\"{kind}\""), &rs.latency))
+                    .collect(),
+            ),
+        ),
+        (
+            "gaugur_stage_duration_us",
+            "Per-stage request pipeline durations (microseconds).",
+            Histogram(
+                s.per_stage
+                    .iter()
+                    .map(|(stage, st)| (format!("stage=\"{stage}\""), st))
+                    .collect(),
+            ),
         ),
     ];
-    for (name, help, v) in gauges {
-        write_header(&mut out, name, "gauge", help);
-        write_metric(&mut out, name, "", v);
-    }
+    let Some(slo) = &s.slo else {
+        return families;
+    };
+    let objective = |o: &ObjectiveStatus| format!("objective=\"{}\"", o.name);
+    let per_objective = |value: fn(&ObjectiveStatus) -> Value| {
+        let sample = |o| (objective(o), value(o));
+        slo.objectives.iter().map(sample).collect::<Vec<_>>()
+    };
+    // The fast and slow evaluation windows of each objective.
+    let per_objective_window = |value: fn(&ObjectiveStatus) -> [f64; 2]| {
+        let samples = |o: &ObjectiveStatus| {
+            let labels = |w| format!("objective=\"{}\",window=\"{w}\"", o.name);
+            ["10s", "5m"]
+                .map(labels)
+                .into_iter()
+                .zip(value(o).map(Real))
+        };
+        slo.objectives.iter().flat_map(samples).collect::<Vec<_>>()
+    };
+    let per_window = |value: fn(&WindowView) -> f64| {
+        let sample = |w: &WindowView| {
+            (
+                format!("window=\"{}\"", window_label(w.window_secs)),
+                Real(value(w)),
+            )
+        };
+        slo.windows.iter().map(sample).collect::<Vec<_>>()
+    };
+    let mut states = per_objective(|o| Int(o.state.as_u8().into()));
+    states.push(("objective=\"fleet\"".into(), Int(slo.state.as_u8().into())));
+    families.extend([
+        (
+            "gaugur_slo_state",
+            "Alert severity per objective (0 = ok, 1 = warn, 2 = critical).",
+            Gauge(states),
+        ),
+        (
+            "gaugur_slo_burn_rate",
+            "Error-budget burn rate per objective and evaluation window.",
+            Gauge(per_objective_window(|o| [o.fast_burn, o.slow_burn])),
+        ),
+        (
+            "gaugur_slo_objective_value",
+            "Raw objective value (ratio, or p99 µs) per evaluation window.",
+            Gauge(per_objective_window(|o| [o.fast_value, o.slow_value])),
+        ),
+        (
+            "gaugur_slo_target",
+            "Error budget / target the burn rates are measured against.",
+            Gauge(per_objective(|o| Real(o.target))),
+        ),
+        (
+            "gaugur_slo_transitions_total",
+            "Alert state transitions since startup.",
+            Counter(one(Int(slo.transitions))),
+        ),
+        (
+            "gaugur_window_request_rate",
+            "Handled requests per second over the rolling window.",
+            Gauge(per_window(WindowView::request_rate)),
+        ),
+        (
+            "gaugur_window_error_rate",
+            "Error responses per second over the rolling window.",
+            Gauge(per_window(WindowView::error_rate)),
+        ),
+        (
+            "gaugur_window_place_p99_us",
+            "p99 place service time over the rolling window (µs).",
+            Gauge(per_window(|w| w.place_p99_us() as f64)),
+        ),
+        (
+            "gaugur_window_qos_reject_ratio",
+            "Fraction of placement attempts rejected at the QoS floor.",
+            Gauge(per_window(WindowView::qos_reject_ratio)),
+        ),
+        (
+            "gaugur_window_outcome_below_floor_ratio",
+            "Fraction of reported outcomes below the QoS floor.",
+            Gauge(per_window(WindowView::outcome_below_floor_ratio)),
+        ),
+        (
+            "gaugur_window_mae",
+            "Mean absolute relative FPS error over the rolling window.",
+            Gauge(per_window(WindowView::windowed_mae)),
+        ),
+        (
+            "gaugur_window_active_seconds",
+            "Seconds inside the rolling window that recorded telemetry.",
+            Gauge(per_window(|w| w.active_secs as f64)),
+        ),
+    ]);
+    families
+}
 
-    write_header(
-        &mut out,
-        "gaugur_placement_shards",
-        "gauge",
-        "Placement shards the fleet is partitioned into.",
-    );
-    write_metric(&mut out, "gaugur_placement_shards", "", s.shards);
-    write_header(
-        &mut out,
-        "gaugur_shard_active_sessions",
-        "gauge",
-        "Sessions currently placed, per placement shard.",
-    );
-    for (shard, active) in s.shard_active_sessions.iter().enumerate() {
-        write_metric(
-            &mut out,
-            "gaugur_shard_active_sessions",
-            &format!("shard=\"{shard}\""),
-            active,
-        );
-    }
-
-    write_header(
-        &mut out,
-        "gaugur_requests_total",
-        "counter",
-        "Handled requests by kind and outcome.",
-    );
-    for (kind, rs) in &s.per_request {
-        write_metric(
-            &mut out,
-            "gaugur_requests_total",
-            &format!("kind=\"{kind}\",outcome=\"ok\""),
-            rs.ok,
-        );
-        write_metric(
-            &mut out,
-            "gaugur_requests_total",
-            &format!("kind=\"{kind}\",outcome=\"error\""),
-            rs.errors,
-        );
-    }
-    write_header(
-        &mut out,
-        "gaugur_request_latency_us",
-        "histogram",
-        "Whole-request handler latency by kind (microseconds).",
-    );
-    for (kind, rs) in &s.per_request {
-        write_histogram(
-            &mut out,
-            "gaugur_request_latency_us",
-            &format!("kind=\"{kind}\""),
-            &rs.latency_us,
-            rs.sum_us,
-            rs.total(),
-        );
-    }
-    write_header(
-        &mut out,
-        "gaugur_stage_duration_us",
-        "histogram",
-        "Per-stage request pipeline durations (microseconds).",
-    );
-    for (stage, st) in &s.per_stage {
-        write_histogram(
-            &mut out,
-            "gaugur_stage_duration_us",
-            &format!("stage=\"{stage}\""),
-            &st.buckets,
-            st.total_us,
-            st.count,
-        );
-    }
-
-    if let Some(slo) = &s.slo {
-        render_slo(&mut out, slo);
+/// Render a snapshot in Prometheus text-exposition format (version 0.0.4),
+/// one `families` entry after another. Served by the `Metrics` wire op.
+pub fn render_prometheus(s: &StatsSnapshot) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(16 * 1024);
+    for (name, help, samples) in families(s) {
+        let kind = match samples {
+            Samples::Counter(_) => "counter",
+            Samples::Gauge(_) => "gauge",
+            Samples::Histogram(_) => "histogram",
+        };
+        let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        match samples {
+            Samples::Counter(values) | Samples::Gauge(values) => {
+                for (labels, value) in values {
+                    write_sample(&mut out, name, "", &labels, value);
+                }
+            }
+            Samples::Histogram(series) => {
+                for (labels, h) in series {
+                    let mut cumulative = 0;
+                    for (i, &count) in h.buckets.iter().enumerate() {
+                        cumulative += count;
+                        let _ = match LATENCY_BUCKETS_US.get(i) {
+                            Some(le) => {
+                                writeln!(out, "{name}_bucket{{{labels},le=\"{le}\"}} {cumulative}")
+                            }
+                            None => {
+                                writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {cumulative}")
+                            }
+                        };
+                    }
+                    write_sample(&mut out, name, "_sum", &labels, Value::Int(h.total_us));
+                    write_sample(&mut out, name, "_count", &labels, Value::Int(h.count));
+                }
+            }
+        }
     }
     out
+}
+
+fn write_sample(out: &mut String, name: &str, suffix: &str, labels: &str, value: Value) {
+    use std::fmt::Write as _;
+    let _ = if labels.is_empty() {
+        writeln!(out, "{name}{suffix} {value}")
+    } else {
+        writeln!(out, "{name}{suffix}{{{labels}}} {value}")
+    };
 }
 
 /// Human label for a rolling-window length (10 → "10s", 60 → "1m",
@@ -659,130 +716,10 @@ fn window_label(secs: u64) -> String {
     }
 }
 
-/// Append the `gaugur_slo_*` gauges and windowed `gaugur_window_*` series
-/// for an evaluated [`crate::SloReport`].
-fn render_slo(out: &mut String, slo: &crate::slo::SloReport) {
-    write_header(
-        out,
-        "gaugur_slo_state",
-        "gauge",
-        "Alert severity per objective (0 = ok, 1 = warn, 2 = critical).",
-    );
-    for o in &slo.objectives {
-        write_metric(
-            out,
-            "gaugur_slo_state",
-            &format!("objective=\"{}\"", o.name),
-            o.state.as_u8(),
-        );
-    }
-    write_metric(
-        out,
-        "gaugur_slo_state",
-        "objective=\"fleet\"",
-        slo.state.as_u8(),
-    );
-    // One family at a time: text format 0.0.4 wants each family's samples
-    // in one group under its own TYPE line.
-    type Windows = fn(&crate::slo::ObjectiveStatus) -> [f64; 2];
-    let families: [(&str, &str, Windows); 2] = [
-        (
-            "gaugur_slo_burn_rate",
-            "Error-budget burn rate per objective and evaluation window.",
-            |o| [o.fast_burn, o.slow_burn],
-        ),
-        (
-            "gaugur_slo_objective_value",
-            "Raw objective value (ratio, or p99 µs) per evaluation window.",
-            |o| [o.fast_value, o.slow_value],
-        ),
-    ];
-    for (name, help, windows) in families {
-        write_header(out, name, "gauge", help);
-        for o in &slo.objectives {
-            for (window, v) in ["10s", "5m"].into_iter().zip(windows(o)) {
-                let labels = format!("objective=\"{}\",window=\"{window}\"", o.name);
-                write_metric(out, name, &labels, v);
-            }
-        }
-    }
-    write_header(
-        out,
-        "gaugur_slo_target",
-        "gauge",
-        "Error budget / target the burn rates are measured against.",
-    );
-    for o in &slo.objectives {
-        write_metric(
-            out,
-            "gaugur_slo_target",
-            &format!("objective=\"{}\"", o.name),
-            o.target,
-        );
-    }
-    write_header(
-        out,
-        "gaugur_slo_transitions_total",
-        "counter",
-        "Alert state transitions since startup.",
-    );
-    write_metric(out, "gaugur_slo_transitions_total", "", slo.transitions);
-
-    type WindowGauge = fn(&crate::slo::WindowView) -> f64;
-    let windowed: [(&str, &str, WindowGauge); 7] = [
-        (
-            "gaugur_window_request_rate",
-            "Handled requests per second over the rolling window.",
-            |w| w.request_rate(),
-        ),
-        (
-            "gaugur_window_error_rate",
-            "Error responses per second over the rolling window.",
-            |w| w.error_rate(),
-        ),
-        (
-            "gaugur_window_place_p99_us",
-            "p99 place service time over the rolling window (µs).",
-            |w| w.place_p99_us() as f64,
-        ),
-        (
-            "gaugur_window_qos_reject_ratio",
-            "Fraction of placement attempts rejected at the QoS floor.",
-            |w| w.qos_reject_ratio(),
-        ),
-        (
-            "gaugur_window_outcome_below_floor_ratio",
-            "Fraction of reported outcomes below the QoS floor.",
-            |w| w.outcome_below_floor_ratio(),
-        ),
-        (
-            "gaugur_window_mae",
-            "Mean absolute relative FPS error over the rolling window.",
-            |w| w.windowed_mae(),
-        ),
-        (
-            "gaugur_window_active_seconds",
-            "Seconds inside the rolling window that recorded telemetry.",
-            |w| w.active_secs as f64,
-        ),
-    ];
-    for (name, help, f) in windowed {
-        write_header(out, name, "gauge", help);
-        for w in &slo.windows {
-            write_metric(
-                out,
-                name,
-                &format!("window=\"{}\"", window_label(w.window_secs)),
-                f(w),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::{Counter, RequestStats, Telemetry, LATENCY_BUCKETS_US, N_BUCKETS};
+    use crate::stats::{Counter, Telemetry, N_BUCKETS};
 
     fn trace_with(decode: u64, predict: u64, place: u64, encode: u64, write: u64) -> RequestTrace {
         let mut t = RequestTrace::new();
@@ -828,7 +765,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_slow_ring_records_nothing() {
-        let t = Telemetry::new(1, 1, 0, 0);
+        let t = Telemetry::new(1, 0, 0);
         t.writer(0, 0).flush(
             0,
             true,
@@ -843,34 +780,41 @@ mod tests {
     }
 
     #[test]
-    fn stage_and_op_percentiles_share_semantics() {
-        // The shared helper keeps RequestStats and StageStats in lockstep on
-        // every boundary case.
+    fn stage_and_op_histograms_are_one_type() {
+        // A kind's latency and a stage's durations are the same wire type,
+        // so the table's percentiles and the exposition's buckets read both
+        // the same way. On every boundary case a percentile is the upper
+        // bound of the bucket holding its rank.
+        let snap = populated_snapshot();
+        let place: &StageStats = &snap.per_request["place"].latency;
+        let decode: &StageStats = &snap.per_stage["decode"];
+        assert_eq!((place.count, place.total_us, place.max_us), (1, 40, 40));
+        assert_eq!((decode.count, decode.total_us, decode.max_us), (3, 11, 5));
         let mut buckets = vec![0u64; N_BUCKETS];
         buckets[0] = 4;
         buckets[3] = 4; // ≤50µs bucket
-        let rs = RequestStats {
-            ok: 8,
-            errors: 0,
-            latency_us: buckets.clone(),
-            max_us: 48,
-            sum_us: 0,
-        };
         let st = StageStats {
             count: 8,
             total_us: 0,
             max_us: 48,
             buckets,
         };
-        for p in [0.0, 12.5, 50.0, 50.1, 99.9, 100.0] {
-            assert_eq!(rs.percentile_us(p), st.percentile_us(p), "p={p}");
+        for (p, want) in [
+            (0.0, 5),
+            (12.5, 5),
+            (50.0, 5),
+            (50.1, 50),
+            (99.9, 50),
+            (100.0, 50),
+        ] {
+            assert_eq!(st.percentile_us(p), want, "p={p}");
         }
     }
 
     /// `place` (40 µs, ok) on worker 0, `depart` (7 µs, ok) on worker 1,
     /// `stats` (3 µs, error) on worker 0, behind two connections.
     fn populated_snapshot() -> StatsSnapshot {
-        let t = Telemetry::new(2, 1, 4, 0);
+        let t = Telemetry::new(2, 4, 0);
         t.note(t.acceptor(), Counter::Connections, 2);
         t.writer(0, 0).queue_wait(2);
         t.writer(1, 0).queue_wait(4);
@@ -912,7 +856,7 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_well_formed() {
         let mut snap = populated_snapshot();
-        let t = Telemetry::new(1, 1, 4, 0);
+        let t = Telemetry::new(1, 4, 0);
         let engine = crate::SloEngine::new(crate::SloConfig::default());
         snap.slo = Some(engine.evaluate(&t.views(0), t.per_game()).0);
         let text = render_prometheus(&snap);
@@ -1049,9 +993,9 @@ mod tests {
         // Without an SLO report the section is absent entirely.
         assert!(!render_prometheus(&snap).contains("gaugur_slo_state"));
 
-        let t = Telemetry::new(2, 2, 0, 0);
-        t.writer(0, 0).place_attempt(1, Some(0));
-        t.writer(1, 0).place_attempt(1, None); // rejected on saturation
+        let t = Telemetry::new(2, 0, 0);
+        t.writer(0, 0).place_attempt(1, true);
+        t.writer(1, 0).place_attempt(1, false); // rejected on saturation
         t.writer(0, 0).outcome(1, true, 0.5);
         let engine = SloEngine::new(SloConfig::default());
         let (report, _) = engine.evaluate(&t.views(0), t.per_game());

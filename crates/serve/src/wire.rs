@@ -597,7 +597,7 @@ mod tests {
         });
         roundtrip_response(&Response::RetrainQueued { queued: true });
         roundtrip_response(&Response::Stats(Box::new(
-            Telemetry::new(1, 1, 0, 0).snapshot(0),
+            Telemetry::new(1, 0, 0).snapshot(0),
         )));
         roundtrip_response(&Response::Metrics {
             text: "# TYPE gaugur_requests_total counter\ngaugur_requests_total 7\n".into(),
@@ -605,8 +605,8 @@ mod tests {
         roundtrip_response(&Response::Reloaded { version: 3 });
         {
             use crate::slo::{SloConfig, SloEngine};
-            let t = Telemetry::new(1, 2, 0, 0);
-            t.writer(0, 0).place_attempt(3, Some(1));
+            let t = Telemetry::new(1, 0, 0);
+            t.writer(0, 0).place_attempt(3, true);
             t.writer(0, 0).outcome(3, false, 0.01);
             let engine = SloEngine::new(SloConfig::default());
             let (report, _) = engine.evaluate(&t.views(0), t.per_game());
@@ -627,7 +627,7 @@ mod tests {
 
     #[test]
     fn stats_snapshot_roundtrips_with_populated_histograms() {
-        let t = Telemetry::new(1, 1, 4, 0);
+        let t = Telemetry::new(1, 4, 0);
         for us in [3, 70, 800, 12_000, 3_000_000] {
             t.writer(0, 0).record(0, true, us);
         }
@@ -643,7 +643,7 @@ mod tests {
                 assert_eq!(*s, snap);
                 let place = &s.per_request["place"];
                 assert_eq!(place.ok, 5);
-                assert_eq!(place.latency_us.iter().sum::<u64>(), 5);
+                assert_eq!(place.latency.buckets.iter().sum::<u64>(), 5);
             }
             other => panic!("wrong variant: {other:?}"),
         }

@@ -781,6 +781,47 @@ fn frames_above_the_configured_cap_get_a_typed_error_then_close() {
 }
 
 #[test]
+fn a_struct_variant_given_a_non_object_gets_an_error_reply() {
+    // A struct variant's value must be an object. `{"ReloadModel":"x"}`
+    // once decoded as `ReloadModel { path: None }`, which reloads the
+    // served model's own file, and `{"TriggerRetrain":5}` as a retrain with
+    // the default floors; both must be refused and change nothing.
+    let dir = std::env::temp_dir().join(format!("gaugur-serve-variant-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let artifact = dir.join("model.json");
+    model().save_json(&artifact).unwrap();
+    let handle = daemon::start(quiet_config(), ModelHandle::load(&artifact).unwrap()).unwrap();
+
+    let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    use std::io::Write as _;
+    for payload in [r#"{"ReloadModel":"x"}"#, r#"{"TriggerRetrain":5}"#] {
+        stream
+            .write_all(&(payload.len() as u32).to_be_bytes())
+            .unwrap();
+        stream.write_all(payload.as_bytes()).unwrap();
+        match read_frame::<_, Response>(&mut stream).unwrap() {
+            Response::Error { .. } => {}
+            other => panic!("{payload} got {other:?}"),
+        }
+    }
+    // The connection survives both, and the model version has not moved.
+    write_frame(&mut stream, &Request::Stats).unwrap();
+    let stats = match read_frame::<_, Response>(&mut stream).unwrap() {
+        Response::Stats(stats) => stats,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    assert_eq!(stats.model_version, 1);
+    assert_eq!(stats.malformed_frames, 2);
+    assert_eq!(stats.per_request["reload_model"].total(), 0);
+    assert_eq!(stats.per_request["trigger_retrain"].total(), 0);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn the_read_deadline_cuts_a_stalled_half_frame() {
     let handle = daemon::start(
         DaemonConfig {

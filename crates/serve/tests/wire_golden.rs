@@ -143,10 +143,10 @@ fn requests() -> Vec<(&'static str, Request)> {
 /// SLO report carry histograms, per-stage rows, per-game rows and a NaN
 /// outcome error.
 fn telemetry() -> Telemetry {
-    let t = Telemetry::new(1, 2, 2, 0);
+    let t = Telemetry::new(1, 2, 0);
     let w = t.writer(0, 1_500_000);
     w.queue_wait(40);
-    w.place_attempt(3, Some(1));
+    w.place_attempt(3, true);
     w.note(Counter::Admitted, 1);
     w.record(0, true, 75);
     let mut trace = RequestTrace::new();
@@ -159,7 +159,7 @@ fn telemetry() -> Telemetry {
         model_version: Some(2),
     };
     w.flush(0, true, true, &trace, meta);
-    w.place_attempt(4, None);
+    w.place_attempt(4, false);
     w.record(3, false, 3_000_000);
     w.outcome(3, true, 0.5);
     w.outcome(4, false, f64::NAN);
@@ -335,7 +335,8 @@ const ODD: &[&str] = &[
     r#"{"Depart":{"session":5,"extra":"é\n"}}"#,
     r#"{"Depart":{"session":5,"extra":tru}}"#,
     r#"{"Placed":{"session":1,"server":2,"predicted_fps":3.5,"model_version":4,"cached":true}}"#,
-    // Missing fields: fine for `Option`, an error otherwise.
+    // Missing fields: fine for `Option`, an error otherwise. A struct
+    // variant's value must be an object even when every field is optional.
     r#"{"TriggerRetrain":{}}"#,
     r#"{"TriggerRetrain":{"min_samples":3}}"#,
     r#"{"TriggerRetrain":{"extra_rounds":null,"min_samples":null}}"#,
