@@ -5,13 +5,17 @@
 //! be negligible next to a placement (~µs); the retrain runs on a background
 //! thread, so what matters there is wall time staying in the low seconds at
 //! realistic buffer sizes (it bounds how fast the loop can react to drift).
+//! Each timed row is a [`Summary`] over in-process rounds: its spread is
+//! within one process.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use gaugur_bench::ExperimentContext;
+use gaugur_bench::{repeat, ExperimentContext, Summary};
 use gaugur_core::{GAugur, GAugurConfig, Placement, SessionOutcome};
 use gaugur_gamesim::{GameId, Resolution};
 use gaugur_serve::{DriftDetector, Feedback, FeedbackConfig, OutcomeRecord};
 use std::time::Instant;
+
+/// Rounds per row.
+const ROUNDS: usize = 11;
 
 /// Synthesize `n` pair outcomes whose observed FPS sits a fixed factor
 /// below the model's prediction — the drifted-environment shape the
@@ -33,9 +37,9 @@ fn outcomes(gaugur: &GAugur, ids: &[GameId], n: usize) -> Vec<SessionOutcome> {
 }
 
 /// Per-report ingestion cost, single-threaded and across 4 threads (the
-/// sharded buffer's contention story). Returns `(µs/report single,
-/// reports/s over 4 threads)`.
-fn ingest_costs(gaugur: &GAugur, ids: &[GameId]) -> (f64, f64) {
+/// sharded buffer's contention story), each round into a fresh buffer.
+/// Returns `(µs/report single, reports/s over 4 threads)`.
+fn ingest_costs(gaugur: &GAugur, ids: &[GameId]) -> (Summary, Summary) {
     const N: usize = 100_000;
     let records: Vec<(OutcomeRecord, f64)> = outcomes(gaugur, ids, 512)
         .into_iter()
@@ -52,84 +56,101 @@ fn ingest_costs(gaugur: &GAugur, ids: &[GameId]) -> (f64, f64) {
         })
         .collect();
 
-    let feedback = Feedback::new(FeedbackConfig::default());
-    let t0 = Instant::now();
-    for i in 0..N {
-        let (record, predicted) = &records[i % records.len()];
-        feedback.ingest(record.clone(), *predicted, false);
-    }
-    let single_us = t0.elapsed().as_secs_f64() * 1e6 / N as f64;
-
-    let feedback = Feedback::new(FeedbackConfig::default());
-    let t1 = Instant::now();
-    std::thread::scope(|scope| {
-        for t in 0..4 {
-            let feedback = &feedback;
-            let records = &records;
-            scope.spawn(move || {
-                for i in 0..N / 4 {
-                    let (record, predicted) = &records[(t * 31 + i) % records.len()];
-                    feedback.ingest(record.clone(), *predicted, false);
-                }
-            });
+    let single_us = repeat(ROUNDS, || {
+        let feedback = Feedback::new(FeedbackConfig::default());
+        let t0 = Instant::now();
+        for i in 0..N {
+            let (record, predicted) = &records[i % records.len()];
+            feedback.ingest(record.clone(), *predicted, false);
         }
+        t0.elapsed().as_secs_f64() * 1e6 / N as f64
     });
-    let mt_rps = N as f64 / t1.elapsed().as_secs_f64();
+
+    let mt_rps = repeat(ROUNDS, || {
+        let feedback = Feedback::new(FeedbackConfig::default());
+        let t0 = Instant::now();
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let feedback = &feedback;
+                let records = &records;
+                scope.spawn(move || {
+                    for i in 0..N / 4 {
+                        let (record, predicted) = &records[(t * 31 + i) % records.len()];
+                        feedback.ingest(record.clone(), *predicted, false);
+                    }
+                });
+            }
+        });
+        N as f64 / t0.elapsed().as_secs_f64()
+    });
     (single_us, mt_rps)
 }
 
 /// Page–Hinkley + windowed-MAE update cost per observation, in ns.
-fn drift_observe_ns() -> f64 {
-    const N: usize = 1_000_000;
-    let mut detector = DriftDetector::new(256, 0.005, 2.5);
-    let t0 = Instant::now();
-    for i in 0..N {
-        detector.observe(0.05 + 0.01 * ((i % 7) as f64));
-    }
-    let ns = t0.elapsed().as_secs_f64() * 1e9 / N as f64;
-    assert!(detector.observations() as usize == N);
+fn drift_observe_ns() -> Summary {
+    const N: usize = 100_000;
+    let ns = repeat(ROUNDS, || {
+        let mut detector = DriftDetector::new(256, 0.005, 2.5);
+        let t0 = Instant::now();
+        for i in 0..N {
+            detector.observe(0.05 + 0.01 * ((i % 7) as f64));
+        }
+        let ns = t0.elapsed().as_secs_f64() * 1e9 / N as f64;
+        assert!(detector.observations() as usize == N);
+        // The post-retrain reset clears the whole state, window included.
+        detector.reset();
+        assert_eq!(detector.windowed_mae(), 0.0);
+        assert_eq!(detector.observations(), 0);
+        ns
+    });
     // Drift updates ride the request path (one per fresh outcome report), so
     // they share tracing's overhead budget: well under a microsecond each.
     assert!(
-        ns < 1_000.0,
-        "drift observation blew its overhead budget: {ns:.1} ns"
+        ns.median < 1_000.0,
+        "drift observation blew its overhead budget: {:.1} ns",
+        ns.median
     );
-    // The post-retrain reset clears the whole state, window included.
-    detector.reset();
-    assert_eq!(detector.windowed_mae(), 0.0);
-    assert_eq!(detector.observations(), 0);
     ns
 }
 
 /// Warm-start retrain wall time over a realistic buffer, in ms.
-fn retrain_ms(gaugur: &GAugur, ids: &[GameId], samples: usize) -> f64 {
+fn retrain_ms(gaugur: &GAugur, ids: &[GameId], samples: usize) -> Summary {
     let data = outcomes(gaugur, ids, samples);
-    let t0 = Instant::now();
-    let (retrained, report) = gaugur
-        .retrain_from_outcomes(&data, 60)
-        .expect("synthetic outcomes are usable");
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(report.samples_used, samples);
-    assert!(retrained.profiles.len() == gaugur.profiles.len());
-    ms
+    repeat(ROUNDS, || {
+        let t0 = Instant::now();
+        let (retrained, report) = gaugur
+            .retrain_from_outcomes(&data, 60)
+            .expect("synthetic outcomes are usable");
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(report.samples_used, samples);
+        assert!(retrained.profiles.len() == gaugur.profiles.len());
+        ms
+    })
 }
 
 /// Write the machine-readable report the CI gate checks for.
-fn emit_report(single_us: f64, mt_rps: f64, observe_ns: f64, warm_ms: f64, samples: usize) {
+fn emit_report(
+    single_us: Summary,
+    mt_rps: Summary,
+    observe_ns: Summary,
+    warm_ms: Summary,
+    samples: usize,
+) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_feedback.json");
     let json = format!(
-        "{{\n  \"benchmark\": \"feedback\",\n  \
-         \"ingest_us_per_report\": {single_us:.2},\n  \
+        "{{\n  \"benchmark\": \"feedback\",\n  {},\n  \
+         \"ingest_us_per_report\": {single_us:.3},\n  \
          \"ingest_4threads_reports_per_s\": {mt_rps:.0},\n  \
          \"drift_observe_ns\": {observe_ns:.1},\n  \
          \"retrain_warm_start_ms\": {warm_ms:.1},\n  \
-         \"retrain_samples\": {samples}\n}}\n"
+         \"retrain_samples\": {samples}\n}}\n",
+        gaugur_bench::host_fields(),
     );
     std::fs::write(path, json).expect("write BENCH_feedback.json");
     eprintln!("wrote {path}");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let ctx = ExperimentContext::small(1);
     let gaugur =
         GAugur::from_measurements(ctx.profiles.clone(), &ctx.train, GAugurConfig::default());
@@ -137,7 +158,7 @@ fn bench(c: &mut Criterion) {
 
     let (single_us, mt_rps) = ingest_costs(&gaugur, &ids);
     eprintln!(
-        "feedback_ingest: {single_us:.2} µs/report single-threaded, \
+        "feedback_ingest: {single_us:.3} µs/report single-threaded, \
          {mt_rps:.0} reports/s over 4 threads"
     );
     let observe_ns = drift_observe_ns();
@@ -146,31 +167,4 @@ fn bench(c: &mut Criterion) {
     let warm_ms = retrain_ms(&gaugur, &ids, SAMPLES);
     eprintln!("retrain_warm_start: {warm_ms:.1} ms over {SAMPLES} outcomes (60 extra rounds)");
     emit_report(single_us, mt_rps, observe_ns, warm_ms, SAMPLES);
-
-    let records: Vec<(OutcomeRecord, f64)> = outcomes(&gaugur, &ids, 64)
-        .into_iter()
-        .map(|o| {
-            let predicted = o.observed_fps / 0.85;
-            (
-                OutcomeRecord {
-                    target: o.target,
-                    others: o.others,
-                    observed_fps: o.observed_fps,
-                },
-                predicted,
-            )
-        })
-        .collect();
-    let feedback = Feedback::new(FeedbackConfig::default());
-    let mut i = 0usize;
-    c.bench_function("feedback_ingest_report", |b| {
-        b.iter(|| {
-            let (record, predicted) = &records[i % records.len()];
-            i += 1;
-            feedback.ingest(record.clone(), *predicted, false)
-        })
-    });
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -2,12 +2,13 @@
 //! prediction" claim (Sections 1 and 3.6).
 //!
 //! Gaming requests must be placed the moment they arrive, so the per-request
-//! prediction cost is the latency budget that matters.
+//! prediction cost is the latency budget that matters. Each timed row is a
+//! [`Summary`] over in-process rounds: its spread is within one process.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use gaugur_baselines::{InterferencePredictor, SigmoidPredictor, SmitePredictor, VbpPolicy};
-use gaugur_bench::ExperimentContext;
-use gaugur_core::{DegradationBatch, FeatureBuffer, GAugur, GAugurConfig, Placement};
+use gaugur_bench::{repeat, ExperimentContext, Summary};
+use gaugur_core::{
+    DegradationBatch, FeatureBuffer, GAugur, GAugurConfig, InterferencePredictor, Placement,
+};
 use gaugur_gamesim::rng::rng_for;
 use gaugur_gamesim::{GameId, Resolution};
 use gaugur_serve::wire::{Request, Response};
@@ -19,6 +20,11 @@ use std::time::Instant;
 
 /// Batch sizes swept by the batched-vs-scalar comparison.
 const BATCH_SIZES: [usize; 4] = [1, 8, 32, 128];
+
+/// Rounds per row, and the queries each round of the scalar, batched and
+/// `predict_qos` rows times.
+const ROUNDS: usize = 11;
+const QUERIES_PER_ROUND: usize = 4_000;
 
 /// Queries timed by the scalar `predict_qos` row.
 const QOS_QUERIES: usize = 32;
@@ -47,20 +53,22 @@ fn queries(ctx: &ExperimentContext, n: usize) -> Vec<(Placement, [Placement; 3])
 
 /// Scalar `predict_qos` at [`QOS_FLOOR`] over [`QOS_QUERIES`] queries, in
 /// ns per query: one CM evaluation each.
-fn qos_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> f64 {
+fn qos_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> Summary {
     let queries = queries(ctx, QOS_QUERIES);
-    let reps = 20_000 / QOS_QUERIES;
+    let reps = QUERIES_PER_ROUND / QOS_QUERIES;
     let mut feasible = 0usize;
     for (t, o) in &queries {
         feasible += usize::from(gaugur.predict_qos(QOS_FLOOR, *t, o));
     }
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for (t, o) in &queries {
-            feasible += usize::from(gaugur.predict_qos(QOS_FLOOR, *t, o));
+    let ns = repeat(ROUNDS, || {
+        let t0 = Instant::now();
+        for _ in 0..reps {
+            for (t, o) in &queries {
+                feasible += usize::from(gaugur.predict_qos(QOS_FLOOR, *t, o));
+            }
         }
-    }
-    let ns = t0.elapsed().as_nanos() as f64 / (reps * QOS_QUERIES) as f64;
+        t0.elapsed().as_nanos() as f64 / (reps * QOS_QUERIES) as f64
+    });
     std::hint::black_box(feasible);
     eprintln!("prediction_qos_scalar: {ns:.0} ns/query");
     ns
@@ -77,20 +85,24 @@ const COLD_SEED: u64 = 7;
 /// Arrivals before the counted ones: the fleet and the memo fill up.
 const COLD_WARMUP: u64 = 1_000;
 const COLD_ARRIVALS: u64 = 4_000;
+/// Replays, each from a fresh [`Reference`].
+const COLD_ROUNDS: usize = 5;
 
-/// What one `cold_place` replay measured over its counted arrivals.
+/// What the `cold_place` replays measured over their counted arrivals. The
+/// counts are the same in every replay; the bench checks that they are.
 struct ColdPlace {
-    ns_per_place: f64,
-    candidates_per_place: f64,
+    ns_per_place: Summary,
+    /// Candidate servers scored, summed over the counted arrivals.
+    probes: u64,
     rows: RowCounts,
     places: u64,
 }
 
-/// A fixed-seed serial replay of `place_cold`-shaped traffic through
-/// [`Reference`] — the daemon's placement path, one request at a time, no
-/// socket and no threads: model work and memo traffic only. Counts are
-/// exact and repeat; the time is the host's.
-fn cold_place(model: &GAugur) -> ColdPlace {
+/// A fixed-seed serial replay of `place_cold`-shaped traffic through a
+/// fresh [`Reference`] — the daemon's placement path, one request at a time,
+/// no socket and no threads: model work and memo traffic only. Returns the
+/// counted arrivals' time in ns, candidate probes and RM rows.
+fn cold_replay(model: &GAugur) -> (f64, u64, RowCounts) {
     let config = DaemonConfig {
         n_servers: COLD_SERVERS,
         shards: 1,
@@ -128,31 +140,50 @@ fn cold_place(model: &GAugur) -> ColdPlace {
     let ns = started.elapsed().as_nanos() as f64;
     let end = reference.memo().row_counts();
     let probed: u64 = reference.score_counts().iter().map(|(h, m)| h + m).sum();
+    let rows = RowCounts {
+        first_stage: end.first_stage - rows.first_stage,
+        second_stage: end.second_stage - rows.second_stage,
+        whole: end.whole - rows.whole,
+    };
+    (ns, probed - probes, rows)
+}
+
+/// [`COLD_ROUNDS`] replays of [`cold_replay`]. Counts are exact and must
+/// repeat; the time is the host's.
+fn cold_place(model: &GAugur) -> ColdPlace {
     let places = COLD_ARRIVALS;
+    let mut counts = None;
+    let ns_per_place = repeat(COLD_ROUNDS, || {
+        let (ns, probes, rows) = cold_replay(model);
+        let first = *counts.get_or_insert((probes, rows));
+        assert_eq!(
+            (probes, rows),
+            first,
+            "a cold_place replay counted different candidate probes or RM rows"
+        );
+        ns / places as f64
+    });
+    let (probes, rows) = counts.expect("at least one replay");
     let cold = ColdPlace {
-        ns_per_place: ns / places as f64,
-        candidates_per_place: (probed - probes) as f64 / places as f64,
-        rows: RowCounts {
-            first_stage: end.first_stage - rows.first_stage,
-            second_stage: end.second_stage - rows.second_stage,
-            whole: end.whole - rows.whole,
-        },
+        ns_per_place,
+        probes,
+        rows,
         places,
     };
     eprintln!(
         "cold_place: {:.0} ns/place, {:.1} candidates/place, per place {:.2} rows stopped \
          after stage 1, {:.2} through all trees",
         cold.ns_per_place,
-        cold.candidates_per_place,
-        cold.rows.stopped() as f64 / places as f64,
-        cold.rows.through_all_trees() as f64 / places as f64,
+        probes as f64 / places as f64,
+        rows.stopped() as f64 / places as f64,
+        rows.through_all_trees() as f64 / places as f64,
     );
     cold
 }
 
 /// Time the scalar loop against the fused batch path at each batch size.
 /// Returns `(batch size, scalar ns/query, batch ns/query)` rows.
-fn batch_vs_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> Vec<(usize, f64, f64)> {
+fn batch_vs_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> Vec<(usize, Summary, Summary)> {
     let mut scratch = FeatureBuffer::new();
     let mut out = Vec::new();
     let mut results = Vec::new();
@@ -163,32 +194,36 @@ fn batch_vs_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> Vec<(usize, f64,
         for (t, o) in &queries {
             batch.push(*t, o);
         }
-        let reps = (20_000 / n).max(20);
+        let reps = QUERIES_PER_ROUND / n;
 
         for (t, o) in &queries {
             sink += gaugur.predict_degradation(*t, o);
         }
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            for (t, o) in &queries {
-                sink += gaugur.predict_degradation(*t, o);
+        let scalar_ns = repeat(ROUNDS, || {
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                for (t, o) in &queries {
+                    sink += gaugur.predict_degradation(*t, o);
+                }
             }
-        }
-        let scalar_ns = t0.elapsed().as_nanos() as f64 / (reps * n) as f64;
+            t0.elapsed().as_nanos() as f64 / (reps * n) as f64
+        });
 
         gaugur.predict_degradation_batch(&batch, &mut scratch, &mut out);
         sink += out[0];
-        let t1 = Instant::now();
-        for _ in 0..reps {
-            gaugur.predict_degradation_batch(&batch, &mut scratch, &mut out);
-            sink += out[0];
-        }
-        let batch_ns = t1.elapsed().as_nanos() as f64 / (reps * n) as f64;
+        let batch_ns = repeat(ROUNDS, || {
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                gaugur.predict_degradation_batch(&batch, &mut scratch, &mut out);
+                sink += out[0];
+            }
+            t0.elapsed().as_nanos() as f64 / (reps * n) as f64
+        });
 
         eprintln!(
             "prediction_batch_vs_scalar n={n}: scalar {scalar_ns:.0} ns/query, \
              batch {batch_ns:.0} ns/query ({:.2}x)",
-            scalar_ns / batch_ns.max(1e-9)
+            scalar_ns.median / batch_ns.median.max(1e-9)
         );
         results.push((n, scalar_ns, batch_ns));
     }
@@ -196,59 +231,50 @@ fn batch_vs_scalar(ctx: &ExperimentContext, gaugur: &GAugur) -> Vec<(usize, f64,
     results
 }
 
-/// Write the machine-readable report the CI gate checks for.
-fn emit_report(results: &[(usize, f64, f64)], qos_ns: f64, cold: &ColdPlace) {
+/// Write the machine-readable report the CI gate checks for. `speedup` is
+/// the scalar median over the batched one.
+fn emit_report(results: &[(usize, Summary, Summary)], qos_ns: Summary, cold: &ColdPlace) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prediction.json");
-    let mut rows = String::new();
-    for (i, &(n, scalar_ns, batch_ns)) in results.iter().enumerate() {
-        if i > 0 {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{\"batch\": {n}, \"scalar_ns_per_query\": {scalar_ns:.1}, \
-             \"batch_ns_per_query\": {batch_ns:.1}, \"speedup\": {:.2}}}",
-            scalar_ns / batch_ns.max(1e-9)
-        ));
-    }
-    let per_place = |rows: u64| rows as f64 / cold.places as f64;
+    let rows: Vec<String> = results
+        .iter()
+        .map(|(n, scalar_ns, batch_ns)| {
+            format!(
+                "    {{\"batch\": {n}, \"speedup\": {:.2},\n     \
+                 \"scalar_ns_per_query\": {scalar_ns:.1},\n     \
+                 \"batch_ns_per_query\": {batch_ns:.1}}}",
+                scalar_ns.median / batch_ns.median.max(1e-9)
+            )
+        })
+        .collect();
+    let per_place = |count: u64| count as f64 / cold.places as f64;
     let json = format!(
         "{{\n  \"benchmark\": \"prediction\",\n  \"unit\": \"ns/query\",\n  \
-         {},\n  \"results\": [{rows}\n  ],\n  \
-         \"predict_qos\": {{\"floor_fps\": {QOS_FLOOR:.1}, \"queries\": {QOS_QUERIES}, \
+         {},\n  \"results\": [\n{}\n  ],\n  \
+         \"predict_qos\": {{\"floor_fps\": {QOS_FLOOR:.1}, \"queries\": {QOS_QUERIES},\n    \
          \"scalar_ns_per_query\": {qos_ns:.1}}},\n  \
          \"cold_place\": {{\"seed\": {COLD_SEED}, \"servers\": {COLD_SERVERS}, \
-         \"places\": {}, \"ns_per_place\": {:.0}, \"candidates_per_place\": {:.2}, \
+         \"places\": {}, \"candidates_per_place\": {:.2},\n    \
          \"rows_stopped_after_stage_1_per_place\": {:.3}, \
          \"rows_through_all_trees_per_place\": {:.3}, \
-         \"rows_second_stage_per_place\": {:.3}}}\n}}\n",
+         \"rows_second_stage_per_place\": {:.3},\n    \
+         \"ns_per_place\": {:.0}}}\n}}\n",
         gaugur_bench::host_fields(),
+        rows.join(",\n"),
         cold.places,
-        cold.ns_per_place,
-        cold.candidates_per_place,
+        per_place(cold.probes),
         per_place(cold.rows.stopped()),
         per_place(cold.rows.through_all_trees()),
         per_place(cold.rows.second_stage),
+        cold.ns_per_place,
     );
     std::fs::write(path, json).expect("write BENCH_prediction.json");
     eprintln!("wrote {path}");
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let ctx = ExperimentContext::small(1);
     let gaugur =
         GAugur::from_measurements(ctx.profiles.clone(), &ctx.train, GAugurConfig::default());
-    let sigmoid = SigmoidPredictor::train(ctx.profiles.clone(), &ctx.train);
-    let smite = SmitePredictor::train(ctx.profiles.clone(), &ctx.train);
-    let vbp = VbpPolicy::from_catalog(&ctx.catalog);
-
-    let res = Resolution::Fhd1080;
-    let target: Placement = (ctx.catalog[0].id, res);
-    let others: Vec<Placement> = vec![
-        (ctx.catalog[1].id, res),
-        (ctx.catalog[2].id, res),
-        (ctx.catalog[3].id, res),
-    ];
-    let members: Vec<Placement> = std::iter::once(target).chain(others.clone()).collect();
 
     // The ledger's model: the paper's 100-game catalog, 60 training
     // colocations, the default configuration.
@@ -265,40 +291,4 @@ fn bench(c: &mut Criterion) {
         qos_scalar(&ctx, &gaugur),
         &cold,
     );
-
-    let mut g = c.benchmark_group("online_prediction");
-    g.bench_function("gaugur_cm_qos", |b| {
-        b.iter(|| gaugur.predict_qos(60.0, std::hint::black_box(target), &others))
-    });
-    g.bench_function("gaugur_rm_degradation", |b| {
-        b.iter(|| gaugur.predict_degradation(std::hint::black_box(target), &others))
-    });
-    g.bench_function("gaugur_cm_full_colocation", |b| {
-        b.iter(|| gaugur.colocation_feasible(60.0, std::hint::black_box(&members)))
-    });
-    g.bench_function("sigmoid_degradation", |b| {
-        b.iter(|| sigmoid.predict_degradation(std::hint::black_box(target), &others))
-    });
-    g.bench_function("smite_degradation", |b| {
-        b.iter(|| smite.predict_degradation(std::hint::black_box(target), &others))
-    });
-    g.bench_function("vbp_feasible", |b| {
-        b.iter(|| vbp.feasible(std::hint::black_box(&members)))
-    });
-    g.finish();
-
-    // Feature assembly alone (shows the model evaluation dominates).
-    let mut g = c.benchmark_group("feature_assembly");
-    let profile = ctx.profiles.get(target.0);
-    g.bench_function("rm_features", |b| {
-        b.iter_batched(
-            || ctx.profiles.intensities(&others),
-            |ints| gaugur_core::features::rm_features(std::hint::black_box(profile), &ints),
-            BatchSize::SmallInput,
-        )
-    });
-    g.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

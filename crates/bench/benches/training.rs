@@ -1,37 +1,26 @@
-//! Offline model-training cost (paper Section 3.6: "the overhead of model
-//! training is also O(N)"). Times the models the pipeline actually ships —
-//! the gradient-boosted RM and CM and the whole of
-//! `GAugur::from_measurements` — on the performance ledger's campaign and
-//! on the paper's, writes `BENCH_training.json`, and compares the paper's
-//! four algorithm families on the RM task at a fixed training-set size.
+//! Offline profiling and model-training cost (paper Section 3.6: both are
+//! O(N) in the number of games). Times one game's contention profile at the
+//! shipped granularity, then the models the pipeline actually ships — the
+//! gradient-boosted RM and CM and the whole of `GAugur::from_measurements` —
+//! on the performance ledger's campaign and on the paper's, and writes
+//! `BENCH_training.json`. Each timed row is a [`Summary`] over in-process
+//! runs: its spread is within one process.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gaugur_bench::ExperimentContext;
+use gaugur_bench::{repeat, ExperimentContext, Summary};
 use gaugur_core::{
     build_cm_samples, build_rm_samples, to_dataset, Algorithm, ClassificationModel, GAugur,
-    GAugurConfig, RegressionModel, ALL_ALGORITHMS,
+    GAugurConfig, Profiler, ProfilingConfig, RegressionModel,
 };
+use gaugur_gamesim::{GameCatalog, Server};
 use gaugur_ml::Dataset;
+use std::hint::black_box;
 use std::time::Instant;
 
-/// Wall time of `f` in seconds over `runs` runs — (median, min, max) — and
-/// what the last run returned.
-fn time_s<T>(runs: usize, mut f: impl FnMut() -> T) -> ((f64, f64, f64), T) {
-    let mut last = None;
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t0 = Instant::now();
-            last = Some(std::hint::black_box(f()));
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    let timing = (samples[runs / 2], samples[0], samples[runs - 1]);
-    (timing, last.expect("at least one run"))
-}
-
-fn timing_json((median, min, max): (f64, f64, f64)) -> String {
-    format!("{{\"median_s\": {median:.3}, \"min_s\": {min:.3}, \"max_s\": {max:.3}}}")
+/// Wall time of `f` in seconds.
+fn seconds<T>(f: impl FnOnce() -> T) -> (f64, T) {
+    let t0 = Instant::now();
+    let out = black_box(f());
+    (t0.elapsed().as_secs_f64(), out)
 }
 
 fn shape_json(data: &Dataset, trees: usize) -> String {
@@ -42,8 +31,29 @@ fn shape_json(data: &Dataset, trees: usize) -> String {
     )
 }
 
+/// The `"profile_game"` object: one game's contention profile at the
+/// shipped granularity, in ms. Profiling is one such call per game.
+fn profile_json() -> String {
+    const ROUNDS: usize = 11;
+    let server = Server::reference(1);
+    let catalog = GameCatalog::generate(42, 10);
+    let profiler = Profiler::new(ProfilingConfig::default());
+    let ms = repeat(ROUNDS, || {
+        seconds(|| profiler.profile_game(&server, black_box(&catalog[0]))).0 * 1e3
+    });
+    eprintln!(
+        "profile_game: {ms:.2} ms at k = {}",
+        profiler.config.granularity
+    );
+    format!(
+        "{{\"granularity\": {}, \"ms_per_game\": {ms:.3}}}",
+        profiler.config.granularity
+    )
+}
+
 /// One `"scales"` entry: RM fit, CM fit and the whole `from_measurements`
-/// on `ctx`'s training campaign with the default (gradient-boosting) config.
+/// on `ctx`'s training campaign with the default (gradient-boosting) config,
+/// each timed `runs` times.
 fn scale_json(name: &str, ctx: &ExperimentContext, runs: usize) -> String {
     let config = GAugurConfig::default();
     let rm_data = to_dataset(&build_rm_samples(&ctx.profiles, &ctx.train));
@@ -54,40 +64,41 @@ fn scale_json(name: &str, ctx: &ExperimentContext, runs: usize) -> String {
     ));
     let algo = Algorithm::GradientBoosting;
 
-    let (rm, rm_model) = time_s(runs, || RegressionModel::train(&rm_data, algo, config.seed));
-    let (cm, cm_model) = time_s(runs, || {
-        ClassificationModel::train(&cm_data, algo, config.seed)
+    let (mut rm_trees, mut cm_trees) = (0, 0);
+    let rm: Summary = repeat(runs, || {
+        let (s, model) = seconds(|| RegressionModel::train(&rm_data, algo, config.seed));
+        rm_trees = model.n_trees();
+        s
     });
-    let (whole, _) = time_s(runs, || {
-        GAugur::from_measurements(ctx.profiles.clone(), &ctx.train, config.clone())
+    let cm = repeat(runs, || {
+        let (s, model) = seconds(|| ClassificationModel::train(&cm_data, algo, config.seed));
+        cm_trees = model.n_trees();
+        s
+    });
+    let whole = repeat(runs, || {
+        seconds(|| GAugur::from_measurements(ctx.profiles.clone(), &ctx.train, config.clone())).0
     });
     eprintln!(
-        "training[{name}]: RM {}x{} {:.3} s, CM {}x{} {:.3} s, from_measurements {:.3} s \
-         (medians of {runs})",
+        "training[{name}]: RM {}x{} {rm:.3} s, CM {}x{} {cm:.3} s, from_measurements {whole:.3} s",
         rm_data.len(),
         rm_data.width(),
-        rm.0,
         cm_data.len(),
         cm_data.width(),
-        cm.0,
-        whole.0
     );
     format!(
-        "\n    {{\"scale\": \"{name}\", \"train_colocations\": {}, \"runs\": {runs},\n     \
-         \"rm_gbrt\": {{{}, \"fit\": {}}},\n     \
-         \"cm_gbdt\": {{{}, \"fit\": {}}},\n     \
-         \"from_measurements\": {}}}",
+        "\n    {{\"scale\": \"{name}\", \"train_colocations\": {},\n     \
+         \"rm_gbrt\": {{{}, \"fit\": {rm:.3}}},\n     \
+         \"cm_gbdt\": {{{}, \"fit\": {cm:.3}}},\n     \
+         \"from_measurements\": {whole:.3}}}",
         ctx.train.len(),
-        shape_json(&rm_data, rm_model.n_trees()),
-        timing_json(rm),
-        shape_json(&cm_data, cm_model.n_trees()),
-        timing_json(cm),
-        timing_json(whole)
+        shape_json(&rm_data, rm_trees),
+        shape_json(&cm_data, cm_trees),
     )
 }
 
 /// Write the machine-readable report the CI gate checks for.
-fn emit_report() {
+fn main() {
+    let profile = profile_json();
     let scales = [
         scale_json(
             "ledger",
@@ -98,32 +109,11 @@ fn emit_report() {
     ];
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_training.json");
     let json = format!(
-        "{{\n  \"benchmark\": \"training\",\n  \"unit\": \"s\",\n  {},\n  \"scales\": [{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"training\",\n  \"unit\": \"s\",\n  {},\n  \
+         \"profile_game\": {profile},\n  \"scales\": [{}\n  ]\n}}\n",
         gaugur_bench::host_fields(),
         scales.join(",")
     );
     std::fs::write(path, json).expect("write BENCH_training.json");
     eprintln!("wrote {path}");
 }
-
-fn bench(c: &mut Criterion) {
-    emit_report();
-
-    let ctx = ExperimentContext::small(1);
-    let samples = build_rm_samples(&ctx.profiles, &ctx.train);
-    let data = to_dataset(&samples[..samples.len().min(200)]);
-
-    let mut g = c.benchmark_group("rm_training_200_samples");
-    g.sample_size(10);
-    for algo in ALL_ALGORITHMS {
-        g.bench_with_input(
-            BenchmarkId::new("train", algo.regression_name()),
-            &algo,
-            |b, &algo| b.iter(|| RegressionModel::train(std::hint::black_box(&data), algo, 1)),
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench);
-criterion_main!(benches);
